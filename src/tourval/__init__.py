@@ -54,8 +54,6 @@ from .valuation import (
     FactorDefinition,
     ValuationResult,
     classify,
-    compute_ftv,
-    crisp_tvi,
     evaluate_attraction,
     filter_high,
     rank,
@@ -79,9 +77,7 @@ __all__ = [
     "FactorCatalogue",
     "AttractionEvaluation",
     "ValuationResult",
-    "compute_ftv",
     "evaluate_attraction",
-    "crisp_tvi",
     "classify",
     "filter_high",
     "rank",

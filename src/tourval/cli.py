@@ -9,7 +9,7 @@ Subcommands::
     tourval tour     --config cfg.json          spatial stage from prior results
 
 Exit codes: 0 success, 2 input/schema error, 3 configuration error,
-4 numeric failure.
+4 numeric failure, 5 operating-system error reading or writing a file.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
-from .errors import TourvalError
-from .pipeline import RunConfig, format_number, load_config
+from .errors import ConfigError, TourvalError
+from .pipeline import RunConfig, load_config
+from .rounding import format_number, round6
 
 __all__ = ["main", "build_parser"]
 
@@ -77,7 +78,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     print(f"factors: {len(ingested.catalogue.factors)} (weights from "
           f"{ingested.weight_source})")
     print(f"attractions: {len(ingested.names)}")
-    print(f"evaluations: {len(ingested.evaluations)} complete")
+    print(f"evaluations: {len(ingested.scores)} complete")
     if ingested.weight_report is not None and ingested.weight_report.inconsistent:
         print(f"warning: pairwise CR = {ingested.weight_report.consistency_ratio:.4f} "
               "> 0.1", file=sys.stderr)
@@ -86,24 +87,17 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_weights(args: argparse.Namespace) -> int:
-    from .ahp import derive_weights, validate_pairwise
-    from .errors import ConfigError, InputError
-
     config = _effective_config(args)
     if config.pairwise is None:
         raise ConfigError("config has no 'pairwise' entry")
     factors, _ = pipeline.load_factor_table(config.factors)
-    ids, matrix = pipeline.load_pairwise(config.pairwise, [f.id for f in factors])
-    try:
-        report = derive_weights(validate_pairwise(matrix))
-    except ValueError as e:
-        raise InputError(f"{config.pairwise}: {e}") from e
+    ids, report = pipeline.load_pairwise(config.pairwise, [f.id for f in factors])
     document = {
         "factors": ids,
-        "weights": {i: float(format_number(w)) for i, w in zip(ids, report.weights)},
-        "lambda_max": float(format_number(report.lambda_max)),
-        "consistency_index": float(format_number(report.consistency_index)),
-        "consistency_ratio": float(format_number(report.consistency_ratio)),
+        "weights": {i: round6(w) for i, w in zip(ids, report.weights)},
+        "lambda_max": round6(report.lambda_max),
+        "consistency_index": round6(report.consistency_index),
+        "consistency_ratio": round6(report.consistency_ratio),
         "inconsistent": report.inconsistent,
     }
     print(json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False))
@@ -163,6 +157,9 @@ def main(argv: list[str] | None = None) -> int:
     except TourvalError as e:
         print(f"error: {e}", file=sys.stderr)
         return getattr(e, "exit_code", 2)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The classes map onto the CLI exit codes: input/schema problems exit 2,
-configuration problems exit 3, numeric failures exit 4.
+configuration problems exit 3, numeric failures exit 4; an OSError exits 5.
 """
 
 

@@ -16,6 +16,7 @@ from .errors import ConfigError
 __all__ = [
     "TriangularFuzzyNumber",
     "TFN",
+    "is_tfn",
     "Interval",
     "membership",
     "alpha_cut",
@@ -40,12 +41,9 @@ class TriangularFuzzyNumber:
 
     def __post_init__(self):
         lo, mode, hi = float(self.lo), float(self.mode), float(self.hi)
-        if not (math.isfinite(lo) and math.isfinite(mode) and math.isfinite(hi)):
-            raise ValueError(f"TFN components must be finite, got ({lo}, {mode}, {hi})")
-        if not lo <= mode <= hi:
-            raise ValueError(
-                f"TFN components must satisfy lo <= mode <= hi, got ({lo}, {mode}, {hi})"
-            )
+        if not is_tfn(lo, mode, hi):
+            raise ValueError(f"TFN components must be finite and satisfy lo <= mode <= hi, "
+                             f"got ({lo}, {mode}, {hi})")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "mode", mode)
         object.__setattr__(self, "hi", hi)
@@ -60,6 +58,11 @@ class TriangularFuzzyNumber:
 
 
 TFN = TriangularFuzzyNumber
+
+
+def is_tfn(lo, mode, hi):
+    """The TFN rule on floats or arrays: lo, mode, hi finite, lo <= mode <= hi."""
+    return (abs(lo) < math.inf) & (abs(hi) < math.inf) & (lo <= mode) & (mode <= hi)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from typing import Any
 
+from .rounding import round6
 from .spatial import DensityGrid, GeoPoint, HotSpot, Tour
 from .valuation import ValuationResult
 
@@ -25,10 +26,6 @@ def _coord(p: GeoPoint) -> list[float]:
     return [round(p.lon, 6), round(p.lat, 6)]
 
 
-def _metric(x: float) -> float:
-    return float(f"{x:.6g}")
-
-
 def feature_collection(features: list[dict[str, Any]]) -> dict[str, Any]:
     return {"type": "FeatureCollection", "features": features}
 
@@ -43,10 +40,10 @@ def attraction_feature(point: GeoPoint, result: ValuationResult, name: str,
         "feature_type": "attraction",
         "id": result.attraction_id,
         "name": name,
-        "ftv_lo": _metric(result.ftv.lo),
-        "ftv_mode": _metric(result.ftv.mode),
-        "ftv_hi": _metric(result.ftv.hi),
-        "crisp": _metric(result.crisp),
+        "ftv_lo": round6(result.ftv.lo),
+        "ftv_mode": round6(result.ftv.mode),
+        "ftv_hi": round6(result.ftv.hi),
+        "crisp": round6(result.crisp),
     }
     if result.tier is not None:
         properties["tier"] = result.tier
@@ -59,7 +56,7 @@ def hotspot_feature(hotspot: HotSpot) -> dict[str, Any]:
     properties = {
         "feature_type": "hotspot",
         "label": hotspot.label,
-        "score": _metric(hotspot.score),
+        "score": round6(hotspot.score),
     }
     return _feature({"type": "Point", "coordinates": _coord(hotspot.center)}, properties)
 
@@ -72,13 +69,13 @@ def tour_feature(tour: Tour) -> dict[str, Any]:
     properties: dict[str, Any] = {
         "feature_type": "tour",
         "stops": [h.label for h in tour.stops],
-        "length_km": _metric(tour.length_km),
+        "length_km": round6(tour.length_km),
     }
     if tour.duration_hours is not None:
         dmin, davg, dmax = tour.duration_hours
-        properties["duration_hours_min"] = _metric(dmin)
-        properties["duration_hours_avg"] = _metric(davg)
-        properties["duration_hours_max"] = _metric(dmax)
+        properties["duration_hours_min"] = round6(dmin)
+        properties["duration_hours_avg"] = round6(davg)
+        properties["duration_hours_max"] = round6(dmax)
     return _feature({"type": "LineString", "coordinates": coords}, properties)
 
 
@@ -95,6 +92,6 @@ def density_features(grid: DensityGrid) -> list[dict[str, Any]]:
             ring.append(ring[0])
             features.append(_feature(
                 {"type": "Polygon", "coordinates": [ring]},
-                {"feature_type": "density", "density": _metric(value)},
+                {"feature_type": "density", "density": round6(value)},
             ))
     return features

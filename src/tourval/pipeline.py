@@ -20,20 +20,24 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable
 
+import numpy as np
+
 from . import fuzzy, geojson
-from .ahp import MAX_FACTORS, WeightReport, derive_weights, validate_pairwise
+from .ahp import WeightReport, derive_weights, validate_pairwise
 from .errors import ConfigError, InputError
 from .fuzzy import TFN
-from .rescale import SourceRange, TargetRange
+from .rescale import COMPONENTS, SourceRange, TargetRange, apply_range_policy
+from .rounding import format_number, round6
 from .spatial import (MAX_TOUR_STOPS, GeoPoint, HotSpot, ScoredPoint, Tour,
                       detect_hotspots, estimate_duration, kde_heatmap,
                       merge_hotspots, plan_tour)
-from .valuation import (AttractionEvaluation, FactorCatalogue, FactorDefinition,
-                        ValuationResult, evaluate_attraction, filter_high, rank)
+from .valuation import (FactorCatalogue, FactorDefinition, ValuationResult,
+                        evaluate_attractions, filter_high, id_mismatch, rank)
 
 __all__ = [
     "KdeSettings",
@@ -46,23 +50,11 @@ __all__ = [
     "run_pipeline",
     "run_valuation",
     "run_tour",
-    "format_number",
 ]
 
 log = logging.getLogger(__name__)
 
 RESULT_COLUMNS = ("attraction_id", "ftv_lo", "ftv_mode", "ftv_hi", "crisp", "tier", "rank")
-
-
-def format_number(x: float) -> str:
-    """Fixed 6-significant-digit rendering used in every output file."""
-    if x == 0.0:
-        x = 0.0
-    return f"{x:.6g}"
-
-
-def _round6(x: float) -> float:
-    return float(format_number(x))
 
 
 @dataclass(frozen=True)
@@ -131,6 +123,10 @@ class RunConfig:
         t = self.tier_thresholds
         if len(t) != 2 or not t[0] < t[1]:
             raise ConfigError(f"tier_thresholds must be increasing, got {t}")
+        m, big_m = self.target
+        if not (m <= t[0] and t[1] <= big_m and m <= self.filter_threshold <= big_m):
+            raise ConfigError(f"tier_thresholds {t} and filter_threshold "
+                              f"{self.filter_threshold} must lie inside target {self.target}")
         for p in (self.factors, self.evaluations, self.attractions, self.pairwise):
             if p is not None and not Path(p).is_file():
                 raise ConfigError(f"referenced file does not exist: {p}")
@@ -258,26 +254,20 @@ def load_factor_table(path: Path) -> tuple[tuple[FactorDefinition, ...], bool]:
     return tuple(factors), has_weights
 
 
-def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], list[list[float]]]:
-    """Square pairwise matrix with a header row of factor ids.  The id set
-    must match the catalogue exactly; row order follows the header."""
+def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], WeightReport]:
+    """Weights derived from a square pairwise matrix with a header row of
+    factor ids.  The id set must match the catalogue exactly; row order
+    follows the header."""
     with open(path, encoding="utf-8", newline="") as handle:
         rows = list(csv.reader(handle))
     rows = [r for r in rows if any(cell.strip() for cell in r)]
     if not rows:
         raise InputError(f"{path}: empty pairwise matrix file")
     ids = [c.strip() for c in rows[0]]
-    expected = set(expected_ids)
-    if set(ids) != expected or len(ids) != len(expected):
-        missing = sorted(expected - set(ids))
-        extra = sorted(set(ids) - expected)
-        detail = []
-        if missing:
-            detail.append(f"missing ids: {', '.join(missing)}")
-        if extra:
-            detail.append(f"unknown ids: {', '.join(extra)}")
+    detail = id_mismatch(ids, expected_ids)
+    if detail or len(ids) != len(set(ids)):
         raise InputError(f"{path}: header does not match factor catalogue"
-                         + (" (" + "; ".join(detail) + ")" if detail else ""))
+                         + (f" (ids {detail})" if detail else ""))
     n = len(ids)
     if len(rows) != n + 1:
         raise InputError(f"{path}: expected {n} data rows after the header, got {len(rows) - 1}")
@@ -289,17 +279,21 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], l
             matrix.append([float(cell) for cell in row])
         except ValueError as e:
             raise InputError(f"{path}:{i}: {e}") from e
-    return ids, matrix
+    try:
+        return ids, derive_weights(validate_pairwise(matrix))
+    except ValueError as e:
+        raise InputError(f"{path}: {e}") from e
 
 
-def load_evaluations(path: Path, catalogue_ids: Iterable[str]) -> dict[str, dict[str, list[TFN]]]:
-    """Long-format expert judgements grouped as attraction -> factor ->
-    TFNs in file order.  Duplicate (attraction, factor, expert) triples and
-    unknown factor ids are rejected with their line number."""
-    known = set(catalogue_ids)
+def load_evaluations(path: Path, catalogue_ids: Iterable[str]
+                     ) -> tuple[list[str], np.ndarray, list[int], np.ndarray]:
+    """Long-format expert judgements in file order: attraction ids, factor
+    catalogue indices, file lines and an (n, 3) array of (lo, mode, hi).
+    Bad rows, duplicate judgements and non-TFN triplets name their line."""
+    known = {factor_id: k for k, factor_id in enumerate(catalogue_ids)}
     reader, handle = _reader(
         path, ("attraction_id", "factor_id", "expert_id", "lo", "mode", "hi"))
-    grouped: dict[str, dict[str, list[TFN]]] = {}
+    attractions, factors, lines, values = [], [], [], []
     seen: set[tuple[str, str, str]] = set()
     with handle:
         for row in reader:
@@ -317,13 +311,17 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]) -> dict[str, dict
                 raise InputError(f"{where}: duplicate judgement for attraction "
                                  f"{attraction!r}, factor {factor!r}, expert {expert!r}")
             seen.add(triple)
-            try:
-                score = TFN(_float_cell(row, "lo", where), _float_cell(row, "mode", where),
-                            _float_cell(row, "hi", where))
-            except ValueError as e:
-                raise InputError(f"{where}: {e}") from e
-            grouped.setdefault(attraction, {}).setdefault(factor, []).append(score)
-    return grouped
+            attractions.append(attraction)
+            factors.append(known[factor])
+            lines.append(reader.line_num)
+            values.append((_float_cell(row, "lo", where), _float_cell(row, "mode", where),
+                           _float_cell(row, "hi", where)))
+    tfns = np.array(values, dtype=float).reshape(-1, 3)
+    bad = np.flatnonzero(~fuzzy.is_tfn(*tfns.T))
+    if bad.size:
+        raise InputError(f"{path}:{lines[bad[0]]}: not a TFN (finite, lo <= mode <= hi): "
+                         f"{tuple(tfns[bad[0]].tolist())}")
+    return attractions, np.array(factors, dtype=np.intp), lines, tfns
 
 
 def load_attractions(path: Path) -> tuple[dict[str, str], dict[str, GeoPoint]]:
@@ -353,16 +351,51 @@ def load_attractions(path: Path) -> tuple[dict[str, str], dict[str, GeoPoint]]:
 @dataclass(frozen=True)
 class IngestResult:
     catalogue: FactorCatalogue
-    evaluations: tuple[AttractionEvaluation, ...]
+    scores: np.ndarray   # (attractions, factors, 3) expert-mean TFNs, in names order
     names: dict[str, str]
     locations: dict[str, GeoPoint]
     weight_source: str
     weight_report: WeightReport | None
 
 
+def _expert_means(config: RunConfig, catalogue: FactorCatalogue, names: dict[str, str],
+                  judgements: tuple[list[str], np.ndarray, list[int], np.ndarray]) -> np.ndarray:
+    """Apply the range policy to each judgement, then average the experts per
+    (attraction, factor) with math.fsum into an (attractions, factors, 3) array."""
+    attractions, factors, lines, tfns = judgements
+    unknown = sorted(set(attractions) - set(names))
+    if unknown:
+        raise InputError(f"{config.evaluations}: judgements for attractions absent "
+                         f"from {config.attractions}: {', '.join(unknown)}")
+    factor_ids = catalogue.ids
+    n, k = len(names), len(factor_ids)
+    position = {attraction_id: i for i, attraction_id in enumerate(names)}
+    cells = np.array([position[a] for a in attractions], dtype=np.intp) * k + factors
+    counts = np.bincount(cells, minlength=n * k)
+    for attraction_id, row in zip(names, counts.reshape(n, k).tolist()):
+        missing = [f for f, count in zip(factor_ids, row) if not count]
+        if missing:
+            raise InputError(
+                f"{config.evaluations}: attraction {attraction_id!r} lacks judgements "
+                f"for: {', '.join(missing)}")
+
+    x, y = catalogue.source_ranges
+    admitted = apply_range_policy(
+        tfns, x[factors], y[factors], config.range_policy,
+        lambda at: f"{config.evaluations}:{lines[at[0]]}: attraction {attractions[at[0]]!r}, "
+                   f"factor {factor_ids[factors[at[0]]]!r}: {COMPONENTS[at[1]]}=")
+
+    # every cell has at least one judgement, so the sorted runs are the cells in order
+    edges = np.concatenate(([0], np.cumsum(counts))).tolist()
+    sums = [[math.fsum(column[start:stop]) for start, stop in zip(edges, edges[1:])]
+            for column in admitted[np.argsort(cells, kind="stable")].T.tolist()]
+    return (np.array(sums).T / counts[:, None]).reshape(n, k, 3)
+
+
 def ingest(config: RunConfig) -> IngestResult:
-    """Load and cross-validate all inputs; aggregate expert judgements to
-    one mean TFN per (attraction, factor).
+    """Load and cross-validate all inputs; aggregate expert judgements,
+    each admitted by the range policy, to one mean TFN per (attraction,
+    factor).
 
     The attraction universe is attractions.csv: every listed attraction
     must be fully scored, and judgements for unlisted attractions are
@@ -383,15 +416,7 @@ def ingest(config: RunConfig) -> IngestResult:
             raise ConfigError(
                 f"{config.factors} has no weight column and no pairwise matrix is "
                 "configured; supply one of the two")
-        if len(factor_ids) > MAX_FACTORS:
-            raise InputError(
-                f"{config.pairwise}: pairwise comparison supports at most "
-                f"{MAX_FACTORS} factors, catalogue has {len(factor_ids)}")
-        ids, matrix = load_pairwise(config.pairwise, factor_ids)
-        try:
-            report = derive_weights(validate_pairwise(matrix))
-        except ValueError as e:
-            raise InputError(f"{config.pairwise}: {e}") from e
+        ids, report = load_pairwise(config.pairwise, factor_ids)
         by_id = dict(zip(ids, report.weights))
         factors = tuple(replace(f, weight=by_id[f.id]) for f in factors)
         weight_source = "pairwise"
@@ -402,25 +427,9 @@ def ingest(config: RunConfig) -> IngestResult:
         raise InputError(f"{config.factors}: {e}") from e
 
     names, locations = load_attractions(config.attractions)
-    grouped = load_evaluations(config.evaluations, factor_ids)
-
-    unknown = sorted(set(grouped) - set(names))
-    if unknown:
-        raise InputError(f"{config.evaluations}: judgements for attractions absent "
-                         f"from {config.attractions}: {', '.join(unknown)}")
-    evaluations = []
-    for attraction_id in names:
-        scores = grouped.get(attraction_id, {})
-        missing = [f for f in factor_ids if f not in scores]
-        if missing:
-            raise InputError(
-                f"{config.evaluations}: attraction {attraction_id!r} lacks judgements "
-                f"for: {', '.join(missing)}")
-        evaluations.append(AttractionEvaluation(
-            attraction_id,
-            {f: fuzzy.mean(scores[f]) for f in factor_ids}))
-    return IngestResult(catalogue, tuple(evaluations), names, locations,
-                        weight_source, report)
+    scores = _expert_means(config, catalogue, names,
+                           load_evaluations(config.evaluations, factor_ids))
+    return IngestResult(catalogue, scores, names, locations, weight_source, report)
 
 
 # --- the run itself --------------------------------------------------------
@@ -445,18 +454,6 @@ def _gate_consistency(report: WeightReport | None, allow_inconsistent: bool) -> 
         raise InputError(
             f"pairwise judgements are inconsistent (CR = {report.consistency_ratio:.4f} "
             "> 0.1); re-elicit them or pass --allow-inconsistent")
-
-
-def _valuate(config: RunConfig, ingested: IngestResult) -> tuple[list[ValuationResult], dict[str, int]]:
-    results = [
-        evaluate_attraction(ev, ingested.catalogue, policy=config.range_policy,
-                            method=config.defuzzify, thresholds=config.tier_thresholds,
-                            scale=config.target)
-        for ev in ingested.evaluations
-    ]
-    ranked = rank(results)
-    ranks = {r.attraction_id: i + 1 for i, r in enumerate(ranked)}
-    return ranked, ranks
 
 
 def _spatial_analysis(config: RunConfig, retained: list[ValuationResult],
@@ -507,13 +504,13 @@ def _weights_block(catalogue: FactorCatalogue, source: str,
                    report: WeightReport | None) -> dict[str, Any]:
     block: dict[str, Any] = {
         "source": source,
-        "values": {f.id: _round6(f.weight) for f in catalogue.factors},
+        "values": {f.id: round6(f.weight) for f in catalogue.factors},
     }
     if report is not None:
         block.update({
-            "lambda_max": _round6(report.lambda_max),
-            "consistency_index": _round6(report.consistency_index),
-            "consistency_ratio": _round6(report.consistency_ratio),
+            "lambda_max": round6(report.lambda_max),
+            "consistency_index": round6(report.consistency_index),
+            "consistency_ratio": round6(report.consistency_ratio),
             "inconsistent": report.inconsistent,
         })
     return block
@@ -531,30 +528,30 @@ def _results_json(config: RunConfig, ingested: IngestResult,
             {
                 "attraction_id": r.attraction_id,
                 "name": ingested.names[r.attraction_id],
-                "ftv_lo": _round6(r.ftv.lo),
-                "ftv_mode": _round6(r.ftv.mode),
-                "ftv_hi": _round6(r.ftv.hi),
-                "crisp": _round6(r.crisp),
+                "ftv_lo": round6(r.ftv.lo),
+                "ftv_mode": round6(r.ftv.mode),
+                "ftv_hi": round6(r.ftv.hi),
+                "crisp": round6(r.crisp),
                 "tier": r.tier,
                 "rank": ranks[r.attraction_id],
             }
             for r in ranked
         ],
         "filter": {
-            "threshold": _round6(config.filter_threshold),
+            "threshold": round6(config.filter_threshold),
             "retained": [r.attraction_id for r in retained],
             "count": len(retained),
         },
         "spatial": {
             "hotspots": [
-                {"label": h.label, "score": _round6(h.score),
+                {"label": h.label, "score": round6(h.score),
                  "lon": round(h.center.lon, 6), "lat": round(h.center.lat, 6)}
                 for h in hotspots
             ],
             "tour": None if tour is None else {
                 "stops": [h.label for h in tour.stops],
-                "length_km": _round6(tour.length_km),
-                "duration_hours": [_round6(d) for d in tour.duration_hours],
+                "length_km": round6(tour.length_km),
+                "duration_hours": [round6(d) for d in tour.duration_hours],
             },
         },
     }
@@ -607,7 +604,10 @@ def run_pipeline(config: RunConfig, allow_inconsistent: bool = False) -> Pipelin
 def _run(config: RunConfig, allow_inconsistent: bool, with_spatial: bool) -> PipelineOutput:
     ingested = ingest(config)
     _gate_consistency(ingested.weight_report, allow_inconsistent)
-    ranked, ranks = _valuate(config, ingested)
+    ranked = rank(evaluate_attractions(
+        list(ingested.names), ingested.scores, ingested.catalogue, method=config.defuzzify,
+        thresholds=config.tier_thresholds, scale=config.target))
+    ranks = {r.attraction_id: i + 1 for i, r in enumerate(ranked)}
     retained = filter_high(ranked, threshold=config.filter_threshold)
 
     grid, hotspots, tour = None, (), None

@@ -1,10 +1,9 @@
 """Min-max rescaling of crisp values and triangular fuzzy numbers.
 
-``rescale_crisp`` maps a value from a source range [x, y] onto a target
-range [m, M] with the affine min-max transform.  ``rescale_tfn`` lifts the
-same transform to TFNs through fuzzy arithmetic; it provably coincides with
-applying the crisp transform to each endpoint, and the test suite checks
-that identity on randomized inputs.
+``rescale_endpoints`` maps values from a source range [x, y] onto a target
+range [m, M] with the affine min-max transform, a TFN endpoint by endpoint;
+``apply_range_policy`` handles values outside [x, y].  Every caller,
+``rescale_crisp``, ``rescale_tfn`` and the batch valuation, uses these two.
 """
 
 from __future__ import annotations
@@ -12,16 +11,19 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from typing import Callable
 
-from . import fuzzy
+import numpy as np
+
 from .errors import OutOfRangeError
 from .fuzzy import TFN
 
-__all__ = ["SourceRange", "TargetRange", "rescale_crisp", "rescale_tfn"]
+__all__ = ["SourceRange", "TargetRange", "apply_range_policy", "rescale_endpoints",
+           "rescale_crisp", "rescale_tfn"]
 
 log = logging.getLogger(__name__)
 
-_COMPONENTS = ("lo", "mode", "hi")
+COMPONENTS = ("lo", "mode", "hi")
 
 
 @dataclass(frozen=True)
@@ -68,23 +70,35 @@ class TargetRange:
         return self.M - self.m
 
 
-def _admit(a: float, src: SourceRange, policy: str, label: str | None, component: str | None) -> float:
-    """Apply the out-of-range policy to one raw value."""
+def apply_range_policy(values, x, y, policy: str,
+                       locate: Callable[[tuple[int, ...]], str]) -> np.ndarray:
+    """Out-of-range policy for values against their source range [x, y]
+    (broadcast): ``strict`` raises OutOfRangeError for the first value outside,
+    ``clamp`` saturates all with one warning.  ``locate(index)`` names a value."""
     if policy not in ("strict", "clamp"):
         raise ValueError(
             f"unknown out-of-range policy {policy!r} (expected 'strict' or 'clamp')")
-    if src.x <= a <= src.y:
-        return a
-    where = f"{label}: " if label else ""
-    part = f"{component}=" if component else "value "
+    values = np.asarray(values, dtype=float)
+    x, y = np.broadcast_to(x, values.shape), np.broadcast_to(y, values.shape)
+    outside = ~((x <= values) & (values <= y))   # NaN counts as outside
+    if not outside.any():
+        return values
+    first = np.unravel_index(np.argmax(outside), values.shape)
+    a, lo, hi = float(values[first]), float(x[first]), float(y[first])
     if policy == "strict":
-        raise OutOfRangeError(
-            f"{where}{part}{a} outside source range [{src.x}, {src.y}]"
-        )
-    clamped = min(max(a, src.x), src.y)
-    log.warning("%s%s%s clamped to %s (source range [%s, %s])",
-                where, part, a, clamped, src.x, src.y)
-    return clamped
+        raise OutOfRangeError(f"{locate(first)}{a} outside source range [{lo}, {hi}]")
+    log.warning("%s%s clamped to %s (source range [%s, %s]); %d value(s) clamped",
+                locate(first), a, min(max(a, lo), hi), lo, hi, outside.sum())
+    return np.minimum(np.maximum(values, x), y)
+
+
+def rescale_endpoints(values, x, y, tgt: TargetRange) -> np.ndarray:
+    """Min-max map of each value from its source range [x, y] (broadcast)
+    onto [m, M]: M - (M - m) * ((1 / (y - x)) * (y - a)), clamped to [m, M].
+    Strictly increasing, so mapping a TFN's endpoints keeps them ordered."""
+    r = tgt.M - tgt.span * ((1.0 / (y - x)) * (y - np.asarray(values, dtype=float)))
+    # anchor rounding can exit [m, M] by a few ulp
+    return np.minimum(np.maximum(r, tgt.m), tgt.M)
 
 
 def rescale_crisp(a: float, src: SourceRange, tgt: TargetRange,
@@ -95,32 +109,15 @@ def rescale_crisp(a: float, src: SourceRange, tgt: TargetRange,
     must lie in [x, y]; under the ``clamp`` policy an outside value is
     saturated to the range with a logged warning instead of raising.
     """
-    a = _admit(a, src, policy, label, None)
-    r = tgt.M - tgt.span * ((src.y - a) / src.span)
-    # anchor rounding can exit [m, M] by a few ulp
-    return min(max(r, tgt.m), tgt.M)
+    a = apply_range_policy(a, src.x, src.y, policy,
+                           lambda _: f"{label}: value " if label else "value ")
+    return float(rescale_endpoints(a, src.x, src.y, tgt))
 
 
 def rescale_tfn(t: TFN, src: SourceRange, tgt: TargetRange,
                 policy: str = "strict", label: str | None = None) -> TFN:
-    """Min-max rescale a TFN onto the target range.
-
-    Computed through fuzzy arithmetic on the whole triplet: subtracting the
-    TFN from y reflects it (endpoints swap), and multiplying by the negated
-    target span reflects it back, so the min/max bookkeeping lands each
-    endpoint in order.  The result equals endpoint-wise ``rescale_crisp``
-    and stays inside [m, M].
-    """
-    checked = [
-        _admit(v, src, policy, label, name)
-        for name, v in zip(_COMPONENTS, t.as_tuple())
-    ]
-    a = TFN(*checked)
-    reflected = fuzzy.add(TFN.crisp(src.y), fuzzy.scale(-1.0, a))       # y - a
-    unit = fuzzy.scale(1.0 / src.span, reflected)                       # (y - a) / (y - x)
-    r = fuzzy.add(TFN.crisp(tgt.M), fuzzy.scale(-tgt.span, unit))       # M - (M - m)(...)
-    return TFN(
-        min(max(r.lo, tgt.m), tgt.M),
-        min(max(r.mode, tgt.m), tgt.M),
-        min(max(r.hi, tgt.m), tgt.M),
-    )
+    """Min-max rescale a TFN onto the target range, endpoint by endpoint
+    (see ``rescale_endpoints``); the result stays inside [m, M]."""
+    a = apply_range_policy(t.as_tuple(), src.x, src.y, policy,
+                           lambda i: (f"{label}: " if label else "") + f"{COMPONENTS[i[0]]}=")
+    return TFN(*rescale_endpoints(a, src.x, src.y, tgt).tolist())

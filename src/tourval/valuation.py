@@ -2,32 +2,33 @@
 
 The fuzzy tourism value (FTV) of an attraction is the weight vector applied
 to its factor scores after each score has been rescaled onto the common
-target range:  FTV = sum_i w_i * rescale(score_i).  The crisp min-max
-tourism value index of earlier (non-fuzzy) schemes is included as an
-independent reference implementation; with degenerate TFN scores the two
-agree, which the tests exploit.
+target range:  FTV = sum_i w_i * rescale(score_i).  ``evaluate_attractions``
+computes it for a whole (attractions, factors, 3) array of scores at once;
+``evaluate_attraction`` is the same computation for one attraction.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import fuzzy
 from .errors import ConfigError, InputError
 from .fuzzy import TFN
-from .rescale import SourceRange, TargetRange, rescale_tfn
+from .rescale import (COMPONENTS, SourceRange, TargetRange, apply_range_policy,
+                      rescale_endpoints)
 
 __all__ = [
     "FactorDefinition",
     "FactorCatalogue",
     "AttractionEvaluation",
     "ValuationResult",
-    "compute_ftv",
+    "evaluate_attractions",
     "evaluate_attraction",
-    "crisp_tvi",
+    "id_mismatch",
     "classify",
     "filter_high",
     "rank",
@@ -96,6 +97,13 @@ class FactorCatalogue:
     def weights(self) -> tuple[float, ...]:
         return tuple(f.weight for f in self.factors)
 
+    @property
+    def source_ranges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each factor's source range ends (x, y) as (factors, 1) float
+        columns, which broadcast against (..., factors, 3) TFN arrays."""
+        return (np.array([[f.src.x] for f in self.factors], dtype=float),
+                np.array([[f.src.y] for f in self.factors], dtype=float))
+
 
 @dataclass(frozen=True)
 class AttractionEvaluation:
@@ -115,80 +123,60 @@ class ValuationResult:
     tier: str | None = None
 
 
-def _check_score_ids(evaluation: AttractionEvaluation, catalogue: FactorCatalogue) -> None:
-    have = set(evaluation.scores)
-    want = set(catalogue.ids)
-    missing = sorted(want - have)
-    extra = sorted(have - want)
-    problems = []
-    if missing:
-        problems.append(f"missing scores for: {', '.join(missing)}")
-    if extra:
-        problems.append(f"unknown factor ids: {', '.join(extra)}")
-    if problems:
-        raise InputError(f"attraction {evaluation.attraction_id!r}: " + "; ".join(problems))
+def id_mismatch(have: Iterable[str], want: Iterable[str]) -> str:
+    """The ids of ``want`` that ``have`` lacks and those it adds, as text;
+    empty when the two sets agree."""
+    have, want = set(have), set(want)
+    return "; ".join(f"{label}: {', '.join(sorted(ids))}"
+                     for label, ids in (("missing", want - have), ("unknown", have - want)) if ids)
 
 
-def compute_ftv(evaluation: AttractionEvaluation, catalogue: FactorCatalogue,
-                policy: str = "strict") -> TFN:
-    """Weighted sum of the rescaled factor scores of one attraction.
-
-    Every catalogue factor must be scored exactly once; offending ids are
-    listed in the error.  ``policy`` controls scores outside their factor's
-    inventoried range (see ``rescale_tfn``).
-    """
-    _check_score_ids(evaluation, catalogue)
-    acc = TFN.crisp(0.0)
-    for f in catalogue.factors:
-        rescaled = rescale_tfn(evaluation.scores[f.id], f.src, catalogue.target,
-                               policy=policy, label=f.id)
-        acc = fuzzy.add(acc, fuzzy.scale(f.weight, rescaled))
-    return acc
+def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
+                         catalogue: FactorCatalogue, method: str = "centroid",
+                         thresholds: tuple[float, float] | None = DEFAULT_THRESHOLDS,
+                         scale: tuple[float, float] = DEFAULT_SCALE) -> list[ValuationResult]:
+    """FTV, defuzzified value and tier of each id from an (ids, factors, 3)
+    array of range-admitted scores, factors in catalogue order.  A value off
+    ``scale`` (weights summing above 1) is an InputError naming the id."""
+    x, y = catalogue.source_ranges
+    rescaled = rescale_endpoints(scores, x, y, catalogue.target)
+    ftv = np.zeros((len(ids), 3))
+    for k, weight in enumerate(catalogue.weights):
+        ftv = ftv + weight * rescaled[:, k]
+    results = []
+    for attraction_id, row in zip(ids, ftv.tolist()):
+        t = TFN(*row)
+        crisp = fuzzy.defuzzify(t, method=method)
+        try:
+            tier = classify(crisp, thresholds=thresholds, scale=scale) if thresholds else None
+        except ValueError as e:
+            raise InputError(f"attraction {attraction_id!r}: {e}; factor weights sum to "
+                             f"{math.fsum(catalogue.weights):.6g}") from None
+        results.append(ValuationResult(attraction_id, t, crisp, tier))
+    return results
 
 
 def evaluate_attraction(evaluation: AttractionEvaluation, catalogue: FactorCatalogue,
                         policy: str = "strict", method: str = "centroid",
                         thresholds: tuple[float, float] | None = DEFAULT_THRESHOLDS,
                         scale: tuple[float, float] = DEFAULT_SCALE) -> ValuationResult:
-    """Full valuation of one attraction: FTV, defuzzified value and tier.
+    """Full valuation of one attraction, through ``evaluate_attractions``.
 
-    Pass ``thresholds=None`` to skip tier classification (mandatory when the
-    target range is not the 0-100 scale the default bands are defined on).
+    Every catalogue factor must be scored exactly once; ``policy`` handles
+    scores outside their factor's range.  Pass ``thresholds=None`` to skip
+    tiers (mandatory when the target is not the 0-100 scale of the bands).
     """
-    ftv = compute_ftv(evaluation, catalogue, policy=policy)
-    crisp = fuzzy.defuzzify(ftv, method=method)
-    tier = classify(crisp, thresholds=thresholds, scale=scale) if thresholds else None
-    return ValuationResult(evaluation.attraction_id, ftv, crisp, tier)
-
-
-def crisp_tvi(ratings, weights, minima, maxima) -> float:
-    """Crisp min-max tourism value index on the 0-5 scale.
-
-    ``ratings`` is an individuals x factors matrix; each rating is min-max
-    normalized with its factor's [min, max], weighted, summed, and averaged
-    over individuals with a factor of 5:
-
-        (5 / n) * sum_i sum_k  w_k * (x_ik - min_k) / (max_k - min_k)
-
-    Parameters
-    ----------
-    ratings : array-like, shape (n_individuals, n_factors)
-    weights : array-like, shape (n_factors,)
-    minima, maxima : array-like, shape (n_factors,)
-        Per-factor rating bounds; min_k != max_k required.
-    """
-    x = np.asarray(ratings, dtype=float)
-    if x.ndim != 2 or x.size == 0:
-        raise ValueError("ratings must be a nonempty individuals x factors matrix")
-    w = np.asarray(weights, dtype=float)
-    lo = np.asarray(minima, dtype=float)
-    hi = np.asarray(maxima, dtype=float)
-    if not (w.shape == lo.shape == hi.shape == (x.shape[1],)):
-        raise ValueError("weights, minima and maxima must each have one entry per factor")
-    if np.any(hi == lo):
-        raise ValueError("per-factor min and max must differ")
-    n = x.shape[0]
-    return (5.0 / n) * float(np.sum(w * (x - lo) / (hi - lo)))
+    problems = id_mismatch(evaluation.scores, catalogue.ids)
+    if problems:
+        raise InputError(f"attraction {evaluation.attraction_id!r}: factor ids {problems}")
+    ids = catalogue.ids
+    x, y = catalogue.source_ranges
+    admitted = apply_range_policy(
+        [[evaluation.scores[f].as_tuple() for f in ids]], x, y, policy,
+        lambda i: f"attraction {evaluation.attraction_id!r}, factor {ids[i[1]]!r}: "
+                  f"{COMPONENTS[i[2]]}=")
+    return evaluate_attractions([evaluation.attraction_id], admitted, catalogue,
+                                method=method, thresholds=thresholds, scale=scale)[0]
 
 
 def classify(crisp: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,

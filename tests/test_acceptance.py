@@ -25,14 +25,12 @@ from tourval import (
     TargetRange,
     TriangularFuzzyNumber as TFN,
     classify,
-    crisp_tvi,
     derive_weights,
     evaluate_attraction,
     filter_high,
     fuzzy,
     plan_tour,
     rank,
-    rescale_crisp,
     rescale_tfn,
     validate_pairwise,
     validate_weights,
@@ -75,11 +73,10 @@ def test_01_fuzzy_rescaling_equals_endpointwise_affine_map():
             m, big_m = draw_span(rng)
             units = np.sort(rng.uniform(0.0, 1.0, 3))
             a, b, c = (min(x + (y - x) * u, y) for u in units)
-            src, tgt = SourceRange(x, y), TargetRange(m, big_m)
-            got = rescale_tfn(TFN(a, b, c), src, tgt)
-            for component, value in zip(got.as_tuple(), (a, b, c)):
-                assert close(component, rescale_crisp(value, src, tgt)), \
-                    (x, y, m, big_m, a, b, c)
+            got = rescale_tfn(TFN(a, b, c), SourceRange(x, y), TargetRange(m, big_m))
+            want = oracles.rescale3((a, b, c), x, y, m, big_m)
+            for component, expected in zip(got.as_tuple(), want):
+                assert close(component, expected), (x, y, m, big_m, a, b, c)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
 
@@ -105,7 +102,7 @@ def test_02_degenerate_fuzzy_index_equals_crisp_index():
             scores = {f"f{k}": TFN.crisp(ratings[k]) for k in range(n)}
             result = evaluate_attraction(AttractionEvaluation("a", scores),
                                          catalogue, thresholds=None)
-            want = crisp_tvi([ratings], weights, minima, maxima)
+            want = oracles.crisp_minmax_index(ratings, weights, minima, maxima)
             assert close(result.crisp, want), (n, result.crisp, want)
 
 
@@ -245,7 +242,8 @@ def test_09_end_to_end_sample_run_is_reproducible_and_oracle_accurate(tmp_path):
 
         # full-precision agreement, then the rounded rendering of the file
         from dataclasses import replace
-        from tourval.pipeline import format_number, load_config, run_pipeline
+        from tourval.pipeline import load_config, run_pipeline
+        from tourval.rounding import format_number
         output = run_pipeline(replace(load_config(sample / "config.json"),
                                       out_dir=tmp_path / "mem"))
         want = oracles.pipeline_oracle(sample)

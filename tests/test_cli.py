@@ -40,6 +40,12 @@ class TestValidate:
         assert code == 2
         assert "ghost" in capsys.readouterr().err
 
+    def test_thresholds_outside_target_exit_3(self, dataset_builder, capsys):
+        config_path = dataset_builder(config_extra={"target": [0, 1]})
+        code = invoke("validate", "--config", str(config_path))
+        assert code == 3
+        assert "tier_thresholds" in capsys.readouterr().err
+
     def test_config_error_exits_3(self, dataset_builder, capsys):
         config_path = dataset_builder(config_extra={"no_such_option": 1})
         code = invoke("validate", "--config", str(config_path))
@@ -82,6 +88,53 @@ class TestRun:
         code = invoke("run", "--config", str(config_path), "--clamp",
                       "--out", str(tmp_path / "clamped"))
         assert code == 0
+
+    def test_range_policy_applies_to_each_judgement(self, dataset_builder, tmp_path,
+                                                     capsys):
+        """hi=5.5 and hi=4.5 average to 5.0, inside [0, 5]; the policy
+        still sees the 5.5 and names its line, attraction, factor and
+        component, and clamp saturates it before the experts are averaged."""
+        evaluations = [
+            ("p1", "f1", "e1", 1.0, 2.0, 5.5),
+            ("p1", "f1", "e2", 1.0, 2.0, 4.5),
+            ("p1", "f2", "e1", -3.0, -2.0, -1.0),
+            ("p2", "f1", "e1", 3.0, 4.0, 5.0),
+            ("p2", "f2", "e1", -2.0, -1.0, 0.0),
+        ]
+        config_path = dataset_builder(evaluations=evaluations)
+        code = invoke("run", "--config", str(config_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "evaluations.csv:2: attraction 'p1', factor 'f1': hi=5.5 outside" in err
+
+        out_dir = tmp_path / "clamped"
+        assert invoke("ftv", "--config", str(config_path), "--clamp",
+                      "--out", str(out_dir)) == 0
+        with open(out_dir / "results.csv", newline="", encoding="utf-8") as fh:
+            rows = {row["attraction_id"]: row for row in csv.DictReader(fh)}
+        # f1 hi: mean(5.0, 4.5) = 4.75 -> 95; f2 hi: -1 -> 80; weights 0.5 each
+        assert rows["p1"]["ftv_hi"] == "87.5"
+
+    def test_weights_above_one_exit_2(self, dataset_builder, capsys):
+        config_path = dataset_builder(
+            factors=[("f1", "A", 0.0, 5.0, 0.505), ("f2", "B", 0.0, 5.0, 0.5)],
+            evaluations=[
+                ("p1", "f1", "e1", 5, 5, 5), ("p1", "f2", "e1", 5, 5, 5),
+                ("p2", "f1", "e1", 1, 2, 3), ("p2", "f2", "e1", 1, 2, 3),
+            ])
+        code = invoke("ftv", "--config", str(config_path))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: attraction 'p1': value 100.5")
+        assert "weights sum to 1.005" in err
+
+    def test_out_under_a_regular_file_exits_5(self, sample_dir, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory", encoding="utf-8")
+        code = invoke("run", "--config", str(sample_dir / "config.json"),
+                      "--out", str(blocker / "out"))
+        assert code == 5
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_numeric_failure_exits_4(self, sample_dir, tmp_path, monkeypatch):
         def boom(config, allow_inconsistent=False):

@@ -8,13 +8,13 @@ from tourval import TriangularFuzzyNumber as TFN
 from tourval.errors import ConfigError, InputError
 from tourval.pipeline import (
     RunConfig,
-    format_number,
     ingest,
     load_config,
     run_pipeline,
     run_tour,
     run_valuation,
 )
+from tourval.rounding import format_number
 
 import oracles
 
@@ -32,6 +32,18 @@ class TestFormatNumber:
 
     def test_negative_zero_normalised(self):
         assert format_number(-0.0) == "0"
+
+    def test_negative_zero_same_in_every_artifact(self):
+        from tourval import geojson
+        from tourval.rounding import round6
+        from tourval.spatial import GeoPoint
+        from tourval.valuation import ValuationResult
+
+        result = ValuationResult("a", TFN(-0.0, 0.0, 1.0), -0.0, None)
+        feature = geojson.attraction_feature(GeoPoint(-75.8, 20.0), result, "A")
+        assert json.dumps(round6(-0.0)) == "0.0"
+        assert json.dumps(feature["properties"]["ftv_lo"]) == "0.0"
+        assert json.dumps(feature["properties"]["crisp"]) == "0.0"
 
 
 class TestLoadConfig:
@@ -79,6 +91,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="target"):
             load_config(config_path)
 
+    @pytest.mark.parametrize("extra, name", [
+        ({"target": [0, 1]}, "tier_thresholds"),
+        ({"tier_thresholds": [-5, 50]}, "tier_thresholds"),
+        ({"tier_thresholds": [33, 120]}, "tier_thresholds"),
+        ({"filter_threshold": 150}, "filter_threshold"),
+        ({"target": [0, 1], "tier_thresholds": [0.33, 0.66], "filter_threshold": 66},
+         "filter_threshold"),
+    ])
+    def test_thresholds_outside_target_rejected(self, dataset_builder, extra, name):
+        config_path = dataset_builder(config_extra=extra)
+        with pytest.raises(ConfigError, match=name):
+            load_config(config_path)
+
+    def test_thresholds_on_a_custom_target_accepted(self, dataset_builder):
+        config_path = dataset_builder(config_extra={
+            "target": [0, 1], "tier_thresholds": [0.33, 0.66], "filter_threshold": 0.66})
+        assert load_config(config_path).filter_threshold == 0.66
+
     def test_bad_policy_value(self, dataset_builder):
         config_path = dataset_builder(config_extra={"range_policy": "wrap"})
         with pytest.raises(ConfigError, match="wrap"):
@@ -89,7 +119,7 @@ class TestIngest:
     def test_sample_dataset_complete(self, sample_dir):
         result = ingest(load_config(sample_dir / "config.json"))
         assert len(result.catalogue.factors) == 20
-        assert len(result.evaluations) == 10
+        assert result.scores.shape == (10, 20, 3)
         assert set(result.names) == set(result.locations)
         assert result.weight_source == "column"
         assert result.weight_report is None
@@ -103,8 +133,8 @@ class TestIngest:
             ("p2", "f2", "e1", -2.0, -1.0, 0.0),
         ])
         result = ingest(load_config(config_path))
-        by_id = {e.attraction_id: e for e in result.evaluations}
-        assert by_id["p1"].scores["f1"] == TFN(2.0, 3.0, 4.0)
+        assert list(result.names) == ["p1", "p2"]
+        assert result.scores[0, 0].tolist() == [2.0, 3.0, 4.0]
 
     def test_unknown_factor_reported_with_line(self, dataset_builder):
         config_path = dataset_builder(evaluations=[

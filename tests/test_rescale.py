@@ -129,17 +129,15 @@ class TestFuzzyRescaling:
     @given(spans(), spans(), st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)))
     @settings(max_examples=300)
     def test_equals_endpointwise_affine_map(self, src_span, tgt_span, units):
-        """The fuzzy-arithmetic route must agree with mapping each endpoint
-        through the crisp affine map."""
+        """Rescaling a TFN must agree with mapping each endpoint through the
+        affine map of the independent oracle."""
         x, y = src_span
         m, big_m = tgt_span
-        src, tgt = SourceRange(x, y), TargetRange(m, big_m)
         a, b, c = sorted(min(x + (y - x) * u, y) for u in units)
-        t = TFN(a, b, c)
-        got = rescale_tfn(t, src, tgt)
-        for label, inp, out in zip("ABC", (a, b, c), got.as_tuple()):
-            want = rescale_crisp(inp, src, tgt)
-            assert out == pytest.approx(want, rel=1e-9, abs=1e-9), label
+        got = rescale_tfn(TFN(a, b, c), SourceRange(x, y), TargetRange(m, big_m))
+        want = oracles.rescale3((a, b, c), x, y, m, big_m)
+        for label, out, expected in zip("ABC", got.as_tuple(), want):
+            assert out == pytest.approx(expected, rel=1e-9, abs=1e-9), label
 
     @given(spans(), spans(), st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)))
     def test_result_ordered_and_inside_target(self, src_span, tgt_span, units):

@@ -13,8 +13,6 @@ from tourval import (
     TriangularFuzzyNumber as TFN,
     ValuationResult,
     classify,
-    compute_ftv,
-    crisp_tvi,
     evaluate_attraction,
     filter_high,
     rank,
@@ -22,6 +20,7 @@ from tourval import (
 )
 from tourval import datasets, fuzzy
 from tourval.errors import ConfigError, InputError
+from tourval.pipeline import load_config, run_valuation
 
 import oracles
 
@@ -58,32 +57,37 @@ class TestCatalogue:
             FactorCatalogue(factors=(), target=TargetRange(0, 100))
 
 
+def ftv_of(scores, catalogue, **kwargs):
+    return evaluate_attraction(AttractionEvaluation("a", scores), catalogue,
+                               thresholds=None, **kwargs).ftv
+
+
 class TestComputeFtv:
     def test_single_factor_equals_rescale(self):
         catalogue = make_catalogue(("f1", 0, 5, 1.0))
         score = TFN(1, 2, 3)
-        got = compute_ftv(AttractionEvaluation("a", {"f1": score}), catalogue)
+        got = ftv_of({"f1": score}, catalogue)
         want = rescale_tfn(score, SourceRange(0, 5), TargetRange(0, 100))
         assert got.as_tuple() == pytest.approx(want.as_tuple(), rel=1e-12)
 
     def test_two_factors_by_hand(self):
         catalogue = make_catalogue(("f1", 0, 5, 0.5), ("f2", 0, 10, 0.5))
         scores = {"f1": TFN.crisp(5.0), "f2": TFN.crisp(0.0)}
-        got = compute_ftv(AttractionEvaluation("a", scores), catalogue)
+        got = ftv_of(scores, catalogue)
         # 0.5 * 100 + 0.5 * 0
         assert got.as_tuple() == pytest.approx((50.0, 50.0, 50.0), abs=1e-9)
 
     def test_missing_score_listed(self):
         catalogue = make_catalogue(("f1", 0, 5, 0.5), ("f2", 0, 5, 0.5))
         with pytest.raises(InputError) as err:
-            compute_ftv(AttractionEvaluation("a", {"f1": TFN.crisp(1)}), catalogue)
+            ftv_of({"f1": TFN.crisp(1)}, catalogue)
         assert "f2" in str(err.value)
 
     def test_unknown_score_listed(self):
         catalogue = make_catalogue(("f1", 0, 5, 1.0))
         scores = {"f1": TFN.crisp(1), "zz": TFN.crisp(1)}
         with pytest.raises(InputError) as err:
-            compute_ftv(AttractionEvaluation("a", scores), catalogue)
+            ftv_of(scores, catalogue)
         assert "zz" in str(err.value)
 
     def test_survey_means_against_reference_arithmetic(self):
@@ -91,8 +95,7 @@ class TestComputeFtv:
         its range floor, so the clamp policy is required."""
         catalogue = datasets.santiago_catalogue()
         means = datasets.santiago_factor_means()
-        got = compute_ftv(AttractionEvaluation("downtown", means), catalogue,
-                          policy="clamp")
+        got = ftv_of(means, catalogue, policy="clamp")
 
         clamped = {
             f.id: tuple(min(max(c, f.src.x), f.src.y) for c in means[f.id].as_tuple())
@@ -106,51 +109,66 @@ class TestComputeFtv:
         assert got.as_tuple() == pytest.approx((53.25085, 75.81535, 89.2953), abs=1e-4)
         assert fuzzy.defuzzify(got) == pytest.approx(72.7872, abs=1e-3)
 
+    def test_weights_above_one_name_the_attraction(self):
+        """Weights within the 0.01 tolerance but summing above 1 can push a
+        value off the classification scale; that is an input error naming
+        the attraction, its value and the weight sum."""
+        catalogue = make_catalogue(("f1", 0, 5, 0.505), ("f2", 0, 5, 0.5))
+        scores = {"f1": TFN.crisp(5.0), "f2": TFN.crisp(5.0)}
+        with pytest.raises(InputError) as err:
+            evaluate_attraction(AttractionEvaluation("plaza", scores), catalogue)
+        message = str(err.value)
+        assert "'plaza'" in message and "100.5" in message and "1.005" in message
+
 
 class TestCrispIndex:
+    """With point TFNs, target [0, 5] and one individual per factor, the
+    fuzzy index collapses onto the crisp min-max index (oracles)."""
+
+    def _crisp_ftv(self, ratings, minima, maxima, weights):
+        catalogue = make_catalogue(
+            *((f"f{k}", minima[k], maxima[k], weights[k]) for k in range(len(weights))),
+            target=(0.0, 5.0))
+        scores = {f"f{k}": TFN.crisp(r) for k, r in enumerate(ratings)}
+        return evaluate_attraction(AttractionEvaluation("a", scores), catalogue,
+                                   thresholds=None).crisp
+
     def test_single_rating(self):
         # one individual, one factor: 5 * 1.0 * (3-0)/(5-0)
-        assert crisp_tvi([[3.0]], [1.0], [0.0], [5.0]) == pytest.approx(3.0)
+        assert self._crisp_ftv([3.0], [0.0], [5.0], [1.0]) == pytest.approx(3.0)
 
-    def test_multiple_individuals_averaged(self):
-        got = crisp_tvi([[0.0], [5.0]], [1.0], [0.0], [5.0])
-        assert got == pytest.approx(2.5)
+    def test_multiple_individuals_averaged(self, dataset_builder):
+        """Two experts rating 0 and 5 average to the crisp index of the
+        two individuals, (5 / 2) * (0 + 1)."""
+        config_path = dataset_builder(
+            factors=[("f1", "Condition", 0.0, 5.0, 1.0)],
+            evaluations=[("p1", "f1", "e1", 0.0, 0.0, 0.0), ("p1", "f1", "e2", 5.0, 5.0, 5.0),
+                         ("p2", "f1", "e1", 1.0, 1.0, 1.0)],
+            config_extra={"target": [0.0, 5.0], "tier_thresholds": [1.65, 3.3],
+                          "filter_threshold": 3.3})
+        output = run_valuation(load_config(config_path))
+        crisp = {r.attraction_id: r.crisp for r in output.results}
+        assert crisp["p1"] == pytest.approx(2.5)
 
     def test_matches_reference_formula(self):
         rng = np.random.default_rng(7)
-        ratings = rng.uniform(1, 5, size=(1, 6))
+        ratings = rng.uniform(1, 5, size=6)
         weights = rng.dirichlet(np.ones(6))
-        got = crisp_tvi(ratings, weights, [1.0] * 6, [5.0] * 6)
-        want = oracles.crisp_minmax_index(ratings[0], weights, [1.0] * 6, [5.0] * 6)
+        got = self._crisp_ftv(ratings, [1.0] * 6, [5.0] * 6, weights)
+        want = oracles.crisp_minmax_index(ratings, weights, [1.0] * 6, [5.0] * 6)
         assert got == pytest.approx(want, rel=1e-12)
-
-    def test_constant_factor_rejected(self):
-        with pytest.raises(ValueError):
-            crisp_tvi([[3.0]], [1.0], [5.0], [5.0])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            crisp_tvi([[3.0, 4.0]], [1.0], [0.0], [5.0])
 
     @given(st.integers(2, 8), st.integers(1, 64))
     @settings(max_examples=60)
     def test_degenerate_ftv_agrees(self, n_factors, seed):
-        """With point TFNs, target [0, 5] and one individual, the fuzzy
-        index must collapse onto the crisp one."""
         rng = np.random.default_rng(seed)
         minima = rng.uniform(-10, 0, n_factors)
         maxima = minima + rng.uniform(0.5, 10, n_factors)
         weights = rng.dirichlet(np.ones(n_factors))
         ratings = rng.uniform(minima, maxima)
-
-        catalogue = make_catalogue(
-            *((f"f{k}", minima[k], maxima[k], weights[k]) for k in range(n_factors)),
-            target=(0.0, 5.0))
-        scores = {f"f{k}": TFN.crisp(ratings[k]) for k in range(n_factors)}
-        result = evaluate_attraction(AttractionEvaluation("a", scores), catalogue,
-                                     thresholds=None)
-        want = crisp_tvi([ratings], weights, minima, maxima)
-        assert result.crisp == pytest.approx(want, rel=1e-9, abs=1e-9)
+        got = self._crisp_ftv(ratings, minima, maxima, weights)
+        want = oracles.crisp_minmax_index(ratings, weights, minima, maxima)
+        assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 class TestClassify:
