@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from .rounding import round6
 from .spatial import DensityGrid, GeoPoint, HotSpot, Tour
 from .valuation import ValuationResult
@@ -80,18 +82,21 @@ def tour_feature(tour: Tour) -> dict[str, Any]:
 
 
 def density_features(grid: DensityGrid) -> list[dict[str, Any]]:
-    """One square Polygon per cell with positive density; zero cells are
-    skipped to keep files small.  Rings are counter-clockwise and closed."""
+    """One square Polygon per cell with positive density, in row-major
+    order; zero cells are skipped to keep files small.  Rings are
+    counter-clockwise from the south-west corner and closed.  Each edge
+    coordinate is rounded once and shared by the cells along it."""
+    lons, lats = grid.edges()
+    lons = [round(v, 6) for v in lons]
+    lats = [round(v, 6) for v in lats]
+    rows, cols = np.nonzero(grid.values > 0.0)
     features = []
-    for row in range(grid.nrows):
-        for col in range(grid.ncols):
-            value = float(grid.values[row, col])
-            if value <= 0.0:
-                continue
-            ring = [_coord(p) for p in grid.cell_corners(row, col)]
-            ring.append(ring[0])
-            features.append(_feature(
-                {"type": "Polygon", "coordinates": [ring]},
-                {"feature_type": "density", "density": round6(value)},
-            ))
+    for row, col, value in zip(rows.tolist(), cols.tolist(),
+                               grid.values[rows, cols].tolist()):
+        west, east, south, north = lons[col], lons[col + 1], lats[row], lats[row + 1]
+        ring = [[west, south], [east, south], [east, north], [west, north], [west, south]]
+        features.append(_feature(
+            {"type": "Polygon", "coordinates": [ring]},
+            {"feature_type": "density", "density": round6(value)},
+        ))
     return features

@@ -11,7 +11,8 @@ Input layout (all UTF-8 CSV with header row):
 
 Outputs are rendered fully in memory before anything touches disk, with all
 numbers fixed to 6 significant digits, so reruns on identical inputs are
-byte-identical and failures leave no partial files behind.
+byte-identical.  Each file is written under a temporary name and then
+renamed into place, so a failed write leaves the previous outputs intact.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import io
 import json
 import logging
 import math
+import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable
@@ -35,7 +37,8 @@ from .rescale import COMPONENTS, SourceRange, TargetRange, apply_range_policy
 from .rounding import format_number, round6
 from .spatial import (MAX_TOUR_STOPS, GeoPoint, HotSpot, ScoredPoint, Tour,
                       detect_hotspots, estimate_duration, kde_heatmap,
-                      merge_hotspots, plan_tour)
+                      merge_hotspots, plan_tour, require_dwell, require_percentile,
+                      require_positive)
 from .valuation import (FactorCatalogue, FactorDefinition, ValuationResult,
                         evaluate_attractions, filter_high, id_mismatch, rank)
 
@@ -65,13 +68,12 @@ class KdeSettings:
     merge_radius_m: float = 0.0
 
     def __post_init__(self):
-        if not self.bandwidth_m > 0:
-            raise ConfigError(f"kde.bandwidth_m must be positive, got {self.bandwidth_m}")
-        if not self.cell_m > 0:
-            raise ConfigError(f"kde.cell_m must be positive, got {self.cell_m}")
-        if not 0.0 < self.hotspot_percentile < 100.0:
-            raise ConfigError(
-                f"kde.hotspot_percentile must be in (0, 100), got {self.hotspot_percentile}")
+        require_positive(self.bandwidth_m, "kde.bandwidth_m")
+        require_positive(self.cell_m, "kde.cell_m")
+        try:
+            require_percentile(self.hotspot_percentile, "kde.hotspot_percentile")
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         if self.merge_radius_m < 0:
             raise ConfigError(
                 f"kde.merge_radius_m cannot be negative, got {self.merge_radius_m}")
@@ -84,13 +86,8 @@ class TourSettings:
 
     def __post_init__(self):
         object.__setattr__(self, "dwell_minutes", tuple(self.dwell_minutes))
-        if not self.walk_speed_kmh > 0:
-            raise ConfigError(
-                f"tour.walk_speed_kmh must be positive, got {self.walk_speed_kmh}")
-        d = self.dwell_minutes
-        if len(d) != 3 or not 0.0 <= d[0] <= d[1] <= d[2]:
-            raise ConfigError(
-                f"tour.dwell_minutes must be ordered (min, avg, max) >= 0, got {d}")
+        require_positive(self.walk_speed_kmh, "tour.walk_speed_kmh")
+        require_dwell(self.dwell_minutes, "tour.dwell_minutes")
 
 
 @dataclass(frozen=True)
@@ -576,19 +573,22 @@ def _map_geojson(names: dict[str, str], locations: dict[str, GeoPoint],
 
 
 def _write_all(out_dir: Path, payloads: dict[str, str]) -> tuple[Path, ...]:
-    """All-or-nothing write: on any failure, files created here are removed."""
+    """Write every payload to a hidden temporary file in ``out_dir``, then
+    move each into place with ``os.replace``.  A failure while writing
+    leaves the previous outputs as they were; the temporary files are
+    always removed."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
+    staged = [(out_dir / f".{name}.{os.urandom(8).hex()}.tmp", out_dir / name)
+              for name in payloads]
     try:
-        for name, payload in payloads.items():
-            target = out_dir / name
-            target.write_text(payload, encoding="utf-8", newline="")
-            written.append(target)
-    except Exception:
-        for path in written:
-            path.unlink(missing_ok=True)
-        raise
-    return tuple(written)
+        for (temporary, _), payload in zip(staged, payloads.values()):
+            temporary.write_text(payload, encoding="utf-8", newline="")
+        for temporary, target in staged:
+            os.replace(temporary, target)
+    finally:
+        for temporary, _ in staged:
+            temporary.unlink(missing_ok=True)
+    return tuple(target for _, target in staged)
 
 
 def run_valuation(config: RunConfig, allow_inconsistent: bool = False) -> PipelineOutput:

@@ -131,25 +131,19 @@ class DensityGrid:
     def ncols(self) -> int:
         return self.values.shape[1]
 
-    @property
-    def origin(self) -> GeoPoint:
-        """South-west corner of the grid."""
-        return _unproject(self.x0, self.y0, self.center)
-
     def cell_center(self, row: int, col: int) -> GeoPoint:
         return _unproject(self.x0 + (col + 0.5) * self.cell_m,
                           self.y0 + (row + 0.5) * self.cell_m, self.center)
 
-    def cell_corners(self, row: int, col: int) -> list[GeoPoint]:
-        """Corners of one cell, counter-clockwise starting south-west."""
-        xs = (self.x0 + col * self.cell_m, self.x0 + (col + 1) * self.cell_m)
-        ys = (self.y0 + row * self.cell_m, self.y0 + (row + 1) * self.cell_m)
-        return [
-            _unproject(xs[0], ys[0], self.center),
-            _unproject(xs[1], ys[0], self.center),
-            _unproject(xs[1], ys[1], self.center),
-            _unproject(xs[0], ys[1], self.center),
-        ]
+    def edges(self) -> tuple[list[float], list[float]]:
+        """Longitudes of the ``ncols + 1`` cell edges, west to east, and
+        latitudes of the ``nrows + 1`` edges, south to north.  The frame is
+        separable: a longitude depends only on x, a latitude only on y."""
+        lons = [_unproject(self.x0 + col * self.cell_m, self.y0, self.center).lon
+                for col in range(self.ncols + 1)]
+        lats = [_unproject(self.x0, self.y0 + row * self.cell_m, self.center).lat
+                for row in range(self.nrows + 1)]
+        return lons, lats
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -187,6 +181,23 @@ def _unproject(x: float, y: float, center: GeoPoint) -> GeoPoint:
     return GeoPoint(lon, lat)
 
 
+# One check per parameter rule, shared by the functions below and by the
+# run configuration (which passes its config key as ``name``).
+def require_positive(value: float, name: str) -> None:
+    if not value > 0:
+        raise ConfigError(f"{name} must be positive, got {value}")
+
+
+def require_percentile(value: float, name: str) -> None:
+    if not 0.0 < value < 100.0:
+        raise ValueError(f"{name} must be in (0, 100), got {value}")
+
+
+def require_dwell(dwell: Sequence[float], name: str) -> None:
+    if len(dwell) != 3 or not 0.0 <= dwell[0] <= dwell[1] <= dwell[2]:
+        raise ConfigError(f"{name} must be ordered (min, avg, max) >= 0, got {tuple(dwell)}")
+
+
 def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,
                 cell_m: float = 10.0) -> DensityGrid:
     """Weighted kernel density surface over the points' bounding box.
@@ -197,12 +208,16 @@ def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,
     half a cell: the extra half cell puts a point lying on the bounding-box
     edge at a cell centre, not a cell corner, so an isolated kernel peaks
     in a single cell instead of tying across the corner's neighbours.
-    Deterministic: cells are accumulated in input order.
+
+    Each point is evaluated only on the window of cells within
+    ceil(bandwidth / cell) + 1 of its own cell, which holds its whole
+    support, so the cost is points x (2 ceil(h / cell) + 3)^2 cells, not
+    points x grid.  Cells outside a window would have received exactly
+    +0.0, so the result is bit-identical to evaluating every point over the
+    whole grid.  Deterministic: each cell accumulates in input order.
     """
-    if not bandwidth_m > 0:
-        raise ConfigError(f"bandwidth must be positive, got {bandwidth_m}")
-    if not cell_m > 0:
-        raise ConfigError(f"cell size must be positive, got {cell_m}")
+    require_positive(bandwidth_m, "bandwidth_m")
+    require_positive(cell_m, "cell_m")
     points = list(points)
     if not points:
         return DensityGrid(GeoPoint(0.0, 0.0), 0.0, 0.0, cell_m, np.zeros((1, 1)))
@@ -224,12 +239,19 @@ def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,
     cx = x0 + (np.arange(ncols) + 0.5) * cell_m
     cy = y0 + (np.arange(nrows) + 0.5) * cell_m
     values = np.zeros((nrows, ncols))
+    # every cell centre within bandwidth + 1.5 cells of a point lies in its
+    # window, so no rounding of the cell index can leave a support cell out
+    reach = math.ceil(bandwidth_m / cell_m) + 1
     for p, (px, py) in zip(points, xy):
-        u2 = ((cx[None, :] - px) ** 2 + (cy[:, None] - py) ** 2) / (bandwidth_m ** 2)
+        col = math.floor((px - x0) / cell_m)
+        row = math.floor((py - y0) / cell_m)
+        cols = slice(max(col - reach, 0), col + reach + 1)
+        rows = slice(max(row - reach, 0), row + reach + 1)
+        u2 = ((cx[None, cols] - px) ** 2 + (cy[rows, None] - py) ** 2) / (bandwidth_m ** 2)
         inside = u2 < 1.0
         k = np.zeros_like(u2)
         k[inside] = (15.0 / 16.0) * (1.0 - u2[inside]) ** 2
-        values += p.weight * k
+        values[rows, cols] += p.weight * k
     return DensityGrid(center, x0, y0, cell_m, values)
 
 
@@ -241,8 +263,7 @@ def detect_hotspots(grid: DensityGrid, percentile: float = 90.0) -> list[HotSpot
     labelled H1, H2, ... in that order.  A flat surface has no strict
     maxima, hence no hotspots.
     """
-    if not 0.0 < percentile < 100.0:
-        raise ValueError(f"percentile must be in (0, 100), got {percentile}")
+    require_percentile(percentile, "percentile")
     v = grid.values
     positive = v[v > 0.0]
     if positive.size == 0:
@@ -362,11 +383,9 @@ def estimate_duration(tour: Tour, walk_speed_kmh: float,
     Each bound uses the corresponding dwell bound; ``stops`` defaults to the
     number of tour stops.
     """
-    if not walk_speed_kmh > 0:
-        raise ConfigError(f"walking speed must be positive, got {walk_speed_kmh}")
+    require_positive(walk_speed_kmh, "walk_speed_kmh")
+    require_dwell(dwell_minutes, "dwell_minutes")
     dmin, davg, dmax = dwell_minutes
-    if not 0.0 <= dmin <= davg <= dmax:
-        raise ConfigError(f"dwell bounds must satisfy 0 <= min <= avg <= max, got {dwell_minutes}")
     if stops is None:
         stops = len(tour.stops)
     walk = tour.length_km / walk_speed_kmh

@@ -136,13 +136,20 @@ def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
                          thresholds: tuple[float, float] | None = DEFAULT_THRESHOLDS,
                          scale: tuple[float, float] = DEFAULT_SCALE) -> list[ValuationResult]:
     """FTV, defuzzified value and tier of each id from an (ids, factors, 3)
-    array of range-admitted scores, factors in catalogue order.  A value off
-    ``scale`` (weights summing above 1) is an InputError naming the id."""
+    array of range-admitted scores, factors in catalogue order.  An FTV off
+    the target range by no more than the rounding error of its weighted sum
+    is put on the range's end; one further off (weights summing above 1)
+    is an InputError naming the id."""
     x, y = catalogue.source_ranges
-    rescaled = rescale_endpoints(scores, x, y, catalogue.target)
+    tgt = catalogue.target
+    rescaled = rescale_endpoints(scores, x, y, tgt)
     ftv = np.zeros((len(ids), 3))
     for k, weight in enumerate(catalogue.weights):
         ftv = ftv + weight * rescaled[:, k]
+    # a weighted sum of values on [m, M] can miss the range by rounding error
+    slack = len(catalogue.weights) * np.finfo(float).eps * max(abs(tgt.m), abs(tgt.M))
+    ftv = np.where((tgt.M < ftv) & (ftv <= tgt.M + slack), tgt.M, ftv)
+    ftv = np.where((tgt.m - slack <= ftv) & (ftv < tgt.m), tgt.m, ftv)
     results = []
     for attraction_id, row in zip(ids, ftv.tolist()):
         t = TFN(*row)

@@ -1,7 +1,8 @@
 """Independent reference computations used to cross-check the package.
 
 Everything here is deliberately written from the defining formulas with
-plain csv/math only, sharing no code path with the package internals.
+plain csv/math only, sharing no code path with the package internals; the
+full-grid KDE keeps the package's earlier numpy loop so that bytes compare.
 """
 
 from __future__ import annotations
@@ -10,6 +11,8 @@ import csv
 import math
 from itertools import permutations
 from pathlib import Path
+
+import numpy as np
 
 
 def lre(a: float, x: float, y: float, m: float, big_m: float) -> float:
@@ -99,3 +102,35 @@ def brute_force_tour(labels, dist, start_index):
         if best is None or key < best[0]:
             best = (key, order)
     return best[0][0], best[1]
+
+
+EARTH_RADIUS_KM = 6371.0088
+
+
+def full_grid_kde(points, bandwidth_m, cell_m):
+    """Quartic KDE with every point evaluated over every cell, as the
+    package computed it before its per-point windows.  ``points`` are
+    (lon, lat, weight) tuples; returns (x0, y0, values) in the local
+    equirectangular frame around the bounding-box midpoint."""
+    lons = [p[0] for p in points]
+    lats = [p[1] for p in points]
+    c_lon, c_lat = (min(lons) + max(lons)) / 2.0, (min(lats) + max(lats)) / 2.0
+    r = EARTH_RADIUS_KM * 1000.0
+    xs = [r * math.cos(math.radians(c_lat)) * math.radians(lon - c_lon) for lon in lons]
+    ys = [r * math.radians(lat - c_lat) for lat in lats]
+
+    x0 = min(xs) - bandwidth_m - cell_m / 2.0
+    y0 = min(ys) - bandwidth_m - cell_m / 2.0
+    ncols = max(1, math.ceil((max(xs) + bandwidth_m - x0) / cell_m))
+    nrows = max(1, math.ceil((max(ys) + bandwidth_m - y0) / cell_m))
+
+    cx = x0 + (np.arange(ncols) + 0.5) * cell_m
+    cy = y0 + (np.arange(nrows) + 0.5) * cell_m
+    values = np.zeros((nrows, ncols))
+    for p, px, py in zip(points, xs, ys):
+        u2 = ((cx[None, :] - px) ** 2 + (cy[:, None] - py) ** 2) / (bandwidth_m ** 2)
+        inside = u2 < 1.0
+        k = np.zeros_like(u2)
+        k[inside] = (15.0 / 16.0) * (1.0 - u2[inside]) ** 2
+        values += p[2] * k
+    return x0, y0, values

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -135,6 +136,39 @@ class TestRun:
                       "--out", str(blocker / "out"))
         assert code == 5
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_failed_write_keeps_previous_outputs(self, sample_dir, tmp_path,
+                                                 monkeypatch, capsys):
+        out_dir = tmp_path / "result"
+        assert invoke("run", "--config", str(sample_dir / "config.json"),
+                      "--out", str(out_dir)) == 0
+        previous = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+
+        # same inputs, other tiers and bandwidth: every artifact would change
+        config = json.loads((sample_dir / "config.json").read_text(encoding="utf-8"))
+        for key in ("factors", "evaluations", "attractions"):
+            config[key] = str(sample_dir / config[key])
+        config.update(tier_thresholds=[20, 50], kde={"bandwidth_m": 150.0})
+        changed = tmp_path / "changed.json"
+        changed.write_text(json.dumps(config), encoding="utf-8")
+
+        real_write_text = Path.write_text
+
+        def disk_full_on_map(path, *args, **kwargs):
+            if "map.geojson" in path.name:
+                raise OSError(28, "No space left on device")
+            return real_write_text(path, *args, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Path, "write_text", disk_full_on_map)
+            assert invoke("run", "--config", str(changed), "--out", str(out_dir)) == 5
+        assert "No space left" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == previous
+
+        assert invoke("run", "--config", str(changed), "--out", str(out_dir)) == 0
+        current = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        assert sorted(current) == sorted(previous)
+        assert all(current[name] != previous[name] for name in previous)
 
     def test_numeric_failure_exits_4(self, sample_dir, tmp_path, monkeypatch):
         def boom(config, allow_inconsistent=False):

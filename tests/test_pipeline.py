@@ -86,6 +86,19 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="bandwidth"):
             load_config(config_path)
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"kde": {"cell_m": 0}}, "kde.cell_m"),
+        ({"kde": {"hotspot_percentile": 100}}, "kde.hotspot_percentile"),
+        ({"kde": {"merge_radius_m": -1}}, "kde.merge_radius_m"),
+        ({"tour": {"walk_speed_kmh": 0}}, "tour.walk_speed_kmh"),
+        ({"tour": {"dwell_minutes": [10, 5, 15]}}, "tour.dwell_minutes"),
+        ({"tour": {"dwell_minutes": [5, 10]}}, "tour.dwell_minutes"),
+    ])
+    def test_spatial_settings_name_their_key(self, dataset_builder, extra, key):
+        config_path = dataset_builder(config_extra=extra)
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            load_config(config_path)
+
     def test_bad_target(self, dataset_builder):
         config_path = dataset_builder(config_extra={"target": [7, 7]})
         with pytest.raises(ConfigError, match="target"):

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tourval import (
     EARTH_RADIUS_KM,
@@ -20,6 +20,8 @@ from tourval import (
     plan_tour,
 )
 from tourval.errors import ConfigError
+from tourval.geojson import density_features
+from tourval.spatial import _unproject
 
 import oracles
 
@@ -114,17 +116,87 @@ class TestKde:
         grid = kde_heatmap([ScoredPoint(CENTER, 1.0)], bandwidth_m=100, cell_m=10)
         assert grid.nrows == grid.values.shape[0]
         assert grid.ncols == grid.values.shape[1]
-        corner_ring = grid.cell_corners(0, 0)
-        assert len(corner_ring) == 4
+        lons, lats = grid.edges()
+        assert len(lons) == grid.ncols + 1
+        assert len(lats) == grid.nrows + 1
+        assert lons == sorted(lons) and lats == sorted(lats)
         centre = grid.cell_center(0, 0)
-        for corner in corner_ring:
-            half_diagonal_km = grid.cell_m * math.sqrt(2) / 2 / 1000
-            assert haversine_km(centre, corner) <= half_diagonal_km * 1.01
+        half_diagonal_km = grid.cell_m * math.sqrt(2) / 2 / 1000
+        for lon in lons[:2]:
+            for lat in lats[:2]:
+                corner = GeoPoint(lon, lat)
+                assert haversine_km(centre, corner) <= half_diagonal_km * 1.01
 
     def test_values_are_frozen(self):
         grid = kde_heatmap([ScoredPoint(CENTER, 1.0)], bandwidth_m=100, cell_m=10)
         with pytest.raises(ValueError):
             grid.values[0, 0] = 99.0
+
+
+@st.composite
+def kde_cases(draw):
+    """(points, bandwidth, cell): up to six points within 400 m, some
+    repeated, some weightless; cells from 2 m to wider than the bandwidth."""
+    offsets = draw(st.lists(st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 0.4),
+                                      st.one_of(st.just(0.0), st.floats(0.0, 100.0))),
+                            min_size=1, max_size=6))
+    repeats = draw(st.lists(st.sampled_from(offsets), max_size=2))
+    points = [ScoredPoint(offset_point(CENTER, e, n), w) for e, n, w in offsets + repeats]
+    return points, draw(st.floats(5.0, 250.0)), draw(st.floats(2.0, 300.0))
+
+
+def _points(*rows):
+    return [ScoredPoint(offset_point(CENTER, e, n), w) for e, n, w in rows]
+
+
+class TestKdeMatchesFullGrid:
+    """The windowed KDE against the full-grid loop it replaced, bit for bit."""
+
+    @given(kde_cases())
+    @settings(max_examples=150, deadline=None)
+    @example((_points((0.0, 0.0, 7.0)), 100.0, 10.0))                       # single point
+    @example((_points((0.0, 0.0, 3.0), (0.2, 0.1, 5.0)), 40.0, 130.0))        # cell > bandwidth
+    @example((_points((0.0, 0.0, 3.0), (0.15, 0.05, 5.0)), 97.3, 10.0))       # h not a multiple
+    @example((_points((0.0, 0.0, 2.0), (0.0, 0.3, 2.0), (0.3, 0.0, 1.0),
+                      (0.3, 0.3, 4.0), (0.0, 0.15, 6.0)), 100.0, 10.0))       # bbox edges
+    @example((_points((0.1, 0.1, 5.0), (0.1, 0.1, 5.0), (0.2, 0.0, 1.0)), 100.0, 7.0))
+    @example((_points((0.1, 0.1, 0.0), (0.0, 0.0, 4.0), (0.2, 0.2, 0.0)), 100.0, 10.0))
+    def test_bytes_equal_full_grid_reference(self, case):
+        points, bandwidth, cell = case
+        grid = kde_heatmap(points, bandwidth_m=bandwidth, cell_m=cell)
+        x0, y0, values = oracles.full_grid_kde(
+            [(p.point.lon, p.point.lat, p.weight) for p in points], bandwidth, cell)
+        assert (grid.x0, grid.y0) == (x0, y0)
+        assert grid.values.shape == values.shape
+        assert grid.values.tobytes() == values.tobytes()
+
+
+class TestDensityFeatures:
+    def test_rings_equal_per_cell_unprojected_corners(self):
+        grid = kde_heatmap(_points((0.0, 0.0, 3.0), (0.12, 0.05, 5.0), (0.05, 0.2, 0.0)),
+                           bandwidth_m=60.0, cell_m=9.0)
+        want = []
+        for row in range(grid.nrows):
+            for col in range(grid.ncols):
+                value = float(grid.values[row, col])
+                if value <= 0.0:
+                    continue
+                xs = (grid.x0 + col * grid.cell_m, grid.x0 + (col + 1) * grid.cell_m)
+                ys = (grid.y0 + row * grid.cell_m, grid.y0 + (row + 1) * grid.cell_m)
+                corners = [_unproject(x, y, grid.center)
+                           for x, y in ((xs[0], ys[0]), (xs[1], ys[0]),
+                                        (xs[1], ys[1]), (xs[0], ys[1]), (xs[0], ys[0]))]
+                ring = [[round(c.lon, 6), round(c.lat, 6)] for c in corners]
+                want.append({"type": "Feature",
+                             "geometry": {"type": "Polygon", "coordinates": [ring]},
+                             "properties": {"feature_type": "density",
+                                            "density": float(f"{value:.6g}")}})
+        got = density_features(grid)
+        assert 0 < len(got) < grid.nrows * grid.ncols
+        assert got == want
+
+    def test_zero_grid_has_no_polygons(self):
+        assert density_features(DensityGrid(CENTER, 0.0, 0.0, 10.0, np.zeros((3, 4)))) == []
 
 
 class TestHotspots:

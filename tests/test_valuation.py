@@ -121,6 +121,49 @@ class TestComputeFtv:
         assert "'plaza'" in message and "100.5" in message and "1.005" in message
 
 
+    @pytest.mark.parametrize("target", [(0.0, 100.0), (-50.0, 50.0), (3.0, 7.0)])
+    def test_rounding_error_never_leaves_the_scale(self, target):
+        """Weights normalised to 1 and every score at one end of its range:
+        the weighted sum misses that end by a few ulp either way, never by
+        more than factors x eps x max(|m|, |M|); a miss outside the scale
+        is put on the end, so every such attraction is valued."""
+        rng = np.random.default_rng(5)
+        m, big_m = target
+        for _ in range(100):
+            k = int(rng.integers(2, 21))
+            weights = rng.dirichlet(np.ones(k))
+            weights = weights / weights.sum()
+            catalogue = make_catalogue(*((f"f{j}", 0.0, 5.0, float(w))
+                                         for j, w in enumerate(weights)), target=target)
+            slack = k * np.finfo(float).eps * max(abs(m), abs(big_m))
+            for score, end in ((5.0, big_m), (0.0, m)):
+                scores = {f"f{j}": TFN.crisp(score) for j in range(k)}
+                got = evaluate_attraction(AttractionEvaluation("a", scores), catalogue,
+                                          thresholds=None, scale=target)
+                for value in (*got.ftv.as_tuple(), got.crisp):
+                    assert m <= value <= big_m
+                    assert abs(value - end) <= slack
+
+    def test_one_ulp_overshoot_is_the_top_of_the_scale(self):
+        """0.14 + 0.28 + 0.28 + 0.3 is 1.0, but the weighted sum of four
+        100s is 100.00000000000001."""
+        weights = (0.14, 0.28, 0.28, 0.3)
+        assert sum(weights) == 1.0
+        catalogue = make_catalogue(*((f"f{j}", 0, 5, w) for j, w in enumerate(weights)))
+        scores = {f"f{j}": TFN.crisp(5.0) for j in range(4)}
+        got = evaluate_attraction(AttractionEvaluation("a", scores), catalogue)
+        assert got.ftv.as_tuple() == (100.0, 100.0, 100.0)
+        assert (got.crisp, got.tier) == (100.0, "High")
+
+    @pytest.mark.parametrize("second", [0.5 + 1e-12, 0.509])
+    def test_overshoot_beyond_rounding_error_still_rejected(self, second):
+        """Weights summing to 1 + 1e-12 put the value 1e-10 past M = 100,
+        far beyond the 2 x eps x 100 rounding allowance; 1.009 further."""
+        catalogue = make_catalogue(("f1", 0, 5, 0.5), ("f2", 0, 5, second))
+        scores = {"f1": TFN.crisp(5.0), "f2": TFN.crisp(5.0)}
+        with pytest.raises(InputError, match="outside the classification scale"):
+            evaluate_attraction(AttractionEvaluation("a", scores), catalogue)
+
 class TestCrispIndex:
     """With point TFNs, target [0, 5] and one individual per factor, the
     fuzzy index collapses onto the crisp min-max index (oracles)."""
