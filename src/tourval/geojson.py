@@ -3,6 +3,12 @@
 Coordinates are written as [lon, lat] rounded to 6 decimal places (about
 0.1 m); metric properties are rounded to 6 significant digits.  Rounding
 here keeps serialized output byte-stable across platforms.
+
+The attraction, hotspot and tour features are dicts for ``json.dumps``.
+The density features, one per positive grid cell and by far the most
+numerous, are rendered as text straight from a template: the text
+``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)`` prints for
+each of them inside a FeatureCollection, without building any dicts.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ from .spatial import DensityGrid, GeoPoint, HotSpot, Tour
 from .valuation import ValuationResult
 
 __all__ = [
-    "feature_collection",
     "attraction_feature",
     "hotspot_feature",
     "tour_feature",
@@ -26,10 +31,6 @@ __all__ = [
 
 def _coord(p: GeoPoint) -> list[float]:
     return [round(p.lon, 6), round(p.lat, 6)]
-
-
-def feature_collection(features: list[dict[str, Any]]) -> dict[str, Any]:
-    return {"type": "FeatureCollection", "features": features}
 
 
 def _feature(geometry: dict[str, Any], properties: dict[str, Any]) -> dict[str, Any]:
@@ -81,22 +82,60 @@ def tour_feature(tour: Tour) -> dict[str, Any]:
     return _feature({"type": "LineString", "coordinates": coords}, properties)
 
 
-def density_features(grid: DensityGrid) -> list[dict[str, Any]]:
-    """One square Polygon per cell with positive density, in row-major
-    order; zero cells are skipped to keep files small.  Rings are
-    counter-clockwise from the south-west corner and closed.  Each edge
-    coordinate is rounded once and shared by the cells along it."""
+# One density feature as json.dumps(indent=2, sort_keys=True) prints it at
+# the depth of a FeatureCollection's "features" array (4 spaces).
+_DENSITY_FEATURE = """\
+    {
+      "geometry": {
+        "coordinates": [
+          [
+            [
+              %(west)s,
+              %(south)s
+            ],
+            [
+              %(east)s,
+              %(south)s
+            ],
+            [
+              %(east)s,
+              %(north)s
+            ],
+            [
+              %(west)s,
+              %(north)s
+            ],
+            [
+              %(west)s,
+              %(south)s
+            ]
+          ]
+        ],
+        "type": "Polygon"
+      },
+      "properties": {
+        "density": %(density)s,
+        "feature_type": "density"
+      },
+      "type": "Feature"
+    }"""
+
+
+def density_features(grid: DensityGrid) -> list[str]:
+    """One square Polygon Feature per cell with positive density, in
+    row-major order, as text at the depth of a FeatureCollection's
+    ``features`` array; zero cells are skipped to keep files small.  Rings
+    are counter-clockwise from the south-west corner and closed.  Each edge
+    coordinate is rounded and formatted once (``repr`` is the float form
+    ``json`` writes) and shared by the cells along it."""
     lons, lats = grid.edges()
-    lons = [round(v, 6) for v in lons]
-    lats = [round(v, 6) for v in lats]
+    lons = [repr(round(v, 6)) for v in lons]
+    lats = [repr(round(v, 6)) for v in lats]
     rows, cols = np.nonzero(grid.values > 0.0)
-    features = []
-    for row, col, value in zip(rows.tolist(), cols.tolist(),
-                               grid.values[rows, cols].tolist()):
-        west, east, south, north = lons[col], lons[col + 1], lats[row], lats[row + 1]
-        ring = [[west, south], [east, south], [east, north], [west, north], [west, south]]
-        features.append(_feature(
-            {"type": "Polygon", "coordinates": [ring]},
-            {"feature_type": "density", "density": round6(value)},
-        ))
-    return features
+    return [
+        _DENSITY_FEATURE % {"west": lons[col], "east": lons[col + 1],
+                            "south": lats[row], "north": lats[row + 1],
+                            "density": repr(round6(value))}
+        for row, col, value in zip(rows.tolist(), cols.tolist(),
+                                   grid.values[rows, cols].tolist())
+    ]

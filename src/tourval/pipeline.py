@@ -70,10 +70,7 @@ class KdeSettings:
     def __post_init__(self):
         require_positive(self.bandwidth_m, "kde.bandwidth_m")
         require_positive(self.cell_m, "kde.cell_m")
-        try:
-            require_percentile(self.hotspot_percentile, "kde.hotspot_percentile")
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
+        require_percentile(self.hotspot_percentile, "kde.hotspot_percentile")
         if self.merge_radius_m < 0:
             raise ConfigError(
                 f"kde.merge_radius_m cannot be negative, got {self.merge_radius_m}")
@@ -558,6 +555,11 @@ def _results_json(config: RunConfig, ingested: IngestResult,
 def _map_geojson(names: dict[str, str], locations: dict[str, GeoPoint],
                  ranked: list[ValuationResult], ranks: dict[str, int],
                  grid, hotspots, tour) -> str:
+    """The FeatureCollection of the attraction, hotspot, tour and density
+    features, in that order, byte for byte as ``json.dumps(indent=2,
+    sort_keys=True, ensure_ascii=False)`` prints it.  The few point and tour
+    features go through ``json.dumps`` and are indented to the depth of the
+    ``features`` array; the density features arrive as text at that depth."""
     features = [
         geojson.attraction_feature(locations[r.attraction_id], r,
                                    names[r.attraction_id], rank=ranks[r.attraction_id])
@@ -566,10 +568,17 @@ def _map_geojson(names: dict[str, str], locations: dict[str, GeoPoint],
     features.extend(geojson.hotspot_feature(h) for h in hotspots)
     if tour is not None:
         features.append(geojson.tour_feature(tour))
+    texts = ["    " + json.dumps(f, indent=2, sort_keys=True,
+                                 ensure_ascii=False).replace("\n", "\n    ")
+             for f in features]
     if grid is not None:
-        features.extend(geojson.density_features(grid))
-    document = geojson.feature_collection(features)
-    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        texts.extend(geojson.density_features(grid))
+    if not texts:
+        return '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
+    # one join, so the map's text is copied once
+    texts[0] = '{\n  "features": [\n' + texts[0]
+    texts[-1] += '\n  ],\n  "type": "FeatureCollection"\n}\n'
+    return ",\n".join(texts)
 
 
 def _write_all(out_dir: Path, payloads: dict[str, str]) -> tuple[Path, ...]:

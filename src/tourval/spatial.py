@@ -190,7 +190,7 @@ def require_positive(value: float, name: str) -> None:
 
 def require_percentile(value: float, name: str) -> None:
     if not 0.0 < value < 100.0:
-        raise ValueError(f"{name} must be in (0, 100), got {value}")
+        raise ConfigError(f"{name} must be in (0, 100), got {value}")
 
 
 def require_dwell(dwell: Sequence[float], name: str) -> None:

@@ -3,16 +3,23 @@
 Everything here is deliberately written from the defining formulas with
 plain csv/math only, sharing no code path with the package internals; the
 full-grid KDE keeps the package's earlier numpy loop so that bytes compare.
+The map renderer is the package's earlier dict-based one, kept as it was
+so that bytes compare: it reuses the package's point and tour feature
+builders and 6-digit rounding, and hands the whole document to json.dumps.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
 from itertools import permutations
 from pathlib import Path
 
 import numpy as np
+
+from tourval import geojson
+from tourval.rounding import round6
 
 
 def lre(a: float, x: float, y: float, m: float, big_m: float) -> float:
@@ -134,3 +141,40 @@ def full_grid_kde(points, bandwidth_m, cell_m):
         k[inside] = (15.0 / 16.0) * (1.0 - u2[inside]) ** 2
         values += p[2] * k
     return x0, y0, values
+
+
+def density_features(grid):
+    """One square Polygon Feature dict per cell with positive density, in
+    row-major order; rings counter-clockwise from the south-west corner."""
+    lons, lats = grid.edges()
+    lons = [round(v, 6) for v in lons]
+    lats = [round(v, 6) for v in lats]
+    rows, cols = np.nonzero(grid.values > 0.0)
+    features = []
+    for row, col, value in zip(rows.tolist(), cols.tolist(),
+                               grid.values[rows, cols].tolist()):
+        west, east, south, north = lons[col], lons[col + 1], lats[row], lats[row + 1]
+        ring = [[west, south], [east, south], [east, north], [west, north], [west, south]]
+        features.append({
+            "type": "Feature",
+            "geometry": {"type": "Polygon", "coordinates": [ring]},
+            "properties": {"feature_type": "density", "density": round6(value)},
+        })
+    return features
+
+
+def map_geojson(names, locations, ranked, ranks, grid, hotspots, tour) -> str:
+    """map.geojson as the whole FeatureCollection dict through
+    ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)``."""
+    features = [
+        geojson.attraction_feature(locations[r.attraction_id], r,
+                                   names[r.attraction_id], rank=ranks[r.attraction_id])
+        for r in ranked
+    ]
+    features.extend(geojson.hotspot_feature(h) for h in hotspots)
+    if tour is not None:
+        features.append(geojson.tour_feature(tour))
+    if grid is not None:
+        features.extend(density_features(grid))
+    document = {"type": "FeatureCollection", "features": features}
+    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"

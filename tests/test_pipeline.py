@@ -2,12 +2,15 @@ import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tourval import TriangularFuzzyNumber as TFN
 from tourval.errors import ConfigError, InputError
 from tourval.pipeline import (
     RunConfig,
+    _map_geojson,
     ingest,
     load_config,
     run_pipeline,
@@ -15,6 +18,8 @@ from tourval.pipeline import (
     run_valuation,
 )
 from tourval.rounding import format_number
+from tourval.spatial import DensityGrid, GeoPoint, HotSpot, Tour
+from tourval.valuation import ValuationResult
 
 import oracles
 
@@ -379,3 +384,89 @@ class TestRunTour:
         first = (config.out_dir / "map.geojson").read_bytes()
         run_tour(config)
         assert (config.out_dir / "map.geojson").read_bytes() == first
+
+
+# -- map.geojson text against the dict-based reference renderer -------------
+
+NAME_CHARS = st.characters(blacklist_categories=("Cs",))
+SPECIAL_NAME = 'Café "Trova" \\ Santiago de Cuba 寺 \x00\x07\t\n \U0001f3b8'
+
+
+def _map_inputs(names, grid, hotspot_scores=(), with_tour=False, center=(-75.8, 20.0)):
+    """Attractions named ``names`` around ``center``, hotspots with the given
+    scores and, if asked and there are hotspots, a tour over them."""
+    lon, lat = center
+    ids = [f"a{i}" for i in range(len(names))]
+    ranked = [ValuationResult(aid, TFN(i - 1.5, i * 1.0, i + 0.25), i * 1.0 / 3.0,
+                              "High" if i % 2 else None)
+              for i, aid in enumerate(ids)]
+    locations = {aid: GeoPoint(lon + i * 1e-3, -(lat + i * 1e-3)) for i, aid in enumerate(ids)}
+    hotspots = tuple(HotSpot(GeoPoint(-lon - i * 1e-3, lat), score, f"H{i + 1}")
+                     for i, score in enumerate(hotspot_scores))
+    tour = None
+    if with_tour and hotspots:
+        tour = Tour(hotspots, 1.234567891, (0.5, 1.0 / 3.0 + 0.7, 2.0))
+    return (dict(zip(ids, names)), locations, ranked,
+            {aid: i + 1 for i, aid in enumerate(ids)}, grid, hotspots, tour)
+
+
+def _grid(values, center=(-75.8, 20.0), x0=-12.5, y0=7.25, cell_m=9.0):
+    return DensityGrid(GeoPoint(*center), x0, y0, cell_m, np.asarray(values, dtype=float))
+
+
+@st.composite
+def map_inputs(draw):
+    nrows, ncols = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    value = st.one_of(st.just(0.0), st.sampled_from([1e-05, 1.5e-07, 1e16, 0.1]),
+                      st.floats(1e-9, 1e9))
+    values = draw(st.lists(value, min_size=nrows * ncols, max_size=nrows * ncols))
+    center = (draw(st.one_of(st.just(0.0), st.floats(-179.0, 179.0))),
+              draw(st.one_of(st.just(0.0), st.floats(-80.0, 80.0))))
+    offset = st.one_of(st.just(-1e-3), st.floats(-5000.0, 5000.0))
+    grid = None
+    if draw(st.integers(0, 9)):
+        grid = _grid(np.reshape(values, (nrows, ncols)), center, draw(offset), draw(offset),
+                     draw(st.floats(0.5, 1000.0)))
+    names = draw(st.lists(st.text(NAME_CHARS, max_size=12), max_size=4))
+    scores = draw(st.lists(st.floats(1e-6, 1e6), max_size=3))
+    return _map_inputs(names, grid, scores, draw(st.booleans()), center)
+
+
+class TestMapText:
+    """pipeline._map_geojson prints the same bytes as json.dumps of the
+    whole FeatureCollection (oracles.map_geojson)."""
+
+    @staticmethod
+    def assert_same(inputs):
+        assert _map_geojson(*inputs) == oracles.map_geojson(*inputs)
+
+    @settings(max_examples=150, deadline=None)
+    @given(map_inputs())
+    def test_equals_reference(self, inputs):
+        self.assert_same(inputs)
+
+    @pytest.mark.parametrize("inputs", [
+        pytest.param(_map_inputs(["A", "B"], _grid(np.zeros((3, 4))), (2.0,), True),
+                     id="no-positive-cell"),
+        pytest.param(_map_inputs([], _grid(np.zeros((3, 4)))), id="empty-collection"),
+        pytest.param(_map_inputs([], _grid([[0.0, 0.0], [0.0, 4.5]])), id="single-cell-only"),
+        pytest.param(_map_inputs(["A"], _grid([[0.25]]), (1.0,), True), id="single-cell"),
+        pytest.param(_map_inputs(["A"], _grid([[1e-05, 1.5e-07], [1e16, 0.0]]), (3.0, 2.0),
+                                 True), id="exponent-densities"),
+        pytest.param(_map_inputs(["A", "B"], _grid([[1.0, 2.0], [3.0, 0.5]], center=(0.0, 0.0),
+                                                   x0=-1e-3, y0=-1e-3, cell_m=1e-3),
+                                 (1.0,), True, center=(0.0, 0.0)), id="negative-and-minus-zero"),
+        pytest.param(_map_inputs(["A", "B"], _grid([[1.0, 2.0]])), id="no-hotspots-no-tour"),
+        pytest.param(_map_inputs(["A"], _grid([[1.0]]), (1.0, 2.0)), id="hotspots-no-tour"),
+        pytest.param(_map_inputs([SPECIAL_NAME, "\\\"'", "\x1f\x7f\u0085"], _grid([[2.0]]),
+                                 (1.0,), True), id="awkward-names"),
+        pytest.param(_map_inputs(["A"], None, (1.0,), True), id="no-grid"),
+    ])
+    def test_edge_cases(self, inputs):
+        self.assert_same(inputs)
+
+    def test_minus_zero_coordinate_reaches_the_map(self):
+        inputs = _map_inputs(["A"], _grid([[1.0, 2.0], [3.0, 0.5]], center=(0.0, 0.0),
+                                          x0=-1e-3, y0=-1e-3, cell_m=1e-3),
+                             center=(0.0, 0.0))
+        assert "              -0.0,\n" in _map_geojson(*inputs)

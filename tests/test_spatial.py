@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -191,7 +192,7 @@ class TestDensityFeatures:
                              "geometry": {"type": "Polygon", "coordinates": [ring]},
                              "properties": {"feature_type": "density",
                                             "density": float(f"{value:.6g}")}})
-        got = density_features(grid)
+        got = [json.loads(text) for text in density_features(grid)]
         assert 0 < len(got) < grid.nrows * grid.ncols
         assert got == want
 
@@ -246,9 +247,9 @@ class TestHotspots:
 
     def test_percentile_domain(self):
         grid = DensityGrid(CENTER, 0.0, 0.0, 10.0, np.ones((2, 2)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="percentile"):
             detect_hotspots(grid, percentile=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="percentile"):
             detect_hotspots(grid, percentile=100.0)
 
 
