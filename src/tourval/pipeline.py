@@ -22,10 +22,11 @@ import io
 import json
 import logging
 import math
+import operator
 import os
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
@@ -198,8 +199,8 @@ def load_config(path: Path | str) -> RunConfig:
 # --- ingestion -------------------------------------------------------------
 
 
-def _float_cell(row: dict, column: str, where: str) -> float:
-    text = (row.get(column) or "").strip()
+def _number(text: str, column: str, where: str) -> float:
+    text = text.strip()
     if not text:
         raise InputError(f"{where}: missing value in column {column!r}")
     try:
@@ -208,41 +209,49 @@ def _float_cell(row: dict, column: str, where: str) -> float:
         raise InputError(f"{where}: column {column!r} is not a number: {text!r}") from None
 
 
-def _reader(path: Path, required: Iterable[str]) -> tuple[csv.DictReader, io.TextIOWrapper]:
-    handle = open(path, encoding="utf-8", newline="")
-    reader = csv.DictReader(handle)
-    missing = [c for c in required if c not in (reader.fieldnames or [])]
-    if missing:
-        handle.close()
-        raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
-    return reader, handle
+def _records(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """``(line, cells)`` per non-empty record of a CSV file: the line the
+    record ends on and its unstripped cells of the two or more ``columns``,
+    in that order.  Missing cells read ``""``; a repeated name means its
+    last column."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
+        position = {name: i for i, name in enumerate(header)}
+        pick = operator.itemgetter(*(position[c] for c in columns))
+        padding = [""] * len(header)
+        for row in reader:
+            if row:
+                yield reader.line_num, pick(row + padding)
 
 
 def load_factor_table(path: Path) -> tuple[tuple[FactorDefinition, ...], bool]:
     """Factor rows in file order.  Returns (factors, has_weight_column);
     without a weight column every definition carries weight 0 and the
     caller must supply weights from a pairwise matrix."""
-    reader, handle = _reader(path, ("id", "name", "x", "y"))
-    has_weights = "weight" in (reader.fieldnames or [])
+    with open(path, encoding="utf-8", newline="") as handle:
+        has_weights = "weight" in next(csv.reader(handle), [])
     factors: list[FactorDefinition] = []
     seen: set[str] = set()
-    with handle:
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            factor_id = (row.get("id") or "").strip()
-            if not factor_id:
-                raise InputError(f"{where}: empty factor id")
-            if factor_id in seen:
-                raise InputError(f"{where}: duplicate factor id {factor_id!r}")
-            seen.add(factor_id)
-            try:
-                src = SourceRange(_float_cell(row, "x", where), _float_cell(row, "y", where))
-                weight = _float_cell(row, "weight", where) if has_weights else 0.0
-                factors.append(FactorDefinition(
-                    id=factor_id, name=(row.get("name") or factor_id).strip(),
-                    src=src, weight=weight))
-            except ValueError as e:
-                raise InputError(f"{where}: {e}") from e
+    columns = ("id", "name", "x", "y", "weight") if has_weights else ("id", "name", "x", "y")
+    for line, (factor_id, name, x, y, *weight) in _records(path, columns):
+        where = f"{path}:{line}"
+        factor_id = factor_id.strip()
+        if not factor_id:
+            raise InputError(f"{where}: empty factor id")
+        if factor_id in seen:
+            raise InputError(f"{where}: duplicate factor id {factor_id!r}")
+        seen.add(factor_id)
+        try:
+            src = SourceRange(_number(x, "x", where), _number(y, "y", where))
+            factors.append(FactorDefinition(
+                id=factor_id, name=name.strip() or factor_id, src=src,
+                weight=_number(weight[0], "weight", where) if has_weights else 0.0))
+        except ValueError as e:
+            raise InputError(f"{where}: {e}") from e
     if not factors:
         raise InputError(f"{path}: no factors defined")
     return tuple(factors), has_weights
@@ -283,60 +292,73 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
                      ) -> tuple[list[str], np.ndarray, list[int], np.ndarray]:
     """Long-format expert judgements in file order: attraction ids, factor
     catalogue indices, file lines and an (n, 3) array of (lo, mode, hi).
-    Bad rows, duplicate judgements and non-TFN triplets name their line."""
+    Errors name their line.  The id rules are checked row by row; then the
+    duplicates, the numbers and the TFN rule, in that order, each over the
+    whole file and reporting its first offending line."""
     known = {factor_id: k for k, factor_id in enumerate(catalogue_ids)}
-    reader, handle = _reader(
-        path, ("attraction_id", "factor_id", "expert_id", "lo", "mode", "hi"))
-    attractions, factors, lines, values = [], [], [], []
-    seen: set[tuple[str, str, str]] = set()
-    with handle:
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            attraction = (row.get("attraction_id") or "").strip()
-            factor = (row.get("factor_id") or "").strip()
-            expert = (row.get("expert_id") or "").strip()
-            if not attraction or not factor or not expert:
-                raise InputError(f"{where}: attraction_id, factor_id and expert_id "
-                                 "must all be non-empty")
-            if factor not in known:
-                raise InputError(f"{where}: unknown factor id {factor!r}")
-            triple = (attraction, factor, expert)
-            if triple in seen:
-                raise InputError(f"{where}: duplicate judgement for attraction "
-                                 f"{attraction!r}, factor {factor!r}, expert {expert!r}")
-            seen.add(triple)
-            attractions.append(attraction)
-            factors.append(known[factor])
-            lines.append(reader.line_num)
-            values.append((_float_cell(row, "lo", where), _float_cell(row, "mode", where),
-                           _float_cell(row, "hi", where)))
-    tfns = np.array(values, dtype=float).reshape(-1, 3)
+    expert_codes: dict[str, int] = {}
+    attractions, factors, experts, lines, numbers = [], [], [], [], []
+    for line, (attraction, factor, expert, lo, mode, hi) in _records(
+            path, ("attraction_id", "factor_id", "expert_id") + COMPONENTS):
+        attraction, factor, expert = attraction.strip(), factor.strip(), expert.strip()
+        k = known.get(factor)
+        if not attraction or not factor or not expert:
+            raise InputError(f"{path}:{line}: attraction_id, factor_id and expert_id "
+                             "must all be non-empty")
+        if k is None:
+            raise InputError(f"{path}:{line}: unknown factor id {factor!r}")
+        attractions.append(attraction)
+        factors.append(k)
+        experts.append(expert_codes.setdefault(expert, len(expert_codes)))
+        lines.append(line)
+        numbers.append(lo)
+        numbers.append(mode)
+        numbers.append(hi)
+    n = len(lines)
+    factor_index = np.array(factors, dtype=np.intp)
+
+    # one integer per (attraction, factor, expert); a key seen before is a duplicate
+    codes: dict[str, int] = {}
+    key = np.fromiter((codes.setdefault(a, len(codes)) for a in attractions), np.int64, n)
+    _, first, inverse = np.unique((key * len(known) + factor_index) * len(expert_codes)
+                                  + experts, return_index=True, return_inverse=True)
+    repeats = np.flatnonzero(first[inverse] != np.arange(n))
+    if repeats.size:
+        at = repeats[0]
+        raise InputError(f"{path}:{lines[at]}: duplicate judgement for attraction "
+                         f"{attractions[at]!r}, factor {list(known)[factors[at]]!r}, "
+                         f"expert {list(expert_codes)[experts[at]]!r}")
+
+    try:
+        tfns = np.fromiter(map(float, map(str.strip, numbers)), float, 3 * n).reshape(n, 3)
+    except ValueError:
+        for at, text in enumerate(numbers):  # the first bad cell, in file order
+            _number(text, COMPONENTS[at % 3], f"{path}:{lines[at // 3]}")
+        raise
     bad = np.flatnonzero(~fuzzy.is_tfn(*tfns.T))
     if bad.size:
         raise InputError(f"{path}:{lines[bad[0]]}: not a TFN (finite, lo <= mode <= hi): "
                          f"{tuple(tfns[bad[0]].tolist())}")
-    return attractions, np.array(factors, dtype=np.intp), lines, tfns
+    return attractions, factor_index, lines, tfns
 
 
 def load_attractions(path: Path) -> tuple[dict[str, str], dict[str, GeoPoint]]:
     """Attraction display names and WGS84 locations keyed by id."""
-    reader, handle = _reader(path, ("id", "name", "lon", "lat"))
     names: dict[str, str] = {}
     locations: dict[str, GeoPoint] = {}
-    with handle:
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            attraction_id = (row.get("id") or "").strip()
-            if not attraction_id:
-                raise InputError(f"{where}: empty attraction id")
-            if attraction_id in names:
-                raise InputError(f"{where}: duplicate attraction id {attraction_id!r}")
-            try:
-                point = GeoPoint(_float_cell(row, "lon", where), _float_cell(row, "lat", where))
-            except ValueError as e:
-                raise InputError(f"{where}: {e}") from e
-            names[attraction_id] = (row.get("name") or attraction_id).strip()
-            locations[attraction_id] = point
+    for line, (attraction_id, name, lon, lat) in _records(path, ("id", "name", "lon", "lat")):
+        where = f"{path}:{line}"
+        attraction_id = attraction_id.strip()
+        if not attraction_id:
+            raise InputError(f"{where}: empty attraction id")
+        if attraction_id in names:
+            raise InputError(f"{where}: duplicate attraction id {attraction_id!r}")
+        try:
+            point = GeoPoint(_number(lon, "lon", where), _number(lat, "lat", where))
+        except ValueError as e:
+            raise InputError(f"{where}: {e}") from e
+        names[attraction_id] = name.strip() or attraction_id
+        locations[attraction_id] = point
     if not names:
         raise InputError(f"{path}: no attractions")
     return names, locations
@@ -646,22 +668,29 @@ def run_tour(config: RunConfig) -> PipelineOutput:
                          "valuation stage) first")
     names, locations = load_attractions(config.attractions)
 
-    reader, handle = _reader(results_path, RESULT_COLUMNS)
     results: list[ValuationResult] = []
     ranks: dict[str, int] = {}
-    with handle:
-        for row in reader:
-            where = f"{results_path}:{reader.line_num}"
-            attraction_id = (row.get("attraction_id") or "").strip()
-            if attraction_id not in locations:
-                raise InputError(f"{where}: attraction {attraction_id!r} has no "
-                                 f"coordinates in {config.attractions}")
-            ftv = TFN(_float_cell(row, "ftv_lo", where), _float_cell(row, "ftv_mode", where),
-                      _float_cell(row, "ftv_hi", where))
-            crisp = _float_cell(row, "crisp", where)
-            tier = (row.get("tier") or "").strip() or None
-            results.append(ValuationResult(attraction_id, ftv, crisp, tier))
-            ranks[attraction_id] = int(_float_cell(row, "rank", where))
+    for line, (attraction_id, lo, mode, hi, crisp, tier, rank_text) in _records(
+            results_path, RESULT_COLUMNS):
+        where = f"{results_path}:{line}"
+        attraction_id = attraction_id.strip()
+        if attraction_id not in locations:
+            raise InputError(f"{where}: attraction {attraction_id!r} has no "
+                             f"coordinates in {config.attractions}")
+        try:
+            ftv = TFN(_number(lo, "ftv_lo", where), _number(mode, "ftv_mode", where),
+                      _number(hi, "ftv_hi", where))
+        except ValueError as e:
+            raise InputError(f"{where}: {e}") from e
+        crisp = _number(crisp, "crisp", where)
+        if not math.isfinite(crisp):
+            raise InputError(f"{where}: column 'crisp' is not a finite number: {crisp}")
+        rank_text = rank_text.strip()
+        if not (rank_text.isascii() and rank_text.isdigit()) or int(rank_text) == 0:
+            raise InputError(f"{where}: column 'rank' is not a positive integer: "
+                             f"{rank_text!r}")
+        results.append(ValuationResult(attraction_id, ftv, crisp, tier.strip() or None))
+        ranks[attraction_id] = int(rank_text)
     if not results:
         raise InputError(f"{results_path}: no result rows")
 

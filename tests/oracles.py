@@ -6,19 +6,24 @@ full-grid KDE keeps the package's earlier numpy loop so that bytes compare.
 The map renderer is the package's earlier dict-based one, kept as it was
 so that bytes compare: it reuses the package's point and tour feature
 builders and 6-digit rounding, and hands the whole document to json.dumps.
+The judgement loader is the package's earlier row-at-a-time one on
+csv.DictReader, kept as it was so that results and error texts compare.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from itertools import permutations
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
-from tourval import geojson
+from tourval import fuzzy, geojson
+from tourval.errors import InputError
 from tourval.rounding import round6
 
 
@@ -178,3 +183,62 @@ def map_geojson(names, locations, ranked, ranks, grid, hotspots, tour) -> str:
         features.extend(density_features(grid))
     document = {"type": "FeatureCollection", "features": features}
     return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _float_cell(row: dict, column: str, where: str) -> float:
+    text = (row.get(column) or "").strip()
+    if not text:
+        raise InputError(f"{where}: missing value in column {column!r}")
+    try:
+        return float(text)
+    except ValueError:
+        raise InputError(f"{where}: column {column!r} is not a number: {text!r}") from None
+
+
+def _reader(path: Path, required: Iterable[str]) -> tuple[csv.DictReader, io.TextIOWrapper]:
+    handle = open(path, encoding="utf-8", newline="")
+    reader = csv.DictReader(handle)
+    missing = [c for c in required if c not in (reader.fieldnames or [])]
+    if missing:
+        handle.close()
+        raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
+    return reader, handle
+
+
+def load_evaluations(path: Path, catalogue_ids: Iterable[str]
+                     ) -> tuple[list[str], np.ndarray, list[int], np.ndarray]:
+    """Long-format expert judgements in file order: attraction ids, factor
+    catalogue indices, file lines and an (n, 3) array of (lo, mode, hi).
+    Bad rows, duplicate judgements and non-TFN triplets name their line."""
+    known = {factor_id: k for k, factor_id in enumerate(catalogue_ids)}
+    reader, handle = _reader(
+        path, ("attraction_id", "factor_id", "expert_id", "lo", "mode", "hi"))
+    attractions, factors, lines, values = [], [], [], []
+    seen: set[tuple[str, str, str]] = set()
+    with handle:
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            attraction = (row.get("attraction_id") or "").strip()
+            factor = (row.get("factor_id") or "").strip()
+            expert = (row.get("expert_id") or "").strip()
+            if not attraction or not factor or not expert:
+                raise InputError(f"{where}: attraction_id, factor_id and expert_id "
+                                 "must all be non-empty")
+            if factor not in known:
+                raise InputError(f"{where}: unknown factor id {factor!r}")
+            triple = (attraction, factor, expert)
+            if triple in seen:
+                raise InputError(f"{where}: duplicate judgement for attraction "
+                                 f"{attraction!r}, factor {factor!r}, expert {expert!r}")
+            seen.add(triple)
+            attractions.append(attraction)
+            factors.append(known[factor])
+            lines.append(reader.line_num)
+            values.append((_float_cell(row, "lo", where), _float_cell(row, "mode", where),
+                           _float_cell(row, "hi", where)))
+    tfns = np.array(values, dtype=float).reshape(-1, 3)
+    bad = np.flatnonzero(~fuzzy.is_tfn(*tfns.T))
+    if bad.size:
+        raise InputError(f"{path}:{lines[bad[0]]}: not a TFN (finite, lo <= mode <= hi): "
+                         f"{tuple(tfns[bad[0]].tolist())}")
+    return attractions, np.array(factors, dtype=np.intp), lines, tfns

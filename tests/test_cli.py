@@ -221,6 +221,30 @@ class TestTour:
         assert code == 0
         assert (out_dir / "map.geojson").is_file()
 
+    @pytest.mark.parametrize("column, text", [
+        ("rank", "nan"),
+        ("rank", "inf"),
+        ("rank", "1.7"),
+        ("rank", "0"),
+        ("ftv_lo", "99"),
+        ("crisp", "inf"),
+    ])
+    def test_bad_results_row_exits_2(self, sample_dir, tmp_path, capsys, column, text):
+        out_dir = tmp_path / "result"
+        config = str(sample_dir / "config.json")
+        assert invoke("run", "--config", config, "--out", str(out_dir)) == 0
+        results = out_dir / "results.csv"
+        with open(results, newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        rows[2][column] = text
+        with open(results, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
+        capsys.readouterr()
+        assert invoke("tour", "--config", config, "--out", str(out_dir)) == 2
+        assert "results.csv:4:" in capsys.readouterr().err
+
     def test_without_prior_results_exits_2(self, sample_dir, tmp_path, capsys):
         code = invoke("tour", "--config", str(sample_dir / "config.json"),
                       "--out", str(tmp_path / "nothing"))

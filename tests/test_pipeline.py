@@ -1,10 +1,11 @@
 import csv
+import io
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tourval import TriangularFuzzyNumber as TFN
 from tourval.errors import ConfigError, InputError
@@ -12,7 +13,10 @@ from tourval.pipeline import (
     RunConfig,
     _map_geojson,
     ingest,
+    load_attractions,
     load_config,
+    load_evaluations,
+    load_factor_table,
     run_pipeline,
     run_tour,
     run_valuation,
@@ -227,6 +231,217 @@ class TestIngest:
         ])
         with pytest.raises(InputError, match=r"factors\.csv:2"):
             ingest(load_config(config_path))
+
+
+    def test_blank_name_falls_back_to_id(self, dataset_builder):
+        config = load_config(dataset_builder(
+            factors=[("f1", "  ", 0.0, 5.0, 0.5), ("f2", " Impact ", -5.0, 0.0, 0.5)],
+            attractions=[("p1", "\t", -75.8267, 20.0211), ("p2", "", -75.8238, 20.0198)]))
+        factors, _ = load_factor_table(config.factors)
+        assert [f.name for f in factors] == ["f1", "Impact"]
+        names, _ = load_attractions(config.attractions)
+        assert names == {"p1": "p1", "p2": "p2"}
+
+    def test_tables_read_by_column_name(self, tmp_path):
+        """Any column order, other columns ignored, empty lines skipped,
+        cells stripped, a short row's missing cells empty."""
+        (tmp_path / "factors.csv").write_text(
+            "note,y,weight,name,id,x\n\n"
+            "skip, 5 ,0.5, Condition ,f1, 0\n"
+            ",0,0.5,,f2,-5,extra\n", encoding="utf-8")
+        factors, has_weights = load_factor_table(tmp_path / "factors.csv")
+        assert has_weights
+        assert [(f.id, f.name, f.src.x, f.src.y, f.weight) for f in factors] == [
+            ("f1", "Condition", 0.0, 5.0, 0.5), ("f2", "f2", -5.0, 0.0, 0.5)]
+        (tmp_path / "attractions.csv").write_text(
+            "lat,id,lon,name,note\r\n20.0, p1 ,-75.8\r\n\r\n"
+            '"20.5","p2",-75.9,"Second\nCourt"\r\n', encoding="utf-8", newline="")
+        names, locations = load_attractions(tmp_path / "attractions.csv")
+        assert names == {"p1": "p1", "p2": "Second\nCourt"}
+        assert locations["p2"] == GeoPoint(-75.9, 20.5)
+
+
+# -- evaluations.csv against the row-at-a-time reference loader --------------
+
+CATALOGUE = ("f1", "f2", "f3")
+EVALUATION_COLUMNS = ("attraction_id", "factor_id", "expert_id", "lo", "mode", "hi")
+PADDING = st.sampled_from(["", " ", "\t", "  ", "\x1c", "\u2003"])
+FILLER = st.sampled_from(["", "x", " ", "1,5", "two\nlines", '"quoted"'])
+NUMBER_FORMATS = (repr, "{:.2f}".format, "{:.3e}".format, "{:g}".format)
+
+
+@st.composite
+def judgement_rows(draw, min_size=0):
+    """Valid judgements as column -> cell text, the cells padded."""
+    triples = draw(st.lists(
+        st.tuples(st.sampled_from(["a1", "a2", "a,3", "a\n4", "Café 5"]),
+                  st.sampled_from(CATALOGUE), st.sampled_from(["e1", "e2", "e 3", '"e4"'])),
+        min_size=min_size, max_size=10, unique=True))
+    rows = []
+    for triple in triples:
+        numbers = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)))
+        texts = triple + tuple(map(draw(st.sampled_from(NUMBER_FORMATS)), numbers))
+        rows.append({column: draw(PADDING) + text + draw(PADDING)
+                     for column, text in zip(EVALUATION_COLUMNS, texts)})
+    return rows
+
+
+@st.composite
+def evaluation_text(draw, rows):
+    """The rows as CSV text: header names permuted, repeated (the last one
+    counts) and mixed with other columns; records quoted or not, some cut
+    short after their last used cell, some longer than the header, and
+    empty lines between them."""
+    header = list(draw(st.permutations(EVALUATION_COLUMNS)))
+    for name in draw(st.lists(st.sampled_from(["note", "", "lo", "expert_id", "a,b"]),
+                              max_size=3)):
+        header.insert(draw(st.integers(0, len(header))), name)
+    used = {name: position for position, name in enumerate(header)}
+    terminator = draw(st.sampled_from(["\n", "\r\n"]))
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator=terminator,
+                        quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
+    writer.writerow(header)
+    for row in rows:
+        buffer.write(terminator * draw(st.integers(0, 2)))
+        cells = [row.get(name, "") if used.get(name) == position else draw(FILLER)
+                 for position, name in enumerate(header)]
+        # a record cut short loses its cells from the first dropped column on
+        longest = min((used[c] for c in EVALUATION_COLUMNS if c not in row),
+                      default=len(header) + 2)
+        length = draw(st.integers(min(max(used[c] for c in row) + 1, longest), longest))
+        writer.writerow((cells + [draw(FILLER), draw(FILLER)])[:length])
+    return buffer.getvalue()
+
+
+def _load_both(path):
+    """Each loader's result, or the text of the InputError it raised."""
+    outcomes = []
+    for load in (load_evaluations, oracles.load_evaluations):
+        try:
+            ids, factors, lines, values = load(path, CATALOGUE)
+        except InputError as e:
+            outcomes.append(str(e))
+        else:
+            assert factors.dtype == np.intp and values.shape == (len(ids), 3)
+            outcomes.append((ids, factors.tolist(), lines, values.tobytes()))
+    return outcomes
+
+
+def _corrupt(rows, at, rule, choose):
+    """Break row ``at`` (and only it) by one rule; ``choose`` picks one of
+    the options it is given."""
+    row = rows[at]
+    number = choose(("lo", "mode", "hi"))
+    if rule == "empty id":
+        row[choose(EVALUATION_COLUMNS[:3])] = choose(("", "  "))
+    elif rule == "unknown factor":
+        row["factor_id"] = "ghost"
+    elif rule == "duplicate":
+        earlier = rows[choose(range(at))]
+        row.update({c: earlier[c] for c in EVALUATION_COLUMNS[:3]})
+    elif rule == "short row":
+        del row[number]
+    elif rule == "blank cell":
+        row[number] = choose(("", " \t"))
+    elif rule == "not a number":
+        row[number] = choose(("abc", "1..2", "0x10", "--1", "1e", "\u200b1"))
+    else:
+        broken = choose(("swap", "nan", "inf", "out of order"))
+        if broken == "swap":
+            row["lo"], row["hi"] = row["hi"], row["lo"]
+        elif broken == "out of order":
+            row[number] = "1e9" if number == "lo" else "-1e9"
+        else:
+            row[number] = broken
+
+
+RULES = ("empty id", "unknown factor", "duplicate", "short row", "blank cell",
+         "not a number", "not a TFN")
+
+
+class TestLoadEvaluations:
+    """load_evaluations returns what oracles.load_evaluations (the earlier
+    csv.DictReader loader) returns, and for a file with one bad row raises
+    the same error text."""
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_equals_reference(self, tmp_path, data):
+        path = tmp_path / "evaluations.csv"
+        path.write_text(data.draw(evaluation_text(data.draw(judgement_rows()))),
+                        encoding="utf-8", newline="")
+        new, reference = _load_both(path)
+        assert not isinstance(reference, str)
+        assert new == reference
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), rule=st.sampled_from(RULES))
+    def test_one_bad_row_same_error(self, tmp_path, data, rule):
+        rows = data.draw(judgement_rows(min_size=2))
+        at = data.draw(st.integers(1 if rule == "duplicate" else 0, len(rows) - 1))
+        _corrupt(rows, at, rule, lambda options: data.draw(st.sampled_from(options)))
+        path = tmp_path / "evaluations.csv"
+        path.write_text(data.draw(evaluation_text(rows)), encoding="utf-8", newline="")
+        new, reference = _load_both(path)
+        assert new == reference
+
+    @pytest.mark.parametrize("rule", RULES)
+    def test_each_rule_names_the_line(self, tmp_path, rule):
+        rows = [dict(zip(EVALUATION_COLUMNS, row)) for row in [
+            ("p1", "f1", "e1", "1", "2", "3"),
+            ("p1", "f2", "e1", "4", "5", "6"),
+            ("p2", "f1", "e1", "1", "2", "3"),
+        ]]
+        _corrupt(rows, 1, rule, lambda options: options[0])
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(EVALUATION_COLUMNS)
+        writer.writerows([[row.get(c, "") for c in EVALUATION_COLUMNS] for row in rows])
+        path = tmp_path / "evaluations.csv"
+        path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
+        new, reference = _load_both(path)
+        assert isinstance(new, str) and f"{path}:3: " in new
+        assert new == reference
+
+    @pytest.mark.parametrize("text", [
+        "", "\nattraction_id,factor_id,expert_id,lo,mode,hi\n",
+        "attraction_id,factor_id,expert_id,lo,mode\np1,f1,e1,1,2\n",
+        " attraction_id,factor_id,expert_id,lo,mode,hi\n",
+    ])
+    def test_missing_columns(self, tmp_path, text):
+        path = tmp_path / "evaluations.csv"
+        path.write_text(text, encoding="utf-8")
+        new, reference = _load_both(path)
+        assert "missing required columns" in new
+        assert new == reference
+
+    @pytest.mark.parametrize("body", [
+        "p1,f1,e1,1,2,x\np1,f2,e1,y,2,3\n",
+        "p1,f1,e1,1,,3\np1,f2,e1,,2,3\n",
+        "p1,f1,e1,1,2,3\np1,f1,e1,1,2,3\np1,f2,e1,1,2,3\np1,f2,e1,1,2,3\n",
+        "p1,f1,e1,1,2,3\np1,f2,e1,1,3,2\np1,f3,e1,2,1,3\n",
+    ])
+    def test_faults_of_one_kind_report_the_earliest(self, tmp_path, body):
+        path = tmp_path / "evaluations.csv"
+        path.write_text("attraction_id,factor_id,expert_id,lo,mode,hi\n" + body,
+                        encoding="utf-8")
+        new, reference = _load_both(path)
+        assert isinstance(new, str)
+        assert new == reference
+
+    def test_several_faults_report_by_kind(self, tmp_path):
+        """Duplicates are checked over the whole file before the numbers."""
+        path = tmp_path / "evaluations.csv"
+        path.write_text("attraction_id,factor_id,expert_id,lo,mode,hi\n"
+                        "p1,f1,e1,1,x,3\n"
+                        "p1,f2,e1,1,2,3\n"
+                        "p1,f2,e1,1,2,3\n", encoding="utf-8")
+        with pytest.raises(InputError) as raised:
+            load_evaluations(path, CATALOGUE)
+        assert str(raised.value).startswith(f"{path}:4: duplicate judgement")
 
 
 class TestPairwiseWeights:
