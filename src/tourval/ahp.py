@@ -26,6 +26,10 @@ RANDOM_INDEX = {
 
 CR_LIMIT = 0.1
 
+# Published factor tables round their weights, so weights summing to e.g.
+# 0.998 must still be accepted.
+WEIGHT_SUM_TOLERANCE = 0.01
+
 MAX_FACTORS = 15
 _RECIPROCAL_RTOL = 1e-9
 
@@ -108,7 +112,7 @@ def derive_weights(matrix, rtol: float = 1e-10, max_iter: int = 10_000) -> Weigh
     return WeightReport(tuple(float(x) for x in w), lambda_max, ci, cr)
 
 
-def validate_weights(weights, tolerance: float = 0.01) -> WeightCheck:
+def validate_weights(weights, tolerance: float = WEIGHT_SUM_TOLERANCE) -> WeightCheck:
     """Check that every weight lies in [0, 1] and the sum is 1 within
     ``tolerance``.  Returns a diagnostic naming offending indices rather
     than raising, so callers can report or ignore as they see fit."""

@@ -104,10 +104,19 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summarize(output: pipeline.PipelineOutput, threshold: float) -> None:
-    total = len(output.results)
-    print(f"valued {total} attractions; {len(output.retained)} above "
-          f"{format_number(threshold)}: {', '.join(output.retained) or '(none)'}")
+# the pipeline function behind each writing command, looked up on the module
+# at call time so that a wrapper installed there sees the call
+_STAGES = {"ftv": "run_valuation", "run": "run_pipeline", "tour": "run_tour"}
+
+
+def _cmd_write(args: argparse.Namespace) -> int:
+    config = _effective_config(args)
+    stage = getattr(pipeline, _STAGES[args.command])
+    output = (stage(config) if args.command == "tour"
+              else stage(config, allow_inconsistent=args.allow_inconsistent))
+    retained = ", ".join(output.retained) or "(none)"
+    print(f"valued {len(output.results)} attractions; {len(output.retained)} above "
+          f"{format_number(config.filter_threshold)}: {retained}")
     if output.hotspots:
         print(f"hotspots: {', '.join(h.label for h in output.hotspots)}")
     if output.tour is not None:
@@ -118,35 +127,13 @@ def _summarize(output: pipeline.PipelineOutput, threshold: float) -> None:
               f"(avg {format_number(davg)})")
     for path in output.written:
         print(f"wrote {path}")
-
-
-def _cmd_ftv(args: argparse.Namespace) -> int:
-    config = _effective_config(args)
-    output = pipeline.run_valuation(config, allow_inconsistent=args.allow_inconsistent)
-    _summarize(output, config.filter_threshold)
-    return 0
-
-
-def _cmd_run(args: argparse.Namespace) -> int:
-    config = _effective_config(args)
-    output = pipeline.run_pipeline(config, allow_inconsistent=args.allow_inconsistent)
-    _summarize(output, config.filter_threshold)
-    return 0
-
-
-def _cmd_tour(args: argparse.Namespace) -> int:
-    config = _effective_config(args)
-    output = pipeline.run_tour(config)
-    _summarize(output, config.filter_threshold)
     return 0
 
 
 _COMMANDS = {
     "validate": _cmd_validate,
     "weights": _cmd_weights,
-    "ftv": _cmd_ftv,
-    "run": _cmd_run,
-    "tour": _cmd_tour,
+    **dict.fromkeys(_STAGES, _cmd_write),
 }
 
 

@@ -24,7 +24,7 @@ import logging
 import math
 import operator
 import os
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -127,12 +127,8 @@ class RunConfig:
                 raise ConfigError(f"referenced file does not exist: {p}")
 
 
-_CONFIG_KEYS = {
-    "factors", "evaluations", "attractions", "pairwise", "target", "defuzzify",
-    "range_policy", "tier_thresholds", "filter_threshold", "kde", "tour", "out_dir",
-}
-_KDE_KEYS = {"bandwidth_m", "cell_m", "hotspot_percentile", "merge_radius_m"}
-_TOUR_KEYS = {"walk_speed_kmh", "dwell_minutes"}
+_CONFIG_KEYS, _KDE_KEYS, _TOUR_KEYS = ({f.name for f in fields(settings)}
+                                       for settings in (RunConfig, KdeSettings, TourSettings))
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
@@ -209,8 +205,14 @@ def _number(text: str, column: str, where: str) -> float:
         raise InputError(f"{where}: column {column!r} is not a number: {text!r}") from None
 
 
+def _filled(row: list[str]) -> bool:
+    """The blank-line rule of every input file: a record is read only if
+    some cell holds more than whitespace."""
+    return any(map(str.strip, row))
+
+
 def _records(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """``(line, cells)`` per non-empty record of a CSV file: the line the
+    """``(line, cells)`` per ``_filled`` record of a CSV file: the line the
     record ends on and its unstripped cells of the two or more ``columns``,
     in that order.  Missing cells read ``""``; a repeated name means its
     last column."""
@@ -224,7 +226,8 @@ def _records(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, tuple[
         pick = operator.itemgetter(*(position[c] for c in columns))
         padding = [""] * len(header)
         for row in reader:
-            if row:
+            # the first cell settles almost every record without scanning the rest
+            if row and (row[0].strip() or _filled(row)):
                 yield reader.line_num, pick(row + padding)
 
 
@@ -262,11 +265,11 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], W
     factor ids.  The id set must match the catalogue exactly; row order
     follows the header."""
     with open(path, encoding="utf-8", newline="") as handle:
-        rows = list(csv.reader(handle))
-    rows = [r for r in rows if any(cell.strip() for cell in r)]
+        reader = csv.reader(handle)
+        rows = [(reader.line_num, row) for row in reader if _filled(row)]
     if not rows:
         raise InputError(f"{path}: empty pairwise matrix file")
-    ids = [c.strip() for c in rows[0]]
+    ids = [c.strip() for c in rows[0][1]]
     detail = id_mismatch(ids, expected_ids)
     if detail or len(ids) != len(set(ids)):
         raise InputError(f"{path}: header does not match factor catalogue"
@@ -275,13 +278,13 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], W
     if len(rows) != n + 1:
         raise InputError(f"{path}: expected {n} data rows after the header, got {len(rows) - 1}")
     matrix: list[list[float]] = []
-    for i, row in enumerate(rows[1:], start=2):
+    for line, row in rows[1:]:
         if len(row) != n:
-            raise InputError(f"{path}:{i}: expected {n} entries, got {len(row)}")
+            raise InputError(f"{path}:{line}: expected {n} entries, got {len(row)}")
         try:
             matrix.append([float(cell) for cell in row])
         except ValueError as e:
-            raise InputError(f"{path}:{i}: {e}") from e
+            raise InputError(f"{path}:{line}: {e}") from e
     try:
         return ids, derive_weights(validate_pairwise(matrix))
     except ValueError as e:
@@ -458,7 +461,7 @@ class PipelineOutput:
     results: tuple[ValuationResult, ...]
     ranks: dict[str, int]
     retained: tuple[str, ...]
-    weight_source: str
+    weight_source: str | None   # None for ``run_tour``, which reads no weights
     weight_report: WeightReport | None
     hotspots: tuple[HotSpot, ...]
     tour: Tour | None
@@ -474,7 +477,9 @@ def _gate_consistency(report: WeightReport | None, allow_inconsistent: bool) -> 
 
 def _spatial_analysis(config: RunConfig, retained: list[ValuationResult],
                       locations: dict[str, GeoPoint]):
-    points = [ScoredPoint(locations[r.attraction_id], r.crisp) for r in retained]
+    # weighted by the crisp value as results.csv prints it, which is what
+    # ``run_tour`` reads back, so both paths build the same surface
+    points = [ScoredPoint(locations[r.attraction_id], round6(r.crisp)) for r in retained]
     grid = kde_heatmap(points, bandwidth_m=config.kde.bandwidth_m, cell_m=config.kde.cell_m)
     hotspots = detect_hotspots(grid, percentile=config.kde.hotspot_percentile)
     hotspots = merge_hotspots(hotspots, config.kde.merge_radius_m)
@@ -508,11 +513,6 @@ def _config_echo(config: RunConfig) -> dict[str, Any]:
     echo = asdict(config)
     for key in ("factors", "evaluations", "attractions", "pairwise", "out_dir"):
         echo[key] = None if echo[key] is None else str(echo[key])
-    echo["target"] = list(config.target)
-    echo["tier_thresholds"] = list(config.tier_thresholds)
-    echo["kde"] = asdict(config.kde)
-    echo["tour"] = {"walk_speed_kmh": config.tour.walk_speed_kmh,
-                    "dwell_minutes": list(config.tour.dwell_minutes)}
     return echo
 
 
@@ -639,23 +639,33 @@ def _run(config: RunConfig, allow_inconsistent: bool, with_spatial: bool) -> Pip
         list(ingested.names), ingested.scores, ingested.catalogue, method=config.defuzzify,
         thresholds=config.tier_thresholds, scale=config.target))
     ranks = {r.attraction_id: i + 1 for i, r in enumerate(ranked)}
-    retained = filter_high(ranked, threshold=config.filter_threshold)
+    return _finish(config, ranked, ranks, ingested.names, ingested.locations, ingested,
+                   with_spatial)
 
+
+def _finish(config: RunConfig, ranked: list[ValuationResult], ranks: dict[str, int],
+            names: dict[str, str], locations: dict[str, GeoPoint],
+            ingested: IngestResult | None, with_spatial: bool) -> PipelineOutput:
+    """Filter, spatial stage, render, write.  ``ingested`` is None when the
+    valuation was read back from results.csv: then only the map is written
+    and the weight source is unknown."""
+    retained = filter_high(ranked, threshold=config.filter_threshold)
     grid, hotspots, tour = None, (), None
     if with_spatial:
-        grid, hotspots, tour = _spatial_analysis(config, retained, ingested.locations)
+        grid, hotspots, tour = _spatial_analysis(config, retained, locations)
 
-    payloads = {
-        "results.csv": _results_csv(ranked, ranks),
-        "results.json": _results_json(config, ingested, ranked, ranks, retained,
-                                      hotspots, tour),
-    }
+    payloads = {}
+    if ingested is not None:
+        payloads["results.csv"] = _results_csv(ranked, ranks)
+        payloads["results.json"] = _results_json(config, ingested, ranked, ranks, retained,
+                                                 hotspots, tour)
     if with_spatial:
-        payloads["map.geojson"] = _map_geojson(ingested.names, ingested.locations,
-                                               ranked, ranks, grid, hotspots, tour)
+        payloads["map.geojson"] = _map_geojson(names, locations, ranked, ranks, grid,
+                                               hotspots, tour)
     written = _write_all(config.out_dir, payloads)
     return PipelineOutput(tuple(ranked), ranks, tuple(r.attraction_id for r in retained),
-                          ingested.weight_source, ingested.weight_report,
+                          ingested.weight_source if ingested else None,
+                          ingested.weight_report if ingested else None,
                           hotspots, tour, written)
 
 
@@ -693,11 +703,4 @@ def run_tour(config: RunConfig) -> PipelineOutput:
         ranks[attraction_id] = int(rank_text)
     if not results:
         raise InputError(f"{results_path}: no result rows")
-
-    retained = filter_high(results, threshold=config.filter_threshold)
-    grid, hotspots, tour = _spatial_analysis(config, retained, locations)
-    payloads = {"map.geojson": _map_geojson(names, locations, results, ranks, grid,
-                                            hotspots, tour)}
-    written = _write_all(config.out_dir, payloads)
-    return PipelineOutput(tuple(results), ranks, tuple(r.attraction_id for r in retained),
-                          "column", None, hotspots, tour, written)
+    return _finish(config, results, ranks, names, locations, ingested=None, with_spatial=True)

@@ -16,10 +16,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import fuzzy
+from .ahp import WEIGHT_SUM_TOLERANCE
 from .errors import ConfigError, InputError
 from .fuzzy import TFN
 from .rescale import (COMPONENTS, SourceRange, TargetRange, apply_range_policy,
                       rescale_endpoints)
+from .rounding import round6
 
 __all__ = [
     "FactorDefinition",
@@ -37,13 +39,12 @@ __all__ = [
 ]
 
 # Tier bands on the 0-100 scale: Low = [0, 33], Medium = (33, 66], High = (66, 100].
-# The High band and the "keep only FTV > 66" filter coincide by construction.
+# Both the bands and the filter compare the value as results.csv prints it
+# (6 significant digits), so the High band and the "keep only FTV > 66"
+# filter coincide on the printed value: a crisp value printed as 66 is
+# Medium and is dropped.
 DEFAULT_THRESHOLDS = (33.0, 66.0)
 DEFAULT_SCALE = (0.0, 100.0)
-
-# Published factor tables round their weights, so a catalogue whose weights
-# sum to e.g. 0.998 must still be accepted.
-WEIGHT_SUM_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -66,13 +67,12 @@ class FactorDefinition:
 class FactorCatalogue:
     """Ordered factor list plus the shared target range.
 
-    Weights must sum to 1 within ``weight_tolerance``; a violation is a
+    Weights must sum to 1 within ``WEIGHT_SUM_TOLERANCE``; a violation is a
     configuration error because it silently rescales every result.
     """
 
     factors: tuple[FactorDefinition, ...]
     target: TargetRange
-    weight_tolerance: float = WEIGHT_SUM_TOLERANCE
 
     def __post_init__(self):
         factors = tuple(self.factors)
@@ -84,9 +84,9 @@ class FactorCatalogue:
         if dupes:
             raise ValueError(f"duplicate factor ids in catalogue: {', '.join(dupes)}")
         total = sum(f.weight for f in factors)
-        if abs(total - 1.0) > self.weight_tolerance:
+        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
             raise ConfigError(
-                f"factor weights sum to {total:.6g}, outside 1 +/- {self.weight_tolerance}"
+                f"factor weights sum to {total:.6g}, outside 1 +/- {WEIGHT_SUM_TOLERANCE}"
             )
 
     @property
@@ -189,21 +189,25 @@ def evaluate_attraction(evaluation: AttractionEvaluation, catalogue: FactorCatal
 def classify(crisp: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
              scale: tuple[float, float] = DEFAULT_SCALE) -> str:
     """Tier of a defuzzified value: Low up to the first threshold, Medium up
-    to the second, High above it.  Values outside the scale are rejected."""
+    to the second, High above it.  Values outside the scale are rejected;
+    the band is picked on the value as printed (``round6``), so a value
+    printed as a threshold is in the band below it."""
     low_max, medium_max = thresholds
     lo, hi = scale
     if not lo <= crisp <= hi:
         raise ValueError(f"value {crisp} outside the classification scale [{lo}, {hi}]")
-    if crisp <= low_max:
+    printed = round6(crisp)
+    if printed <= low_max:
         return "Low"
-    if crisp <= medium_max:
+    if printed <= medium_max:
         return "Medium"
     return "High"
 
 
 def filter_high(results: Iterable[ValuationResult], threshold: float = 66.0) -> list[ValuationResult]:
-    """Keep only results whose crisp value exceeds the threshold, in order."""
-    return [r for r in results if r.crisp > threshold]
+    """Keep only results whose crisp value, as printed (``round6``),
+    exceeds the threshold, in order."""
+    return [r for r in results if round6(r.crisp) > threshold]
 
 
 def rank(results: Iterable[ValuationResult]) -> list[ValuationResult]:

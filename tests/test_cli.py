@@ -210,6 +210,22 @@ class TestWeights:
         assert "pairwise" in capsys.readouterr().err
 
 
+class TestWritingCommands:
+    def test_stage_looked_up_at_call_time(self, sample_dir, tmp_path, monkeypatch, capsys):
+        """ftv, run and tour call whatever tourval.pipeline holds under the
+        stage's name when the command runs, so a wrapper set there sees it."""
+        calls = []
+        for name in ("run_valuation", "run_pipeline", "run_tour"):
+            def wrapped(*args, _stage=getattr(pipeline, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _stage(*args, **kwargs)
+            monkeypatch.setattr(pipeline, name, wrapped)
+        for command in ("ftv", "run", "tour"):
+            assert invoke(command, "--config", str(sample_dir / "config.json"),
+                          "--out", str(tmp_path / "out")) == 0
+        assert calls == ["run_valuation", "run_pipeline", "run_tour"]
+
+
 class TestTour:
     def test_roundtrip_after_run(self, sample_dir, tmp_path, capsys):
         out_dir = tmp_path / "result"

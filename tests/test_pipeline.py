@@ -260,6 +260,28 @@ class TestIngest:
         assert names == {"p1": "p1", "p2": "Second\nCourt"}
         assert locations["p2"] == GeoPoint(-75.9, 20.5)
 
+    def test_blank_lines_skipped_in_every_file(self, dataset_builder, tmp_path):
+        """A record whose cells are all empty or whitespace is skipped in
+        factors.csv, evaluations.csv, attractions.csv and the pairwise
+        matrix alike."""
+        (tmp_path / "pairwise.csv").write_text("f1,f2\n1,3\n0.3333333333333333,1\n",
+                                               encoding="utf-8")
+        config = load_config(dataset_builder(
+            factors=[("f1", "Condition", 0.0, 5.0), ("f2", "Impact", -5.0, 0.0)],
+            factor_columns=("id", "name", "x", "y"),
+            config_extra={"pairwise": "pairwise.csv"}))
+        before = ingest(config)
+        for name in ("factors.csv", "evaluations.csv", "attractions.csv", "pairwise.csv"):
+            path = tmp_path / name
+            header, first, *rest = path.read_text("utf-8").splitlines(keepends=True)
+            path.write_text("".join([header, "   \n", first, " ,\t, \n", *rest, "\t\n"]),
+                            encoding="utf-8")
+        after = ingest(config)
+        assert after.catalogue == before.catalogue
+        assert after.names == before.names and after.locations == before.locations
+        assert np.array_equal(after.scores, before.scores)
+        assert after.weight_report == before.weight_report
+
 
 # -- evaluations.csv against the row-at-a-time reference loader --------------
 
@@ -469,6 +491,12 @@ class TestPairwiseWeights:
         with pytest.raises(InputError, match="zz"):
             ingest(load_config(config_path))
 
+    def test_error_names_the_file_line_past_blank_lines(self, dataset_builder, tmp_path):
+        config_path = self._config_with_pairwise(
+            dataset_builder, tmp_path, [["f1", "f2"], [], ["  "], [1.0, 3.0], [1 / 3, 1.0, 5.0]])
+        with pytest.raises(InputError, match=r"pairwise.csv:5: expected 2 entries, got 3"):
+            ingest(load_config(config_path))
+
     def test_wrong_shape_rejected(self, dataset_builder, tmp_path):
         config_path = self._config_with_pairwise(
             dataset_builder, tmp_path, [["f1", "f2"], [1.0, 3.0]])
@@ -582,23 +610,72 @@ class TestRunTour:
 
     def test_recomputes_equivalent_map(self, sample_dir, tmp_path):
         """The tour stage feeds on results.csv, i.e. on values already
-        rounded to 6 significant digits, so densities may differ in the
-        last digit from the full-precision run; structure and stops must
-        agree, and the stage itself must be deterministic."""
+        rounded to 6 significant digits; the full run makes every decision
+        on those printed values too, so the tour stage rewrites its
+        map.geojson byte for byte, and does so deterministically."""
         from dataclasses import replace
         config = replace(load_config(sample_dir / "config.json"),
                          out_dir=tmp_path / "out")
         full = run_pipeline(config)
+        first = (config.out_dir / "map.geojson").read_bytes()
         (config.out_dir / "map.geojson").unlink()
         output = run_tour(config)
         assert output.tour is not None
-        assert [h.label for h in output.tour.stops] == [h.label for h in full.tour.stops]
-        assert output.tour.length_km == pytest.approx(full.tour.length_km, rel=1e-9)
-        assert [h.label for h in output.hotspots] == [h.label for h in full.hotspots]
+        assert output.tour == full.tour
+        assert output.hotspots == full.hotspots
+        assert output.retained == full.retained
+        assert output.weight_source is None and output.weight_report is None
+        assert (config.out_dir / "map.geojson").read_bytes() == first
 
-        first = (config.out_dir / "map.geojson").read_bytes()
         run_tour(config)
         assert (config.out_dir / "map.geojson").read_bytes() == first
+
+    @staticmethod
+    def _one_factor(dataset_builder, values, filter_threshold=66.0):
+        """Config for attractions a0, a1, ... about 100 m apart, each judged
+        ``values[i]`` by one expert on one factor on [0, 100] with weight 1,
+        so each crisp value is its judgement."""
+        ids = [f"a{i}" for i in range(len(values))]
+        return load_config(dataset_builder(
+            factors=[("f1", "Only", 0.0, 100.0, 1.0)],
+            evaluations=[(a, "f1", "e1", v, v, v) for a, v in zip(ids, values)],
+            attractions=[(a, a, -75.8267 + i * 1e-3, 20.0211 + (i % 2) * 5e-4)
+                         for i, a in enumerate(ids)],
+            config_extra={"filter_threshold": filter_threshold}))
+
+    @staticmethod
+    def _run_then_tour(config):
+        """map.geojson from ``run`` and then from ``tour``, with both outputs."""
+        full = run_pipeline(config)
+        first = (config.out_dir / "map.geojson").read_bytes()
+        toured = run_tour(config)
+        return full, first, toured, (config.out_dir / "map.geojson").read_bytes()
+
+    def test_value_printed_as_the_threshold_is_dropped_on_both_paths(self, dataset_builder):
+        config = self._one_factor(dataset_builder, [80.0, 66.0000004])
+        full, first, toured, second = self._run_then_tour(config)
+        rows = (config.out_dir / "results.csv").read_text("utf-8").splitlines()
+        assert rows[2] == "a1,66,66,66,66,Medium,2"
+        assert full.retained == toured.retained == ("a0",)
+        assert second == first
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), filter_threshold=st.sampled_from([66.0, 50.0, 80.5]))
+    def test_tour_after_run_rewrites_the_same_map(self, dataset_builder, data,
+                                                  filter_threshold):
+        """Values on, and within half a printed unit of, each tier threshold
+        and the filter threshold, among values anywhere on the scale."""
+        near = st.builds(lambda at, offset: at + offset,
+                         st.sampled_from([33.0, 66.0, filter_threshold]),
+                         st.one_of(st.sampled_from([0.0, 5e-5, -5e-5, 4e-7, -4e-7]),
+                                   st.floats(-5e-5, 5e-5)))
+        values = data.draw(st.lists(st.one_of(near, st.floats(0.0, 100.0)),
+                                    min_size=1, max_size=5))
+        config = self._one_factor(dataset_builder, values, filter_threshold)
+        full, first, toured, second = self._run_then_tour(config)
+        assert toured.retained == full.retained
+        assert second == first
 
 
 # -- map.geojson text against the dict-based reference renderer -------------

@@ -218,6 +218,9 @@ class TestClassify:
     @pytest.mark.parametrize("value,tier", [
         (0.0, "Low"), (33.0, "Low"), (33.0001, "Medium"), (50.0, "Medium"),
         (66.0, "Medium"), (66.0001, "High"), (100.0, "High"),
+        # the band is picked on the value as printed to 6 significant digits
+        (33.0000004, "Low"), (33.00006, "Medium"), (65.9999996, "Medium"),
+        (66.0000004, "Medium"), (66.00006, "High"),
     ])
     def test_bands(self, value, tier):
         assert classify(value) == tier
@@ -231,6 +234,11 @@ class TestClassify:
     def test_custom_scale(self):
         assert classify(4.0, thresholds=(1.65, 3.3), scale=(0.0, 5.0)) == "High"
 
+    def test_scale_checked_on_the_value_itself(self):
+        """0.3333336 prints as 0.333334, past the scale's end; the value
+        itself is on the scale, so it is High and not an error."""
+        assert classify(0.3333336, thresholds=(0.1, 0.2), scale=(0.0, 0.3333336)) == "High"
+
 
 class TestFilterAndRank:
     def _result(self, aid, crisp, mode=None):
@@ -239,8 +247,8 @@ class TestFilterAndRank:
 
     def test_filter_strictly_above(self):
         results = [self._result("a", 66.0), self._result("b", 66.01),
-                   self._result("c", 70.0)]
-        kept = filter_high(results)
+                   self._result("c", 70.0), self._result("d", 66.0000004)]
+        kept = filter_high(results)  # d prints as 66
         assert [r.attraction_id for r in kept] == ["b", "c"]
 
     def test_filter_keeps_input_order(self):
