@@ -68,7 +68,7 @@ def _effective_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "clamp", False):
         config = replace(config, range_policy="clamp")
     if getattr(args, "out", None) is not None:
-        config = replace(config, out_dir=Path(args.out).resolve())
+        config = replace(config, out_dir=args.out)
     return config
 
 
@@ -95,10 +95,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     document = {
         "factors": ids,
         "weights": {i: round6(w) for i, w in zip(ids, report.weights)},
-        "lambda_max": round6(report.lambda_max),
-        "consistency_index": round6(report.consistency_index),
-        "consistency_ratio": round6(report.consistency_ratio),
-        "inconsistent": report.inconsistent,
+        **pipeline.weight_diagnostics(report),
     }
     print(json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False))
     return 0

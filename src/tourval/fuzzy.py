@@ -24,6 +24,7 @@ __all__ = [
     "scale",
     "mean",
     "defuzzify",
+    "DEFUZZIFY_METHODS",
     "tfn_to_text",
     "tfn_from_text",
 ]
@@ -58,6 +59,8 @@ class TriangularFuzzyNumber:
 
 
 TFN = TriangularFuzzyNumber
+
+DEFUZZIFY_METHODS = ("centroid", "mode")
 
 
 def is_tfn(lo, mode, hi):
@@ -156,7 +159,8 @@ def defuzzify(t: TFN, method: str = "centroid") -> float:
         return min(max(c, t.lo), t.hi)
     if method == "mode":
         return t.mode
-    raise ConfigError(f"unknown defuzzification method {method!r} (expected 'centroid' or 'mode')")
+    raise ConfigError(f"unknown defuzzification method {method!r} "
+                      f"(expected {' or '.join(map(repr, DEFUZZIFY_METHODS))})")
 
 
 def tfn_to_text(t: TFN) -> str:

@@ -31,17 +31,19 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from . import fuzzy, geojson
-from .ahp import WeightReport, derive_weights, validate_pairwise
+from .ahp import WeightReport, derive_weights
 from .errors import ConfigError, InputError
 from .fuzzy import TFN
-from .rescale import COMPONENTS, SourceRange, TargetRange, apply_range_policy
+from .rescale import (COMPONENTS, RANGE_POLICIES, SourceRange, TargetRange,
+                      apply_range_policy)
 from .rounding import format_number, round6
 from .spatial import (MAX_TOUR_STOPS, GeoPoint, HotSpot, ScoredPoint, Tour,
                       detect_hotspots, estimate_duration, kde_heatmap,
                       merge_hotspots, plan_tour, require_dwell, require_percentile,
                       require_positive)
-from .valuation import (FactorCatalogue, FactorDefinition, ValuationResult,
-                        evaluate_attractions, filter_high, id_mismatch, rank)
+from .valuation import (DEFAULT_SCALE, DEFAULT_THRESHOLDS, FactorCatalogue,
+                        FactorDefinition, ValuationResult, evaluate_attractions,
+                        filter_high, id_mismatch, rank)
 
 __all__ = [
     "KdeSettings",
@@ -72,9 +74,9 @@ class KdeSettings:
         require_positive(self.bandwidth_m, "kde.bandwidth_m")
         require_positive(self.cell_m, "kde.cell_m")
         require_percentile(self.hotspot_percentile, "kde.hotspot_percentile")
-        if self.merge_radius_m < 0:
+        if not 0 <= self.merge_radius_m < math.inf:
             raise ConfigError(
-                f"kde.merge_radius_m cannot be negative, got {self.merge_radius_m}")
+                f"kde.merge_radius_m must be finite and not negative, got {self.merge_radius_m}")
 
 
 @dataclass(frozen=True)
@@ -88,19 +90,24 @@ class TourSettings:
         require_dwell(self.dwell_minutes, "tour.dwell_minutes")
 
 
+# the input files, whose relative paths ``load_config`` takes from the config's directory
+_INPUTS = ("factors", "evaluations", "attractions", "pairwise")
+
+
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved run configuration; all paths are absolute."""
+    """Resolved run configuration; out_dir is made absolute against the
+    working directory, the input files must exist."""
 
     factors: Path
     evaluations: Path
     attractions: Path
     pairwise: Path | None = None
-    target: tuple[float, float] = (0.0, 100.0)
+    target: tuple[float, float] = DEFAULT_SCALE
     defuzzify: str = "centroid"
     range_policy: str = "strict"
-    tier_thresholds: tuple[float, float] = (33.0, 66.0)
-    filter_threshold: float = 66.0
+    tier_thresholds: tuple[float, float] = DEFAULT_THRESHOLDS
+    filter_threshold: float = DEFAULT_THRESHOLDS[1]
     kde: KdeSettings = field(default_factory=KdeSettings)
     tour: TourSettings = field(default_factory=TourSettings)
     out_dir: Path = Path("out")
@@ -108,13 +115,19 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "target", tuple(self.target))
         object.__setattr__(self, "tier_thresholds", tuple(self.tier_thresholds))
-        if len(self.target) != 2 or not self.target[0] < self.target[1]:
-            raise ConfigError(f"target must be (m, M) with m < M, got {self.target}")
-        if self.defuzzify not in ("centroid", "mode"):
-            raise ConfigError(f"defuzzify must be 'centroid' or 'mode', got {self.defuzzify!r}")
-        if self.range_policy not in ("strict", "clamp"):
-            raise ConfigError(
-                f"range_policy must be 'strict' or 'clamp', got {self.range_policy!r}")
+        object.__setattr__(self, "filter_threshold", float(self.filter_threshold))
+        object.__setattr__(self, "out_dir", Path(str(self.out_dir)).resolve())
+        if len(self.target) != 2:
+            raise ConfigError(f"target must be a pair (m, M), got {self.target}")
+        try:
+            TargetRange(*self.target)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
+        for key, choices in (("defuzzify", fuzzy.DEFUZZIFY_METHODS),
+                             ("range_policy", RANGE_POLICIES)):
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"{key} must be {' or '.join(map(repr, choices))}, "
+                                  f"got {getattr(self, key)!r}")
         t = self.tier_thresholds
         if len(t) != 2 or not t[0] < t[1]:
             raise ConfigError(f"tier_thresholds must be increasing, got {t}")
@@ -122,19 +135,20 @@ class RunConfig:
         if not (m <= t[0] and t[1] <= big_m and m <= self.filter_threshold <= big_m):
             raise ConfigError(f"tier_thresholds {t} and filter_threshold "
                               f"{self.filter_threshold} must lie inside target {self.target}")
-        for p in (self.factors, self.evaluations, self.attractions, self.pairwise):
+        for p in (getattr(self, key) for key in _INPUTS):
             if p is not None and not Path(p).is_file():
                 raise ConfigError(f"referenced file does not exist: {p}")
 
 
-_CONFIG_KEYS, _KDE_KEYS, _TOUR_KEYS = ({f.name for f in fields(settings)}
-                                       for settings in (RunConfig, KdeSettings, TourSettings))
-
-
-def _reject_unknown(mapping: dict, allowed: set[str], where: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+def _present(raw: Any, settings: type, where: str) -> dict[str, Any]:
+    """The keys of a JSON config object that are not null (null means the
+    default), after checking that it names only fields of ``settings``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{where}: expected a JSON object")
+    unknown = sorted(set(raw) - {f.name for f in fields(settings)})
     if unknown:
         raise ConfigError(f"{where}: unknown keys: {', '.join(unknown)}")
+    return {key: value for key, value in raw.items() if value is not None}
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -142,7 +156,7 @@ def load_config(path: Path | str) -> RunConfig:
     relative to the config file's directory; a relative out_dir is taken
     relative to the working directory, so a config shipped in a read-only
     location still writes where the caller stands.  Unknown keys are
-    rejected rather than ignored."""
+    rejected rather than ignored; a key set to null takes its default."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
@@ -150,44 +164,16 @@ def load_config(path: Path | str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: config must be a JSON object")
-    _reject_unknown(raw, _CONFIG_KEYS, str(path))
-
+    present = _present(raw, RunConfig, str(path))
     base = path.resolve().parent
-
-    def resolve(key: str, required: bool = False) -> Path | None:
-        value = raw.get(key)
-        if value is None:
-            if required:
-                raise ConfigError(f"{path}: missing required key {key!r}")
-            return None
-        return (base / str(value)).resolve()
-
-    kde_raw = raw.get("kde", {})
-    tour_raw = raw.get("tour", {})
-    if not isinstance(kde_raw, dict):
-        raise ConfigError(f"{path}: 'kde' must be an object")
-    if not isinstance(tour_raw, dict):
-        raise ConfigError(f"{path}: 'tour' must be an object")
-    _reject_unknown(kde_raw, _KDE_KEYS, f"{path}: kde")
-    _reject_unknown(tour_raw, _TOUR_KEYS, f"{path}: tour")
-
     try:
-        return RunConfig(
-            factors=resolve("factors", required=True),
-            evaluations=resolve("evaluations", required=True),
-            attractions=resolve("attractions", required=True),
-            pairwise=resolve("pairwise"),
-            target=tuple(raw.get("target", (0.0, 100.0))),
-            defuzzify=raw.get("defuzzify", "centroid"),
-            range_policy=raw.get("range_policy", "strict"),
-            tier_thresholds=tuple(raw.get("tier_thresholds", (33.0, 66.0))),
-            filter_threshold=float(raw.get("filter_threshold", 66.0)),
-            kde=KdeSettings(**kde_raw),
-            tour=TourSettings(**tour_raw),
-            out_dir=(Path.cwd() / str(raw.get("out_dir", "out"))).resolve(),
-        )
+        for key in _INPUTS:
+            if key in present:
+                present[key] = (base / str(present[key])).resolve()
+        for key, settings in (("kde", KdeSettings), ("tour", TourSettings)):
+            if key in present:
+                present[key] = settings(**_present(present[key], settings, f"{path}: {key}"))
+        return RunConfig(**present)
     except (TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from e
 
@@ -286,7 +272,7 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], W
         except ValueError as e:
             raise InputError(f"{path}:{line}: {e}") from e
     try:
-        return ids, derive_weights(validate_pairwise(matrix))
+        return ids, derive_weights(matrix)
     except ValueError as e:
         raise InputError(f"{path}: {e}") from e
 
@@ -440,10 +426,7 @@ def ingest(config: RunConfig) -> IngestResult:
         factors = tuple(replace(f, weight=by_id[f.id]) for f in factors)
         weight_source = "pairwise"
 
-    try:
-        catalogue = FactorCatalogue(factors=factors, target=TargetRange(*config.target))
-    except ValueError as e:
-        raise InputError(f"{config.factors}: {e}") from e
+    catalogue = FactorCatalogue(factors=factors, target=TargetRange(*config.target))
 
     names, locations = load_attractions(config.attractions)
     scores = _expert_means(config, catalogue, names,
@@ -510,10 +493,18 @@ def _results_csv(ranked: list[ValuationResult], ranks: dict[str, int]) -> str:
 
 
 def _config_echo(config: RunConfig) -> dict[str, Any]:
-    echo = asdict(config)
-    for key in ("factors", "evaluations", "attractions", "pairwise", "out_dir"):
-        echo[key] = None if echo[key] is None else str(echo[key])
-    return echo
+    return {key: str(value) if isinstance(value, Path) else value
+            for key, value in asdict(config).items()}
+
+
+def weight_diagnostics(report: WeightReport) -> dict[str, Any]:
+    """A pairwise report's diagnostics as results.json and ``tourval weights`` print them."""
+    return {
+        "lambda_max": round6(report.lambda_max),
+        "consistency_index": round6(report.consistency_index),
+        "consistency_ratio": round6(report.consistency_ratio),
+        "inconsistent": report.inconsistent,
+    }
 
 
 def _weights_block(catalogue: FactorCatalogue, source: str,
@@ -523,12 +514,7 @@ def _weights_block(catalogue: FactorCatalogue, source: str,
         "values": {f.id: round6(f.weight) for f in catalogue.factors},
     }
     if report is not None:
-        block.update({
-            "lambda_max": round6(report.lambda_max),
-            "consistency_index": round6(report.consistency_index),
-            "consistency_ratio": round6(report.consistency_ratio),
-            "inconsistent": report.inconsistent,
-        })
+        block.update(weight_diagnostics(report))
     return block
 
 
@@ -637,7 +623,7 @@ def _run(config: RunConfig, allow_inconsistent: bool, with_spatial: bool) -> Pip
     _gate_consistency(ingested.weight_report, allow_inconsistent)
     ranked = rank(evaluate_attractions(
         list(ingested.names), ingested.scores, ingested.catalogue, method=config.defuzzify,
-        thresholds=config.tier_thresholds, scale=config.target))
+        thresholds=config.tier_thresholds))
     ranks = {r.attraction_id: i + 1 for i, r in enumerate(ranked)}
     return _finish(config, ranked, ranks, ingested.names, ingested.locations, ingested,
                    with_spatial)

@@ -18,12 +18,13 @@ import numpy as np
 from .errors import OutOfRangeError
 from .fuzzy import TFN
 
-__all__ = ["SourceRange", "TargetRange", "apply_range_policy", "rescale_endpoints",
-           "rescale_crisp", "rescale_tfn"]
+__all__ = ["SourceRange", "TargetRange", "RANGE_POLICIES", "apply_range_policy",
+           "rescale_endpoints", "rescale_crisp", "rescale_tfn"]
 
 log = logging.getLogger(__name__)
 
 COMPONENTS = ("lo", "mode", "hi")
+RANGE_POLICIES = ("strict", "clamp")
 
 
 @dataclass(frozen=True)
@@ -75,9 +76,9 @@ def apply_range_policy(values, x, y, policy: str,
     """Out-of-range policy for values against their source range [x, y]
     (broadcast): ``strict`` raises OutOfRangeError for the first value outside,
     ``clamp`` saturates all with one warning.  ``locate(index)`` names a value."""
-    if policy not in ("strict", "clamp"):
-        raise ValueError(
-            f"unknown out-of-range policy {policy!r} (expected 'strict' or 'clamp')")
+    if policy not in RANGE_POLICIES:
+        raise ValueError(f"unknown out-of-range policy {policy!r} "
+                         f"(expected {' or '.join(map(repr, RANGE_POLICIES))})")
     values = np.asarray(values, dtype=float)
     x, y = np.broadcast_to(x, values.shape), np.broadcast_to(y, values.shape)
     outside = ~((x <= values) & (values <= y))   # NaN counts as outside

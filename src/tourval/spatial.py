@@ -184,8 +184,8 @@ def _unproject(x: float, y: float, center: GeoPoint) -> GeoPoint:
 # One check per parameter rule, shared by the functions below and by the
 # run configuration (which passes its config key as ``name``).
 def require_positive(value: float, name: str) -> None:
-    if not value > 0:
-        raise ConfigError(f"{name} must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 def require_percentile(value: float, name: str) -> None:
@@ -194,8 +194,9 @@ def require_percentile(value: float, name: str) -> None:
 
 
 def require_dwell(dwell: Sequence[float], name: str) -> None:
-    if len(dwell) != 3 or not 0.0 <= dwell[0] <= dwell[1] <= dwell[2]:
-        raise ConfigError(f"{name} must be ordered (min, avg, max) >= 0, got {tuple(dwell)}")
+    if len(dwell) != 3 or not 0.0 <= dwell[0] <= dwell[1] <= dwell[2] < math.inf:
+        raise ConfigError(f"{name} must be ordered finite (min, avg, max) >= 0, "
+                          f"got {tuple(dwell)}")
 
 
 def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,

@@ -133,13 +133,14 @@ def id_mismatch(have: Iterable[str], want: Iterable[str]) -> str:
 
 def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
                          catalogue: FactorCatalogue, method: str = "centroid",
-                         thresholds: tuple[float, float] | None = DEFAULT_THRESHOLDS,
-                         scale: tuple[float, float] = DEFAULT_SCALE) -> list[ValuationResult]:
+                         thresholds: tuple[float, float] | None = DEFAULT_THRESHOLDS
+                         ) -> list[ValuationResult]:
     """FTV, defuzzified value and tier of each id from an (ids, factors, 3)
-    array of range-admitted scores, factors in catalogue order.  An FTV off
-    the target range by no more than the rounding error of its weighted sum
-    is put on the range's end; one further off (weights summing above 1)
-    is an InputError naming the id."""
+    array of range-admitted scores, factors in catalogue order; the tiers
+    are classified on the catalogue's target range.  An FTV off the target
+    range by no more than the rounding error of its weighted sum is put on
+    the range's end; one further off (weights summing above 1) is an
+    InputError naming the id."""
     x, y = catalogue.source_ranges
     tgt = catalogue.target
     rescaled = rescale_endpoints(scores, x, y, tgt)
@@ -155,7 +156,7 @@ def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
         t = TFN(*row)
         crisp = fuzzy.defuzzify(t, method=method)
         try:
-            tier = classify(crisp, thresholds=thresholds, scale=scale) if thresholds else None
+            tier = classify(crisp, thresholds, (tgt.m, tgt.M)) if thresholds else None
         except ValueError as e:
             raise InputError(f"attraction {attraction_id!r}: {e}; factor weights sum to "
                              f"{math.fsum(catalogue.weights):.6g}") from None
@@ -165,13 +166,14 @@ def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
 
 def evaluate_attraction(evaluation: AttractionEvaluation, catalogue: FactorCatalogue,
                         policy: str = "strict", method: str = "centroid",
-                        thresholds: tuple[float, float] | None = DEFAULT_THRESHOLDS,
-                        scale: tuple[float, float] = DEFAULT_SCALE) -> ValuationResult:
+                        thresholds: tuple[float, float] | None = DEFAULT_THRESHOLDS
+                        ) -> ValuationResult:
     """Full valuation of one attraction, through ``evaluate_attractions``.
 
     Every catalogue factor must be scored exactly once; ``policy`` handles
-    scores outside their factor's range.  Pass ``thresholds=None`` to skip
-    tiers (mandatory when the target is not the 0-100 scale of the bands).
+    scores outside their factor's range.  The default thresholds are the
+    bands of the 0-100 scale; on another target pass thresholds on that
+    range, or ``thresholds=None`` to skip tiers.
     """
     problems = id_mismatch(evaluation.scores, catalogue.ids)
     if problems:
@@ -183,7 +185,7 @@ def evaluate_attraction(evaluation: AttractionEvaluation, catalogue: FactorCatal
         lambda i: f"attraction {evaluation.attraction_id!r}, factor {ids[i[1]]!r}: "
                   f"{COMPONENTS[i[2]]}=")
     return evaluate_attractions([evaluation.attraction_id], admitted, catalogue,
-                                method=method, thresholds=thresholds, scale=scale)[0]
+                                method=method, thresholds=thresholds)[0]
 
 
 def classify(crisp: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
@@ -204,7 +206,8 @@ def classify(crisp: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
     return "High"
 
 
-def filter_high(results: Iterable[ValuationResult], threshold: float = 66.0) -> list[ValuationResult]:
+def filter_high(results: Iterable[ValuationResult],
+                threshold: float = DEFAULT_THRESHOLDS[1]) -> list[ValuationResult]:
     """Keep only results whose crisp value, as printed (``round6``),
     exceeds the threshold, in order."""
     return [r for r in results if round6(r.crisp) > threshold]

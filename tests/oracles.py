@@ -211,12 +211,18 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
     catalogue indices, file lines and an (n, 3) array of (lo, mode, hi).
     Bad rows, duplicate judgements and non-TFN triplets name their line."""
     known = {factor_id: k for k, factor_id in enumerate(catalogue_ids)}
+    with open(path, encoding="utf-8", newline="") as handle:
+        records = csv.reader(handle)
+        # the blank-line rule: a record of only empty or whitespace cells is skipped
+        blank = {records.line_num for row in records if not any(map(str.strip, row))}
     reader, handle = _reader(
         path, ("attraction_id", "factor_id", "expert_id", "lo", "mode", "hi"))
     attractions, factors, lines, values = [], [], [], []
     seen: set[tuple[str, str, str]] = set()
     with handle:
         for row in reader:
+            if reader.line_num in blank:
+                continue
             where = f"{path}:{reader.line_num}"
             attraction = (row.get("attraction_id") or "").strip()
             factor = (row.get("factor_id") or "").strip()

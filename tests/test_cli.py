@@ -53,6 +53,24 @@ class TestValidate:
         assert code == 3
         assert "no_such_option" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, entry", [
+        ("kde.bandwidth_m", '"kde": {"bandwidth_m": Infinity}'),
+        ("kde.cell_m", '"kde": {"cell_m": Infinity}'),
+        ("tour.dwell_minutes", '"tour": {"dwell_minutes": [0, 0, 1e309]}'),
+        ("target", '"target": [0, Infinity]'),
+    ], ids=["kde.bandwidth_m", "kde.cell_m", "tour.dwell_minutes", "target"])
+    def test_non_finite_setting_exits_3(self, dataset_builder, capsys, key, entry):
+        """JSON numbers that Python reads as infinite are configuration
+        errors naming their key, before anything is read or written."""
+        config_path = dataset_builder()
+        text = config_path.read_text(encoding="utf-8").rstrip().removesuffix("}")
+        config_path.write_text(f"{text}, {entry}}}", encoding="utf-8")
+        code = invoke("run", "--config", str(config_path))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error:") and key in err
+        assert not (config_path.parent / "out").exists()
+
 
 class TestRun:
     def test_writes_three_artifacts(self, sample_dir, tmp_path, capsys):

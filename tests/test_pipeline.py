@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from tourval import TriangularFuzzyNumber as TFN
 from tourval.errors import ConfigError, InputError
 from tourval.pipeline import (
+    KdeSettings,
     RunConfig,
     _map_geojson,
     ingest,
@@ -102,6 +105,12 @@ class TestLoadConfig:
         ({"tour": {"walk_speed_kmh": 0}}, "tour.walk_speed_kmh"),
         ({"tour": {"dwell_minutes": [10, 5, 15]}}, "tour.dwell_minutes"),
         ({"tour": {"dwell_minutes": [5, 10]}}, "tour.dwell_minutes"),
+        ({"kde": {"bandwidth_m": math.inf}}, "kde.bandwidth_m"),
+        ({"kde": {"cell_m": math.inf}}, "kde.cell_m"),
+        ({"kde": {"merge_radius_m": math.inf}}, "kde.merge_radius_m"),
+        ({"kde": {"merge_radius_m": math.nan}}, "kde.merge_radius_m"),
+        ({"tour": {"walk_speed_kmh": math.inf}}, "tour.walk_speed_kmh"),
+        ({"tour": {"dwell_minutes": [0, 0, math.inf]}}, "tour.dwell_minutes"),
     ])
     def test_spatial_settings_name_their_key(self, dataset_builder, extra, key):
         config_path = dataset_builder(config_extra=extra)
@@ -109,9 +118,25 @@ class TestLoadConfig:
             load_config(config_path)
 
     def test_bad_target(self, dataset_builder):
-        config_path = dataset_builder(config_extra={"target": [7, 7]})
-        with pytest.raises(ConfigError, match="target"):
-            load_config(config_path)
+        for target in ([7, 7], [0, math.inf], [-math.inf, 100], [math.nan, 100]):
+            config_path = dataset_builder(config_extra={"target": target})
+            with pytest.raises(ConfigError, match="target"):
+                load_config(config_path)
+
+    def test_null_means_the_default(self, dataset_builder, tmp_path, monkeypatch):
+        """Every key set to null, the nested ones included, takes its
+        default; a null required key is missing."""
+        monkeypatch.chdir(tmp_path)
+        nulls = {key: None for key in ("pairwise", "target", "defuzzify", "range_policy",
+                                       "tier_thresholds", "filter_threshold", "out_dir")}
+        config = load_config(dataset_builder(config_extra={
+            **nulls, "kde": {"bandwidth_m": None, "cell_m": 5},
+            "tour": {"walk_speed_kmh": None, "dwell_minutes": None}}))
+        defaults = RunConfig(config.factors, config.evaluations, config.attractions)
+        assert config == replace(defaults, kde=KdeSettings(cell_m=5))
+        assert config.out_dir == (tmp_path / "out").resolve()
+        with pytest.raises(ConfigError, match="factors"):
+            load_config(dataset_builder(config_extra={"factors": None}))
 
     @pytest.mark.parametrize("extra, name", [
         ({"target": [0, 1]}, "tier_thresholds"),

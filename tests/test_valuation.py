@@ -139,7 +139,7 @@ class TestComputeFtv:
             for score, end in ((5.0, big_m), (0.0, m)):
                 scores = {f"f{j}": TFN.crisp(score) for j in range(k)}
                 got = evaluate_attraction(AttractionEvaluation("a", scores), catalogue,
-                                          thresholds=None, scale=target)
+                                          thresholds=None)
                 for value in (*got.ftv.as_tuple(), got.crisp):
                     assert m <= value <= big_m
                     assert abs(value - end) <= slack
@@ -154,6 +154,14 @@ class TestComputeFtv:
         got = evaluate_attraction(AttractionEvaluation("a", scores), catalogue)
         assert got.ftv.as_tuple() == (100.0, 100.0, 100.0)
         assert (got.crisp, got.tier) == (100.0, "High")
+
+    def test_tiers_classified_on_the_catalogue_target(self):
+        """A 900 on a [0, 1000] target is High against thresholds (330, 660),
+        not off a 0-100 scale."""
+        catalogue = make_catalogue(("f1", 0, 10, 1.0), target=(0.0, 1000.0))
+        got = evaluate_attraction(AttractionEvaluation("a", {"f1": TFN.crisp(9.0)}),
+                                  catalogue, thresholds=(330.0, 660.0))
+        assert (got.crisp, got.tier) == (900.0, "High")
 
     @pytest.mark.parametrize("second", [0.5 + 1e-12, 0.509])
     def test_overshoot_beyond_rounding_error_still_rejected(self, second):
