@@ -40,7 +40,6 @@ from .spatial import (
     HotSpot,
     ScoredPoint,
     Tour,
-    circuit_length_km,
     detect_hotspots,
     estimate_duration,
     haversine_km,
@@ -95,7 +94,6 @@ __all__ = [
     "Tour",
     "EARTH_RADIUS_KM",
     "haversine_km",
-    "circuit_length_km",
     "kde_heatmap",
     "detect_hotspots",
     "merge_hotspots",

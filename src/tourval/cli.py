@@ -21,6 +21,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline
+from .ahp import CR_LIMIT
 from .errors import ConfigError, TourvalError
 from .pipeline import RunConfig, load_config
 from .rounding import format_number, round6
@@ -43,7 +44,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSON run configuration")
         if tweaks:
             p.add_argument("--allow-inconsistent", action="store_true",
-                           help="proceed although the pairwise matrix has CR > 0.1")
+                           help=f"proceed although the pairwise matrix has CR > {CR_LIMIT}")
             p.add_argument("--clamp", action="store_true",
                            help="saturate out-of-range scores instead of failing")
         if out:
@@ -81,7 +82,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     print(f"evaluations: {len(ingested.scores)} complete")
     if ingested.weight_report is not None and ingested.weight_report.inconsistent:
         print(f"warning: pairwise CR = {ingested.weight_report.consistency_ratio:.4f} "
-              "> 0.1", file=sys.stderr)
+              f"> {CR_LIMIT}", file=sys.stderr)
     print("OK")
     return 0
 

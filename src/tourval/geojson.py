@@ -4,15 +4,18 @@ Coordinates are written as [lon, lat] rounded to 6 decimal places (about
 0.1 m); metric properties are rounded to 6 significant digits.  Rounding
 here keeps serialized output byte-stable across platforms.
 
-The attraction, hotspot and tour features are dicts for ``json.dumps``.
-The density features, one per positive grid cell and by far the most
-numerous, are rendered as text straight from a template: the text
-``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)`` prints for
-each of them inside a FeatureCollection, without building any dicts.
+The attraction, hotspot and tour features are dicts, printed by
+``indented``: ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)``
+at the depth of a FeatureCollection's ``features`` array.  The density
+features, one per positive grid cell and by far the most numerous, are
+filled into a text template without building any dicts; the template is
+what ``indented`` prints for one density feature, made once at import.
 """
 
 from __future__ import annotations
 
+import json
+import re
 from typing import Any
 
 import numpy as np
@@ -26,6 +29,7 @@ __all__ = [
     "hotspot_feature",
     "tour_feature",
     "density_features",
+    "indented",
 ]
 
 
@@ -82,43 +86,21 @@ def tour_feature(tour: Tour) -> dict[str, Any]:
     return _feature({"type": "LineString", "coordinates": coords}, properties)
 
 
-# One density feature as json.dumps(indent=2, sort_keys=True) prints it at
-# the depth of a FeatureCollection's "features" array (4 spaces).
-_DENSITY_FEATURE = """\
-    {
-      "geometry": {
-        "coordinates": [
-          [
-            [
-              %(west)s,
-              %(south)s
-            ],
-            [
-              %(east)s,
-              %(south)s
-            ],
-            [
-              %(east)s,
-              %(north)s
-            ],
-            [
-              %(west)s,
-              %(north)s
-            ],
-            [
-              %(west)s,
-              %(south)s
-            ]
-          ]
-        ],
-        "type": "Polygon"
-      },
-      "properties": {
-        "density": %(density)s,
-        "feature_type": "density"
-      },
-      "type": "Feature"
-    }"""
+def indented(feature: dict[str, Any]) -> str:
+    """``feature`` as ``json.dumps(indent=2, sort_keys=True,
+    ensure_ascii=False)`` prints it at the depth of a FeatureCollection's
+    ``features`` array (4 spaces)."""
+    text = json.dumps(feature, indent=2, sort_keys=True, ensure_ascii=False)
+    return "    " + text.replace("\n", "\n    ")
+
+
+# One density feature as ``indented`` prints it, with %-style fields for the
+# cell's edges and density in place of the numbers.
+_DENSITY_FEATURE = re.sub(r'"(%\(\w+\)s)"', r"\1", indented(_feature(
+    {"type": "Polygon", "coordinates": [[["%(west)s", "%(south)s"], ["%(east)s", "%(south)s"],
+                                         ["%(east)s", "%(north)s"], ["%(west)s", "%(north)s"],
+                                         ["%(west)s", "%(south)s"]]]},
+    {"feature_type": "density", "density": "%(density)s"})))
 
 
 def density_features(grid: DensityGrid) -> list[str]:

@@ -31,13 +31,13 @@ from typing import Any, Iterable, Iterator
 import numpy as np
 
 from . import fuzzy, geojson
-from .ahp import WeightReport, derive_weights
+from .ahp import CR_LIMIT, WeightReport, derive_weights
 from .errors import ConfigError, InputError
 from .fuzzy import TFN
 from .rescale import (COMPONENTS, RANGE_POLICIES, SourceRange, TargetRange,
                       apply_range_policy)
 from .rounding import format_number, round6
-from .spatial import (MAX_TOUR_STOPS, GeoPoint, HotSpot, ScoredPoint, Tour,
+from .spatial import (GeoPoint, HotSpot, ScoredPoint, Tour,
                       detect_hotspots, estimate_duration, kde_heatmap,
                       merge_hotspots, plan_tour, require_dwell, require_percentile,
                       require_positive)
@@ -455,7 +455,7 @@ def _gate_consistency(report: WeightReport | None, allow_inconsistent: bool) -> 
     if report is not None and report.inconsistent and not allow_inconsistent:
         raise InputError(
             f"pairwise judgements are inconsistent (CR = {report.consistency_ratio:.4f} "
-            "> 0.1); re-elicit them or pass --allow-inconsistent")
+            f"> {CR_LIMIT}); re-elicit them or pass --allow-inconsistent")
 
 
 def _spatial_analysis(config: RunConfig, retained: list[ValuationResult],
@@ -466,10 +466,6 @@ def _spatial_analysis(config: RunConfig, retained: list[ValuationResult],
     grid = kde_heatmap(points, bandwidth_m=config.kde.bandwidth_m, cell_m=config.kde.cell_m)
     hotspots = detect_hotspots(grid, percentile=config.kde.hotspot_percentile)
     hotspots = merge_hotspots(hotspots, config.kde.merge_radius_m)
-    if len(hotspots) > MAX_TOUR_STOPS:
-        raise ConfigError(
-            f"{len(hotspots)} hotspots exceed the tour planner's limit of "
-            f"{MAX_TOUR_STOPS}; raise kde.merge_radius_m or kde.hotspot_percentile")
     tour = None
     if hotspots:
         tour = plan_tour(hotspots)
@@ -565,9 +561,8 @@ def _map_geojson(names: dict[str, str], locations: dict[str, GeoPoint],
                  grid, hotspots, tour) -> str:
     """The FeatureCollection of the attraction, hotspot, tour and density
     features, in that order, byte for byte as ``json.dumps(indent=2,
-    sort_keys=True, ensure_ascii=False)`` prints it.  The few point and tour
-    features go through ``json.dumps`` and are indented to the depth of the
-    ``features`` array; the density features arrive as text at that depth."""
+    sort_keys=True, ensure_ascii=False)`` prints it: every feature arrives
+    as text at the depth of the ``features`` array."""
     features = [
         geojson.attraction_feature(locations[r.attraction_id], r,
                                    names[r.attraction_id], rank=ranks[r.attraction_id])
@@ -576,9 +571,7 @@ def _map_geojson(names: dict[str, str], locations: dict[str, GeoPoint],
     features.extend(geojson.hotspot_feature(h) for h in hotspots)
     if tour is not None:
         features.append(geojson.tour_feature(tour))
-    texts = ["    " + json.dumps(f, indent=2, sort_keys=True,
-                                 ensure_ascii=False).replace("\n", "\n    ")
-             for f in features]
+    texts = [geojson.indented(f) for f in features]
     if grid is not None:
         texts.extend(geojson.density_features(grid))
     if not texts:
@@ -670,6 +663,8 @@ def run_tour(config: RunConfig) -> PipelineOutput:
             results_path, RESULT_COLUMNS):
         where = f"{results_path}:{line}"
         attraction_id = attraction_id.strip()
+        if attraction_id in ranks:
+            raise InputError(f"{where}: duplicate attraction id {attraction_id!r}")
         if attraction_id not in locations:
             raise InputError(f"{where}: attraction {attraction_id!r} has no "
                              f"coordinates in {config.attractions}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +24,6 @@ __all__ = [
     "HotSpot",
     "Tour",
     "haversine_km",
-    "circuit_length_km",
     "kde_heatmap",
     "detect_hotspots",
     "merge_hotspots",
@@ -153,17 +151,6 @@ def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
     s = (math.sin((lat2 - lat1) / 2.0) ** 2
          + math.cos(lat1) * math.cos(lat2) * math.sin((lon2 - lon1) / 2.0) ** 2)
     return 2.0 * EARTH_RADIUS_KM * math.asin(math.sqrt(s))
-
-
-def circuit_length_km(points: Sequence[GeoPoint]) -> float:
-    """Length of the closed circuit visiting the points in order."""
-    n = len(points)
-    if n < 2:
-        return 0.0
-    total = 0.0
-    for i in range(n):
-        total += haversine_km(points[i], points[(i + 1) % n])
-    return total
 
 
 def _project(point: GeoPoint, center: GeoPoint) -> tuple[float, float]:
@@ -306,88 +293,61 @@ def merge_hotspots(hotspots: Sequence[HotSpot], radius_m: float) -> list[HotSpot
     return merged
 
 
-def plan_tour(hotspots: Sequence[HotSpot], start: HotSpot | None = None) -> Tour:
-    """Shortest closed circuit visiting every hotspot exactly once.
+def plan_tour(hotspots: Sequence[HotSpot]) -> Tour:
+    """Shortest closed circuit visiting every hotspot exactly once, starting
+    at the smallest label.
 
-    Exact dynamic programming over visited subsets; intended for the handful
-    of clusters a destination yields (at most 12 -- merge or filter first
-    beyond that).  Cost ties are broken by the lexicographically smallest
-    label sequence, making the result fully deterministic.
+    Exact Held-Karp dynamic programming over visited subsets; intended for
+    the handful of clusters a destination yields (at most 12 -- merge or
+    filter first beyond that).  Cost ties are broken by the
+    lexicographically smallest label sequence, making the result fully
+    deterministic.
     """
     hotspots = list(hotspots)
     n = len(hotspots)
     if n == 0:
         raise ValueError("cannot plan a tour without hotspots")
     if n > MAX_TOUR_STOPS:
-        raise ValueError(
-            f"{n} hotspots exceed the exact-search limit of {MAX_TOUR_STOPS}; "
-            "merge nearby hotspots or raise the detection percentile first"
-        )
-    if start is None:
-        s = min(range(n), key=lambda i: hotspots[i].label)
-    else:
-        try:
-            s = next(i for i, h in enumerate(hotspots) if h == start)
-        except StopIteration:
-            raise ValueError("start hotspot is not in the list") from None
-    if n == 1:
-        return Tour((hotspots[0],), 0.0)
-
-    d = [[haversine_km(a.center, b.center) for b in hotspots] for a in hotspots]
+        raise ConfigError(
+            f"{n} hotspots exceed the tour planner's limit of "
+            f"{MAX_TOUR_STOPS}; raise kde.merge_radius_m or kde.hotspot_percentile")
     labels = [h.label for h in hotspots]
+    s = labels.index(min(labels))
     others = [i for i in range(n) if i != s]
+    d = [[haversine_km(a.center, b.center) for b in hotspots] for a in hotspots]
 
-    # best[(mask, last)] = (cost, label sequence, index path); mask is over
-    # `others`, paths start at s
-    best: dict[tuple[int, int], tuple[float, tuple[str, ...], tuple[int, ...]]] = {}
-    for bit, i in enumerate(others):
-        best[(1 << bit, i)] = (d[s][i], (labels[s], labels[i]), (s, i))
-    for size in range(2, n):
-        for subset in combinations(range(len(others)), size):
-            mask = 0
-            for bit in subset:
-                mask |= 1 << bit
-            for bit in subset:
-                i = others[bit]
-                prev_mask = mask ^ (1 << bit)
-                candidate = None
-                for pbit in subset:
-                    if pbit == bit:
-                        continue
-                    entry = best.get((prev_mask, others[pbit]))
-                    if entry is None:
-                        continue
-                    cost = entry[0] + d[others[pbit]][i]
-                    key = (cost, entry[1] + (labels[i],))
-                    if candidate is None or key < (candidate[0], candidate[1]):
-                        candidate = (cost, key[1], entry[2] + (i,))
-                if candidate is not None:
-                    best[(mask, i)] = candidate
-
-    full = (1 << len(others)) - 1
-    winner = None
-    for i in others:
-        entry = best[(full, i)]
-        cost = entry[0] + d[i][s]
-        key = (cost, entry[1])
-        if winner is None or key < (winner[0], winner[1]):
-            winner = (cost, entry[1], entry[2])
-    length, _, path = winner
+    # best[mask][last] = (cost, label sequence, index path) of the paths from
+    # s through the `others` bits of mask; every subset of a mask is a smaller
+    # number, so it is complete before the mask is reached
+    best = [{} for _ in range(1 << len(others))]
+    best[0][s] = (0.0, (labels[s],), (s,))
+    for mask in range(1, len(best)):
+        for bit, i in enumerate(others):
+            if mask >> bit & 1:
+                cost, sequence, path = _cheapest_to(best[mask ^ 1 << bit], d, i)
+                best[mask][i] = (cost, sequence + (labels[i],), path + (i,))
+    length, _, path = _cheapest_to(best[-1], d, s)
     return Tour(tuple(hotspots[i] for i in path), length)
 
 
-def estimate_duration(tour: Tour, walk_speed_kmh: float,
-                      dwell_minutes: tuple[float, float, float] = (0.0, 0.0, 0.0),
-                      stops: int | None = None) -> tuple[float, float, float]:
-    """(min, avg, max) duration in hours: walking time plus a per-stop dwell.
+def _cheapest_to(paths: dict, d: list[list[float]], i: int) -> tuple:
+    """The cheapest of ``paths`` extended by the leg to stop ``i``: ``(cost,
+    label sequence, index path)``, the leg counted but not yet appended.
+    Equal costs go to the smaller label sequence, then to the earlier path."""
+    winner = None
+    for last, (cost, sequence, path) in paths.items():
+        cost += d[last][i]
+        if winner is None or cost < winner[0] or cost == winner[0] and sequence < winner[1]:
+            winner = cost, sequence, path
+    return winner
 
-    Each bound uses the corresponding dwell bound; ``stops`` defaults to the
-    number of tour stops.
-    """
+
+def estimate_duration(tour: Tour, walk_speed_kmh: float,
+                      dwell_minutes: tuple[float, float, float] = (0.0, 0.0, 0.0)
+                      ) -> tuple[float, float, float]:
+    """(min, avg, max) duration in hours: walking time plus the corresponding
+    dwell bound at every tour stop."""
     require_positive(walk_speed_kmh, "walk_speed_kmh")
     require_dwell(dwell_minutes, "dwell_minutes")
-    dmin, davg, dmax = dwell_minutes
-    if stops is None:
-        stops = len(tour.stops)
     walk = tour.length_km / walk_speed_kmh
-    return tuple(walk + stops * dm / 60.0 for dm in (dmin, davg, dmax))
+    return tuple(walk + len(tour.stops) * dm / 60.0 for dm in dwell_minutes)

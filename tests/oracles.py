@@ -8,6 +8,8 @@ so that bytes compare: it reuses the package's point and tour feature
 builders and 6-digit rounding, and hands the whole document to json.dumps.
 The judgement loader is the package's earlier row-at-a-time one on
 csv.DictReader, kept as it was so that results and error texts compare.
+The tour planner is the package's earlier Held-Karp loop over subsets by
+size, kept as it was, on the package's haversine distance.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import csv
 import io
 import json
 import math
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 from typing import Iterable
 
@@ -25,6 +27,7 @@ import numpy as np
 from tourval import fuzzy, geojson
 from tourval.errors import InputError
 from tourval.rounding import round6
+from tourval.spatial import Tour, haversine_km
 
 
 def lre(a: float, x: float, y: float, m: float, big_m: float) -> float:
@@ -114,6 +117,74 @@ def brute_force_tour(labels, dist, start_index):
         if best is None or key < best[0]:
             best = (key, order)
     return best[0][0], best[1]
+
+
+MAX_TOUR_STOPS = 12
+
+
+def held_karp_tour(hotspots, start=None):
+    """The package's earlier subset-by-size Held-Karp planner, kept as it
+    was so that stops and lengths compare exactly beyond brute-force sizes."""
+    hotspots = list(hotspots)
+    n = len(hotspots)
+    if n == 0:
+        raise ValueError("cannot plan a tour without hotspots")
+    if n > MAX_TOUR_STOPS:
+        raise ValueError(
+            f"{n} hotspots exceed the exact-search limit of {MAX_TOUR_STOPS}; "
+            "merge nearby hotspots or raise the detection percentile first"
+        )
+    if start is None:
+        s = min(range(n), key=lambda i: hotspots[i].label)
+    else:
+        try:
+            s = next(i for i, h in enumerate(hotspots) if h == start)
+        except StopIteration:
+            raise ValueError("start hotspot is not in the list") from None
+    if n == 1:
+        return Tour((hotspots[0],), 0.0)
+
+    d = [[haversine_km(a.center, b.center) for b in hotspots] for a in hotspots]
+    labels = [h.label for h in hotspots]
+    others = [i for i in range(n) if i != s]
+
+    # best[(mask, last)] = (cost, label sequence, index path); mask is over
+    # `others`, paths start at s
+    best: dict[tuple[int, int], tuple[float, tuple[str, ...], tuple[int, ...]]] = {}
+    for bit, i in enumerate(others):
+        best[(1 << bit, i)] = (d[s][i], (labels[s], labels[i]), (s, i))
+    for size in range(2, n):
+        for subset in combinations(range(len(others)), size):
+            mask = 0
+            for bit in subset:
+                mask |= 1 << bit
+            for bit in subset:
+                i = others[bit]
+                prev_mask = mask ^ (1 << bit)
+                candidate = None
+                for pbit in subset:
+                    if pbit == bit:
+                        continue
+                    entry = best.get((prev_mask, others[pbit]))
+                    if entry is None:
+                        continue
+                    cost = entry[0] + d[others[pbit]][i]
+                    key = (cost, entry[1] + (labels[i],))
+                    if candidate is None or key < (candidate[0], candidate[1]):
+                        candidate = (cost, key[1], entry[2] + (i,))
+                if candidate is not None:
+                    best[(mask, i)] = candidate
+
+    full = (1 << len(others)) - 1
+    winner = None
+    for i in others:
+        entry = best[(full, i)]
+        cost = entry[0] + d[i][s]
+        key = (cost, entry[1])
+        if winner is None or key < (winner[0], winner[1]):
+            winner = (cost, entry[1], entry[2])
+    length, _, path = winner
+    return Tour(tuple(hotspots[i] for i in path), length)
 
 
 EARTH_RADIUS_KM = 6371.0088

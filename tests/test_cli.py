@@ -73,6 +73,21 @@ class TestValidate:
 
 
 class TestRun:
+    def test_more_hotspots_than_the_planner_takes_exit_3(self, dataset_builder, capsys):
+        """13 isolated High attractions make 13 hotspots, one over the
+        exact tour planner's limit: a configuration error naming the knob
+        to turn, not a traceback."""
+        ids = [f"p{i:02d}" for i in range(13)]
+        config_path = dataset_builder(
+            evaluations=[row for i in ids for row in (
+                (i, "f1", "e1", 4.0, 4.5, 5.0), (i, "f2", "e1", -1.0, -0.5, 0.0))],
+            attractions=[(i, i, -75.8 + 0.01 * k, 20.0) for k, i in enumerate(ids)],
+            config_extra={"kde": {"hotspot_percentile": 1}})
+        code = invoke("run", "--config", str(config_path))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err.startswith("error: 13 hotspots") and "kde.merge_radius_m" in err
+        assert "Traceback" not in err
     def test_writes_three_artifacts(self, sample_dir, tmp_path, capsys):
         out_dir = tmp_path / "result"
         code = invoke("run", "--config", str(sample_dir / "config.json"),
@@ -278,6 +293,18 @@ class TestTour:
         capsys.readouterr()
         assert invoke("tour", "--config", config, "--out", str(out_dir)) == 2
         assert "results.csv:4:" in capsys.readouterr().err
+
+    def test_repeated_attraction_exits_2(self, sample_dir, tmp_path, capsys):
+        out_dir = tmp_path / "result"
+        config = str(sample_dir / "config.json")
+        assert invoke("run", "--config", config, "--out", str(out_dir)) == 0
+        results = out_dir / "results.csv"
+        lines = results.read_text(encoding="utf-8").splitlines(keepends=True)
+        results.write_text("".join(lines + [lines[1]]), encoding="utf-8")
+        capsys.readouterr()
+        assert invoke("tour", "--config", config, "--out", str(out_dir)) == 2
+        err = capsys.readouterr().err
+        assert f"results.csv:{len(lines) + 1}: duplicate attraction id 'a01'" in err
 
     def test_without_prior_results_exits_2(self, sample_dir, tmp_path, capsys):
         code = invoke("tour", "--config", str(sample_dir / "config.json"),

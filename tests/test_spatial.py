@@ -12,7 +12,6 @@ from tourval import (
     HotSpot,
     ScoredPoint,
     Tour,
-    circuit_length_km,
     detect_hotspots,
     estimate_duration,
     haversine_km,
@@ -301,28 +300,17 @@ class TestPlanTour:
         sequence = [h.label for h in tour.stops]
         assert sequence in (["H1", "H2", "H3", "H4"], ["H1", "H4", "H3", "H2"])
 
-    def test_start_honoured(self):
-        spots = self._spots([(0, 0), (1, 0), (1, 1)])
-        tour = plan_tour(spots, start=spots[2])
-        assert tour.stops[0] == spots[2]
-
-    def test_unknown_start_rejected(self):
-        spots = self._spots([(0, 0), (1, 0)])
-        stranger = HotSpot(offset_point(CENTER, 5, 5), 1.0, "HX")
-        with pytest.raises(ValueError):
-            plan_tour(spots, start=stranger)
+    def test_starts_at_the_smallest_label(self):
+        spots = [HotSpot(offset_point(CENTER, e, n), 1.0, label)
+                 for (e, n), label in zip([(0, 0), (1, 0), (1, 1)], ["HC", "HA", "HB"])]
+        assert plan_tour(spots).stops[0] == spots[1]
 
     def test_size_limits(self):
         with pytest.raises(ValueError):
             plan_tour([])
         many = self._spots([(0.1 * i, 0.05 * i) for i in range(13)])
-        with pytest.raises(ValueError, match="12"):
+        with pytest.raises(ConfigError, match="12"):
             plan_tour(many)
-
-    def test_length_matches_circuit_helper_exactly(self):
-        spots = self._spots([(0, 0), (0.9, 0.1), (0.4, 0.8), (0.1, 0.5)])
-        tour = plan_tour(spots)
-        assert tour.length_km == circuit_length_km([h.center for h in tour.stops])
 
     @given(st.integers(3, 7), st.integers(0, 2 ** 31 - 1))
     @settings(max_examples=60, deadline=None)
@@ -351,17 +339,21 @@ class TestPlanTour:
         assert [h.label for h in tour.stops] == [spots[i].label for i in want_order]
         assert tour.length_km == want_cost
 
-    @given(st.integers(3, 6), st.integers(0, 2 ** 31 - 1), st.integers(0, 5))
-    @settings(max_examples=40, deadline=None)
-    def test_length_invariant_under_rotation_and_reflection(self, n, seed, shift):
+    @given(st.integers(9, 12), st.integers(0, 2 ** 31 - 1), st.booleans(), st.booleans())
+    @example(12, 0, True, True)
+    @settings(max_examples=12, deadline=None)
+    def test_matches_earlier_planner_beyond_brute_force(self, n, seed, lattice, repeats):
+        # a 4 x 4 lattice with 0.5 km steps forces cost ties; repeated
+        # labels make the label sequences tie too, and distinct scores keep
+        # such stops apart
         rng = np.random.default_rng(seed)
-        coords = rng.uniform(0, 2, size=(n, 2))
-        points = [offset_point(CENTER, e, v) for e, v in coords]
-        base = circuit_length_km(points)
-        rotated = points[shift % n:] + points[:shift % n]
-        reflected = list(reversed(points))
-        assert circuit_length_km(rotated) == pytest.approx(base, rel=1e-12)
-        assert circuit_length_km(reflected) == pytest.approx(base, rel=1e-12)
+        coords = (rng.integers(0, 4, size=(n, 2)) * 0.5 if lattice
+                  else rng.uniform(0, 2, size=(n, 2)))
+        labels = ([f"H{k}" for k in rng.integers(1, 4, size=n)] if repeats
+                  else [f"H{i + 1}" for i in range(n)])
+        spots = [HotSpot(offset_point(CENTER, e, v), i + 1.0, label)
+                 for i, ((e, v), label) in enumerate(zip(coords.tolist(), labels))]
+        assert plan_tour(spots) == oracles.held_karp_tour(spots)
 
 
 class TestEstimateDuration:
@@ -375,24 +367,26 @@ class TestEstimateDuration:
         assert estimate_duration(self._tour(0.0), 4.0) == (0.0, 0.0, 0.0)
 
     def test_walk_only(self):
-        got = estimate_duration(self._tour(1.2), 4.0, stops=6)
+        got = estimate_duration(self._tour(1.2, stops=6), 4.0)
         assert got == pytest.approx((0.30, 0.30, 0.30))
 
     def test_walk_plus_dwell(self):
-        got = estimate_duration(self._tour(1.2), 4.0, dwell_minutes=(5, 10, 15), stops=6)
-        assert got == pytest.approx((0.80, 1.30, 1.80))
-
-    def test_stops_default_to_tour_size(self):
         got = estimate_duration(self._tour(1.2, stops=6), 4.0, dwell_minutes=(5, 10, 15))
         assert got == pytest.approx((0.80, 1.30, 1.80))
 
+    def test_stops_default_to_tour_size(self):
+        # every stop adds its dwell: three more stops, three more dwells
+        few = estimate_duration(self._tour(1.2, stops=3), 4.0, dwell_minutes=(5, 10, 15))
+        more = estimate_duration(self._tour(1.2, stops=6), 4.0, dwell_minutes=(5, 10, 15))
+        assert [m - f for f, m in zip(few, more)] == pytest.approx([0.25, 0.50, 0.75])
+
     def test_bounds_are_ordered(self):
-        got = estimate_duration(self._tour(2.0), 5.0, dwell_minutes=(1, 7, 30), stops=4)
+        got = estimate_duration(self._tour(2.0, stops=4), 5.0, dwell_minutes=(1, 7, 30))
         assert got[0] <= got[1] <= got[2]
 
     def test_faster_walk_never_longer(self):
-        slow = estimate_duration(self._tour(2.0), 3.0, dwell_minutes=(5, 10, 15), stops=3)
-        fast = estimate_duration(self._tour(2.0), 6.0, dwell_minutes=(5, 10, 15), stops=3)
+        slow = estimate_duration(self._tour(2.0, stops=3), 3.0, dwell_minutes=(5, 10, 15))
+        fast = estimate_duration(self._tour(2.0, stops=3), 6.0, dwell_minutes=(5, 10, 15))
         assert all(f <= s for f, s in zip(fast, slow))
 
     def test_bad_speed_rejected(self):
