@@ -79,7 +79,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     print(f"factors: {len(ingested.catalogue.factors)} (weights from "
           f"{ingested.weight_source})")
     print(f"attractions: {len(ingested.names)}")
-    print(f"evaluations: {len(ingested.scores)} complete")
+    print(f"evaluations: {ingested.judgements} judgement rows, complete for "
+          f"{len(ingested.scores)} attractions")
     if ingested.weight_report is not None and ingested.weight_report.inconsistent:
         print(f"warning: pairwise CR = {ingested.weight_report.consistency_ratio:.4f} "
               f"> {CR_LIMIT}", file=sys.stderr)

@@ -27,6 +27,7 @@ class ConfigError(TourvalError):
 
 
 class NumericError(TourvalError):
-    """A numeric procedure failed to converge."""
+    """A numeric procedure failed: it did not converge, or a sum overflowed
+    the largest float."""
 
     exit_code = 4

@@ -4,18 +4,23 @@ Coordinates are written as [lon, lat] rounded to 6 decimal places (about
 0.1 m); metric properties are rounded to 6 significant digits.  Rounding
 here keeps serialized output byte-stable across platforms.
 
-The attraction, hotspot and tour features are dicts, printed by
-``indented``: ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)``
-at the depth of a FeatureCollection's ``features`` array.  The density
-features, one per positive grid cell and by far the most numerous, are
-filled into a text template without building any dicts; the template is
-what ``indented`` prints for one density feature, made once at import.
+Every feature is printed as ``indented`` prints it:
+``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)`` at the depth of
+a FeatureCollection's ``features`` array.  The few hotspot and tour features
+are dicts passed to ``indented``.  Every per-item record (an attraction
+feature, a density feature, a row of ``results.json``'s ``results`` array)
+is printed through one helper instead: ``template`` turns a record into
+%-format text once, at import, by passing it through ``indented``, and each
+item fills it with its values as ``encode`` prints them, without building
+any dicts for ``json``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
+from json.encoder import encode_basestring
 from typing import Any
 
 import numpy as np
@@ -25,11 +30,14 @@ from .spatial import DensityGrid, GeoPoint, HotSpot, Tour
 from .valuation import ValuationResult
 
 __all__ = [
-    "attraction_feature",
+    "attraction_features",
     "hotspot_feature",
     "tour_feature",
     "density_features",
     "indented",
+    "template",
+    "encode",
+    "result_fields",
 ]
 
 
@@ -39,24 +47,6 @@ def _coord(p: GeoPoint) -> list[float]:
 
 def _feature(geometry: dict[str, Any], properties: dict[str, Any]) -> dict[str, Any]:
     return {"type": "Feature", "geometry": geometry, "properties": properties}
-
-
-def attraction_feature(point: GeoPoint, result: ValuationResult, name: str,
-                       rank: int | None = None) -> dict[str, Any]:
-    properties: dict[str, Any] = {
-        "feature_type": "attraction",
-        "id": result.attraction_id,
-        "name": name,
-        "ftv_lo": round6(result.ftv.lo),
-        "ftv_mode": round6(result.ftv.mode),
-        "ftv_hi": round6(result.ftv.hi),
-        "crisp": round6(result.crisp),
-    }
-    if result.tier is not None:
-        properties["tier"] = result.tier
-    if rank is not None:
-        properties["rank"] = rank
-    return _feature({"type": "Point", "coordinates": _coord(point)}, properties)
 
 
 def hotspot_feature(hotspot: HotSpot) -> dict[str, Any]:
@@ -89,18 +79,68 @@ def tour_feature(tour: Tour) -> dict[str, Any]:
 def indented(feature: dict[str, Any]) -> str:
     """``feature`` as ``json.dumps(indent=2, sort_keys=True,
     ensure_ascii=False)`` prints it at the depth of a FeatureCollection's
-    ``features`` array (4 spaces)."""
+    ``features`` array (4 spaces), which is also the depth of the rows of
+    ``results.json``'s ``results`` array."""
     text = json.dumps(feature, indent=2, sort_keys=True, ensure_ascii=False)
     return "    " + text.replace("\n", "\n    ")
 
 
-# One density feature as ``indented`` prints it, with %-style fields for the
-# cell's edges and density in place of the numbers.
-_DENSITY_FEATURE = re.sub(r'"(%\(\w+\)s)"', r"\1", indented(_feature(
+def template(record: dict[str, Any]) -> str:
+    """``record`` as ``indented`` prints it, as %-format text: each string
+    value ``"%(name)s"`` becomes the field ``%(name)s``, to be filled with a
+    value as ``encode`` prints it.  No other text of ``record`` holds a
+    ``%``."""
+    return re.sub(r'"(%\(\w+\)s)"', r"\1", indented(record))
+
+
+def encode(value: Any) -> str:
+    """``value`` as ``json.dumps(ensure_ascii=False)`` prints it."""
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    if type(value) is int:
+        return repr(value)
+    if isinstance(value, str):
+        return encode_basestring(value)
+    return json.dumps(value)
+
+
+def result_fields(result: ValuationResult, name: str, rank: int) -> dict[str, str]:
+    """A result's id, name, 6-digit FTV and crisp value, tier (``null``
+    without one) and rank, as ``encode`` prints them, by template field."""
+    return {"id": encode(result.attraction_id), "name": encode(name),
+            "lo": encode(round6(result.ftv.lo)), "mode": encode(round6(result.ftv.mode)),
+            "hi": encode(round6(result.ftv.hi)), "crisp": encode(round6(result.crisp)),
+            "tier": encode(result.tier), "rank": encode(rank)}
+
+
+# an attraction feature without and with a tier
+_ATTRACTION = {tiered: template(_feature(
+    {"type": "Point", "coordinates": ["%(lon)s", "%(lat)s"]},
+    {"feature_type": "attraction", "id": "%(id)s", "name": "%(name)s", "ftv_lo": "%(lo)s",
+     "ftv_mode": "%(mode)s", "ftv_hi": "%(hi)s", "crisp": "%(crisp)s", "rank": "%(rank)s",
+     **({"tier": "%(tier)s"} if tiered else {})})) for tiered in (False, True)}
+
+
+def attraction_features(names: dict[str, str], locations: dict[str, GeoPoint],
+                        ranked: list[ValuationResult], ranks: dict[str, int]) -> list[str]:
+    """One Point Feature per result, in order, as text at the depth of a
+    FeatureCollection's ``features`` array: the ``result_fields``, the tier
+    only if the result has one."""
+    texts = []
+    for r in ranked:
+        fields = result_fields(r, names[r.attraction_id], ranks[r.attraction_id])
+        point = locations[r.attraction_id]
+        fields["lon"], fields["lat"] = encode(round(point.lon, 6)), encode(round(point.lat, 6))
+        texts.append(_ATTRACTION[r.tier is not None] % fields)
+    return texts
+
+
+# One density feature, with fields for the cell's edges and density.
+_DENSITY_FEATURE = template(_feature(
     {"type": "Polygon", "coordinates": [[["%(west)s", "%(south)s"], ["%(east)s", "%(south)s"],
                                          ["%(east)s", "%(north)s"], ["%(west)s", "%(north)s"],
                                          ["%(west)s", "%(south)s"]]]},
-    {"feature_type": "density", "density": "%(density)s"})))
+    {"feature_type": "density", "density": "%(density)s"}))
 
 
 def density_features(grid: DensityGrid) -> list[str]:
@@ -108,16 +148,16 @@ def density_features(grid: DensityGrid) -> list[str]:
     row-major order, as text at the depth of a FeatureCollection's
     ``features`` array; zero cells are skipped to keep files small.  Rings
     are counter-clockwise from the south-west corner and closed.  Each edge
-    coordinate is rounded and formatted once (``repr`` is the float form
-    ``json`` writes) and shared by the cells along it."""
+    coordinate is rounded and encoded once and shared by the cells along
+    it."""
     lons, lats = grid.edges()
-    lons = [repr(round(v, 6)) for v in lons]
-    lats = [repr(round(v, 6)) for v in lats]
+    lons = [encode(round(v, 6)) for v in lons]
+    lats = [encode(round(v, 6)) for v in lats]
     rows, cols = np.nonzero(grid.values > 0.0)
     return [
         _DENSITY_FEATURE % {"west": lons[col], "east": lons[col + 1],
                             "south": lats[row], "north": lats[row + 1],
-                            "density": repr(round6(value))}
+                            "density": encode(round6(value))}
         for row, col, value in zip(rows.tolist(), cols.tolist(),
                                    grid.values[rows, cols].tolist())
     ]

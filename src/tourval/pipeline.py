@@ -26,13 +26,13 @@ import operator
 import os
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
 from . import fuzzy, geojson
 from .ahp import CR_LIMIT, WeightReport, derive_weights
-from .errors import ConfigError, InputError
+from .errors import ConfigError, InputError, NumericError
 from .fuzzy import TFN
 from .rescale import (COMPONENTS, RANGE_POLICIES, SourceRange, TargetRange,
                       apply_range_policy)
@@ -361,28 +361,80 @@ class IngestResult:
     locations: dict[str, GeoPoint]
     weight_source: str
     weight_report: WeightReport | None
+    judgements: int      # evaluations.csv rows read
+
+
+def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(a + b, e)`` with ``a + b + e`` exactly the real sum (Knuth's TwoSum,
+    TAOCP vol. 2, 4.2.2), elementwise, barring overflow."""
+    s = a + b
+    b_part = s - a
+    return s, (a - (s - b_part)) + (b - b_part)
+
+
+def _exact_sums(rows: np.ndarray, counts: np.ndarray,
+                locate: Callable[[tuple[int, int]], str]) -> np.ndarray:
+    """``math.fsum`` of each column over each run of ``rows``: run ``i`` is
+    the next ``counts[i]`` rows (at least one), and gives row ``i`` of the
+    result, bit for bit as ``math.fsum`` would.
+
+    A TwoSum chain adds the runs' rows one step at a time, all runs at once
+    (longest runs first, so the runs still open at a step are a prefix and
+    nothing is padded), and a second TwoSum chain sums the first chain's
+    rounding errors (Ogita, Rump and Oishi, SIAM J. Sci. Comput. 26, 2005).
+    Where every residual of the second chain is 0, the sum ``s`` plus the
+    error total ``t`` is the exact sum, so ``s + t`` is its correctly
+    rounded value, which is what ``math.fsum`` returns.  Any other entry, or
+    a non-finite one, is summed again by ``math.fsum`` alone; an overflow
+    there raises ``NumericError`` prefixed by ``locate((run, column))``."""
+    longest = np.argsort(-counts, kind="stable")
+    first = (np.cumsum(counts) - counts)[longest]
+    total = np.zeros((len(counts),) + rows.shape[1:])
+    errors = np.zeros_like(total)
+    exact = np.ones(total.shape, dtype=bool)
+    # open_runs[j]: how many runs have more than j rows
+    open_runs = len(counts) - np.cumsum(np.bincount(counts))
+    with np.errstate(over="ignore", invalid="ignore"):   # non-finite entries are redone
+        for j, m in enumerate(open_runs[:-1].tolist()):
+            total[:m], error = _two_sum(total[:m], rows[first[:m] + j])
+            errors[:m], residual = _two_sum(errors[:m], error)
+            exact[:m] &= residual == 0.0
+        total += errors
+    for run, column in zip(*np.nonzero(~(exact & np.isfinite(total)))):
+        start = first[run]
+        try:
+            total[run, column] = math.fsum(rows[start:start + counts[longest[run]], column])
+        except OverflowError:
+            raise NumericError(f"{locate((longest[run], column))}overflows a float") from None
+    sums = np.empty_like(total)
+    sums[longest] = total
+    return sums
 
 
 def _expert_means(config: RunConfig, catalogue: FactorCatalogue, names: dict[str, str],
                   judgements: tuple[list[str], np.ndarray, list[int], np.ndarray]) -> np.ndarray:
     """Apply the range policy to each judgement, then average the experts per
-    (attraction, factor) with math.fsum into an (attractions, factors, 3) array."""
+    (attraction, factor) into an (attractions, factors, 3) array.  The sums
+    are exact, as ``math.fsum`` gives them (``_exact_sums``)."""
     attractions, factors, lines, tfns = judgements
-    unknown = sorted(set(attractions) - set(names))
-    if unknown:
-        raise InputError(f"{config.evaluations}: judgements for attractions absent "
-                         f"from {config.attractions}: {', '.join(unknown)}")
     factor_ids = catalogue.ids
     n, k = len(names), len(factor_ids)
     position = {attraction_id: i for i, attraction_id in enumerate(names)}
-    cells = np.array([position[a] for a in attractions], dtype=np.intp) * k + factors
+    try:
+        index = np.fromiter(map(position.__getitem__, attractions), np.intp, len(attractions))
+    except KeyError:
+        unknown = sorted(set(attractions) - set(names))
+        raise InputError(f"{config.evaluations}: judgements for attractions absent "
+                         f"from {config.attractions}: {', '.join(unknown)}") from None
+    cells = index * k + factors
     counts = np.bincount(cells, minlength=n * k)
-    for attraction_id, row in zip(names, counts.reshape(n, k).tolist()):
-        missing = [f for f, count in zip(factor_ids, row) if not count]
-        if missing:
-            raise InputError(
-                f"{config.evaluations}: attraction {attraction_id!r} lacks judgements "
-                f"for: {', '.join(missing)}")
+    if not counts.all():
+        for attraction_id, row in zip(names, counts.reshape(n, k).tolist()):
+            missing = [f for f, count in zip(factor_ids, row) if not count]
+            if missing:
+                raise InputError(
+                    f"{config.evaluations}: attraction {attraction_id!r} lacks judgements "
+                    f"for: {', '.join(missing)}")
 
     x, y = catalogue.source_ranges
     admitted = apply_range_policy(
@@ -391,10 +443,12 @@ def _expert_means(config: RunConfig, catalogue: FactorCatalogue, names: dict[str
                    f"factor {factor_ids[factors[at[0]]]!r}: {COMPONENTS[at[1]]}=")
 
     # every cell has at least one judgement, so the sorted runs are the cells in order
-    edges = np.concatenate(([0], np.cumsum(counts))).tolist()
-    sums = [[math.fsum(column[start:stop]) for start, stop in zip(edges, edges[1:])]
-            for column in admitted[np.argsort(cells, kind="stable")].T.tolist()]
-    return (np.array(sums).T / counts[:, None]).reshape(n, k, 3)
+    sums = _exact_sums(
+        admitted[np.argsort(cells, kind="stable")], counts,
+        lambda at: f"{config.evaluations}: attraction {list(names)[at[0] // k]!r}, "
+                   f"factor {factor_ids[at[0] % k]!r}: the sum of the {COMPONENTS[at[1]]} "
+                   "judgements ")
+    return (sums / counts[:, None]).reshape(n, k, 3)
 
 
 def ingest(config: RunConfig) -> IngestResult:
@@ -429,9 +483,10 @@ def ingest(config: RunConfig) -> IngestResult:
     catalogue = FactorCatalogue(factors=factors, target=TargetRange(*config.target))
 
     names, locations = load_attractions(config.attractions)
-    scores = _expert_means(config, catalogue, names,
-                           load_evaluations(config.evaluations, factor_ids))
-    return IngestResult(catalogue, scores, names, locations, weight_source, report)
+    judgements = load_evaluations(config.evaluations, factor_ids)
+    scores = _expert_means(config, catalogue, names, judgements)
+    return IngestResult(catalogue, scores, names, locations, weight_source, report,
+                        len(judgements[2]))
 
 
 # --- the run itself --------------------------------------------------------
@@ -514,27 +569,26 @@ def _weights_block(catalogue: FactorCatalogue, source: str,
     return block
 
 
+# one row of results.json's "results" array
+_RESULT_ROW = geojson.template({
+    "attraction_id": "%(id)s", "name": "%(name)s", "ftv_lo": "%(lo)s", "ftv_mode": "%(mode)s",
+    "ftv_hi": "%(hi)s", "crisp": "%(crisp)s", "tier": "%(tier)s", "rank": "%(rank)s"})
+
+
 def _results_json(config: RunConfig, ingested: IngestResult,
                   ranked: list[ValuationResult], ranks: dict[str, int],
                   retained: list[ValuationResult],
                   hotspots: tuple[HotSpot, ...], tour: Tour | None) -> str:
+    """The document as ``json.dumps(indent=2, sort_keys=True,
+    ensure_ascii=False)`` prints it; the rows of its ``results`` array are
+    filled into ``_RESULT_ROW``."""
+    rows = [_RESULT_ROW % geojson.result_fields(r, ingested.names[r.attraction_id],
+                                                ranks[r.attraction_id]) for r in ranked]
     document: dict[str, Any] = {
         "config": _config_echo(config),
         "weights": _weights_block(ingested.catalogue, ingested.weight_source,
                                   ingested.weight_report),
-        "results": [
-            {
-                "attraction_id": r.attraction_id,
-                "name": ingested.names[r.attraction_id],
-                "ftv_lo": round6(r.ftv.lo),
-                "ftv_mode": round6(r.ftv.mode),
-                "ftv_hi": round6(r.ftv.hi),
-                "crisp": round6(r.crisp),
-                "tier": r.tier,
-                "rank": ranks[r.attraction_id],
-            }
-            for r in ranked
-        ],
+        "results": [],
         "filter": {
             "threshold": round6(config.filter_threshold),
             "retained": [r.attraction_id for r in retained],
@@ -553,7 +607,12 @@ def _results_json(config: RunConfig, ingested: IngestResult,
             },
         },
     }
-    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    text = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    if not rows:
+        return text
+    # a newline and two spaces begin a top-level key only: no string holds a newline
+    return text.replace('\n  "results": [],',
+                        '\n  "results": [\n' + ",\n".join(rows) + "\n  ],", 1)
 
 
 def _map_geojson(names: dict[str, str], locations: dict[str, GeoPoint],
@@ -563,15 +622,10 @@ def _map_geojson(names: dict[str, str], locations: dict[str, GeoPoint],
     features, in that order, byte for byte as ``json.dumps(indent=2,
     sort_keys=True, ensure_ascii=False)`` prints it: every feature arrives
     as text at the depth of the ``features`` array."""
-    features = [
-        geojson.attraction_feature(locations[r.attraction_id], r,
-                                   names[r.attraction_id], rank=ranks[r.attraction_id])
-        for r in ranked
-    ]
-    features.extend(geojson.hotspot_feature(h) for h in hotspots)
+    texts = geojson.attraction_features(names, locations, ranked, ranks)
+    texts.extend(geojson.indented(geojson.hotspot_feature(h)) for h in hotspots)
     if tour is not None:
-        features.append(geojson.tour_feature(tour))
-    texts = [geojson.indented(f) for f in features]
+        texts.append(geojson.indented(geojson.tour_feature(tour)))
     if grid is not None:
         texts.extend(geojson.density_features(grid))
     if not texts:

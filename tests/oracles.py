@@ -4,8 +4,11 @@ Everything here is deliberately written from the defining formulas with
 plain csv/math only, sharing no code path with the package internals; the
 full-grid KDE keeps the package's earlier numpy loop so that bytes compare.
 The map renderer is the package's earlier dict-based one, kept as it was
-so that bytes compare: it reuses the package's point and tour feature
-builders and 6-digit rounding, and hands the whole document to json.dumps.
+so that bytes compare: it reuses the package's hotspot and tour feature
+builders and 6-digit rounding, keeps the earlier attraction feature builder,
+and hands the whole document to json.dumps.  The results.json renderer is
+the package's earlier one, the whole document through json.dumps.  The
+expert sums are the package's earlier math.fsum per (attraction, factor).
 The judgement loader is the package's earlier row-at-a-time one on
 csv.DictReader, kept as it was so that results and error texts compare.
 The tour planner is the package's earlier Held-Karp loop over subsets by
@@ -20,12 +23,13 @@ import json
 import math
 from itertools import combinations, permutations
 from pathlib import Path
-from typing import Iterable
+from typing import Any, Iterable
 
 import numpy as np
 
 from tourval import fuzzy, geojson
 from tourval.errors import InputError
+from tourval.pipeline import _config_echo, _weights_block
 from tourval.rounding import round6
 from tourval.spatial import Tour, haversine_km
 
@@ -239,12 +243,33 @@ def density_features(grid):
     return features
 
 
+def attraction_feature(point, result, name, rank=None):
+    """One attraction Point Feature as a dict, as the package built it."""
+    properties = {
+        "feature_type": "attraction",
+        "id": result.attraction_id,
+        "name": name,
+        "ftv_lo": round6(result.ftv.lo),
+        "ftv_mode": round6(result.ftv.mode),
+        "ftv_hi": round6(result.ftv.hi),
+        "crisp": round6(result.crisp),
+    }
+    if result.tier is not None:
+        properties["tier"] = result.tier
+    if rank is not None:
+        properties["rank"] = rank
+    return {"type": "Feature",
+            "geometry": {"type": "Point",
+                         "coordinates": [round(point.lon, 6), round(point.lat, 6)]},
+            "properties": properties}
+
+
 def map_geojson(names, locations, ranked, ranks, grid, hotspots, tour) -> str:
     """map.geojson as the whole FeatureCollection dict through
     ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)``."""
     features = [
-        geojson.attraction_feature(locations[r.attraction_id], r,
-                                   names[r.attraction_id], rank=ranks[r.attraction_id])
+        attraction_feature(locations[r.attraction_id], r,
+                           names[r.attraction_id], rank=ranks[r.attraction_id])
         for r in ranked
     ]
     features.extend(geojson.hotspot_feature(h) for h in hotspots)
@@ -254,6 +279,58 @@ def map_geojson(names, locations, ranked, ranks, grid, hotspots, tour) -> str:
         features.extend(density_features(grid))
     document = {"type": "FeatureCollection", "features": features}
     return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def results_json(config, ingested, ranked, ranks, retained, hotspots, tour) -> str:
+    """results.json as the whole document through ``json.dumps(indent=2,
+    sort_keys=True, ensure_ascii=False)``."""
+    document: dict[str, Any] = {
+        "config": _config_echo(config),
+        "weights": _weights_block(ingested.catalogue, ingested.weight_source,
+                                  ingested.weight_report),
+        "results": [
+            {
+                "attraction_id": r.attraction_id,
+                "name": ingested.names[r.attraction_id],
+                "ftv_lo": round6(r.ftv.lo),
+                "ftv_mode": round6(r.ftv.mode),
+                "ftv_hi": round6(r.ftv.hi),
+                "crisp": round6(r.crisp),
+                "tier": r.tier,
+                "rank": ranks[r.attraction_id],
+            }
+            for r in ranked
+        ],
+        "filter": {
+            "threshold": round6(config.filter_threshold),
+            "retained": [r.attraction_id for r in retained],
+            "count": len(retained),
+        },
+        "spatial": {
+            "hotspots": [
+                {"label": h.label, "score": round6(h.score),
+                 "lon": round(h.center.lon, 6), "lat": round(h.center.lat, 6)}
+                for h in hotspots
+            ],
+            "tour": None if tour is None else {
+                "stops": [h.label for h in tour.stops],
+                "length_km": round6(tour.length_km),
+                "duration_hours": [round6(d) for d in tour.duration_hours],
+            },
+        },
+    }
+    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def expert_sums(admitted, cells, counts):
+    """The (cells, 3) sums of the rows of ``admitted`` per entry of
+    ``cells``, one ``math.fsum`` per cell and column; ``counts`` holds each
+    cell's number of rows, at least one."""
+    # every cell has at least one judgement, so the sorted runs are the cells in order
+    edges = np.concatenate(([0], np.cumsum(counts))).tolist()
+    sums = [[math.fsum(column[start:stop]) for start, stop in zip(edges, edges[1:])]
+            for column in admitted[np.argsort(cells, kind="stable")].T.tolist()]
+    return np.array(sums).T
 
 
 def _float_cell(row: dict, column: str, where: str) -> float:

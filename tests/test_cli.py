@@ -31,6 +31,7 @@ class TestValidate:
         assert code == 0
         assert "factors: 20" in out
         assert "attractions: 10" in out
+        assert "evaluations: 600 judgement rows, complete for 10 attractions" in out
         assert "OK" in out
 
     def test_schema_error_exits_2(self, dataset_builder, capsys):
@@ -202,6 +203,21 @@ class TestRun:
         current = {p.name: p.read_bytes() for p in out_dir.iterdir()}
         assert sorted(current) == sorted(previous)
         assert all(current[name] != previous[name] for name in previous)
+
+    def test_overflowing_judgement_sum_exits_4(self, dataset_builder, capsys):
+        """Finite judgements inside their range whose sum exceeds the largest
+        float: a numeric failure naming the file, attraction and factor."""
+        config_path = dataset_builder(
+            factors=[("f1", "Condition", 0.0, 1.7e308, 1.0)],
+            evaluations=[("p1", "f1", "e1", 1e308, 1e308, 1e308),
+                         ("p1", "f1", "e2", 1e308, 1e308, 1e308),
+                         ("p2", "f1", "e1", 1.0, 2.0, 3.0)])
+        code = invoke("run", "--config", str(config_path))
+        err = capsys.readouterr().err
+        assert code == 4
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "evaluations.csv" in err and "'p1'" in err and "'f1'" in err
+        assert not (config_path.parent / "out").exists()
 
     def test_numeric_failure_exits_4(self, sample_dir, tmp_path, monkeypatch):
         def boom(config, allow_inconsistent=False):

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,11 +11,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tourval import TriangularFuzzyNumber as TFN
-from tourval.errors import ConfigError, InputError
+from tourval import geojson
+from tourval.ahp import derive_weights
+from tourval.errors import ConfigError, InputError, NumericError
 from tourval.pipeline import (
+    IngestResult,
     KdeSettings,
     RunConfig,
+    _exact_sums,
     _map_geojson,
+    _results_json,
     ingest,
     load_attractions,
     load_config,
@@ -46,16 +52,14 @@ class TestFormatNumber:
         assert format_number(-0.0) == "0"
 
     def test_negative_zero_same_in_every_artifact(self):
-        from tourval import geojson
         from tourval.rounding import round6
-        from tourval.spatial import GeoPoint
-        from tourval.valuation import ValuationResult
 
         result = ValuationResult("a", TFN(-0.0, 0.0, 1.0), -0.0, None)
-        feature = geojson.attraction_feature(GeoPoint(-75.8, 20.0), result, "A")
+        text = _map_geojson({"a": "A"}, {"a": GeoPoint(-75.8, 20.0)}, [result], {"a": 1},
+                            None, (), None)
         assert json.dumps(round6(-0.0)) == "0.0"
-        assert json.dumps(feature["properties"]["ftv_lo"]) == "0.0"
-        assert json.dumps(feature["properties"]["crisp"]) == "0.0"
+        assert '"ftv_lo": 0.0,' in text
+        assert '"crisp": 0.0,' in text
 
 
 class TestLoadConfig:
@@ -405,6 +409,90 @@ def _corrupt(rows, at, rule, choose):
 
 RULES = ("empty id", "unknown factor", "duplicate", "short row", "blank cell",
          "not a number", "not a TFN")
+
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
+
+
+def _cell_sums(cells):
+    """``_exact_sums`` of ``cells``, each a list of (lo, mode, hi) rows."""
+    rows = np.array([row for cell in cells for row in cell], dtype=float).reshape(-1, 3)
+    return _exact_sums(rows, np.array([len(cell) for cell in cells]),
+                       lambda at: f"cell {at[0]}, column {at[1]}: ")
+
+
+# magnitudes from 1e-12 to 1e12 of both signs, with zeros of both signs
+MAGNITUDE = st.one_of(st.floats(1e-12, 1e12), st.floats(-1e12, -1e-12),
+                      st.sampled_from([0.0, -0.0, 1.0, 1e-16, 1e16]))
+
+
+@st.composite
+def judgement_cells(draw):
+    """Cells of 1 to 12 rows, uneven counts; some rows cancel earlier ones
+    exactly, so that what is left is small against what was added."""
+    cells = []
+    for _ in range(draw(st.integers(1, 8))):
+        cell = draw(st.lists(st.tuples(MAGNITUDE, MAGNITUDE, MAGNITUDE), min_size=1,
+                             max_size=6))
+        cancelled = draw(st.lists(st.sampled_from(cell), max_size=len(cell)))
+        cell += [tuple(-v for v in row) for row in cancelled]
+        cells.append(draw(st.permutations(cell)))
+    return cells
+
+
+class TestExactSums:
+    """pipeline._exact_sums equals math.fsum of each cell, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(judgement_cells(), st.randoms(use_true_random=False))
+    def test_equals_fsum(self, cells, random):
+        expected = [[math.fsum(column) for column in zip(*cell)] for cell in cells]
+        assert _bits(_cell_sums(cells)) == _bits(expected)
+        # the earlier per-cell fsum over rows in file order agrees too
+        owner = [i for i, cell in enumerate(cells) for _ in cell]
+        random.shuffle(owner)
+        rows = np.empty((len(owner), 3))
+        taken = [0] * len(cells)
+        for at, i in enumerate(owner):
+            rows[at] = cells[i][taken[i]]
+            taken[i] += 1
+        counts = np.array([len(cell) for cell in cells])
+        assert _bits(oracles.expert_sums(rows, np.array(owner), counts)) == _bits(expected)
+
+    def test_fsum_only_where_the_error_sum_is_inexact(self, monkeypatch):
+        summed, exact_sum = [], math.fsum
+
+        def fsum(values):
+            summed.append(list(values))
+            return exact_sum(summed[-1])
+
+        monkeypatch.setattr(math, "fsum", fsum)
+        # the second chain adds 1e-32 to 1e-16 with a residual: column 0 of cell 1 falls back
+        cells = [[(1.0, 2.0, 3.0)] * 3, [(1.0, 0.0, 0.0), (1e-16, 0.0, 0.0), (1e-32, 0.0, 0.0)],
+                 [(1e12, -0.0, 5.0), (1e-12, -0.0, 5.0), (-1e12, -0.0, -5.0)]]
+        got = _cell_sums(cells)
+        assert summed == [[1.0, 1e-16, 1e-32]]
+        assert _bits(got) == _bits([[3.0, 6.0, 9.0], [1.0, 0.0, 0.0], [1e-12, 0.0, 5.0]])
+
+    def test_non_finite_cell_falls_back(self):
+        got = _cell_sums([[(1.0, 1.0, 1.0)], [(math.inf, 1.0, -math.inf), (1.0, 2.0, 3.0)]])
+        assert _bits(got) == _bits([[1.0, 1.0, 1.0], [math.inf, 3.0, -math.inf]])
+
+    @pytest.mark.parametrize("column", [
+        pytest.param([1e308, 1e308], id="running-sum"),
+        # each row alone leaves the running sum at the largest float; their
+        # exact error total then tips the final addition over it
+        pytest.param([sys.float_info.max] + [0.75 * math.ulp(sys.float_info.max) / 2] * 2,
+                     id="sum-plus-errors"),
+    ])
+    def test_overflow_names_the_cell(self, column):
+        with pytest.raises(NumericError, match=r"^cell 1, column 2: overflows a float$"):
+            _cell_sums([[(1.0, 1.0, 1.0)], [(0.0, 0.0, v) for v in column]])
+
+    def test_sample_needs_no_fsum(self, sample_dir, monkeypatch):
+        monkeypatch.setattr(math, "fsum", None)
+        assert ingest(load_config(sample_dir / "config.json")).scores.shape == (10, 20, 3)
 
 
 class TestLoadEvaluations:
@@ -787,3 +875,68 @@ class TestMapText:
                                           x0=-1e-3, y0=-1e-3, cell_m=1e-3),
                              center=(0.0, 0.0))
         assert "              -0.0,\n" in _map_geojson(*inputs)
+
+    def test_tierless_attraction_alone(self):
+        self.assert_same(_map_inputs(["A"], None))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(st.floats(allow_nan=True), st.text(NAME_CHARS, max_size=8),
+                     st.integers(-10**20, 10**20), st.booleans(), st.none(),
+                     st.sampled_from([-0.0, 1e16, 1e-07, math.inf, np.float64(2.5)])))
+    def test_encode_prints_as_json(self, value):
+        assert geojson.encode(value) == json.dumps(value, ensure_ascii=False)
+
+
+# -- results.json text against json.dumps of the whole document ---------------
+
+# exponent forms, zeros of both signs, and plain values
+RESULT_NUMBER = st.one_of(st.sampled_from([0.0, -0.0, 1e-05, 1.5e-07, 1e16, 123456789.0]),
+                          st.floats(-1e9, 1e9))
+POSITIVE = st.one_of(st.sampled_from([1e-05, 1.5e-07, 1e16]), st.floats(1e-9, 1e9))
+
+
+@st.composite
+def results_inputs(draw, config, ingested):
+    """Arguments of ``_results_json``: awkward ids and names, any tier or
+    none, either weight source, with or without hotspots and a tour."""
+    ids = draw(st.lists(st.text(NAME_CHARS, max_size=8), unique=True, max_size=5))
+    names = {aid: draw(st.one_of(st.just(SPECIAL_NAME), st.text(NAME_CHARS, max_size=12)))
+             for aid in ids}
+    ranked = [ValuationResult(aid, TFN(*sorted(draw(st.tuples(*[RESULT_NUMBER] * 3)))),
+                              draw(RESULT_NUMBER),
+                              draw(st.sampled_from(["High", "Medium", "Low", None])))
+              for aid in ids]
+    ranks = {aid: i + 1 for i, aid in enumerate(ids)}
+    retained = [r for r in ranked if draw(st.booleans())]
+    report = draw(st.sampled_from([None, derive_weights([[1.0, 3.0], [1 / 3, 1.0]]),
+                                   derive_weights([[1, 2, 0.5], [0.5, 1, 4], [2, 0.25, 1]])]))
+    ingested = replace(ingested, names=names, weight_report=report,
+                       weight_source="column" if report is None else "pairwise")
+    hotspots = tuple(HotSpot(GeoPoint(-75.8 - i * 1e-3, 20.0 + i * 1e-7), score, f"H{i + 1}")
+                     for i, score in enumerate(draw(st.lists(POSITIVE, max_size=3))))
+    tour = None
+    if hotspots and draw(st.booleans()):
+        tour = Tour(hotspots, draw(POSITIVE), (2e-07, 1.0 / 3.0 + 0.7, 1e16))
+    return config, ingested, ranked, ranks, retained, hotspots, tour
+
+
+class TestResultsText:
+    """pipeline._results_json prints the same bytes as json.dumps of the
+    whole document (oracles.results_json)."""
+
+    @pytest.fixture(scope="class")
+    def sample(self, sample_dir, tmp_path_factory):
+        config = replace(load_config(sample_dir / "config.json"),
+                         out_dir=tmp_path_factory.mktemp("results") / 'out "Café" 寺')
+        return config, ingest(config)
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_equals_reference(self, sample, data):
+        inputs = data.draw(results_inputs(*sample))
+        assert _results_json(*inputs) == oracles.results_json(*inputs)
+
+    def test_no_results(self, sample):
+        inputs = (*sample, [], {}, [], (), None)
+        assert _results_json(*inputs) == oracles.results_json(*inputs)
