@@ -4,18 +4,20 @@ Santiago de Cuba.
 Ships the twenty-factor experiential catalogue (source ranges, elicited
 weights, and the surveyed mean ratings per factor) together with the five
 top-valued attractions it produced, plus a small synthetic sample dataset
-wired for the batch pipeline.
+wired for the batch pipeline.  The tables are read from the package
+directory (so an on-disk install is needed) by the pipeline's own CSV
+reader, ``load_factor_table`` and ``_records``, and follow the rules of
+every input file.
 """
 
 from __future__ import annotations
 
-import csv
-from importlib.resources import files
 from pathlib import Path
 
 from .fuzzy import TriangularFuzzyNumber
-from .rescale import SourceRange, TargetRange
-from .valuation import FactorCatalogue, FactorDefinition
+from .pipeline import _records, load_factor_table
+from .rescale import TargetRange
+from .valuation import FactorCatalogue
 
 __all__ = [
     "santiago_catalogue",
@@ -24,12 +26,7 @@ __all__ = [
     "santiago_sample_dir",
 ]
 
-_DATA = files("tourval") / "data"
-
-
-def _rows(name: str) -> list[dict[str, str]]:
-    text = (_DATA / name).read_text(encoding="utf-8")
-    return list(csv.DictReader(text.splitlines()))
+_DATA = Path(__file__).with_name("data")
 
 
 def santiago_catalogue(target: tuple[float, float] = (0.0, 100.0)) -> FactorCatalogue:
@@ -38,15 +35,7 @@ def santiago_catalogue(target: tuple[float, float] = (0.0, 100.0)) -> FactorCata
     The weights sum to 0.998 as published, inside the catalogue's default
     0.01 tolerance.
     """
-    factors = tuple(
-        FactorDefinition(
-            id=row["id"],
-            name=row["name"],
-            src=SourceRange(float(row["x"]), float(row["y"])),
-            weight=float(row["weight"]),
-        )
-        for row in _rows("santiago_factors.csv")
-    )
+    factors, _ = load_factor_table(_DATA / "santiago_factors.csv")
     return FactorCatalogue(factors=factors, target=TargetRange(*target))
 
 
@@ -56,22 +45,17 @@ def santiago_factor_means() -> dict[str, TriangularFuzzyNumber]:
     Note the historical_value mean sits below its declared range minimum;
     rescaling it requires the clamp policy.
     """
-    return {
-        row["id"]: TriangularFuzzyNumber(
-            float(row["mean_lo"]), float(row["mean_mode"]), float(row["mean_hi"])
-        )
-        for row in _rows("santiago_factors.csv")
-    }
+    return {factor_id: TriangularFuzzyNumber(*map(float, mean))
+            for _, (factor_id, *mean) in _records(
+                _DATA / "santiago_factors.csv", ("id", "mean_lo", "mean_mode", "mean_hi"))}
 
 
 def santiago_reference_ftv() -> list[tuple[str, TriangularFuzzyNumber]]:
     """The five top-valued attractions with their published FTV triplets,
     in published order (House of the Trova first)."""
-    return [
-        (row["name"],
-         TriangularFuzzyNumber(float(row["lo"]), float(row["mode"]), float(row["hi"])))
-        for row in _rows("santiago_reference_ftv.csv")
-    ]
+    return [(name, TriangularFuzzyNumber(*map(float, ftv)))
+            for _, (name, *ftv) in _records(
+                _DATA / "santiago_reference_ftv.csv", ("name", "lo", "mode", "hi"))]
 
 
 def santiago_sample_dir() -> Path:
@@ -79,6 +63,6 @@ def santiago_sample_dir() -> Path:
 
     The sample is generated, not surveyed: ten attractions scored by three
     experts across the full catalogue, with exactly three attractions
-    valued above the High threshold.  Requires an on-disk install.
+    valued above the High threshold.
     """
-    return Path(str(_DATA / "santiago_sample"))
+    return _DATA / "santiago_sample"

@@ -1,7 +1,8 @@
 """Batch front door: CSV/JSON ingestion, valuation, spatial analysis, and
 deterministic artifact emission.
 
-Input layout (all UTF-8 CSV with header row):
+Input layout (CSV with a header row, every file read by ``_rows``: UTF-8 with
+an optional byte-order mark, a line of blank cells skipped anywhere):
   factors.csv       id,name,x,y[,weight]
   evaluations.csv   attraction_id,factor_id,expert_id,lo,mode,hi  (long format,
                     one row per expert judgement)
@@ -162,7 +163,7 @@ def load_config(path: Path | str) -> RunConfig:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
     present = _present(raw, RunConfig, str(path))
     base = path.resolve().parent
@@ -191,38 +192,44 @@ def _number(text: str, column: str, where: str) -> float:
         raise InputError(f"{where}: column {column!r} is not a number: {text!r}") from None
 
 
-def _filled(row: list[str]) -> bool:
-    """The blank-line rule of every input file: a record is read only if
-    some cell holds more than whitespace."""
-    return any(map(str.strip, row))
+def _rows(path: Path) -> Iterator[tuple[int, list[str]]]:
+    """``(line, cells)`` per record of a CSV file, the header included: the
+    line the record ends on and its unstripped cells.  The only code that
+    opens an input CSV, so its rules are every input file's: UTF-8, a
+    leading byte-order mark dropped (other text raises ``InputError``), and
+    a record is read only if some cell holds more than whitespace."""
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            reader = csv.reader(handle)
+            for row in reader:
+                # the first cell settles almost every record without scanning the rest
+                if row and (row[0].strip() or any(map(str.strip, row))):
+                    yield reader.line_num, row
+    except UnicodeDecodeError as e:
+        raise InputError(f"{path}: not UTF-8 text ({e.reason})") from None
 
 
 def _records(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """``(line, cells)`` per ``_filled`` record of a CSV file: the line the
-    record ends on and its unstripped cells of the two or more ``columns``,
-    in that order.  Missing cells read ``""``; a repeated name means its
-    last column."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, [])
-        missing = [c for c in columns if c not in header]
-        if missing:
-            raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
-        position = {name: i for i, name in enumerate(header)}
-        pick = operator.itemgetter(*(position[c] for c in columns))
-        padding = [""] * len(header)
-        for row in reader:
-            # the first cell settles almost every record without scanning the rest
-            if row and (row[0].strip() or _filled(row)):
-                yield reader.line_num, pick(row + padding)
+    """``(line, cells)`` per record below the header: its unstripped cells
+    of the two or more ``columns``, in that order.  Missing cells read
+    ``""``; a repeated name means its last column."""
+    rows = _rows(path)
+    header = next(rows, (0, []))[1]
+    missing = [c for c in columns if c not in header]
+    if missing:
+        raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
+    position = {name: i for i, name in enumerate(header)}
+    pick = operator.itemgetter(*(position[c] for c in columns))
+    padding = [""] * len(header)
+    for line, row in rows:
+        yield line, pick(row + padding)
 
 
 def load_factor_table(path: Path) -> tuple[tuple[FactorDefinition, ...], bool]:
     """Factor rows in file order.  Returns (factors, has_weight_column);
     without a weight column every definition carries weight 0 and the
     caller must supply weights from a pairwise matrix."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        has_weights = "weight" in next(csv.reader(handle), [])
+    has_weights = "weight" in next(_rows(path), (0, []))[1]
     factors: list[FactorDefinition] = []
     seen: set[str] = set()
     columns = ("id", "name", "x", "y", "weight") if has_weights else ("id", "name", "x", "y")
@@ -250,9 +257,7 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], W
     """Weights derived from a square pairwise matrix with a header row of
     factor ids.  The id set must match the catalogue exactly; row order
     follows the header."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        rows = [(reader.line_num, row) for row in reader if _filled(row)]
+    rows = list(_rows(path))
     if not rows:
         raise InputError(f"{path}: empty pairwise matrix file")
     ids = [c.strip() for c in rows[0][1]]
@@ -278,13 +283,15 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], W
 
 
 def load_evaluations(path: Path, catalogue_ids: Iterable[str]
-                     ) -> tuple[list[str], np.ndarray, list[int], np.ndarray]:
-    """Long-format expert judgements in file order: attraction ids, factor
+                     ) -> tuple[list[str], np.ndarray, np.ndarray, list[int], np.ndarray]:
+    """Long-format expert judgements in file order: the distinct attraction
+    ids in order of first appearance, each row's index into them, factor
     catalogue indices, file lines and an (n, 3) array of (lo, mode, hi).
     Errors name their line.  The id rules are checked row by row; then the
     duplicates, the numbers and the TFN rule, in that order, each over the
     whole file and reporting its first offending line."""
     known = {factor_id: k for k, factor_id in enumerate(catalogue_ids)}
+    attraction_codes: dict[str, int] = {}
     expert_codes: dict[str, int] = {}
     attractions, factors, experts, lines, numbers = [], [], [], [], []
     for line, (attraction, factor, expert, lo, mode, hi) in _records(
@@ -296,7 +303,7 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
                              "must all be non-empty")
         if k is None:
             raise InputError(f"{path}:{line}: unknown factor id {factor!r}")
-        attractions.append(attraction)
+        attractions.append(attraction_codes.setdefault(attraction, len(attraction_codes)))
         factors.append(k)
         experts.append(expert_codes.setdefault(expert, len(expert_codes)))
         lines.append(line)
@@ -304,18 +311,18 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
         numbers.append(mode)
         numbers.append(hi)
     n = len(lines)
+    codes = np.array(attractions, dtype=np.intp)
     factor_index = np.array(factors, dtype=np.intp)
 
     # one integer per (attraction, factor, expert); a key seen before is a duplicate
-    codes: dict[str, int] = {}
-    key = np.fromiter((codes.setdefault(a, len(codes)) for a in attractions), np.int64, n)
-    _, first, inverse = np.unique((key * len(known) + factor_index) * len(expert_codes)
+    _, first, inverse = np.unique((codes * len(known) + factor_index) * len(expert_codes)
                                   + experts, return_index=True, return_inverse=True)
     repeats = np.flatnonzero(first[inverse] != np.arange(n))
     if repeats.size:
         at = repeats[0]
         raise InputError(f"{path}:{lines[at]}: duplicate judgement for attraction "
-                         f"{attractions[at]!r}, factor {list(known)[factors[at]]!r}, "
+                         f"{list(attraction_codes)[attractions[at]]!r}, "
+                         f"factor {list(known)[factors[at]]!r}, "
                          f"expert {list(expert_codes)[experts[at]]!r}")
 
     try:
@@ -328,7 +335,7 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
     if bad.size:
         raise InputError(f"{path}:{lines[bad[0]]}: not a TFN (finite, lo <= mode <= hi): "
                          f"{tuple(tfns[bad[0]].tolist())}")
-    return attractions, factor_index, lines, tfns
+    return list(attraction_codes), codes, factor_index, lines, tfns
 
 
 def load_attractions(path: Path) -> tuple[dict[str, str], dict[str, GeoPoint]]:
@@ -412,21 +419,20 @@ def _exact_sums(rows: np.ndarray, counts: np.ndarray,
 
 
 def _expert_means(config: RunConfig, catalogue: FactorCatalogue, names: dict[str, str],
-                  judgements: tuple[list[str], np.ndarray, list[int], np.ndarray]) -> np.ndarray:
+                  judgements: tuple[list[str], np.ndarray, np.ndarray, list[int], np.ndarray]
+                  ) -> np.ndarray:
     """Apply the range policy to each judgement, then average the experts per
     (attraction, factor) into an (attractions, factors, 3) array.  The sums
     are exact, as ``math.fsum`` gives them (``_exact_sums``)."""
-    attractions, factors, lines, tfns = judgements
+    ids, codes, factors, lines, tfns = judgements
     factor_ids = catalogue.ids
     n, k = len(names), len(factor_ids)
-    position = {attraction_id: i for i, attraction_id in enumerate(names)}
-    try:
-        index = np.fromiter(map(position.__getitem__, attractions), np.intp, len(attractions))
-    except KeyError:
-        unknown = sorted(set(attractions) - set(names))
+    unknown = sorted(set(ids).difference(names))
+    if unknown:
         raise InputError(f"{config.evaluations}: judgements for attractions absent "
-                         f"from {config.attractions}: {', '.join(unknown)}") from None
-    cells = index * k + factors
+                         f"from {config.attractions}: {', '.join(unknown)}")
+    position = {attraction_id: i for i, attraction_id in enumerate(names)}
+    cells = np.array([position[i] for i in ids], dtype=np.intp)[codes] * k + factors
     counts = np.bincount(cells, minlength=n * k)
     if not counts.all():
         for attraction_id, row in zip(names, counts.reshape(n, k).tolist()):
@@ -439,7 +445,7 @@ def _expert_means(config: RunConfig, catalogue: FactorCatalogue, names: dict[str
     x, y = catalogue.source_ranges
     admitted = apply_range_policy(
         tfns, x[factors], y[factors], config.range_policy,
-        lambda at: f"{config.evaluations}:{lines[at[0]]}: attraction {attractions[at[0]]!r}, "
+        lambda at: f"{config.evaluations}:{lines[at[0]]}: attraction {ids[codes[at[0]]]!r}, "
                    f"factor {factor_ids[factors[at[0]]]!r}: {COMPONENTS[at[1]]}=")
 
     # every cell has at least one judgement, so the sorted runs are the cells in order
@@ -486,7 +492,7 @@ def ingest(config: RunConfig) -> IngestResult:
     judgements = load_evaluations(config.evaluations, factor_ids)
     scores = _expert_means(config, catalogue, names, judgements)
     return IngestResult(catalogue, scores, names, locations, weight_source, report,
-                        len(judgements[2]))
+                        len(judgements[3]))
 
 
 # --- the run itself --------------------------------------------------------
@@ -517,6 +523,12 @@ def _spatial_analysis(config: RunConfig, retained: list[ValuationResult],
                       locations: dict[str, GeoPoint]):
     # weighted by the crisp value as results.csv prints it, which is what
     # ``run_tour`` reads back, so both paths build the same surface
+    # the first retained value below 0, if any
+    for r in (r for r in retained if round6(r.crisp) < 0):
+        raise ConfigError(f"attraction {r.attraction_id!r} is kept with the negative value "
+                          f"{format_number(r.crisp)}, which cannot weigh the density surface; "
+                          f"filter_threshold ({format_number(config.filter_threshold)}) "
+                          "must be 0 or above")
     points = [ScoredPoint(locations[r.attraction_id], round6(r.crisp)) for r in retained]
     grid = kde_heatmap(points, bandwidth_m=config.kde.bandwidth_m, cell_m=config.kde.cell_m)
     hotspots = detect_hotspots(grid, percentile=config.kde.hotspot_percentile)

@@ -12,7 +12,9 @@ expert sums are the package's earlier math.fsum per (attraction, factor).
 The judgement loader is the package's earlier row-at-a-time one on
 csv.DictReader, kept as it was so that results and error texts compare.
 The tour planner is the package's earlier Held-Karp loop over subsets by
-size, kept as it was, on the package's haversine distance.
+size, kept as it was, on the package's haversine distance.  The bundled
+Santiago tables are read as the package's earlier ``datasets`` read them,
+with csv.DictReader, kept as it was.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import csv
 import io
 import json
 import math
+from importlib.resources import files
 from itertools import combinations, permutations
 from pathlib import Path
 from typing import Any, Iterable
@@ -29,9 +32,12 @@ import numpy as np
 
 from tourval import fuzzy, geojson
 from tourval.errors import InputError
+from tourval.fuzzy import TriangularFuzzyNumber
+from tourval.rescale import SourceRange, TargetRange
 from tourval.pipeline import _config_echo, _weights_block
 from tourval.rounding import round6
 from tourval.spatial import Tour, haversine_km
+from tourval.valuation import FactorCatalogue, FactorDefinition
 
 
 def lre(a: float, x: float, y: float, m: float, big_m: float) -> float:
@@ -396,3 +402,41 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
         raise InputError(f"{path}:{lines[bad[0]]}: not a TFN (finite, lo <= mode <= hi): "
                          f"{tuple(tfns[bad[0]].tolist())}")
     return attractions, np.array(factors, dtype=np.intp), lines, tfns
+
+
+_DATA = files("tourval") / "data"
+
+
+def _rows(name: str) -> list[dict[str, str]]:
+    text = (_DATA / name).read_text(encoding="utf-8")
+    return list(csv.DictReader(text.splitlines()))
+
+
+def santiago_catalogue(target: tuple[float, float] = (0.0, 100.0)) -> FactorCatalogue:
+    factors = tuple(
+        FactorDefinition(
+            id=row["id"],
+            name=row["name"],
+            src=SourceRange(float(row["x"]), float(row["y"])),
+            weight=float(row["weight"]),
+        )
+        for row in _rows("santiago_factors.csv")
+    )
+    return FactorCatalogue(factors=factors, target=TargetRange(*target))
+
+
+def santiago_factor_means() -> dict[str, TriangularFuzzyNumber]:
+    return {
+        row["id"]: TriangularFuzzyNumber(
+            float(row["mean_lo"]), float(row["mean_mode"]), float(row["mean_hi"])
+        )
+        for row in _rows("santiago_factors.csv")
+    }
+
+
+def santiago_reference_ftv() -> list[tuple[str, TriangularFuzzyNumber]]:
+    return [
+        (row["name"],
+         TriangularFuzzyNumber(float(row["lo"]), float(row["mode"]), float(row["hi"])))
+        for row in _rows("santiago_reference_ftv.csv")
+    ]

@@ -329,6 +329,74 @@ class TestTour:
         assert "results.csv" in capsys.readouterr().err
 
 
+class TestEncoding:
+    """Every input file is UTF-8; a leading byte-order mark is dropped."""
+
+    FILES = ["factors.csv", "evaluations.csv", "attractions.csv", "pairwise.csv",
+             "results.csv"]
+
+    @pytest.fixture()
+    def inputs(self, dataset_builder, tmp_path):
+        """A pairwise-weighted input set and the run's output directory,
+        after one ``run`` into it."""
+        config_path = dataset_builder(
+            factors=[("f1", "Condition", 0.0, 5.0), ("f2", "Impact", -5.0, 0.0)],
+            factor_columns=("id", "name", "x", "y"),
+            config_extra={"pairwise": "pairwise.csv"})
+        (tmp_path / "pairwise.csv").write_text("f1,f2\n1,3\n0.3333333333333333,1\n",
+                                               encoding="utf-8")
+        assert invoke("run", "--config", str(config_path)) == 0
+        return config_path, tmp_path / "out"
+
+    @staticmethod
+    def _command(name):
+        return "tour" if name == "results.csv" else "run"
+
+    @pytest.mark.parametrize("name, code", [(name, 2) for name in FILES] + [("config.json", 3)])
+    def test_file_not_utf8_exits(self, inputs, capsys, name, code):
+        config_path, out_dir = inputs
+        path = (out_dir if name == "results.csv" else config_path.parent) / name
+        path.write_bytes(path.read_bytes() + "Café\n".encode("latin-1"))
+        capsys.readouterr()
+        assert invoke(self._command(name), "--config", str(config_path)) == code
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and "utf-8" in err.lower()
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_byte_order_mark_ignored(self, inputs, name):
+        config_path, out_dir = inputs
+        path = (out_dir if name == "results.csv" else config_path.parent) / name
+        before = {p.name: p.read_bytes() for p in out_dir.iterdir() if p != path}
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert invoke(self._command(name), "--config", str(config_path)) == 0
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir() if p != path} == before
+
+
+class TestNegativeScale:
+    @pytest.mark.parametrize("command", ["run", "tour"])
+    def test_negative_retained_value_exits_3(self, sample_dir, tmp_path, capsys, command):
+        """On a target of [-100, 0] a filter threshold below 0 keeps negative
+        values, which cannot weigh the density surface: a configuration
+        error naming the attraction and the threshold, and nothing written."""
+        config = json.loads((sample_dir / "config.json").read_text(encoding="utf-8"))
+        for key in ("factors", "evaluations", "attractions"):
+            config[key] = str(sample_dir / config[key])
+        config.update(target=[-100, 0], tier_thresholds=[-66, -33], filter_threshold=-34,
+                      out_dir=str(tmp_path / "out"))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        if command == "tour":
+            assert invoke("ftv", "--config", str(config_path)) == 0
+        before = sorted((tmp_path / "out").glob("*"))
+        capsys.readouterr()
+        assert invoke(command, "--config", str(config_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: attraction 'a01'") and "-19.0617" in err
+        assert "filter_threshold (-34)" in err and "Traceback" not in err
+        assert sorted((tmp_path / "out").glob("*")) == before
+
+
 class TestEntryPoint:
     def test_module_invocation(self, sample_dir, tmp_path):
         proc = subprocess.run(

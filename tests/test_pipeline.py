@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tourval import TriangularFuzzyNumber as TFN
-from tourval import geojson
+from tourval import datasets, geojson
 from tourval.ahp import derive_weights
 from tourval.errors import ConfigError, InputError, NumericError
 from tourval.pipeline import (
@@ -292,7 +292,7 @@ class TestIngest:
     def test_blank_lines_skipped_in_every_file(self, dataset_builder, tmp_path):
         """A record whose cells are all empty or whitespace is skipped in
         factors.csv, evaluations.csv, attractions.csv and the pairwise
-        matrix alike."""
+        matrix alike, above the header too."""
         (tmp_path / "pairwise.csv").write_text("f1,f2\n1,3\n0.3333333333333333,1\n",
                                                encoding="utf-8")
         config = load_config(dataset_builder(
@@ -303,13 +303,48 @@ class TestIngest:
         for name in ("factors.csv", "evaluations.csv", "attractions.csv", "pairwise.csv"):
             path = tmp_path / name
             header, first, *rest = path.read_text("utf-8").splitlines(keepends=True)
-            path.write_text("".join([header, "   \n", first, " ,\t, \n", *rest, "\t\n"]),
-                            encoding="utf-8")
+            path.write_text("".join(["\n", " , \n", header, "   \n", first, " ,\t, \n",
+                                     *rest, "\t\n"]), encoding="utf-8")
         after = ingest(config)
         assert after.catalogue == before.catalogue
         assert after.names == before.names and after.locations == before.locations
         assert np.array_equal(after.scores, before.scores)
         assert after.weight_report == before.weight_report
+
+    def test_fault_in_evaluations_reported_before_unknown_attractions(self, dataset_builder):
+        config_path = dataset_builder(evaluations=[
+            ("p1", "f1", "e1", 1.0, 2.0, 3.0), ("p1", "f2", "e1", -3.0, -2.0, -1.0),
+            ("p2", "f1", "e1", 3.0, 4.0, 5.0), ("p2", "f2", "e1", -2.0, -1.0, 0.0),
+            ("ghost", "f1", "e1", 1.0, 2.0, 3.0), ("p2", "f1", "e2", 3.0, 2.0, 1.0),
+        ])
+        with pytest.raises(InputError, match=r"evaluations\.csv:7: not a TFN"):
+            ingest(load_config(config_path))
+
+    def test_unknown_attractions_listed_sorted(self, dataset_builder):
+        config_path = dataset_builder(evaluations=[
+            *((a, "f1", "e1", 1.0, 2.0, 3.0) for a in ("zz", "p1", "b 2", "p2", "a1", "zz2")),
+            ("p1", "f2", "e1", -3.0, -2.0, -1.0), ("p2", "f2", "e1", -3.0, -2.0, -1.0)])
+        with pytest.raises(InputError) as raised:
+            ingest(load_config(config_path))
+        assert str(raised.value).endswith(
+            "judgements for attractions absent from "
+            f"{config_path.parent / 'attractions.csv'}: a1, b 2, zz, zz2")
+
+
+class TestDatasets:
+    """The bundled tables read through the pipeline's reader equal the
+    earlier csv.DictReader readings in tests/oracles.py."""
+
+    def test_catalogue(self):
+        assert datasets.santiago_catalogue() == oracles.santiago_catalogue()
+        assert (datasets.santiago_catalogue((-5.0, 5.0))
+                == oracles.santiago_catalogue((-5.0, 5.0)))
+
+    def test_factor_means(self):
+        assert datasets.santiago_factor_means() == oracles.santiago_factor_means()
+
+    def test_reference_ftv(self):
+        assert datasets.santiago_reference_ftv() == oracles.santiago_reference_ftv()
 
 
 # -- evaluations.csv against the row-at-a-time reference loader --------------
@@ -365,10 +400,20 @@ def evaluation_text(draw, rows):
     return buffer.getvalue()
 
 
+def _per_row_ids(path, catalogue_ids):
+    """``load_evaluations`` with each row's attraction code mapped back to
+    its id, as ``oracles.load_evaluations`` returns it."""
+    ids, codes, factors, lines, values = load_evaluations(path, catalogue_ids)
+    # distinct ids, coded in order of first appearance
+    assert len(set(ids)) == len(ids) and codes.dtype == np.intp
+    assert list(dict.fromkeys(codes.tolist())) == list(range(len(ids)))
+    return [ids[code] for code in codes.tolist()], factors, lines, values
+
+
 def _load_both(path):
     """Each loader's result, or the text of the InputError it raised."""
     outcomes = []
-    for load in (load_evaluations, oracles.load_evaluations):
+    for load in (_per_row_ids, oracles.load_evaluations):
         try:
             ids, factors, lines, values = load(path, CATALOGUE)
         except InputError as e:
@@ -542,7 +587,7 @@ class TestLoadEvaluations:
         assert new == reference
 
     @pytest.mark.parametrize("text", [
-        "", "\nattraction_id,factor_id,expert_id,lo,mode,hi\n",
+        "",
         "attraction_id,factor_id,expert_id,lo,mode\np1,f1,e1,1,2\n",
         " attraction_id,factor_id,expert_id,lo,mode,hi\n",
     ])
