@@ -31,3 +31,10 @@ class NumericError(TourvalError):
     the largest float."""
 
     exit_code = 4
+
+
+def require_choice(value, choices: tuple[str, ...], name: str,
+                   error: type[Exception] = ConfigError) -> None:
+    """The rule of every setting that names one of a few ``choices``."""
+    if value not in choices:
+        raise error(f"{name} must be {' or '.join(map(repr, choices))}, got {value!r}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import require_choice
 
 __all__ = [
     "TriangularFuzzyNumber",
@@ -153,14 +153,14 @@ def defuzzify(t: TFN, method: str = "centroid") -> float:
     ``centroid`` returns (lo + mode + hi) / 3, ``mode`` returns the mode.
     The result always lies inside [lo, hi].
     """
-    if method == "centroid":
-        c = (t.lo + t.mode + t.hi) / 3.0
-        # the fp mean of three equal values can exit the support by an ulp
-        return min(max(c, t.lo), t.hi)
+    require_choice(method, DEFUZZIFY_METHODS, "defuzzification method")
     if method == "mode":
         return t.mode
-    raise ConfigError(f"unknown defuzzification method {method!r} "
-                      f"(expected {' or '.join(map(repr, DEFUZZIFY_METHODS))})")
+    c = (t.lo + t.mode + t.hi) / 3.0
+    if abs(c) == math.inf:   # the sum overflowed; the thirds of finite ends cannot
+        c = t.lo / 3.0 + t.mode / 3.0 + t.hi / 3.0
+    # the fp mean of three equal values can exit the support by an ulp
+    return min(max(c, t.lo), t.hi)
 
 
 def tfn_to_text(t: TFN) -> str:

@@ -68,11 +68,8 @@ def tour_feature(tour: Tour) -> dict[str, Any]:
         "stops": [h.label for h in tour.stops],
         "length_km": round6(tour.length_km),
     }
-    if tour.duration_hours is not None:
-        dmin, davg, dmax = tour.duration_hours
-        properties["duration_hours_min"] = round6(dmin)
-        properties["duration_hours_avg"] = round6(davg)
-        properties["duration_hours_max"] = round6(dmax)
+    for bound, hours in zip(("min", "avg", "max"), tour.duration_hours or ()):
+        properties[f"duration_hours_{bound}"] = round6(hours)
     return _feature({"type": "LineString", "coordinates": coords}, properties)
 
 

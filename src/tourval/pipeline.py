@@ -25,6 +25,7 @@ import logging
 import math
 import operator
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -33,7 +34,7 @@ import numpy as np
 
 from . import fuzzy, geojson
 from .ahp import CR_LIMIT, WeightReport, derive_weights
-from .errors import ConfigError, InputError, NumericError
+from .errors import ConfigError, InputError, NumericError, require_choice
 from .fuzzy import TFN
 from .rescale import (COMPONENTS, RANGE_POLICIES, SourceRange, TargetRange,
                       apply_range_policy)
@@ -120,15 +121,9 @@ class RunConfig:
         object.__setattr__(self, "out_dir", Path(str(self.out_dir)).resolve())
         if len(self.target) != 2:
             raise ConfigError(f"target must be a pair (m, M), got {self.target}")
-        try:
-            TargetRange(*self.target)
-        except ValueError as e:
-            raise ConfigError(str(e)) from None
-        for key, choices in (("defuzzify", fuzzy.DEFUZZIFY_METHODS),
-                             ("range_policy", RANGE_POLICIES)):
-            if getattr(self, key) not in choices:
-                raise ConfigError(f"{key} must be {' or '.join(map(repr, choices))}, "
-                                  f"got {getattr(self, key)!r}")
+        TargetRange(*self.target)
+        require_choice(self.defuzzify, fuzzy.DEFUZZIFY_METHODS, "defuzzify")
+        require_choice(self.range_policy, RANGE_POLICIES, "range_policy")
         t = self.tier_thresholds
         if len(t) != 2 or not t[0] < t[1]:
             raise ConfigError(f"tier_thresholds must be increasing, got {t}")
@@ -149,6 +144,12 @@ def _present(raw: Any, settings: type, where: str) -> dict[str, Any]:
     unknown = sorted(set(raw) - {f.name for f in fields(settings)})
     if unknown:
         raise ConfigError(f"{where}: unknown keys: {', '.join(unknown)}")
+    for key, value in raw.items():
+        # Python reads true as the number 1 and keeps an integer past the float range exact
+        if any(isinstance(v, bool) or isinstance(v, int) and abs(v) > sys.float_info.max
+               for v in (value if isinstance(value, list) else [value])):
+            raise ConfigError(f"{where}: {key} takes no true, false or integer beyond the "
+                              f"float range, got {json.dumps(value)}")
     return {key: value for key, value in raw.items() if value is not None}
 
 
@@ -160,7 +161,7 @@ def load_config(path: Path | str) -> RunConfig:
     rejected rather than ignored; a key set to null takes its default."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
+        raw = json.loads(path.read_text(encoding="utf-8-sig"))
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
@@ -236,8 +237,6 @@ def load_factor_table(path: Path) -> tuple[tuple[FactorDefinition, ...], bool]:
     for line, (factor_id, name, x, y, *weight) in _records(path, columns):
         where = f"{path}:{line}"
         factor_id = factor_id.strip()
-        if not factor_id:
-            raise InputError(f"{where}: empty factor id")
         if factor_id in seen:
             raise InputError(f"{where}: duplicate factor id {factor_id!r}")
         seen.add(factor_id)
@@ -272,10 +271,7 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], W
     for line, row in rows[1:]:
         if len(row) != n:
             raise InputError(f"{path}:{line}: expected {n} entries, got {len(row)}")
-        try:
-            matrix.append([float(cell) for cell in row])
-        except ValueError as e:
-            raise InputError(f"{path}:{line}: {e}") from e
+        matrix.append([_number(cell, column, f"{path}:{line}") for cell, column in zip(row, ids)])
     try:
         return ids, derive_weights(matrix)
     except ValueError as e:
@@ -572,13 +568,8 @@ def weight_diagnostics(report: WeightReport) -> dict[str, Any]:
 
 def _weights_block(catalogue: FactorCatalogue, source: str,
                    report: WeightReport | None) -> dict[str, Any]:
-    block: dict[str, Any] = {
-        "source": source,
-        "values": {f.id: round6(f.weight) for f in catalogue.factors},
-    }
-    if report is not None:
-        block.update(weight_diagnostics(report))
-    return block
+    return {"source": source, "values": {f.id: round6(f.weight) for f in catalogue.factors},
+            **(weight_diagnostics(report) if report is not None else {})}
 
 
 # one row of results.json's "results" array

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
 
-from .errors import OutOfRangeError
+from .errors import OutOfRangeError, require_choice
 from .fuzzy import TFN
 
 __all__ = ["SourceRange", "TargetRange", "RANGE_POLICIES", "apply_range_policy",
@@ -27,8 +27,24 @@ COMPONENTS = ("lo", "mode", "hi")
 RANGE_POLICIES = ("strict", "clamp")
 
 
+class _Range:
+    """Both range types' rule: lower < upper by a finite span whose reciprocal
+    is finite too, so the min-max map neither overflows nor divides by zero."""
+
+    def __post_init__(self):
+        if not (0 < self.span < math.inf and 1 / self.span < math.inf):
+            kind = type(self).__name__.removesuffix("Range").lower()
+            raise ValueError(f"{kind} range {list(astuple(self))} must increase by a finite "
+                             "span with a finite reciprocal (negate a descending scale)")
+
+    @property
+    def span(self) -> float:
+        low, high = astuple(self)
+        return float(high - low)
+
+
 @dataclass(frozen=True)
-class SourceRange:
+class SourceRange(_Range):
     """Inventoried range [x, y] of a factor, x < y.
 
     A factor scored on a descending scale must be encoded by negating its
@@ -39,36 +55,13 @@ class SourceRange:
     x: float
     y: float
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"source range must be finite, got [{self.x}, {self.y}]")
-        if not self.x < self.y:
-            raise ValueError(
-                f"source range requires x < y, got [{self.x}, {self.y}] "
-                "(encode descending scales by negating the values)"
-            )
-
-    @property
-    def span(self) -> float:
-        return self.y - self.x
-
 
 @dataclass(frozen=True)
-class TargetRange:
+class TargetRange(_Range):
     """Common dimensionless range [m, M] that all factors are mapped onto."""
 
     m: float
     M: float
-
-    def __post_init__(self):
-        if not (math.isfinite(self.m) and math.isfinite(self.M)):
-            raise ValueError(f"target range must be finite, got [{self.m}, {self.M}]")
-        if not self.m < self.M:
-            raise ValueError(f"target range requires m < M, got [{self.m}, {self.M}]")
-
-    @property
-    def span(self) -> float:
-        return self.M - self.m
 
 
 def apply_range_policy(values, x, y, policy: str,
@@ -76,9 +69,7 @@ def apply_range_policy(values, x, y, policy: str,
     """Out-of-range policy for values against their source range [x, y]
     (broadcast): ``strict`` raises OutOfRangeError for the first value outside,
     ``clamp`` saturates all with one warning.  ``locate(index)`` names a value."""
-    if policy not in RANGE_POLICIES:
-        raise ValueError(f"unknown out-of-range policy {policy!r} "
-                         f"(expected {' or '.join(map(repr, RANGE_POLICIES))})")
+    require_choice(policy, RANGE_POLICIES, "out-of-range policy", ValueError)
     values = np.asarray(values, dtype=float)
     x, y = np.broadcast_to(x, values.shape), np.broadcast_to(y, values.shape)
     outside = ~((x <= values) & (values <= y))   # NaN counts as outside

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericError
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -34,6 +34,8 @@ __all__ = [
 
 EARTH_RADIUS_KM = 6371.0088
 MAX_TOUR_STOPS = 12
+# 80 MB of float64 cells; a run over a city at 10 m cells needs about 700,000
+MAX_GRID_CELLS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -110,14 +112,13 @@ class DensityGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = np.array(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"grid values must be a 2-d array, got shape {v.shape}")
         if np.any(v < 0) or not np.all(np.isfinite(v)):
             raise ValueError("grid values must be finite and non-negative")
         if not self.cell_m > 0:
             raise ValueError(f"cell size must be positive, got {self.cell_m}")
-        v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -186,6 +187,23 @@ def require_dwell(dwell: Sequence[float], name: str) -> None:
                           f"got {tuple(dwell)}")
 
 
+def _grid_frame(xs: Sequence[float], ys: Sequence[float], bandwidth_m: float,
+                cell_m: float) -> tuple[float, float, int, int]:
+    """South-west corner, rows and columns of the grid over points at ``xs``,
+    ``ys`` metres; past ``MAX_GRID_CELLS`` a ConfigError, decided on floats."""
+    x0 = min(xs) - bandwidth_m - cell_m / 2.0
+    y0 = min(ys) - bandwidth_m - cell_m / 2.0
+    # as floats, so that an extent too large for an int is reported too
+    rows, cols = np.maximum(1.0, np.ceil([(max(ys) + bandwidth_m - y0) / cell_m,
+                                          (max(xs) + bandwidth_m - x0) / cell_m])).tolist()
+    if rows * cols > MAX_GRID_CELLS:
+        raise ConfigError(
+            f"a density grid of {rows:.6g} x {cols:.6g} cells exceeds {MAX_GRID_CELLS} "
+            f"(kde.cell_m {cell_m}, kde.bandwidth_m {bandwidth_m}); raise kde.cell_m or check "
+            "the coordinates")
+    return x0, y0, int(rows), int(cols)
+
+
 def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,
                 cell_m: float = 10.0) -> DensityGrid:
     """Weighted kernel density surface over the points' bounding box.
@@ -209,6 +227,9 @@ def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,
     points = list(points)
     if not points:
         return DensityGrid(GeoPoint(0.0, 0.0), 0.0, 0.0, cell_m, np.zeros((1, 1)))
+    # no cell exceeds K(0) = 15/16 times the total weight
+    if sum(p.weight for p in points) == math.inf:
+        raise NumericError(f"the weights of the {len(points)} points sum past the largest float")
 
     lons = [p.point.lon for p in points]
     lats = [p.point.lat for p in points]
@@ -219,11 +240,7 @@ def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,
     xs = [v[0] for v in xy]
     ys = [v[1] for v in xy]
 
-    x0 = min(xs) - bandwidth_m - cell_m / 2.0
-    y0 = min(ys) - bandwidth_m - cell_m / 2.0
-    ncols = max(1, math.ceil((max(xs) + bandwidth_m - x0) / cell_m))
-    nrows = max(1, math.ceil((max(ys) + bandwidth_m - y0) / cell_m))
-
+    x0, y0, nrows, ncols = _grid_frame(xs, ys, bandwidth_m, cell_m)
     cx = x0 + (np.arange(ncols) + 0.5) * cell_m
     cy = y0 + (np.arange(nrows) + 0.5) * cell_m
     values = np.zeros((nrows, ncols))
@@ -350,4 +367,7 @@ def estimate_duration(tour: Tour, walk_speed_kmh: float,
     require_positive(walk_speed_kmh, "walk_speed_kmh")
     require_dwell(dwell_minutes, "dwell_minutes")
     walk = tour.length_km / walk_speed_kmh
-    return tuple(walk + len(tour.stops) * dm / 60.0 for dm in dwell_minutes)
+    bounds = tuple(walk + len(tour.stops) * dm / 60.0 for dm in dwell_minutes)
+    if not math.isfinite(bounds[2]):
+        raise ConfigError(f"walk_speed_kmh {walk_speed_kmh} makes the tour's duration infinite")
+    return bounds

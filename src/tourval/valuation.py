@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from . import fuzzy
-from .ahp import WEIGHT_SUM_TOLERANCE
+from .ahp import validate_weights
 from .errors import ConfigError, InputError
 from .fuzzy import TFN
 from .rescale import (COMPONENTS, SourceRange, TargetRange, apply_range_policy,
@@ -67,8 +67,9 @@ class FactorDefinition:
 class FactorCatalogue:
     """Ordered factor list plus the shared target range.
 
-    Weights must sum to 1 within ``WEIGHT_SUM_TOLERANCE``; a violation is a
-    configuration error because it silently rescales every result.
+    Weights must pass ``ahp.validate_weights`` (sum 1 within its tolerance);
+    a violation is a configuration error because it silently rescales every
+    result.
     """
 
     factors: tuple[FactorDefinition, ...]
@@ -83,11 +84,9 @@ class FactorCatalogue:
         dupes = sorted({i for i in ids if ids.count(i) > 1})
         if dupes:
             raise ValueError(f"duplicate factor ids in catalogue: {', '.join(dupes)}")
-        total = sum(f.weight for f in factors)
-        if abs(total - 1.0) > WEIGHT_SUM_TOLERANCE:
-            raise ConfigError(
-                f"factor weights sum to {total:.6g}, outside 1 +/- {WEIGHT_SUM_TOLERANCE}"
-            )
+        check = validate_weights(self.weights)
+        if not check.ok:
+            raise ConfigError(f"factor weights: {check.detail}")
 
     @property
     def ids(self) -> tuple[str, ...]:

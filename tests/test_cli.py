@@ -1,10 +1,16 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tourval import cli, pipeline
 from tourval.errors import NumericError
@@ -373,6 +379,41 @@ class TestEncoding:
         assert {p.name: p.read_bytes() for p in out_dir.iterdir() if p != path} == before
 
 
+class TestSpansAndDurations:
+    @pytest.mark.parametrize("extra, factor, argv, code, message", [
+        ({"target": [-1e308, 1e308], "tier_thresholds": [0, 1], "filter_threshold": 1},
+         None, [], 3, "target range [-1e+308, 1e+308] must "),
+        ({}, (-1e308, 1e308), [], 2, "factors.csv:2: source range [-1e+308, 1e+308] must "),
+        ({}, (0.0, 5e-324), ["--clamp"], 2, "factors.csv:2: source range [0.0, 5e-324] must "),
+    ], ids=["target", "factor-range", "subnormal-factor-span"])
+    def test_overflow_exits_with_its_code(self, dataset_builder, tmp_path, capsys, extra,
+                                          factor, argv, code, message):
+        """A span or a duration that would overflow, or divide by a span
+        whose reciprocal overflows, is an error, and nothing is written."""
+        factors = None if factor is None else [
+            ("f1", "Condition", *factor, 0.5), ("f2", "Impact", -5.0, 0.0, 0.5)]
+        config_path = dataset_builder(factors=factors, config_extra=extra)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert invoke("run", "--config", str(config_path), *argv) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_tour_duration_exits_3(self, sample_dir, tmp_path, capsys):
+        """A walking speed so slow that the sample's tour would take
+        infinitely long: no Infinity is written, nothing is."""
+        config = json.loads((sample_dir / "config.json").read_text(encoding="utf-8"))
+        for key in ("factors", "evaluations", "attractions"):
+            config[key] = str(sample_dir / config[key])
+        config.update(out_dir=str(tmp_path / "out"), tour={"walk_speed_kmh": 1e-320})
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert invoke("run", "--config", str(config_path)) == 3
+        assert capsys.readouterr().err.startswith("error: walk_speed_kmh 1e-320 ")
+        assert not (tmp_path / "out").exists()
+
+
 class TestNegativeScale:
     @pytest.mark.parametrize("command", ["run", "tour"])
     def test_negative_retained_value_exits_3(self, sample_dir, tmp_path, capsys, command):
@@ -406,3 +447,68 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "wrote" in proc.stdout
+
+
+# Each generated example replaces one config value or one CSV cell of the
+# sample with one of these.  kde.cell_m, kde.bandwidth_m and the coordinates
+# are never replaced, so no example can make the KDE allocate a large grid.
+EXTREMES = [0.0, -0.0, 5e-324, 1e-320, 1e308, -1e308, math.inf, -math.inf, math.nan,
+            10 ** 400, True, False, "x", [1]]
+CONFIG_SLOTS = [("target",), ("target", 0), ("target", 1), ("tier_thresholds", 0),
+                ("tier_thresholds", 1), ("filter_threshold",), ("defuzzify",),
+                ("range_policy",), ("kde", "hotspot_percentile"), ("kde", "merge_radius_m"),
+                ("tour", "walk_speed_kmh"), ("tour", "dwell_minutes"),
+                ("tour", "dwell_minutes", 0), ("tour", "dwell_minutes", 2)]
+CSV_SLOTS = {"factors.csv": ("x", "y", "weight"), "evaluations.csv": ("lo", "mode", "hi")}
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON (RFC 8259, section 6)")
+
+
+class TestGeneratedInputs:
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(data=st.data())
+    def test_exit_code_error_line_and_finite_artifacts(self, sample_dir, data):
+        """Any single extreme value exits 0, 2, 3, 4 or 5 with no exception
+        escaping ``main`` and no RuntimeWarning; a failure ends stderr with an
+        ``error:`` line, a success writes JSON without Infinity or NaN."""
+        value = data.draw(st.sampled_from(EXTREMES))
+        argv = data.draw(st.sampled_from([["run"], ["run", "--clamp"], ["ftv"]]))
+        name = data.draw(st.sampled_from(["config.json", *CSV_SLOTS]))
+        with tempfile.TemporaryDirectory() as scratch:
+            scratch = Path(scratch)
+            config = json.loads((sample_dir / "config.json").read_text(encoding="utf-8"))
+            for key in ("factors", "evaluations", "attractions"):
+                config[key] = str(sample_dir / config[key])
+            config["out_dir"] = str(scratch / "out")
+            if name == "config.json":
+                *parents, last = data.draw(st.sampled_from(CONFIG_SLOTS))
+                node = config
+                for key in parents:
+                    node = node[key]
+                node[last] = value
+            else:
+                with open(sample_dir / name, encoding="utf-8", newline="") as handle:
+                    rows = list(csv.reader(handle))
+                row = data.draw(st.integers(1, len(rows) - 1))
+                rows[row][rows[0].index(data.draw(st.sampled_from(CSV_SLOTS[name])))] = \
+                    str(value)
+                with open(scratch / name, "w", encoding="utf-8", newline="") as handle:
+                    csv.writer(handle).writerows(rows)
+                config[name.removesuffix(".csv")] = str(scratch / name)
+            config_path = scratch / "config.json"
+            config_path.write_text(json.dumps(config), encoding="utf-8")
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), \
+                    contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("error", RuntimeWarning)
+                code = cli.main([*argv, "--config", str(config_path)])
+            assert code in (0, 2, 3, 4, 5)
+            if code:
+                assert stderr.getvalue().splitlines()[-1].startswith("error: ")
+            for artifact in (scratch / "out").glob("*.json*"):
+                json.loads(artifact.read_text(encoding="utf-8"),
+                           parse_constant=_reject_constant)
+            if name == "config.json" and isinstance(value, bool):
+                assert code == 3

@@ -5,15 +5,19 @@ from hypothesis import given, strategies as st
 
 from tourval import (
     Interval,
+    SourceRange,
+    TargetRange,
     TriangularFuzzyNumber as TFN,
     alpha_cut,
     defuzzify,
     membership,
+    rescale_crisp,
     tfn_from_text,
     tfn_to_text,
 )
 from tourval import fuzzy
-from tourval.errors import ConfigError
+from tourval.errors import ConfigError, require_choice
+from tourval.rescale import RANGE_POLICIES
 
 from conftest import finite_floats, tfns
 
@@ -165,6 +169,22 @@ class TestDefuzzify:
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
             defuzzify(TFN(1, 2, 3), method="bisector")
+
+    def test_centroid_of_ends_whose_sum_overflows(self):
+        assert defuzzify(TFN(0.0, 1.5e308, 1.5e308)) == 1e308
+
+    def test_every_choice_rule_is_one_check(self):
+        """``require_choice`` words each "A or B" rule; the callers keep
+        their exception types."""
+        with pytest.raises(ConfigError, match=r"^defuzzification method must be 'centroid' "
+                                              r"or 'mode', got 'bisector'$"):
+            defuzzify(TFN(1, 2, 3), method="bisector")
+        with pytest.raises(ValueError, match=r"^out-of-range policy must be 'strict' or "
+                                             r"'clamp', got 'wrap'$"):
+            rescale_crisp(1.0, SourceRange(0, 5), TargetRange(0, 100), policy="wrap")
+        with pytest.raises(ConfigError, match=r"^range_policy must be 'strict' or 'clamp', "
+                                              r"got \[1\]$"):
+            require_choice([1], RANGE_POLICIES, "range_policy")
 
     @given(tfns())
     def test_centroid_inside_support(self, t):

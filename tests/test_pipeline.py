@@ -165,6 +165,41 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="wrap"):
             load_config(config_path)
 
+    @pytest.mark.parametrize("extra, key", [
+        ({"filter_threshold": True}, "filter_threshold"),
+        ({"target": [False, 100]}, "target"),
+        ({"defuzzify": True}, "defuzzify"),
+        ({"kde": {"merge_radius_m": True}}, "merge_radius_m"),
+        ({"tour": {"dwell_minutes": [True, 10, 15]}}, "dwell_minutes"),
+    ])
+    def test_boolean_rejected(self, dataset_builder, extra, key):
+        """No setting is a boolean, although Python reads true as 1."""
+        with pytest.raises(ConfigError, match=rf": {key} takes no true, false or integer "):
+            load_config(dataset_builder(config_extra=extra))
+
+    @pytest.mark.parametrize("extra, key", [
+        ({"filter_threshold": 10 ** 400}, "filter_threshold"),
+        ({"target": [0, 10 ** 400]}, "target"),
+        ({"tour": {"dwell_minutes": [0, 0, -10 ** 400]}}, "dwell_minutes"),
+    ])
+    def test_integer_beyond_the_float_range_rejected(self, dataset_builder, extra, key):
+        """JSON keeps such an integer exact, where a float would be infinite."""
+        with pytest.raises(ConfigError, match=rf": {key} takes no true, false or integer "
+                                              "beyond the float range, got "):
+            load_config(dataset_builder(config_extra=extra))
+
+    def test_byte_order_mark_dropped(self, dataset_builder):
+        config_path = dataset_builder()
+        expected = load_config(config_path)
+        config_path.write_bytes(b"\xef\xbb\xbf" + config_path.read_bytes())
+        assert load_config(config_path) == expected
+
+    def test_target_span_must_not_overflow(self, dataset_builder):
+        config_path = dataset_builder(config_extra={
+            "target": [-1e308, 1e308], "tier_thresholds": [0, 1], "filter_threshold": 1})
+        with pytest.raises(ConfigError, match=r"target range \[-1e\+308, 1e\+308\] must "):
+            load_config(config_path)
+
 
 class TestIngest:
     def test_sample_dataset_complete(self, sample_dir):
@@ -261,6 +296,18 @@ class TestIngest:
         with pytest.raises(InputError, match=r"factors\.csv:2"):
             ingest(load_config(config_path))
 
+
+    @pytest.mark.parametrize("row, message", [
+        (("f1", "Condition", -1e308, 1e308, 0.5), r"source range \[-1e\+308, 1e\+308\] must "),
+        (("f1", "Condition", 0.0, 5e-324, 0.5), r"source range \[0\.0, 5e-324\] must "),
+        (("  ", "Condition", 0.0, 5.0, 0.5), "factor id must be nonempty"),
+    ])
+    def test_factor_rules_owned_by_the_value_types(self, dataset_builder, row, message):
+        """The range and id rules of FactorDefinition and SourceRange, with
+        the loader's file line."""
+        config_path = dataset_builder(factors=[row, ("f2", "Impact", -5.0, 0.0, 0.5)])
+        with pytest.raises(InputError, match=rf"factors\.csv:2: {message}"):
+            load_factor_table(load_config(config_path).factors)
 
     def test_blank_name_falls_back_to_id(self, dataset_builder):
         config = load_config(dataset_builder(
@@ -653,6 +700,16 @@ class TestPairwiseWeights:
         config_path = self._config_with_pairwise(
             dataset_builder, tmp_path, [["f1", "f2"], [], ["  "], [1.0, 3.0], [1 / 3, 1.0, 5.0]])
         with pytest.raises(InputError, match=r"pairwise.csv:5: expected 2 entries, got 3"):
+            ingest(load_config(config_path))
+
+    @pytest.mark.parametrize("cells, message", [
+        (["x", 1.0], "column 'f1' is not a number: 'x'"),
+        ([" ", 1.0], "missing value in column 'f1'"),
+    ])
+    def test_cells_read_by_the_number_rule(self, dataset_builder, tmp_path, cells, message):
+        config_path = self._config_with_pairwise(
+            dataset_builder, tmp_path, [["f1", "f2"], [1.0, 3.0], cells])
+        with pytest.raises(InputError, match=rf"pairwise\.csv:3: {message}$"):
             ingest(load_config(config_path))
 
     def test_wrong_shape_rejected(self, dataset_builder, tmp_path):

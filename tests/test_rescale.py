@@ -1,5 +1,6 @@
 import logging
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +35,18 @@ class TestRanges:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             SourceRange(0, float("inf"))
+
+    @pytest.mark.parametrize("make, kind", [(SourceRange, "source"), (TargetRange, "target")])
+    @pytest.mark.parametrize("ends", [(-1e308, 1e308), (0, 5e-324), (1e308, 1e308)])
+    def test_span_and_its_reciprocal_must_be_finite(self, make, kind, ends):
+        """One rule for both range types: a span that overflows, or whose
+        reciprocal does, is rejected with the kind of range and its ends."""
+        with pytest.raises(ValueError, match="^" + re.escape(f"{kind} range {list(ends)} must ")):
+            make(*ends)
+
+    def test_smallest_span_with_a_finite_reciprocal_accepted(self):
+        assert SourceRange(0, 1e-308).span == 1e-308
+        assert rescale_crisp(1e-308, SourceRange(0, 1e-308), TargetRange(0, 100)) == 100.0
 
 
 class TestCrisp:

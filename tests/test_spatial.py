@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -19,9 +21,9 @@ from tourval import (
     merge_hotspots,
     plan_tour,
 )
-from tourval.errors import ConfigError
+from tourval.errors import ConfigError, NumericError
 from tourval.geojson import density_features
-from tourval.spatial import _unproject
+from tourval.spatial import MAX_GRID_CELLS, _grid_frame, _unproject
 
 import oracles
 
@@ -81,6 +83,11 @@ class TestKde:
             kde_heatmap([ScoredPoint(CENTER, 1.0)], bandwidth_m=0)
         with pytest.raises(ConfigError):
             kde_heatmap([ScoredPoint(CENTER, 1.0)], cell_m=-5)
+
+    def test_weights_summing_past_the_largest_float_rejected(self):
+        """Two co-located weights of 1e308 would overflow the peak cell."""
+        with pytest.raises(NumericError, match="the weights of the 2 points sum past"):
+            kde_heatmap([ScoredPoint(CENTER, 1e308)] * 2)
 
     def test_single_point_peak_value(self):
         weight = 70.0
@@ -393,6 +400,47 @@ class TestEstimateDuration:
         with pytest.raises(ConfigError):
             estimate_duration(self._tour(1.0), 0.0)
 
+    def test_infinite_duration_rejected(self):
+        """A positive speed so slow that the walk takes infinitely long."""
+        with pytest.raises(ConfigError, match=r"^walk_speed_kmh 1e-320 "):
+            estimate_duration(self._tour(1.0), 1e-320)
+
     def test_unordered_dwell_rejected(self):
         with pytest.raises(ConfigError):
             estimate_duration(self._tour(1.0), 4.0, dwell_minutes=(10, 5, 15))
+
+
+class TestGridCap:
+    """The grid-size rule, tested on the size computation alone, so that no
+    case allocates a grid."""
+
+    @pytest.mark.parametrize("xs, bandwidth_m, cell_m", [
+        ([0.0], 1e308, 10.0),                 # the extent overflows to inf
+        ([0.0], 1e300, 10.0),                 # finite, but no int array that long
+        ([0.0, 1000.0], 100.0, 1e-13),
+        ([-1e7, 1e7], 100.0, 10.0),           # a coordinate on the far side of the globe
+    ])
+    def test_past_the_cap_a_config_error(self, xs, bandwidth_m, cell_m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match=r"^a density grid of \S+ x \S+ cells exceeds "
+                               + re.escape(f"{MAX_GRID_CELLS} (kde.cell_m {cell_m}, "
+                                           f"kde.bandwidth_m {bandwidth_m})")):
+                _grid_frame(xs, xs, bandwidth_m, cell_m)
+
+    def test_the_cap_itself_is_allowed(self):
+        # 0.25 m of bandwidth each side and half a 1 m cell: L + 1 columns, one row
+        length = MAX_GRID_CELLS - 1
+        assert _grid_frame([0.0, length], [0.0], 0.25, 1.0)[2:] == (1, MAX_GRID_CELLS)
+        with pytest.raises(ConfigError):
+            _grid_frame([0.0, length + 1], [0.0], 0.25, 1.0)
+
+    def test_a_city_fits(self):
+        """Eight km at 10 m cells, as a city-wide run uses, is far below the cap."""
+        x0, y0, rows, cols = _grid_frame([0.0, 8000.0], [0.0, 8000.0], 100.0, 10.0)
+        assert (x0, y0, rows, cols) == (-105.0, -105.0, 821, 821)
+        assert rows * cols * 10 < MAX_GRID_CELLS
+
+    def test_checked_before_the_grid_is_built(self):
+        with pytest.raises(ConfigError, match="kde.bandwidth_m 1e"):
+            kde_heatmap([ScoredPoint(CENTER, 1.0)], bandwidth_m=1e308)

@@ -17,6 +17,7 @@ from tourval import (
     filter_high,
     rank,
     rescale_tfn,
+    validate_weights,
 )
 from tourval import datasets, fuzzy
 from tourval.errors import ConfigError, InputError
@@ -46,6 +47,13 @@ class TestCatalogue:
         # 0.49 + 0.49 = 0.98 misses 1 by more than the default 0.01
         with pytest.raises(ConfigError):
             make_catalogue(("f1", 0, 5, 0.49), ("f2", 0, 5, 0.49))
+
+    def test_weight_sum_checked_by_validate_weights(self):
+        """The catalogue reports the sum rule in ``validate_weights``' words."""
+        weights = (0.49, 0.49)
+        with pytest.raises(ConfigError) as raised:
+            make_catalogue(("f1", 0, 5, weights[0]), ("f2", 0, 5, weights[1]))
+        assert str(raised.value) == f"factor weights: {validate_weights(weights).detail}"
 
     def test_published_weight_column_accepted(self):
         catalogue = datasets.santiago_catalogue()
