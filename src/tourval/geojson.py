@@ -9,10 +9,11 @@ Every feature is printed as ``indented`` prints it:
 a FeatureCollection's ``features`` array.  The few hotspot and tour features
 are dicts passed to ``indented``.  Every per-item record (an attraction
 feature, a density feature, a row of ``results.json``'s ``results`` array)
-is printed through one helper instead: ``template`` turns a record into
-%-format text once, at import, by passing it through ``indented``, and each
-item fills it with its values as ``encode`` prints them, without building
-any dicts for ``json``.
+is printed through one helper instead: ``template`` passes a record through
+``indented`` once, at import, and splits the text at its fields into
+constant pieces; each item is the join of those pieces and its values as
+``encode`` prints them, without building any dicts for ``json`` and without
+scanning the constant text again.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ __all__ = [
     "density_features",
     "indented",
     "template",
+    "fill",
     "encode",
     "result_fields",
 ]
@@ -82,12 +84,19 @@ def indented(feature: dict[str, Any]) -> str:
     return "    " + text.replace("\n", "\n    ")
 
 
-def template(record: dict[str, Any]) -> str:
-    """``record`` as ``indented`` prints it, as %-format text: each string
-    value ``"%(name)s"`` becomes the field ``%(name)s``, to be filled with a
-    value as ``encode`` prints it.  No other text of ``record`` holds a
-    ``%``."""
-    return re.sub(r'"(%\(\w+\)s)"', r"\1", indented(record))
+def template(record: dict[str, Any]) -> list[str]:
+    """``record`` as ``indented`` prints it, split at its fields: each string
+    value ``"<name>"`` is the field ``name``.  The constant pieces are at
+    the even positions and the field names, in print order, at the odd
+    ones; putting a text at each odd position and joining fills it."""
+    return re.split(r'"<(\w+)>"', indented(record))
+
+
+def fill(slots: list[str], fields: dict[str, str]) -> str:
+    """The ``template`` ``slots`` with each field's text from ``fields``."""
+    filled = slots.copy()
+    filled[1::2] = map(fields.__getitem__, slots[1::2])
+    return "".join(filled)
 
 
 def encode(value: Any) -> str:
@@ -103,7 +112,7 @@ def encode(value: Any) -> str:
 
 def result_fields(result: ValuationResult, name: str, rank: int) -> dict[str, str]:
     """A result's id, name, 6-digit FTV and crisp value, tier (``null``
-    without one) and rank, as ``encode`` prints them, by template field."""
+    without one) and rank, as ``encode`` prints them, by ``template`` field."""
     return {"id": encode(result.attraction_id), "name": encode(name),
             "lo": encode(round6(result.ftv.lo)), "mode": encode(round6(result.ftv.mode)),
             "hi": encode(round6(result.ftv.hi)), "crisp": encode(round6(result.crisp)),
@@ -112,10 +121,10 @@ def result_fields(result: ValuationResult, name: str, rank: int) -> dict[str, st
 
 # an attraction feature without and with a tier
 _ATTRACTION = {tiered: template(_feature(
-    {"type": "Point", "coordinates": ["%(lon)s", "%(lat)s"]},
-    {"feature_type": "attraction", "id": "%(id)s", "name": "%(name)s", "ftv_lo": "%(lo)s",
-     "ftv_mode": "%(mode)s", "ftv_hi": "%(hi)s", "crisp": "%(crisp)s", "rank": "%(rank)s",
-     **({"tier": "%(tier)s"} if tiered else {})})) for tiered in (False, True)}
+    {"type": "Point", "coordinates": ["<lon>", "<lat>"]},
+    {"feature_type": "attraction", "id": "<id>", "name": "<name>", "ftv_lo": "<lo>",
+     "ftv_mode": "<mode>", "ftv_hi": "<hi>", "crisp": "<crisp>", "rank": "<rank>",
+     **({"tier": "<tier>"} if tiered else {})})) for tiered in (False, True)}
 
 
 def attraction_features(names: dict[str, str], locations: dict[str, GeoPoint],
@@ -128,16 +137,16 @@ def attraction_features(names: dict[str, str], locations: dict[str, GeoPoint],
         fields = result_fields(r, names[r.attraction_id], ranks[r.attraction_id])
         point = locations[r.attraction_id]
         fields["lon"], fields["lat"] = encode(round(point.lon, 6)), encode(round(point.lat, 6))
-        texts.append(_ATTRACTION[r.tier is not None] % fields)
+        texts.append(fill(_ATTRACTION[r.tier is not None], fields))
     return texts
 
 
-# One density feature, with fields for the cell's edges and density.
+# One density feature: its ring's corners from the south-west, then its density.
 _DENSITY_FEATURE = template(_feature(
-    {"type": "Polygon", "coordinates": [[["%(west)s", "%(south)s"], ["%(east)s", "%(south)s"],
-                                         ["%(east)s", "%(north)s"], ["%(west)s", "%(north)s"],
-                                         ["%(west)s", "%(south)s"]]]},
-    {"feature_type": "density", "density": "%(density)s"}))
+    {"type": "Polygon", "coordinates": [[["<west>", "<south>"], ["<east>", "<south>"],
+                                         ["<east>", "<north>"], ["<west>", "<north>"],
+                                         ["<west>", "<south>"]]]},
+    {"feature_type": "density", "density": "<density>"}))
 
 
 def density_features(grid: DensityGrid) -> list[str]:
@@ -146,15 +155,18 @@ def density_features(grid: DensityGrid) -> list[str]:
     ``features`` array; zero cells are skipped to keep files small.  Rings
     are counter-clockwise from the south-west corner and closed.  Each edge
     coordinate is rounded and encoded once and shared by the cells along
-    it."""
+    it.  The slots of ``_DENSITY_FEATURE`` are filled by position, and each
+    density is printed inline, as ``encode(round6(value))`` prints a
+    positive float."""
     lons, lats = grid.edges()
     lons = [encode(round(v, 6)) for v in lons]
     lats = [encode(round(v, 6)) for v in lats]
     rows, cols = np.nonzero(grid.values > 0.0)
-    return [
-        _DENSITY_FEATURE % {"west": lons[col], "east": lons[col + 1],
-                            "south": lats[row], "north": lats[row + 1],
-                            "density": encode(round6(value))}
-        for row, col, value in zip(rows.tolist(), cols.tolist(),
-                                   grid.values[rows, cols].tolist())
-    ]
+    densities = map(float.__repr__, map(float, map("{:.6g}".format,
+                                                   grid.values[rows, cols].tolist())))
+    slots, join, texts = _DENSITY_FEATURE.copy(), "".join, []
+    for row, col, density in zip(rows.tolist(), cols.tolist(), densities):
+        west, east, south, north = lons[col], lons[col + 1], lats[row], lats[row + 1]
+        slots[1::2] = west, south, east, south, east, north, west, north, west, south, density
+        texts.append(join(slots))
+    return texts

@@ -10,10 +10,11 @@ an optional byte-order mark, a line of blank cells skipped anywhere):
   pairwise.csv      square matrix, header row of factor ids (only needed when
                     factors.csv carries no weight column)
 
-Outputs are rendered fully in memory before anything touches disk, with all
-numbers fixed to 6 significant digits, so reruns on identical inputs are
-byte-identical.  Each file is written under a temporary name and then
-renamed into place, so a failed write leaves the previous outputs intact.
+All numbers in the outputs are fixed to 6 significant digits, so reruns on
+identical inputs are byte-identical.  Each file is written under a temporary
+name, map.geojson as a stream of text chunks, and no output is replaced until
+every artifact is written, so a failed write leaves the previous outputs
+intact.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ import operator
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -117,6 +119,8 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "target", tuple(self.target))
         object.__setattr__(self, "tier_thresholds", tuple(self.tier_thresholds))
+        if isinstance(self.filter_threshold, str):   # float() would read it as a number
+            raise ConfigError(f"filter_threshold must be a number, got {self.filter_threshold!r}")
         object.__setattr__(self, "filter_threshold", float(self.filter_threshold))
         object.__setattr__(self, "out_dir", Path(str(self.out_dir)).resolve())
         if len(self.target) != 2:
@@ -574,8 +578,8 @@ def _weights_block(catalogue: FactorCatalogue, source: str,
 
 # one row of results.json's "results" array
 _RESULT_ROW = geojson.template({
-    "attraction_id": "%(id)s", "name": "%(name)s", "ftv_lo": "%(lo)s", "ftv_mode": "%(mode)s",
-    "ftv_hi": "%(hi)s", "crisp": "%(crisp)s", "tier": "%(tier)s", "rank": "%(rank)s"})
+    "attraction_id": "<id>", "name": "<name>", "ftv_lo": "<lo>", "ftv_mode": "<mode>",
+    "ftv_hi": "<hi>", "crisp": "<crisp>", "tier": "<tier>", "rank": "<rank>"})
 
 
 def _results_json(config: RunConfig, ingested: IngestResult,
@@ -585,8 +589,8 @@ def _results_json(config: RunConfig, ingested: IngestResult,
     """The document as ``json.dumps(indent=2, sort_keys=True,
     ensure_ascii=False)`` prints it; the rows of its ``results`` array are
     filled into ``_RESULT_ROW``."""
-    rows = [_RESULT_ROW % geojson.result_fields(r, ingested.names[r.attraction_id],
-                                                ranks[r.attraction_id]) for r in ranked]
+    rows = [geojson.fill(_RESULT_ROW, geojson.result_fields(
+        r, ingested.names[r.attraction_id], ranks[r.attraction_id])) for r in ranked]
     document: dict[str, Any] = {
         "config": _config_echo(config),
         "weights": _weights_block(ingested.catalogue, ingested.weight_source,
@@ -620,36 +624,40 @@ def _results_json(config: RunConfig, ingested: IngestResult,
 
 def _map_geojson(names: dict[str, str], locations: dict[str, GeoPoint],
                  ranked: list[ValuationResult], ranks: dict[str, int],
-                 grid, hotspots, tour) -> str:
+                 grid, hotspots, tour) -> Iterator[str]:
     """The FeatureCollection of the attraction, hotspot, tour and density
-    features, in that order, byte for byte as ``json.dumps(indent=2,
-    sort_keys=True, ensure_ascii=False)`` prints it: every feature arrives
-    as text at the depth of the ``features`` array."""
+    features, in that order, as text chunks whose join is byte for byte
+    what ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)`` prints:
+    every feature arrives as text at the depth of the ``features`` array,
+    and is yielded with the separator before it."""
     texts = geojson.attraction_features(names, locations, ranked, ranks)
     texts.extend(geojson.indented(geojson.hotspot_feature(h)) for h in hotspots)
     if tour is not None:
         texts.append(geojson.indented(geojson.tour_feature(tour)))
-    if grid is not None:
-        texts.extend(geojson.density_features(grid))
-    if not texts:
-        return '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
-    # one join, so the map's text is copied once
-    texts[0] = '{\n  "features": [\n' + texts[0]
-    texts[-1] += '\n  ],\n  "type": "FeatureCollection"\n}\n'
-    return ",\n".join(texts)
+    features = chain(texts, geojson.density_features(grid) if grid is not None else ())
+    first = next(features, None)
+    if first is None:
+        yield '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
+        return
+    yield '{\n  "features": [\n' + first
+    for text in features:
+        yield ",\n" + text
+    yield '\n  ],\n  "type": "FeatureCollection"\n}\n'
 
 
-def _write_all(out_dir: Path, payloads: dict[str, str]) -> tuple[Path, ...]:
-    """Write every payload to a hidden temporary file in ``out_dir``, then
-    move each into place with ``os.replace``.  A failure while writing
-    leaves the previous outputs as they were; the temporary files are
-    always removed."""
+def _write_all(out_dir: Path, payloads: dict[str, Iterable[str]]) -> tuple[Path, ...]:
+    """Write every payload, an iterable of text chunks, to a hidden
+    temporary file in ``out_dir``, then move each into place with
+    ``os.replace``.  A failure while writing, or while a payload makes its
+    chunks, leaves the previous outputs as they were; the temporary files
+    are always removed."""
     out_dir.mkdir(parents=True, exist_ok=True)
     staged = [(out_dir / f".{name}.{os.urandom(8).hex()}.tmp", out_dir / name)
               for name in payloads]
     try:
-        for (temporary, _), payload in zip(staged, payloads.values()):
-            temporary.write_text(payload, encoding="utf-8", newline="")
+        for (temporary, _), chunks in zip(staged, payloads.values()):
+            with temporary.open("w", encoding="utf-8", newline="") as handle:
+                handle.writelines(chunks)
         for temporary, target in staged:
             os.replace(temporary, target)
     finally:
@@ -692,9 +700,9 @@ def _finish(config: RunConfig, ranked: list[ValuationResult], ranks: dict[str, i
 
     payloads = {}
     if ingested is not None:
-        payloads["results.csv"] = _results_csv(ranked, ranks)
-        payloads["results.json"] = _results_json(config, ingested, ranked, ranks, retained,
-                                                 hotspots, tour)
+        payloads["results.csv"] = (_results_csv(ranked, ranks),)
+        payloads["results.json"] = (_results_json(config, ingested, ranked, ranks, retained,
+                                                  hotspots, tour),)
     if with_spatial:
         payloads["map.geojson"] = _map_geojson(names, locations, ranked, ranks, grid,
                                                hotspots, tour)

@@ -143,23 +143,32 @@ def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
     x, y = catalogue.source_ranges
     tgt = catalogue.target
     rescaled = rescale_endpoints(scores, x, y, tgt)
+
+    def off_range(at: int, detail: str) -> InputError:
+        return InputError(f"attraction {ids[at]!r}: {detail}; factor weights sum to "
+                          f"{math.fsum(catalogue.weights):.6g}")
+
     ftv = np.zeros((len(ids), 3))
-    for k, weight in enumerate(catalogue.weights):
-        ftv = ftv + weight * rescaled[:, k]
-    # a weighted sum of values on [m, M] can miss the range by rounding error
+    with np.errstate(over="ignore"):   # only weights summing above 1 overflow; see below
+        for k, weight in enumerate(catalogue.weights):
+            ftv = ftv + weight * rescaled[:, k]
+    for at in np.flatnonzero(~np.isfinite(ftv).all(axis=1))[:1].tolist():
+        raise off_range(at, "value past the largest float")
+    # a weighted sum of values on [m, M] can miss the range by rounding error;
+    # the miss is measured from the nearer end, which cannot overflow, as
+    # M + slack can when M is near the largest float
     slack = len(catalogue.weights) * np.finfo(float).eps * max(abs(tgt.m), abs(tgt.M))
-    ftv = np.where((tgt.M < ftv) & (ftv <= tgt.M + slack), tgt.M, ftv)
-    ftv = np.where((tgt.m - slack <= ftv) & (ftv < tgt.m), tgt.m, ftv)
+    snapped = np.clip(ftv, tgt.m, tgt.M)
+    ftv = np.where(np.abs(ftv - snapped) <= slack, snapped, ftv)
     results = []
-    for attraction_id, row in zip(ids, ftv.tolist()):
+    for at, row in enumerate(ftv.tolist()):
         t = TFN(*row)
         crisp = fuzzy.defuzzify(t, method=method)
         try:
             tier = classify(crisp, thresholds, (tgt.m, tgt.M)) if thresholds else None
         except ValueError as e:
-            raise InputError(f"attraction {attraction_id!r}: {e}; factor weights sum to "
-                             f"{math.fsum(catalogue.weights):.6g}") from None
-        results.append(ValuationResult(attraction_id, t, crisp, tier))
+            raise off_range(at, str(e)) from None
+        results.append(ValuationResult(ids[at], t, crisp, tier))
     return results
 
 

@@ -192,15 +192,18 @@ class TestRun:
         changed = tmp_path / "changed.json"
         changed.write_text(json.dumps(config), encoding="utf-8")
 
-        real_write_text = Path.write_text
+        real_open = Path.open
 
         def disk_full_on_map(path, *args, **kwargs):
+            handle = real_open(path, *args, **kwargs)
             if "map.geojson" in path.name:
-                raise OSError(28, "No space left on device")
-            return real_write_text(path, *args, **kwargs)
+                def disk_full(chunks):
+                    raise OSError(28, "No space left on device")
+                handle.writelines = disk_full
+            return handle
 
         with monkeypatch.context() as patch:
-            patch.setattr(Path, "write_text", disk_full_on_map)
+            patch.setattr(Path, "open", disk_full_on_map)
             assert invoke("run", "--config", str(changed), "--out", str(out_dir)) == 5
         assert "No space left" in capsys.readouterr().err
         assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == previous
@@ -209,6 +212,30 @@ class TestRun:
         current = {p.name: p.read_bytes() for p in out_dir.iterdir()}
         assert sorted(current) == sorted(previous)
         assert all(current[name] != previous[name] for name in previous)
+
+    def test_map_failing_midway_keeps_previous_outputs(self, sample_dir, tmp_path,
+                                                        monkeypatch, capsys):
+        """The map's chunks are made while it is written: a fault after some
+        of them leaves the previous outputs and no temporary file."""
+        out_dir = tmp_path / "result"
+        config = str(sample_dir / "config.json")
+        assert invoke("run", "--config", config, "--out", str(out_dir)) == 0
+        previous = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        real_map = pipeline._map_geojson
+        staged = []
+
+        def fails_midway(*args):
+            chunks = real_map(*args)
+            for _ in range(20):
+                yield next(chunks)
+            staged.extend(out_dir.glob(".map.geojson.*.tmp"))
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(pipeline, "_map_geojson", fails_midway)
+        assert invoke("run", "--config", config, "--out", str(out_dir)) == 5
+        assert "No space left" in capsys.readouterr().err
+        assert len(staged) == 1
+        assert {p.name: p.read_bytes() for p in out_dir.iterdir()} == previous
 
     def test_overflowing_judgement_sum_exits_4(self, dataset_builder, capsys):
         """Finite judgements inside their range whose sum exceeds the largest
@@ -438,6 +465,27 @@ class TestNegativeScale:
         assert sorted((tmp_path / "out").glob("*")) == before
 
 
+class TestTopOfTheFloatRange:
+    def test_target_at_the_largest_float_exits_4(self, sample_dir, tmp_path):
+        """A target whose upper end is the largest float: the valuation runs
+        without a numpy overflow, even with RuntimeWarning made an error, and
+        the kept values then sum past the largest float in the density
+        surface, a numeric failure."""
+        config = json.loads((sample_dir / "config.json").read_text(encoding="utf-8"))
+        for key in ("factors", "evaluations", "attractions"):
+            config[key] = str(sample_dir / config[key])
+        config.update(target=[0, sys.float_info.max], tier_thresholds=[1, 2])
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "tourval.cli", "run",
+             "--config", str(config_path), "--out", str(tmp_path / "out")],
+            capture_output=True, text=True)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr == "error: the weights of the 10 points sum past the largest float\n"
+        assert not (tmp_path / "out").exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self, sample_dir, tmp_path):
         proc = subprocess.run(
@@ -447,6 +495,16 @@ class TestEntryPoint:
             capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert "wrote" in proc.stdout
+
+    def test_sample_run_leaves_numpy_ma_unimported(self, sample_dir, tmp_path):
+        """numpy.ma costs a cold run about 9 ms to import, and nothing of
+        ``run`` needs it."""
+        script = ("import sys; from tourval.cli import main; "
+                  f"code = main(['run', '--config', {str(sample_dir / 'config.json')!r}, "
+                  f"'--out', {str(tmp_path / 'out')!r}]); "
+                  "print(code, 'numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
 # Each generated example replaces one config value or one CSV cell of the

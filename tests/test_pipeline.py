@@ -55,8 +55,8 @@ class TestFormatNumber:
         from tourval.rounding import round6
 
         result = ValuationResult("a", TFN(-0.0, 0.0, 1.0), -0.0, None)
-        text = _map_geojson({"a": "A"}, {"a": GeoPoint(-75.8, 20.0)}, [result], {"a": 1},
-                            None, (), None)
+        text = "".join(_map_geojson({"a": "A"}, {"a": GeoPoint(-75.8, 20.0)}, [result],
+                                    {"a": 1}, None, (), None))
         assert json.dumps(round6(-0.0)) == "0.0"
         assert '"ftv_lo": 0.0,' in text
         assert '"crisp": 0.0,' in text
@@ -187,6 +187,14 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=rf": {key} takes no true, false or integer "
                                               "beyond the float range, got "):
             load_config(dataset_builder(config_extra=extra))
+
+    def test_string_filter_threshold_rejected(self, dataset_builder):
+        """A JSON string is no number, although ``float`` reads "66" as one;
+        a JSON integer is still read as a float."""
+        with pytest.raises(ConfigError, match="filter_threshold must be a number, got '66'"):
+            load_config(dataset_builder(config_extra={"filter_threshold": "66"}))
+        config = load_config(dataset_builder(config_extra={"filter_threshold": 66}))
+        assert config.filter_threshold == 66.0 and type(config.filter_threshold) is float
 
     def test_byte_order_mark_dropped(self, dataset_builder):
         config_path = dataset_builder()
@@ -945,7 +953,7 @@ class TestMapText:
 
     @staticmethod
     def assert_same(inputs):
-        assert _map_geojson(*inputs) == oracles.map_geojson(*inputs)
+        assert "".join(_map_geojson(*inputs)) == oracles.map_geojson(*inputs)
 
     @settings(max_examples=150, deadline=None)
     @given(map_inputs())
@@ -976,7 +984,7 @@ class TestMapText:
         inputs = _map_inputs(["A"], _grid([[1.0, 2.0], [3.0, 0.5]], center=(0.0, 0.0),
                                           x0=-1e-3, y0=-1e-3, cell_m=1e-3),
                              center=(0.0, 0.0))
-        assert "              -0.0,\n" in _map_geojson(*inputs)
+        assert "              -0.0,\n" in "".join(_map_geojson(*inputs))
 
     def test_tierless_attraction_alone(self):
         self.assert_same(_map_inputs(["A"], None))

@@ -22,8 +22,9 @@ from tourval import (
     plan_tour,
 )
 from tourval.errors import ConfigError, NumericError
-from tourval.geojson import density_features
-from tourval.spatial import MAX_GRID_CELLS, _grid_frame, _unproject
+from tourval.geojson import density_features, encode
+from tourval.rounding import round6
+from tourval.spatial import MAX_GRID_CELLS, _grid_frame, _percentile, _unproject
 
 import oracles
 
@@ -205,6 +206,33 @@ class TestDensityFeatures:
     def test_zero_grid_has_no_polygons(self):
         assert density_features(DensityGrid(CENTER, 0.0, 0.0, 10.0, np.zeros((3, 4)))) == []
 
+    # densities whose 6-digit text switches between fixed and exponent notation,
+    # rounds up across a power of ten, or carries fewer digits (subnormals)
+    EDGE_DENSITIES = [1e-05, 9.999995e-05, 0.0001, 123456.5, 999999.5, 1e6, 1.5e15,
+                      9.999995e15, 1e16, 1e300, 5e-324, 1.234567e-310]
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 4), st.data())
+    def test_text_is_json_dumps_of_the_reference(self, nrows, ncols, data):
+        """Each feature's text is ``json.dumps`` of the reference feature
+        dict at the depth of a ``features`` array, its density printed as
+        ``encode(round6(value))``."""
+        value = st.one_of(st.just(0.0), st.sampled_from(self.EDGE_DENSITIES),
+                          st.floats(5e-324, 1e300))
+        values = np.reshape(data.draw(st.lists(value, min_size=nrows * ncols,
+                                               max_size=nrows * ncols)), (nrows, ncols))
+        grid = DensityGrid(GeoPoint(data.draw(st.floats(-179.0, 179.0)),
+                                    data.draw(st.floats(-80.0, 80.0))),
+                           data.draw(st.floats(-5000.0, 5000.0)),
+                           data.draw(st.floats(-5000.0, 5000.0)),
+                           data.draw(st.floats(0.5, 1000.0)), values)
+        want = ["    " + json.dumps(f, indent=2, sort_keys=True,
+                                    ensure_ascii=False).replace("\n", "\n    ")
+                for f in oracles.density_features(grid)]
+        assert density_features(grid) == want
+        densities = [re.search(r'"density": ([^,\n]+)', text)[1] for text in want]
+        assert densities == [encode(round6(v)) for v in values[values > 0].tolist()]
+
 
 class TestHotspots:
     def test_uniform_surface_has_no_hotspots(self):
@@ -257,6 +285,18 @@ class TestHotspots:
             detect_hotspots(grid, percentile=0.0)
         with pytest.raises(ConfigError, match="percentile"):
             detect_hotspots(grid, percentile=100.0)
+
+
+class TestPercentile:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(5e-324, 1e308), st.sampled_from([1.0, 2.0, 3.0])),
+                    min_size=1, max_size=40),
+           st.one_of(st.floats(0.0, 100.0, exclude_min=True, exclude_max=True),
+                     st.sampled_from([50.0, 75.0, 90.0, 99.99999999, 1e-9])))
+    def test_bit_for_bit_numpy_percentile(self, values, percentile):
+        values = np.array(values)
+        want = np.percentile(values, percentile)
+        assert np.float64(_percentile(values, percentile)).tobytes() == want.tobytes()
 
 
 class TestMergeHotspots:

@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -162,6 +164,26 @@ class TestComputeFtv:
         got = evaluate_attraction(AttractionEvaluation("a", scores), catalogue)
         assert got.ftv.as_tuple() == (100.0, 100.0, 100.0)
         assert (got.crisp, got.tier) == (100.0, "High")
+
+    def test_top_of_the_float_range_without_overflow(self):
+        """On a target whose upper end is the largest float, a value at that
+        end is valued with no numpy overflow; a weighted sum past it (weights
+        summing above 1) is an input error naming the attraction."""
+        top = sys.float_info.max
+        scores = {"f1": TFN.crisp(5.0), "f2": TFN.crisp(5.0)}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = evaluate_attraction(
+                AttractionEvaluation("a", scores),
+                make_catalogue(("f1", 0, 5, 0.5), ("f2", 0, 5, 0.5), target=(0.0, top)),
+                thresholds=(1.0, 2.0))
+            assert (got.ftv.as_tuple(), got.tier) == ((top, top, top), "High")
+            with pytest.raises(InputError, match="'a': value past the largest float; "
+                                                 "factor weights sum to 1.005"):
+                evaluate_attraction(
+                    AttractionEvaluation("a", scores),
+                    make_catalogue(("f1", 0, 5, 0.505), ("f2", 0, 5, 0.5), target=(0.0, top)),
+                    thresholds=(1.0, 2.0))
 
     def test_tiers_classified_on_the_catalogue_target(self):
         """A 900 on a [0, 1000] target is High against thresholds (330, 660),
