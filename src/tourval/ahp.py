@@ -53,7 +53,6 @@ class WeightCheck:
     """Outcome of a weight-vector validity check."""
 
     ok: bool
-    total: float
     offending_indices: tuple[int, ...] = ()
     detail: str = ""
 
@@ -124,5 +123,4 @@ def validate_weights(weights, tolerance: float = WEIGHT_SUM_TOLERANCE) -> Weight
         problems.append(f"weights outside [0, 1] at indices {list(bad)}")
     if abs(total - 1.0) > tolerance:
         problems.append(f"sum {total:.6g} differs from 1 by more than {tolerance:.6g}")
-    return WeightCheck(ok=not problems, total=total, offending_indices=bad,
-                       detail="; ".join(problems))
+    return WeightCheck(ok=not problems, offending_indices=bad, detail="; ".join(problems))

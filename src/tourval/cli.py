@@ -20,7 +20,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from . import pipeline
+from . import pipeline, render
 from .ahp import CR_LIMIT
 from .errors import ConfigError, TourvalError
 from .pipeline import RunConfig, load_config
@@ -97,7 +97,7 @@ def _cmd_weights(args: argparse.Namespace) -> int:
     document = {
         "factors": ids,
         "weights": {i: round6(w) for i, w in zip(ids, report.weights)},
-        **pipeline.weight_diagnostics(report),
+        **render.weight_diagnostics(report),
     }
     print(json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False))
     return 0

@@ -83,9 +83,6 @@ class Interval:
     def width(self) -> float:
         return self.high - self.low
 
-    def contains(self, other: "Interval") -> bool:
-        return self.low <= other.low and other.high <= self.high
-
 
 def membership(t: TFN, x: float) -> float:
     """Membership degree of x in t: piecewise linear, 1 at the mode,

@@ -1,5 +1,5 @@
 """Batch front door: CSV/JSON ingestion, valuation, spatial analysis, and
-deterministic artifact emission.
+the write of the artifacts, whose text ``render`` prints.
 
 Input layout (CSV with a header row, every file read by ``_rows``: UTF-8 with
 an optional byte-order mark, a line of blank cells skipped anywhere):
@@ -10,31 +10,30 @@ an optional byte-order mark, a line of blank cells skipped anywhere):
   pairwise.csv      square matrix, header row of factor ids (only needed when
                     factors.csv carries no weight column)
 
-All numbers in the outputs are fixed to 6 significant digits, so reruns on
-identical inputs are byte-identical.  Each file is written under a temporary
-name, map.geojson as a stream of text chunks, and no output is replaced until
-every artifact is written, so a failed write leaves the previous outputs
-intact.
+This module decides: what is read, valued, kept and mapped.  Each artifact
+is written under a temporary name as the stream of text chunks ``render``
+yields for it, and no output is replaced until every artifact is written,
+so a failed write leaves the previous outputs intact.  ``run_tour`` reads
+results.csv back under the rules ``run`` writes it by: a tier is one of
+``TIERS``.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import math
 import operator
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields, replace
-from itertools import chain
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
-from . import fuzzy, geojson
+from . import fuzzy, render
 from .ahp import CR_LIMIT, WeightReport, derive_weights
 from .errors import ConfigError, InputError, NumericError, require_choice
 from .fuzzy import TFN
@@ -45,7 +44,7 @@ from .spatial import (GeoPoint, HotSpot, ScoredPoint, Tour,
                       detect_hotspots, estimate_duration, kde_heatmap,
                       merge_hotspots, plan_tour, require_dwell, require_percentile,
                       require_positive)
-from .valuation import (DEFAULT_SCALE, DEFAULT_THRESHOLDS, FactorCatalogue,
+from .valuation import (DEFAULT_SCALE, DEFAULT_THRESHOLDS, TIERS, FactorCatalogue,
                         FactorDefinition, ValuationResult, evaluate_attractions,
                         filter_high, id_mismatch, rank)
 
@@ -63,8 +62,6 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
-
-RESULT_COLUMNS = ("attraction_id", "ftv_lo", "ftv_mode", "ftv_hi", "crisp", "tier", "rank")
 
 
 @dataclass(frozen=True)
@@ -500,7 +497,7 @@ def ingest(config: RunConfig) -> IngestResult:
 
 @dataclass(frozen=True)
 class PipelineOutput:
-    """In-memory mirror of everything written to disk."""
+    """What a run decided, for the CLI's summary, and the paths it wrote."""
 
     results: tuple[ValuationResult, ...]
     ranks: dict[str, int]
@@ -540,109 +537,6 @@ def _spatial_analysis(config: RunConfig, retained: list[ValuationResult],
                                      config.tour.dwell_minutes)
         tour = replace(tour, duration_hours=duration)
     return grid, tuple(hotspots), tour
-
-
-def _results_csv(ranked: list[ValuationResult], ranks: dict[str, int]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for r in ranked:
-        writer.writerow([
-            r.attraction_id, format_number(r.ftv.lo), format_number(r.ftv.mode),
-            format_number(r.ftv.hi), format_number(r.crisp),
-            r.tier or "", ranks[r.attraction_id],
-        ])
-    return buffer.getvalue()
-
-
-def _config_echo(config: RunConfig) -> dict[str, Any]:
-    return {key: str(value) if isinstance(value, Path) else value
-            for key, value in asdict(config).items()}
-
-
-def weight_diagnostics(report: WeightReport) -> dict[str, Any]:
-    """A pairwise report's diagnostics as results.json and ``tourval weights`` print them."""
-    return {
-        "lambda_max": round6(report.lambda_max),
-        "consistency_index": round6(report.consistency_index),
-        "consistency_ratio": round6(report.consistency_ratio),
-        "inconsistent": report.inconsistent,
-    }
-
-
-def _weights_block(catalogue: FactorCatalogue, source: str,
-                   report: WeightReport | None) -> dict[str, Any]:
-    return {"source": source, "values": {f.id: round6(f.weight) for f in catalogue.factors},
-            **(weight_diagnostics(report) if report is not None else {})}
-
-
-# one row of results.json's "results" array
-_RESULT_ROW = geojson.template({
-    "attraction_id": "<id>", "name": "<name>", "ftv_lo": "<lo>", "ftv_mode": "<mode>",
-    "ftv_hi": "<hi>", "crisp": "<crisp>", "tier": "<tier>", "rank": "<rank>"})
-
-
-def _results_json(config: RunConfig, ingested: IngestResult,
-                  ranked: list[ValuationResult], ranks: dict[str, int],
-                  retained: list[ValuationResult],
-                  hotspots: tuple[HotSpot, ...], tour: Tour | None) -> str:
-    """The document as ``json.dumps(indent=2, sort_keys=True,
-    ensure_ascii=False)`` prints it; the rows of its ``results`` array are
-    filled into ``_RESULT_ROW``."""
-    rows = [geojson.fill(_RESULT_ROW, geojson.result_fields(
-        r, ingested.names[r.attraction_id], ranks[r.attraction_id])) for r in ranked]
-    document: dict[str, Any] = {
-        "config": _config_echo(config),
-        "weights": _weights_block(ingested.catalogue, ingested.weight_source,
-                                  ingested.weight_report),
-        "results": [],
-        "filter": {
-            "threshold": round6(config.filter_threshold),
-            "retained": [r.attraction_id for r in retained],
-            "count": len(retained),
-        },
-        "spatial": {
-            "hotspots": [
-                {"label": h.label, "score": round6(h.score),
-                 "lon": round(h.center.lon, 6), "lat": round(h.center.lat, 6)}
-                for h in hotspots
-            ],
-            "tour": None if tour is None else {
-                "stops": [h.label for h in tour.stops],
-                "length_km": round6(tour.length_km),
-                "duration_hours": [round6(d) for d in tour.duration_hours],
-            },
-        },
-    }
-    text = json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    if not rows:
-        return text
-    # a newline and two spaces begin a top-level key only: no string holds a newline
-    return text.replace('\n  "results": [],',
-                        '\n  "results": [\n' + ",\n".join(rows) + "\n  ],", 1)
-
-
-def _map_geojson(names: dict[str, str], locations: dict[str, GeoPoint],
-                 ranked: list[ValuationResult], ranks: dict[str, int],
-                 grid, hotspots, tour) -> Iterator[str]:
-    """The FeatureCollection of the attraction, hotspot, tour and density
-    features, in that order, as text chunks whose join is byte for byte
-    what ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)`` prints:
-    every feature arrives as text at the depth of the ``features`` array,
-    and is yielded with the separator before it."""
-    texts = geojson.attraction_features(names, locations, ranked, ranks)
-    texts.extend(geojson.indented(geojson.hotspot_feature(h)) for h in hotspots)
-    if tour is not None:
-        texts.append(geojson.indented(geojson.tour_feature(tour)))
-    features = chain(texts, geojson.density_features(grid) if grid is not None else ())
-    first = next(features, None)
-    if first is None:
-        yield '{\n  "features": [],\n  "type": "FeatureCollection"\n}\n'
-        return
-    yield '{\n  "features": [\n' + first
-    for text in features:
-        yield ",\n" + text
-    yield '\n  ],\n  "type": "FeatureCollection"\n}\n'
 
 
 def _write_all(out_dir: Path, payloads: dict[str, Iterable[str]]) -> tuple[Path, ...]:
@@ -700,12 +594,12 @@ def _finish(config: RunConfig, ranked: list[ValuationResult], ranks: dict[str, i
 
     payloads = {}
     if ingested is not None:
-        payloads["results.csv"] = (_results_csv(ranked, ranks),)
-        payloads["results.json"] = (_results_json(config, ingested, ranked, ranks, retained,
-                                                  hotspots, tour),)
+        payloads["results.csv"] = (render.results_csv(ranked, ranks),)
+        payloads["results.json"] = render.results_json(config, ingested, ranked, ranks,
+                                                       retained, hotspots, tour)
     if with_spatial:
-        payloads["map.geojson"] = _map_geojson(names, locations, ranked, ranks, grid,
-                                               hotspots, tour)
+        payloads["map.geojson"] = render.map_geojson(names, locations, ranked, ranks, grid,
+                                                     hotspots, tour)
     written = _write_all(config.out_dir, payloads)
     return PipelineOutput(tuple(ranked), ranks, tuple(r.attraction_id for r in retained),
                           ingested.weight_source if ingested else None,
@@ -725,7 +619,7 @@ def run_tour(config: RunConfig) -> PipelineOutput:
     results: list[ValuationResult] = []
     ranks: dict[str, int] = {}
     for line, (attraction_id, lo, mode, hi, crisp, tier, rank_text) in _records(
-            results_path, RESULT_COLUMNS):
+            results_path, render.RESULT_COLUMNS):
         where = f"{results_path}:{line}"
         attraction_id = attraction_id.strip()
         if attraction_id in ranks:
@@ -745,7 +639,9 @@ def run_tour(config: RunConfig) -> PipelineOutput:
         if not (rank_text.isascii() and rank_text.isdigit()) or int(rank_text) == 0:
             raise InputError(f"{where}: column 'rank' is not a positive integer: "
                              f"{rank_text!r}")
-        results.append(ValuationResult(attraction_id, ftv, crisp, tier.strip() or None))
+        tier = tier.strip()
+        require_choice(tier, TIERS, f"{where}: column 'tier'", InputError)
+        results.append(ValuationResult(attraction_id, ftv, crisp, tier))
         ranks[attraction_id] = int(rank_text)
     if not results:
         raise InputError(f"{results_path}: no result rows")

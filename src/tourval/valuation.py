@@ -36,6 +36,7 @@ __all__ = [
     "rank",
     "DEFAULT_THRESHOLDS",
     "DEFAULT_SCALE",
+    "TIERS",
 ]
 
 # Tier bands on the 0-100 scale: Low = [0, 33], Medium = (33, 66], High = (66, 100].
@@ -45,6 +46,7 @@ __all__ = [
 # Medium and is dropped.
 DEFAULT_THRESHOLDS = (33.0, 66.0)
 DEFAULT_SCALE = (0.0, 100.0)
+TIERS = ("Low", "Medium", "High")
 
 
 @dataclass(frozen=True)
@@ -207,11 +209,7 @@ def classify(crisp: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
     if not lo <= crisp <= hi:
         raise ValueError(f"value {crisp} outside the classification scale [{lo}, {hi}]")
     printed = round6(crisp)
-    if printed <= low_max:
-        return "Low"
-    if printed <= medium_max:
-        return "Medium"
-    return "High"
+    return TIERS[(printed > low_max) + (printed > medium_max)]
 
 
 def filter_high(results: Iterable[ValuationResult],

@@ -4,10 +4,11 @@ Everything here is deliberately written from the defining formulas with
 plain csv/math only, sharing no code path with the package internals; the
 full-grid KDE keeps the package's earlier numpy loop so that bytes compare.
 The map renderer is the package's earlier dict-based one, kept as it was
-so that bytes compare: it reuses the package's hotspot and tour feature
-builders and 6-digit rounding, keeps the earlier attraction feature builder,
-and hands the whole document to json.dumps.  The results.json renderer is
-the package's earlier one, the whole document through json.dumps.  The
+so that bytes compare: it keeps the earlier attraction, hotspot and tour
+feature builders, uses the package's 6-digit rounding, and hands the whole
+document to json.dumps.  The results.json renderer is the package's earlier
+one, with its earlier config echo and weights block, the whole document
+through json.dumps.  The
 expert sums are the package's earlier math.fsum per (attraction, factor).
 The judgement loader is the package's earlier row-at-a-time one on
 csv.DictReader, kept as it was so that results and error texts compare.
@@ -23,6 +24,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import asdict
 from importlib.resources import files
 from itertools import combinations, permutations
 from pathlib import Path
@@ -30,13 +32,13 @@ from typing import Any, Iterable
 
 import numpy as np
 
-from tourval import fuzzy, geojson
+from tourval import fuzzy
+from tourval.ahp import WeightReport
 from tourval.errors import InputError
 from tourval.fuzzy import TriangularFuzzyNumber
 from tourval.rescale import SourceRange, TargetRange
-from tourval.pipeline import _config_echo, _weights_block
 from tourval.rounding import round6
-from tourval.spatial import Tour, haversine_km
+from tourval.spatial import HotSpot, Tour, haversine_km
 from tourval.valuation import FactorCatalogue, FactorDefinition
 
 
@@ -249,6 +251,38 @@ def density_features(grid):
     return features
 
 
+def _coord(p) -> list[float]:
+    return [round(p.lon, 6), round(p.lat, 6)]
+
+
+def _feature(geometry: dict[str, Any], properties: dict[str, Any]) -> dict[str, Any]:
+    return {"type": "Feature", "geometry": geometry, "properties": properties}
+
+
+def hotspot_feature(hotspot: HotSpot) -> dict[str, Any]:
+    properties = {
+        "feature_type": "hotspot",
+        "label": hotspot.label,
+        "score": round6(hotspot.score),
+    }
+    return _feature({"type": "Point", "coordinates": _coord(hotspot.center)}, properties)
+
+
+def tour_feature(tour: Tour) -> dict[str, Any]:
+    """The closed circuit as a LineString whose last position repeats the
+    first."""
+    coords = [_coord(h.center) for h in tour.stops]
+    coords.append(coords[0])
+    properties: dict[str, Any] = {
+        "feature_type": "tour",
+        "stops": [h.label for h in tour.stops],
+        "length_km": round6(tour.length_km),
+    }
+    for bound, hours in zip(("min", "avg", "max"), tour.duration_hours or ()):
+        properties[f"duration_hours_{bound}"] = round6(hours)
+    return _feature({"type": "LineString", "coordinates": coords}, properties)
+
+
 def attraction_feature(point, result, name, rank=None):
     """One attraction Point Feature as a dict, as the package built it."""
     properties = {
@@ -278,13 +312,33 @@ def map_geojson(names, locations, ranked, ranks, grid, hotspots, tour) -> str:
                            names[r.attraction_id], rank=ranks[r.attraction_id])
         for r in ranked
     ]
-    features.extend(geojson.hotspot_feature(h) for h in hotspots)
+    features.extend(hotspot_feature(h) for h in hotspots)
     if tour is not None:
-        features.append(geojson.tour_feature(tour))
+        features.append(tour_feature(tour))
     if grid is not None:
         features.extend(density_features(grid))
     document = {"type": "FeatureCollection", "features": features}
     return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
+def _config_echo(config) -> dict[str, Any]:
+    return {key: str(value) if isinstance(value, Path) else value
+            for key, value in asdict(config).items()}
+
+
+def weight_diagnostics(report: WeightReport) -> dict[str, Any]:
+    return {
+        "lambda_max": round6(report.lambda_max),
+        "consistency_index": round6(report.consistency_index),
+        "consistency_ratio": round6(report.consistency_ratio),
+        "inconsistent": report.inconsistent,
+    }
+
+
+def _weights_block(catalogue: FactorCatalogue, source: str,
+                   report: WeightReport | None) -> dict[str, Any]:
+    return {"source": source, "values": {f.id: round6(f.weight) for f in catalogue.factors},
+            **(weight_diagnostics(report) if report is not None else {})}
 
 
 def results_json(config, ingested, ranked, ranks, retained, hotspots, tour) -> str:

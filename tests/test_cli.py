@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tourval import cli, pipeline
+from tourval import cli, pipeline, render
 from tourval.errors import NumericError
 
 
@@ -221,7 +221,7 @@ class TestRun:
         config = str(sample_dir / "config.json")
         assert invoke("run", "--config", config, "--out", str(out_dir)) == 0
         previous = {p.name: p.read_bytes() for p in out_dir.iterdir()}
-        real_map = pipeline._map_geojson
+        real_map = render.map_geojson
         staged = []
 
         def fails_midway(*args):
@@ -231,7 +231,7 @@ class TestRun:
             staged.extend(out_dir.glob(".map.geojson.*.tmp"))
             raise OSError(28, "No space left on device")
 
-        monkeypatch.setattr(pipeline, "_map_geojson", fails_midway)
+        monkeypatch.setattr(render, "map_geojson", fails_midway)
         assert invoke("run", "--config", config, "--out", str(out_dir)) == 5
         assert "No space left" in capsys.readouterr().err
         assert len(staged) == 1
@@ -326,11 +326,16 @@ class TestTour:
         ("rank", "0"),
         ("ftv_lo", "99"),
         ("crisp", "inf"),
+        # tour reads back only the tiers run writes
+        ("tier", "Bogus"),
+        ("tier", ""),
+        ("tier", "high"),
     ])
     def test_bad_results_row_exits_2(self, sample_dir, tmp_path, capsys, column, text):
         out_dir = tmp_path / "result"
         config = str(sample_dir / "config.json")
         assert invoke("run", "--config", config, "--out", str(out_dir)) == 0
+        previous_map = (out_dir / "map.geojson").read_bytes()
         results = out_dir / "results.csv"
         with open(results, newline="", encoding="utf-8") as handle:
             rows = list(csv.DictReader(handle))
@@ -341,7 +346,11 @@ class TestTour:
             writer.writerows(rows)
         capsys.readouterr()
         assert invoke("tour", "--config", config, "--out", str(out_dir)) == 2
-        assert "results.csv:4:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {results}:4: ") and "Traceback" not in err
+        if column == "tier":
+            assert err.startswith(f"error: {results}:4: column 'tier' must be ")
+        assert (out_dir / "map.geojson").read_bytes() == previous_map
 
     def test_repeated_attraction_exits_2(self, sample_dir, tmp_path, capsys):
         out_dir = tmp_path / "result"

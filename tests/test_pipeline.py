@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tourval import TriangularFuzzyNumber as TFN
-from tourval import datasets, geojson
+from tourval import datasets, render
 from tourval.ahp import derive_weights
 from tourval.errors import ConfigError, InputError, NumericError
 from tourval.pipeline import (
@@ -19,8 +19,6 @@ from tourval.pipeline import (
     KdeSettings,
     RunConfig,
     _exact_sums,
-    _map_geojson,
-    _results_json,
     ingest,
     load_attractions,
     load_config,
@@ -32,7 +30,7 @@ from tourval.pipeline import (
 )
 from tourval.rounding import format_number
 from tourval.spatial import DensityGrid, GeoPoint, HotSpot, Tour
-from tourval.valuation import ValuationResult
+from tourval.valuation import TIERS, ValuationResult
 
 import oracles
 
@@ -54,8 +52,8 @@ class TestFormatNumber:
     def test_negative_zero_same_in_every_artifact(self):
         from tourval.rounding import round6
 
-        result = ValuationResult("a", TFN(-0.0, 0.0, 1.0), -0.0, None)
-        text = "".join(_map_geojson({"a": "A"}, {"a": GeoPoint(-75.8, 20.0)}, [result],
+        result = ValuationResult("a", TFN(-0.0, 0.0, 1.0), -0.0, "Low")
+        text = "".join(render.map_geojson({"a": "A"}, {"a": GeoPoint(-75.8, 20.0)}, [result],
                                     {"a": 1}, None, (), None))
         assert json.dumps(round6(-0.0)) == "0.0"
         assert '"ftv_lo": 0.0,' in text
@@ -907,14 +905,16 @@ NAME_CHARS = st.characters(blacklist_categories=("Cs",))
 SPECIAL_NAME = 'Café "Trova" \\ Santiago de Cuba 寺 \x00\x07\t\n \U0001f3b8'
 
 
-def _map_inputs(names, grid, hotspot_scores=(), with_tour=False, center=(-75.8, 20.0)):
-    """Attractions named ``names`` around ``center``, hotspots with the given
-    scores and, if asked and there are hotspots, a tour over them."""
+def _map_inputs(names, grid, hotspot_scores=(), with_tour=False, center=(-75.8, 20.0),
+                tiers=None):
+    """Attractions named ``names`` around ``center``, in ``tiers`` (each of
+    ``TIERS`` in turn if not given), hotspots with the given scores and, if
+    asked and there are hotspots, a tour over them."""
     lon, lat = center
     ids = [f"a{i}" for i in range(len(names))]
-    ranked = [ValuationResult(aid, TFN(i - 1.5, i * 1.0, i + 0.25), i * 1.0 / 3.0,
-                              "High" if i % 2 else None)
-              for i, aid in enumerate(ids)]
+    tiers = tiers or [TIERS[i % len(TIERS)] for i in range(len(names))]
+    ranked = [ValuationResult(aid, TFN(i - 1.5, i * 1.0, i + 0.25), i * 1.0 / 3.0, tier)
+              for i, (aid, tier) in enumerate(zip(ids, tiers))]
     locations = {aid: GeoPoint(lon + i * 1e-3, -(lat + i * 1e-3)) for i, aid in enumerate(ids)}
     hotspots = tuple(HotSpot(GeoPoint(-lon - i * 1e-3, lat), score, f"H{i + 1}")
                      for i, score in enumerate(hotspot_scores))
@@ -943,17 +943,18 @@ def map_inputs(draw):
         grid = _grid(np.reshape(values, (nrows, ncols)), center, draw(offset), draw(offset),
                      draw(st.floats(0.5, 1000.0)))
     names = draw(st.lists(st.text(NAME_CHARS, max_size=12), max_size=4))
+    tiers = draw(st.lists(st.sampled_from(TIERS), min_size=len(names), max_size=len(names)))
     scores = draw(st.lists(st.floats(1e-6, 1e6), max_size=3))
-    return _map_inputs(names, grid, scores, draw(st.booleans()), center)
+    return _map_inputs(names, grid, scores, draw(st.booleans()), center, tiers)
 
 
 class TestMapText:
-    """pipeline._map_geojson prints the same bytes as json.dumps of the
+    """render.map_geojson prints the same bytes as json.dumps of the
     whole FeatureCollection (oracles.map_geojson)."""
 
     @staticmethod
     def assert_same(inputs):
-        assert "".join(_map_geojson(*inputs)) == oracles.map_geojson(*inputs)
+        assert "".join(render.map_geojson(*inputs)) == oracles.map_geojson(*inputs)
 
     @settings(max_examples=150, deadline=None)
     @given(map_inputs())
@@ -984,17 +985,14 @@ class TestMapText:
         inputs = _map_inputs(["A"], _grid([[1.0, 2.0], [3.0, 0.5]], center=(0.0, 0.0),
                                           x0=-1e-3, y0=-1e-3, cell_m=1e-3),
                              center=(0.0, 0.0))
-        assert "              -0.0,\n" in "".join(_map_geojson(*inputs))
-
-    def test_tierless_attraction_alone(self):
-        self.assert_same(_map_inputs(["A"], None))
+        assert "              -0.0,\n" in "".join(render.map_geojson(*inputs))
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(st.floats(allow_nan=True), st.text(NAME_CHARS, max_size=8),
                      st.integers(-10**20, 10**20), st.booleans(), st.none(),
                      st.sampled_from([-0.0, 1e16, 1e-07, math.inf, np.float64(2.5)])))
     def test_encode_prints_as_json(self, value):
-        assert geojson.encode(value) == json.dumps(value, ensure_ascii=False)
+        assert render._encode(value) == json.dumps(value, ensure_ascii=False)
 
 
 # -- results.json text against json.dumps of the whole document ---------------
@@ -1007,14 +1005,14 @@ POSITIVE = st.one_of(st.sampled_from([1e-05, 1.5e-07, 1e16]), st.floats(1e-9, 1e
 
 @st.composite
 def results_inputs(draw, config, ingested):
-    """Arguments of ``_results_json``: awkward ids and names, any tier or
-    none, either weight source, with or without hotspots and a tour."""
+    """Arguments of ``render.results_json``: awkward ids and names, any
+    tier, either weight source, with or without hotspots and a tour."""
     ids = draw(st.lists(st.text(NAME_CHARS, max_size=8), unique=True, max_size=5))
     names = {aid: draw(st.one_of(st.just(SPECIAL_NAME), st.text(NAME_CHARS, max_size=12)))
              for aid in ids}
     ranked = [ValuationResult(aid, TFN(*sorted(draw(st.tuples(*[RESULT_NUMBER] * 3)))),
                               draw(RESULT_NUMBER),
-                              draw(st.sampled_from(["High", "Medium", "Low", None])))
+                              draw(st.sampled_from(TIERS)))
               for aid in ids]
     ranks = {aid: i + 1 for i, aid in enumerate(ids)}
     retained = [r for r in ranked if draw(st.booleans())]
@@ -1031,7 +1029,7 @@ def results_inputs(draw, config, ingested):
 
 
 class TestResultsText:
-    """pipeline._results_json prints the same bytes as json.dumps of the
+    """render.results_json prints the same bytes as json.dumps of the
     whole document (oracles.results_json)."""
 
     @pytest.fixture(scope="class")
@@ -1045,8 +1043,42 @@ class TestResultsText:
     @given(data=st.data())
     def test_equals_reference(self, sample, data):
         inputs = data.draw(results_inputs(*sample))
-        assert _results_json(*inputs) == oracles.results_json(*inputs)
+        assert "".join(render.results_json(*inputs)) == oracles.results_json(*inputs)
 
     def test_no_results(self, sample):
         inputs = (*sample, [], {}, [], (), None)
-        assert _results_json(*inputs) == oracles.results_json(*inputs)
+        assert "".join(render.results_json(*inputs)) == oracles.results_json(*inputs)
+
+
+# -- the one splice of pre-rendered items into a JSON document ----------------
+
+# text that looks like the splice's own marks: a newline, a quote, a list's end,
+# a line separator (U+2028) and an empty top-level list
+SPLICE_TEXT = st.one_of(st.sampled_from(["\n", '"', "],", "\u2028", '\n  "m": [],', "]\n}"]),
+                        st.text(NAME_CHARS, max_size=8))
+JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats(allow_nan=False)
+    | SPLICE_TEXT,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(SPLICE_TEXT, inner, max_size=3),
+    max_leaves=6)
+
+
+class TestDocument:
+    """render._document prints what json.dumps prints for the whole
+    document, whatever sorts around the list key and whatever the texts
+    hold."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sampled_from(["before", "after", "both"]), st.data())
+    def test_equals_json_dumps(self, sides, data):
+        # every "a..." key sorts before every "m..." key, which sorts before "z..."
+        key = "m" + data.draw(SPLICE_TEXT)
+        prefixes = {"before": "a", "after": "z", "both": "az"}[sides]
+        outer = {prefix + data.draw(SPLICE_TEXT): data.draw(JSON_VALUE)
+                 for prefix in prefixes for _ in range(data.draw(st.integers(1, 2)))}
+        outer[data.draw(st.sampled_from(sorted(outer)))] = {key: []}   # the key, nested
+        values = data.draw(st.lists(JSON_VALUE, max_size=4))
+        want = json.dumps({**outer, key: values}, indent=2, sort_keys=True,
+                          ensure_ascii=False) + "\n"
+        items = map(render._indented, values)
+        assert "".join(render._document(outer, key, items)) == want

@@ -22,7 +22,7 @@ from tourval import (
     plan_tour,
 )
 from tourval.errors import ConfigError, NumericError
-from tourval.geojson import density_features, encode
+from tourval.render import _density_features, _encode
 from tourval.rounding import round6
 from tourval.spatial import MAX_GRID_CELLS, _grid_frame, _percentile, _unproject
 
@@ -199,12 +199,12 @@ class TestDensityFeatures:
                              "geometry": {"type": "Polygon", "coordinates": [ring]},
                              "properties": {"feature_type": "density",
                                             "density": float(f"{value:.6g}")}})
-        got = [json.loads(text) for text in density_features(grid)]
+        got = [json.loads(text) for text in _density_features(grid)]
         assert 0 < len(got) < grid.nrows * grid.ncols
         assert got == want
 
     def test_zero_grid_has_no_polygons(self):
-        assert density_features(DensityGrid(CENTER, 0.0, 0.0, 10.0, np.zeros((3, 4)))) == []
+        assert _density_features(DensityGrid(CENTER, 0.0, 0.0, 10.0, np.zeros((3, 4)))) == []
 
     # densities whose 6-digit text switches between fixed and exponent notation,
     # rounds up across a power of ten, or carries fewer digits (subnormals)
@@ -216,7 +216,7 @@ class TestDensityFeatures:
     def test_text_is_json_dumps_of_the_reference(self, nrows, ncols, data):
         """Each feature's text is ``json.dumps`` of the reference feature
         dict at the depth of a ``features`` array, its density printed as
-        ``encode(round6(value))``."""
+        ``_encode(round6(value))``."""
         value = st.one_of(st.just(0.0), st.sampled_from(self.EDGE_DENSITIES),
                           st.floats(5e-324, 1e300))
         values = np.reshape(data.draw(st.lists(value, min_size=nrows * ncols,
@@ -229,9 +229,9 @@ class TestDensityFeatures:
         want = ["    " + json.dumps(f, indent=2, sort_keys=True,
                                     ensure_ascii=False).replace("\n", "\n    ")
                 for f in oracles.density_features(grid)]
-        assert density_features(grid) == want
+        assert _density_features(grid) == want
         densities = [re.search(r'"density": ([^,\n]+)', text)[1] for text in want]
-        assert densities == [encode(round6(v)) for v in values[values > 0].tolist()]
+        assert densities == [_encode(round6(v)) for v in values[values > 0].tolist()]
 
 
 class TestHotspots:

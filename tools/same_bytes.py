@@ -8,8 +8,9 @@ seeds 1 and 2 of each benchmark workload, generated by bench/workloads.py.
 On each input set `tourval run` runs first from the base's source, then
 from this checkout's, both with the same --out, so the config echo in
 results.json matches; for district_tour, the workload the benchmark times
-as `tour`, `tourval tour` runs after `run` on each side.  The SHA-256 of
-every artifact is compared.
+as `tour`, `tourval tour` runs after `run` on each side.  `tourval ftv`
+runs on every input set too, into a --out of its own, the same on both
+sides.  The SHA-256 of every artifact is compared.
 
 Exit status: 0 when every artifact matches; 1 when one differs or a run
 fails, naming each; 2 when the base cannot be checked out.
@@ -31,7 +32,8 @@ import workloads  # noqa: E402
 
 SAMPLE = ROOT / "src" / "tourval" / "data" / "santiago_sample"
 SEEDS = (1, 2)
-ARTIFACTS = {"run": ("results.csv", "results.json", "map.geojson"), "tour": ("map.geojson",)}
+ARTIFACTS = {"run": ("results.csv", "results.json", "map.geojson"), "tour": ("map.geojson",),
+             "ftv": ("results.csv", "results.json")}
 
 
 def _inputs(directory: Path) -> dict[str, Path]:
@@ -44,23 +46,26 @@ def _inputs(directory: Path) -> dict[str, Path]:
     return configs
 
 
-def _artifacts(source: Path, config: Path, out: Path, commands: tuple[str, ...]
+def _artifacts(source: Path, config: Path, outs: dict[Path, tuple[str, ...]]
                ) -> dict[str, str]:
-    """SHA-256 of each artifact after each command, by "command artifact";
-    a failed command maps to its exit status and standard error."""
-    shutil.rmtree(out, ignore_errors=True)
+    """SHA-256 of each artifact after each command, by "command artifact",
+    the commands run in turn into the --out directory they are listed
+    under; a failed command maps to its exit status and standard error, and
+    no later command of its directory runs."""
     env = {**os.environ, "PYTHONPATH": str(source / "src")}
     digests = {}
-    for command in commands:
-        done = subprocess.run(
-            [sys.executable, "-m", "tourval.cli", command, "--config", str(config),
-             "--out", str(out)], env=env, capture_output=True, text=True)
-        if done.returncode:
-            digests[command] = f"exit {done.returncode}: {done.stderr.strip()}"
-            break
-        for artifact in ARTIFACTS[command]:
-            digests[f"{command} {artifact}"] = hashlib.sha256(
-                (out / artifact).read_bytes()).hexdigest()
+    for out, commands in outs.items():
+        shutil.rmtree(out, ignore_errors=True)
+        for command in commands:
+            done = subprocess.run(
+                [sys.executable, "-m", "tourval.cli", command, "--config", str(config),
+                 "--out", str(out)], env=env, capture_output=True, text=True)
+            if done.returncode:
+                digests[command] = f"exit {done.returncode}: {done.stderr.strip()}"
+                break
+            for artifact in ARTIFACTS[command]:
+                digests[f"{command} {artifact}"] = hashlib.sha256(
+                    (out / artifact).read_bytes()).hexdigest()
     return digests
 
 
@@ -80,9 +85,9 @@ def main(argv: list[str]) -> int:
         try:
             differ = []
             for name, config in _inputs(tmp / "inputs").items():
-                commands = ("run", "tour") if name.startswith("district_tour") else ("run",)
-                before, after = (_artifacts(source, config, tmp / "out", commands)
-                                 for source in (base, ROOT))
+                outs = {tmp / "out": ("run", "tour") if name.startswith("district_tour")
+                        else ("run",), tmp / "ftv-out": ("ftv",)}
+                before, after = (_artifacts(source, config, outs) for source in (base, ROOT))
                 for key in sorted(before.keys() | after.keys()):
                     if before.get(key) != after.get(key):
                         differ.append(f"{name}: {key}: base {before.get(key)}, "
