@@ -45,7 +45,7 @@ from .spatial import (GeoPoint, HotSpot, ScoredPoint, Tour,
                       merge_hotspots, plan_tour, require_dwell, require_percentile,
                       require_positive)
 from .valuation import (DEFAULT_SCALE, DEFAULT_THRESHOLDS, TIERS, FactorCatalogue,
-                        FactorDefinition, ValuationResult, evaluate_attractions,
+                        FactorDefinition, ValuationResult, classify, evaluate_attractions,
                         filter_high, id_mismatch, rank)
 
 __all__ = [
@@ -618,6 +618,8 @@ def run_tour(config: RunConfig) -> PipelineOutput:
 
     results: list[ValuationResult] = []
     ranks: dict[str, int] = {}
+    # the printed value of a crisp value on the target lies between the printed ends
+    scale = (round6(config.target[0]), round6(config.target[1]))
     for line, (attraction_id, lo, mode, hi, crisp, tier, rank_text) in _records(
             results_path, render.RESULT_COLUMNS):
         where = f"{results_path}:{line}"
@@ -641,6 +643,16 @@ def run_tour(config: RunConfig) -> PipelineOutput:
                              f"{rank_text!r}")
         tier = tier.strip()
         require_choice(tier, TIERS, f"{where}: column 'tier'", InputError)
+        try:
+            expected = classify(crisp, config.tier_thresholds, scale)
+        except ValueError as e:
+            raise InputError(f"{where}: column 'crisp': {e}") from e
+        if tier != expected:
+            thresholds = ", ".join(map(format_number, config.tier_thresholds))
+            raise InputError(f"{where}: column 'tier' is {tier!r}, but crisp "
+                             f"{format_number(crisp)} is {expected!r} under tier_thresholds "
+                             f"[{thresholds}]; after changing tier_thresholds, re-run ftv "
+                             "or run")
         results.append(ValuationResult(attraction_id, ftv, crisp, tier))
         ranks[attraction_id] = int(rank_text)
     if not results:

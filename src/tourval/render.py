@@ -5,11 +5,13 @@ Numbers are rounded to 6 significant digits and coordinates ([lon, lat],
 RFC 7946) to 6 decimal places, about 0.1 m, so output is byte-stable across
 platforms.  Each JSON document is what ``json.dumps(indent=2,
 sort_keys=True, ensure_ascii=False)`` prints, plus a final newline: one
-splice, ``_document``, puts its list's items into the outer document.  The
-few hotspot and tour features are dicts passed to ``_indented``.  Every
+splice, ``_document``, puts its list's items into the outer document, as
+one ``itertools.chain`` of chunks read as they are written.  The few
+hotspot and tour features are dicts passed to ``_indented``.  Every
 per-item record (an attraction or density feature, a ``results`` row) is
-instead the join of its ``_template`` pieces, split once at import, and its
-values as ``_encode`` prints them, with no dict built for ``json``.
+filled column by column instead (``_filled``): its ``_template`` pieces,
+split once at import, joined with one list of ``_encode``d field texts per
+field, with no dict built for ``json`` and no Python frame per record.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ import csv
 import io
 import json
 import math
+import operator
 import re
 from dataclasses import asdict
-from itertools import chain
+from itertools import chain, compress, count, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterator
+from typing import TYPE_CHECKING, Any, Iterable, Iterator
 
 import numpy as np
 
@@ -86,11 +89,11 @@ def _template(record: dict[str, Any]) -> list[str]:
     return re.split(r'"<(\w+)>"', _indented(record))
 
 
-def _fill(slots: list[str], fields: dict[str, str]) -> str:
-    """The ``_template`` ``slots`` with each field's text from ``fields``."""
-    filled = slots.copy()
-    filled[1::2] = map(fields.__getitem__, slots[1::2])
-    return "".join(filled)
+def _filled(slots: list[str], columns: dict[str, list[str]]) -> Iterator[str]:
+    """The ``_template`` ``slots`` filled lazily, record ``i`` with text ``i``
+    of each field's list in ``columns``, with no Python frame per record."""
+    pieces = [iter(columns[piece]) if i % 2 else repeat(piece) for i, piece in enumerate(slots)]
+    return map("".join, zip(*pieces))
 
 
 def _encode(value: Any) -> str:
@@ -104,32 +107,34 @@ def _encode(value: Any) -> str:
     return json.dumps(value)
 
 
-def _document(outer: dict[str, Any], key: str, items: Iterator[str]) -> Iterator[str]:
+def _document(outer: dict[str, Any], key: str, items: Iterable[str]) -> Iterator[str]:
     """``outer`` with the list of ``items`` at ``key``, in chunks whose join
     is what ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)``
     prints for it, plus a final newline.  Each item is its text as
-    ``_indented`` prints it; the items are read as the chunks are made."""
+    ``_indented`` prints it.  The first item is read now, the others as the
+    chunks are; separators are chunks of their own."""
     text = json.dumps({**outer, key: []}, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    items = iter(items)
     first = next(items, None)
     if first is None:
-        yield text
-        return
+        return iter((text,))
     # a newline and two spaces begin a top-level key only: a string prints no newline
     marker = f"\n  {encode_basestring(key)}: ["
     cut = text.index(marker + "]") + len(marker)
-    yield text[:cut] + "\n" + first
-    for item in items:
-        yield ",\n" + item
-    yield "\n  " + text[cut:]
+    return chain((text[:cut] + "\n", first), chain.from_iterable(zip(repeat(",\n"), items)),
+                 ("\n  " + text[cut:],))
 
 
-def _result_fields(result: ValuationResult, name: str, rank: int) -> dict[str, str]:
-    """A result's id, name, 6-digit FTV and crisp value, tier and rank, as
-    ``_encode`` prints them, by ``_template`` field."""
-    return {"id": _encode(result.attraction_id), "name": _encode(name),
-            "lo": _encode(round6(result.ftv.lo)), "mode": _encode(round6(result.ftv.mode)),
-            "hi": _encode(round6(result.ftv.hi)), "crisp": _encode(round6(result.crisp)),
-            "tier": _encode(result.tier), "rank": _encode(rank)}
+def _result_columns(ranked: list[ValuationResult], names: dict[str, str],
+                    ranks: dict[str, int]) -> dict[str, list[str]]:
+    """The results' ids, names, 6-digit FTVs and crisp values, tiers and
+    ranks, in order, as ``_encode`` prints them, by ``_template`` field."""
+    ids = [r.attraction_id for r in ranked]
+    values = {"id": ids, "name": [names[i] for i in ids], "rank": [ranks[i] for i in ids],
+              "lo": [round6(r.ftv.lo) for r in ranked], "hi": [round6(r.ftv.hi) for r in ranked],
+              "mode": [round6(r.ftv.mode) for r in ranked],
+              "crisp": [round6(r.crisp) for r in ranked], "tier": [r.tier for r in ranked]}
+    return {field: list(map(_encode, column)) for field, column in values.items()}
 
 
 # --- results.csv and results.json -------------------------------------------
@@ -204,9 +209,8 @@ def results_json(config: RunConfig, ingested: IngestResult,
             },
         },
     }
-    rows = (_fill(_RESULT_ROW, _result_fields(r, ingested.names[r.attraction_id],
-                                              ranks[r.attraction_id])) for r in ranked)
-    yield from _document(document, "results", rows)
+    return _document(document, "results",
+                     _filled(_RESULT_ROW, _result_columns(ranked, ingested.names, ranks)))
 
 
 # --- map.geojson -------------------------------------------------------------
@@ -224,11 +228,11 @@ def _attraction_features(names: dict[str, str], locations: dict[str, GeoPoint],
                          ranked: list[ValuationResult], ranks: dict[str, int]
                          ) -> Iterator[str]:
     """One Point Feature per result, in order, as ``_indented`` text: its
-    ``_result_fields`` and location."""
-    for r in ranked:
-        fields = _result_fields(r, names[r.attraction_id], ranks[r.attraction_id])
-        fields["lon"], fields["lat"] = map(_encode, _coord(locations[r.attraction_id]))
-        yield _fill(_ATTRACTION, fields)
+    ``_result_columns`` and location."""
+    points = [locations[r.attraction_id] for r in ranked]
+    return _filled(_ATTRACTION, {**_result_columns(ranked, names, ranks),
+                                 "lon": [_encode(round(p.lon, 6)) for p in points],
+                                 "lat": [_encode(round(p.lat, 6)) for p in points]})
 
 
 # One density feature: its ring's corners from the south-west, then its density.
@@ -239,26 +243,30 @@ _DENSITY_FEATURE = _template(_feature(
     {"feature_type": "density", "density": "<density>"}))
 
 
-def _density_features(grid: DensityGrid) -> list[str]:
+def _density_features(grid: DensityGrid) -> Iterator[str]:
     """One square Polygon Feature per cell with positive density, in
-    row-major order, as ``_indented`` text; zero cells are skipped to keep
-    files small.  Rings are counter-clockwise from the south-west corner
-    and closed.  Each edge coordinate is rounded and encoded once and
-    shared by the cells along it.  The slots of ``_DENSITY_FEATURE`` are
-    filled by position, and each density is printed inline, as
-    ``_encode(round6(value))`` prints a positive float."""
+    row-major order, as ``_indented`` text, made as it is read; zero cells
+    are skipped to keep files small.  Rings are counter-clockwise from the
+    south-west corner and closed.  Each edge coordinate is rounded and
+    encoded once and shared by the cells along it.  Each density is printed
+    as ``_encode(round6(value))`` prints it."""
     lons, lats = grid.edges()
     lons = [_encode(round(v, 6)) for v in lons]
     lats = [_encode(round(v, 6)) for v in lats]
     rows, cols = np.nonzero(grid.values > 0.0)
-    densities = map(float.__repr__, map(float, map("{:.6g}".format,
-                                                   grid.values[rows, cols].tolist())))
-    slots, join, texts = _DENSITY_FEATURE.copy(), "".join, []
-    for row, col, density in zip(rows.tolist(), cols.tolist(), densities):
-        west, east, south, north = lons[col], lons[col + 1], lats[row], lats[row + 1]
-        slots[1::2] = west, south, east, south, east, north, west, north, west, south, density
-        texts.append(join(slots))
-    return texts
+    # A 6-digit text with a point and no exponent is already the shortest text
+    # that reads back as its float.  Only the others, those whose "has a point"
+    # is at most their "has an exponent" (an exponent, or an integral value,
+    # which prints with ".0"), are printed again.
+    densities = list(map(format, grid.values[rows, cols].tolist(), repeat(".6g")))
+    redo = map(operator.le, *(map(operator.contains, densities, repeat(c)) for c in ".e"))
+    for i in list(compress(count(), redo)):
+        densities[i] = float.__repr__(float(densities[i]))
+    rows, cols = rows.tolist(), cols.tolist()
+    return _filled(_DENSITY_FEATURE, {
+        "west": list(map(lons.__getitem__, cols)), "east": list(map(lons[1:].__getitem__, cols)),
+        "south": list(map(lats.__getitem__, rows)),
+        "north": list(map(lats[1:].__getitem__, rows)), "density": densities})
 
 
 def map_geojson(names: dict[str, str], locations: dict[str, GeoPoint],
@@ -273,4 +281,4 @@ def map_geojson(names: dict[str, str], locations: dict[str, GeoPoint],
         (_indented(_hotspot_feature(h)) for h in hotspots),
         () if tour is None else (_indented(_tour_feature(tour)),),
         () if grid is None else _density_features(grid))
-    yield from _document({"type": "FeatureCollection"}, "features", features)
+    return _document({"type": "FeatureCollection"}, "features", features)

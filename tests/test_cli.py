@@ -330,6 +330,10 @@ class TestTour:
         ("tier", "Bogus"),
         ("tier", ""),
         ("tier", "high"),
+        # the tier is the one the printed crisp value falls in, on the target
+        ("tier", "Low"),
+        ("crisp", "20"),
+        ("crisp", "100.001"),
     ])
     def test_bad_results_row_exits_2(self, sample_dir, tmp_path, capsys, column, text):
         out_dir = tmp_path / "result"
@@ -348,9 +352,29 @@ class TestTour:
         assert invoke("tour", "--config", config, "--out", str(out_dir)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {results}:4: ") and "Traceback" not in err
-        if column == "tier":
+        if column == "tier" and text != "Low":
             assert err.startswith(f"error: {results}:4: column 'tier' must be ")
+        if (column, text) in {("tier", "Low"), ("crisp", "20")}:
+            assert err.startswith(f"error: {results}:4: column 'tier' is ")
+            assert "tier_thresholds [33, 66]" in err and "re-run ftv or run" in err
         assert (out_dir / "map.geojson").read_bytes() == previous_map
+
+    def test_value_printed_past_the_target_end_is_read(self, sample_dir, tmp_path):
+        """On a target whose end has more than 6 digits, a value just below
+        the end prints above it; tour reads it back and keeps its tier."""
+        config = json.loads((sample_dir / "config.json").read_text(encoding="utf-8"))
+        for key in ("factors", "evaluations", "attractions"):
+            config[key] = str(sample_dir / config[key])
+        config.update(target=[0, 99.9999995], out_dir=str(tmp_path / "out"))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert invoke("ftv", "--config", str(config_path)) == 0
+        results = tmp_path / "out" / "results.csv"
+        text = results.read_text(encoding="utf-8")
+        assert ",80.7383,High,1\n" in text
+        results.write_text(text.replace(",80.7383,High,1\n", ",100,High,1\n"), encoding="utf-8")
+        assert invoke("tour", "--config", str(config_path)) == 0
+        assert '"crisp": 100.0,' in (tmp_path / "out" / "map.geojson").read_text(encoding="utf-8")
 
     def test_repeated_attraction_exits_2(self, sample_dir, tmp_path, capsys):
         out_dir = tmp_path / "result"

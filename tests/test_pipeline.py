@@ -1080,5 +1080,7 @@ class TestDocument:
         values = data.draw(st.lists(JSON_VALUE, max_size=4))
         want = json.dumps({**outer, key: values}, indent=2, sort_keys=True,
                           ensure_ascii=False) + "\n"
-        items = map(render._indented, values)
+        texts = [render._indented(v) for v in values]
+        # a list, or a one-shot generator read only as the chunks are
+        items = (text for text in texts) if data.draw(st.booleans()) else texts
         assert "".join(render._document(outer, key, items)) == want

@@ -204,7 +204,8 @@ class TestDensityFeatures:
         assert got == want
 
     def test_zero_grid_has_no_polygons(self):
-        assert _density_features(DensityGrid(CENTER, 0.0, 0.0, 10.0, np.zeros((3, 4)))) == []
+        assert list(_density_features(DensityGrid(CENTER, 0.0, 0.0, 10.0,
+                                                  np.zeros((3, 4))))) == []
 
     # densities whose 6-digit text switches between fixed and exponent notation,
     # rounds up across a power of ten, or carries fewer digits (subnormals)
@@ -229,9 +230,20 @@ class TestDensityFeatures:
         want = ["    " + json.dumps(f, indent=2, sort_keys=True,
                                     ensure_ascii=False).replace("\n", "\n    ")
                 for f in oracles.density_features(grid)]
-        assert _density_features(grid) == want
+        assert list(_density_features(grid)) == want
         densities = [re.search(r'"density": ([^,\n]+)', text)[1] for text in want]
         assert densities == [_encode(round6(v)) for v in values[values > 0].tolist()]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(1e-4, 1e6), st.floats(5e-324, 1.7976931348623157e308),
+                              st.integers(1, 10**17).map(float)), min_size=1, max_size=20))
+    @example([1e-4, 9.99995e-5, 99999.95, 999999.0, 999999.5, 1e6, 1e15, 1e16, 39.0, 1.0])
+    def test_density_text_is_the_round_trip_of_its_6_digit_text(self, values):
+        """Each density prints as ``float.__repr__`` of its 6-digit text reads
+        back, also where that text is kept as it is."""
+        grid = DensityGrid(CENTER, 0.0, 0.0, 10.0, np.array([values]))
+        got = [re.search(r'"density": ([^,\n]+)', text)[1] for text in _density_features(grid)]
+        assert got == [float.__repr__(float(f"{v:.6g}")) for v in values]
 
 
 class TestHotspots:
