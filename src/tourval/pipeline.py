@@ -12,10 +12,10 @@ an optional byte-order mark, a line of blank cells skipped anywhere):
 
 This module decides: what is read, valued, kept and mapped.  Each artifact
 is written under a temporary name as the stream of text chunks ``render``
-yields for it, and no output is replaced until every artifact is written,
-so a failed write leaves the previous outputs intact.  ``run_tour`` reads
-results.csv back under the rules ``run`` writes it by: a tier is one of
-``TIERS``.
+yields for it, one ``write`` per block of ``WRITE_BLOCK_CHUNKS`` chunks, and
+no output is replaced until every artifact is written, so a failed write
+leaves the previous outputs intact.  ``run_tour`` reads results.csv back
+under the rules ``run`` writes it by: a tier is one of ``TIERS``.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import operator
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -90,6 +91,9 @@ class TourSettings:
         require_positive(self.walk_speed_kmh, "tour.walk_speed_kmh")
         require_dwell(self.dwell_minutes, "tour.dwell_minutes")
 
+
+# text chunks joined into one ``write`` by ``_write_all``: about 330 KB of map text
+WRITE_BLOCK_CHUNKS = 1024
 
 # the input files, whose relative paths ``load_config`` takes from the config's directory
 _INPUTS = ("factors", "evaluations", "attractions", "pairwise")
@@ -542,7 +546,9 @@ def _spatial_analysis(config: RunConfig, retained: list[ValuationResult],
 def _write_all(out_dir: Path, payloads: dict[str, Iterable[str]]) -> tuple[Path, ...]:
     """Write every payload, an iterable of text chunks, to a hidden
     temporary file in ``out_dir``, then move each into place with
-    ``os.replace``.  A failure while writing, or while a payload makes its
+    ``os.replace``.  The chunks are joined in blocks of
+    ``WRITE_BLOCK_CHUNKS``, one ``write`` per block, so a payload is never
+    held whole.  A failure while writing, or while a payload makes its
     chunks, leaves the previous outputs as they were; the temporary files
     are always removed."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -550,8 +556,10 @@ def _write_all(out_dir: Path, payloads: dict[str, Iterable[str]]) -> tuple[Path,
               for name in payloads]
     try:
         for (temporary, _), chunks in zip(staged, payloads.values()):
+            chunks = iter(chunks)
             with temporary.open("w", encoding="utf-8", newline="") as handle:
-                handle.writelines(chunks)
+                while block := list(islice(chunks, WRITE_BLOCK_CHUNKS)):
+                    handle.write("".join(block))
         for temporary, target in staged:
             os.replace(temporary, target)
     finally:
@@ -593,13 +601,14 @@ def _finish(config: RunConfig, ranked: list[ValuationResult], ranks: dict[str, i
         grid, hotspots, tour = _spatial_analysis(config, retained, locations)
 
     payloads = {}
+    columns = render.result_columns(ranked, names, ranks)
     if ingested is not None:
         payloads["results.csv"] = (render.results_csv(ranked, ranks),)
-        payloads["results.json"] = render.results_json(config, ingested, ranked, ranks,
-                                                       retained, hotspots, tour)
+        payloads["results.json"] = render.results_json(config, ingested, columns, retained,
+                                                       hotspots, tour)
     if with_spatial:
-        payloads["map.geojson"] = render.map_geojson(names, locations, ranked, ranks, grid,
-                                                     hotspots, tour)
+        payloads["map.geojson"] = render.map_geojson(
+            columns, [locations[r.attraction_id] for r in ranked], grid, hotspots, tour)
     written = _write_all(config.out_dir, payloads)
     return PipelineOutput(tuple(ranked), ranks, tuple(r.attraction_id for r in retained),
                           ingested.weight_source if ingested else None,

@@ -38,7 +38,8 @@ from .valuation import FactorCatalogue, ValuationResult
 if TYPE_CHECKING:
     from .pipeline import IngestResult, RunConfig
 
-__all__ = ["RESULT_COLUMNS", "results_csv", "results_json", "map_geojson", "weight_diagnostics"]
+__all__ = ["RESULT_COLUMNS", "result_columns", "results_csv", "results_json", "map_geojson",
+           "weight_diagnostics"]
 
 RESULT_COLUMNS = ("attraction_id", "ftv_lo", "ftv_mode", "ftv_hi", "crisp", "tier", "rank")
 
@@ -125,10 +126,12 @@ def _document(outer: dict[str, Any], key: str, items: Iterable[str]) -> Iterator
                  ("\n  " + text[cut:],))
 
 
-def _result_columns(ranked: list[ValuationResult], names: dict[str, str],
-                    ranks: dict[str, int]) -> dict[str, list[str]]:
+def result_columns(ranked: list[ValuationResult], names: dict[str, str],
+                   ranks: dict[str, int]) -> dict[str, list[str]]:
     """The results' ids, names, 6-digit FTVs and crisp values, tiers and
-    ranks, in order, as ``_encode`` prints them, by ``_template`` field."""
+    ranks, in order, as ``_encode`` prints them, by ``_template`` field:
+    made once per run for both the ``results.json`` rows and the
+    attraction features."""
     ids = [r.attraction_id for r in ranked]
     values = {"id": ids, "name": [names[i] for i in ids], "rank": [ranks[i] for i in ids],
               "lo": [round6(r.ftv.lo) for r in ranked], "hi": [round6(r.ftv.hi) for r in ranked],
@@ -180,13 +183,12 @@ _RESULT_ROW = _template({
     "ftv_hi": "<hi>", "crisp": "<crisp>", "tier": "<tier>", "rank": "<rank>"})
 
 
-def results_json(config: RunConfig, ingested: IngestResult,
-                 ranked: list[ValuationResult], ranks: dict[str, int],
+def results_json(config: RunConfig, ingested: IngestResult, columns: dict[str, list[str]],
                  retained: list[ValuationResult],
                  hotspots: tuple[HotSpot, ...], tour: Tour | None) -> Iterator[str]:
     """The config echo, weight report, results, filter outcome, hotspots
     and tour, in text chunks (``_document``); the rows of the ``results``
-    array are filled into ``_RESULT_ROW``."""
+    array are the ``result_columns`` filled into ``_RESULT_ROW``."""
     document: dict[str, Any] = {
         "config": _config_echo(config),
         "weights": _weights_block(ingested.catalogue, ingested.weight_source,
@@ -209,8 +211,7 @@ def results_json(config: RunConfig, ingested: IngestResult,
             },
         },
     }
-    return _document(document, "results",
-                     _filled(_RESULT_ROW, _result_columns(ranked, ingested.names, ranks)))
+    return _document(document, "results", _filled(_RESULT_ROW, columns))
 
 
 # --- map.geojson -------------------------------------------------------------
@@ -224,13 +225,11 @@ _ATTRACTION = _template(_feature(
      "tier": "<tier>"}))
 
 
-def _attraction_features(names: dict[str, str], locations: dict[str, GeoPoint],
-                         ranked: list[ValuationResult], ranks: dict[str, int]
+def _attraction_features(columns: dict[str, list[str]], points: list[GeoPoint]
                          ) -> Iterator[str]:
     """One Point Feature per result, in order, as ``_indented`` text: its
-    ``_result_columns`` and location."""
-    points = [locations[r.attraction_id] for r in ranked]
-    return _filled(_ATTRACTION, {**_result_columns(ranked, names, ranks),
+    ``result_columns`` and its location in ``points``."""
+    return _filled(_ATTRACTION, {**columns,
                                  "lon": [_encode(round(p.lon, 6)) for p in points],
                                  "lat": [_encode(round(p.lat, 6)) for p in points]})
 
@@ -269,15 +268,15 @@ def _density_features(grid: DensityGrid) -> Iterator[str]:
         "north": list(map(lats[1:].__getitem__, rows)), "density": densities})
 
 
-def map_geojson(names: dict[str, str], locations: dict[str, GeoPoint],
-                ranked: list[ValuationResult], ranks: dict[str, int],
+def map_geojson(columns: dict[str, list[str]], points: list[GeoPoint],
                 grid: DensityGrid | None, hotspots: tuple[HotSpot, ...],
                 tour: Tour | None) -> Iterator[str]:
     """The FeatureCollection of the attraction, hotspot, tour and density
     features, in that order, in text chunks (``_document``), each feature
-    made as its chunk is."""
+    made as its chunk is.  The attractions are the results' ``columns``
+    (``result_columns``) at ``points``, their locations in the same order."""
     features = chain(
-        _attraction_features(names, locations, ranked, ranks),
+        _attraction_features(columns, points),
         (_indented(_hotspot_feature(h)) for h in hotspots),
         () if tour is None else (_indented(_tour_feature(tour)),),
         () if grid is None else _density_features(grid))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import sys
 from dataclasses import astuple, dataclass
 from typing import Callable
 
@@ -28,14 +29,17 @@ RANGE_POLICIES = ("strict", "clamp")
 
 
 class _Range:
-    """Both range types' rule: lower < upper by a finite span whose reciprocal
-    is finite too, so the min-max map neither overflows nor divides by zero."""
+    """Both range types' rule: lower < upper by a finite span of at least the
+    smallest normal float, so the min-max map neither overflows, nor divides
+    by zero, nor loses digits to a subnormal span (its reciprocal is then
+    finite too)."""
 
     def __post_init__(self):
-        if not (0 < self.span < math.inf and 1 / self.span < math.inf):
+        if not sys.float_info.min <= self.span < math.inf:
             kind = type(self).__name__.removesuffix("Range").lower()
             raise ValueError(f"{kind} range {list(astuple(self))} must increase by a finite "
-                             "span with a finite reciprocal (negate a descending scale)")
+                             f"span of at least {sys.float_info.min} (negate a descending "
+                             "scale)")
 
     @property
     def span(self) -> float:

@@ -36,6 +36,8 @@ EARTH_RADIUS_KM = 6371.0088
 MAX_TOUR_STOPS = 12
 # 80 MB of float64 cells; a run over a city at 10 m cells needs about 700,000
 MAX_GRID_CELLS = 10_000_000
+# window cells of one batch of points in kde_heatmap: a few arrays of 256 KB
+KDE_BATCH_CELLS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -218,9 +220,14 @@ def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,
     Each point is evaluated only on the window of cells within
     ceil(bandwidth / cell) + 1 of its own cell, which holds its whole
     support, so the cost is points x (2 ceil(h / cell) + 3)^2 cells, not
-    points x grid.  Cells outside a window would have received exactly
+    points x grid.  The windows are built as index and distance arrays, in
+    batches of points whose windows hold at most ``KDE_BATCH_CELLS`` cells
+    together (one point's window at least), and each window cell inside
+    the grid and the support adds its term with ``np.add.at``.  Cells
+    outside a window, or outside the support, would have received exactly
     +0.0, so the result is bit-identical to evaluating every point over the
-    whole grid.  Deterministic: each cell accumulates in input order.
+    whole grid.  Deterministic: points are taken in input order, so each
+    cell still accumulates its terms in input order.
     """
     require_positive(bandwidth_m, "bandwidth_m")
     require_positive(cell_m, "cell_m")
@@ -241,22 +248,30 @@ def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,
     ys = [v[1] for v in xy]
 
     x0, y0, nrows, ncols = _grid_frame(xs, ys, bandwidth_m, cell_m)
-    cx = x0 + (np.arange(ncols) + 0.5) * cell_m
-    cy = y0 + (np.arange(nrows) + 0.5) * cell_m
     values = np.zeros((nrows, ncols))
     # every cell centre within bandwidth + 1.5 cells of a point lies in its
     # window, so no rounding of the cell index can leave a support cell out
     reach = math.ceil(bandwidth_m / cell_m) + 1
-    for p, (px, py) in zip(points, xy):
-        col = math.floor((px - x0) / cell_m)
-        row = math.floor((py - y0) / cell_m)
-        cols = slice(max(col - reach, 0), col + reach + 1)
-        rows = slice(max(row - reach, 0), row + reach + 1)
-        u2 = ((cx[None, cols] - px) ** 2 + (cy[rows, None] - py) ** 2) / (bandwidth_m ** 2)
-        inside = u2 < 1.0
-        k = np.zeros_like(u2)
-        k[inside] = (15.0 / 16.0) * (1.0 - u2[inside]) ** 2
-        values[rows, cols] += p.weight * k
+    offsets = np.arange(-reach, reach + 1)
+    weights = np.array([p.weight for p in points])
+    px, py = np.array(xs), np.array(ys)
+    cols = np.floor((px - x0) / cell_m).astype(np.int64)[:, None] + offsets
+    rows = np.floor((py - y0) / cell_m).astype(np.int64)[:, None] + offsets
+    # squared distances of each window's columns and rows from its point,
+    # infinite off the grid so that only cells in the grid and the support count
+    dx2 = np.where((0 <= cols) & (cols < ncols),
+                   (x0 + (cols + 0.5) * cell_m - px[:, None]) ** 2, np.inf)
+    dy2 = np.where((0 <= rows) & (rows < nrows),
+                   (y0 + (rows + 0.5) * cell_m - py[:, None]) ** 2, np.inf)
+    window = offsets.size ** 2
+    batch = max(1, KDE_BATCH_CELLS // window)
+    for start in range(0, len(points), batch):
+        part = slice(start, start + batch)
+        u2 = ((dx2[part, None, :] + dy2[part, :, None]) / (bandwidth_m ** 2)).reshape(-1)
+        inside = np.flatnonzero(u2 < 1.0)
+        cells = (rows[part, :, None] * ncols + cols[part, None, :]).reshape(-1)[inside]
+        terms = weights[start + inside // window] * ((15.0 / 16.0) * (1.0 - u2[inside]) ** 2)
+        np.add.at(values.reshape(-1), cells, terms)
     return DensityGrid(center, x0, y0, cell_m, values)
 
 
@@ -290,19 +305,16 @@ def detect_hotspots(grid: DensityGrid, percentile: float = 90.0) -> list[HotSpot
         return []
     threshold = _percentile(positive, percentile)
 
-    padded = np.pad(v, 1, constant_values=-np.inf)
-    is_max = np.ones_like(v, dtype=bool)
-    for dr in (-1, 0, 1):
-        for dc in (-1, 0, 1):
-            if dr == 0 and dc == 0:
-                continue
-            neighbour = padded[1 + dr:1 + dr + v.shape[0], 1 + dc:1 + dc + v.shape[1]]
-            is_max &= v > neighbour
-
-    cells = [(float(v[r, c]), r, c)
-             for r, c in zip(*np.nonzero(is_max)) if v[r, c] >= threshold]
-    cells.sort(key=lambda t: (-t[0], t[1], t[2]))
-    return [HotSpot(grid.cell_center(r, c), score, f"H{i + 1}")
+    # each candidate, in row-major order, against its 8 neighbours: flat
+    # indices into the grid padded by one -inf cell on every side
+    width = v.shape[1] + 2
+    padded = np.pad(v, 1, constant_values=-np.inf).reshape(-1)
+    rows, cols = np.divmod(np.flatnonzero(v >= threshold), v.shape[1])
+    around = np.array([-width - 1, -width, -width + 1, -1, 1, width - 1, width, width + 1])
+    scores = v[rows, cols]
+    is_max = (scores[:, None] > padded[((rows + 1) * width + cols + 1)[:, None] + around]).all(1)
+    cells = sorted(zip((-scores[is_max]).tolist(), rows[is_max].tolist(), cols[is_max].tolist()))
+    return [HotSpot(grid.cell_center(r, c), -score, f"H{i + 1}")
             for i, (score, r, c) in enumerate(cells)]
 
 

@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from the defining formulas with
 plain csv/math only, sharing no code path with the package internals; the
-full-grid KDE keeps the package's earlier numpy loop so that bytes compare.
+full-grid and the per-point windowed KDE keep the package's earlier numpy
+loops so that bytes compare, and the hotspot test keeps its earlier
+full-grid strict-maximum passes.
 The map renderer is the package's earlier dict-based one, kept as it was
 so that bytes compare: it keeps the earlier attraction, hotspot and tour
 feature builders, uses the package's 6-digit rounding, and hands the whole
@@ -202,11 +204,10 @@ def held_karp_tour(hotspots, start=None):
 EARTH_RADIUS_KM = 6371.0088
 
 
-def full_grid_kde(points, bandwidth_m, cell_m):
-    """Quartic KDE with every point evaluated over every cell, as the
-    package computed it before its per-point windows.  ``points`` are
-    (lon, lat, weight) tuples; returns (x0, y0, values) in the local
-    equirectangular frame around the bounding-box midpoint."""
+def _kde_frame(points, bandwidth_m, cell_m):
+    """The frame both reference KDEs share: the bounding-box midpoint
+    ``(lon, lat)``, the points' ``xs`` and ``ys`` in metres around it, the
+    grid's south-west corner and its cell-centre coordinates ``cx``, ``cy``."""
     lons = [p[0] for p in points]
     lats = [p[1] for p in points]
     c_lon, c_lat = (min(lons) + max(lons)) / 2.0, (min(lats) + max(lats)) / 2.0
@@ -221,7 +222,16 @@ def full_grid_kde(points, bandwidth_m, cell_m):
 
     cx = x0 + (np.arange(ncols) + 0.5) * cell_m
     cy = y0 + (np.arange(nrows) + 0.5) * cell_m
-    values = np.zeros((nrows, ncols))
+    return (c_lon, c_lat), xs, ys, x0, y0, cx, cy
+
+
+def full_grid_kde(points, bandwidth_m, cell_m):
+    """Quartic KDE with every point evaluated over every cell, as the
+    package computed it before its per-point windows.  ``points`` are
+    (lon, lat, weight) tuples; returns (x0, y0, values) in the local
+    equirectangular frame around the bounding-box midpoint."""
+    _, xs, ys, x0, y0, cx, cy = _kde_frame(points, bandwidth_m, cell_m)
+    values = np.zeros((cy.size, cx.size))
     for p, px, py in zip(points, xs, ys):
         u2 = ((cx[None, :] - px) ** 2 + (cy[:, None] - py) ** 2) / (bandwidth_m ** 2)
         inside = u2 < 1.0
@@ -229,6 +239,51 @@ def full_grid_kde(points, bandwidth_m, cell_m):
         k[inside] = (15.0 / 16.0) * (1.0 - u2[inside]) ** 2
         values += p[2] * k
     return x0, y0, values
+
+
+def windowed_kde(points, bandwidth_m, cell_m):
+    """Quartic KDE with one loop step per point over the window of cells
+    within ceil(bandwidth / cell) + 1 of its own cell, as the package
+    computed it before the windows became index arrays.  ``points`` are
+    (lon, lat, weight) tuples; returns ((lon, lat) of the centre, x0, y0,
+    values)."""
+    center, xs, ys, x0, y0, cx, cy = _kde_frame(points, bandwidth_m, cell_m)
+    values = np.zeros((cy.size, cx.size))
+    reach = math.ceil(bandwidth_m / cell_m) + 1
+    for p, px, py in zip(points, xs, ys):
+        col = math.floor((px - x0) / cell_m)
+        row = math.floor((py - y0) / cell_m)
+        cols = slice(max(col - reach, 0), col + reach + 1)
+        rows = slice(max(row - reach, 0), row + reach + 1)
+        u2 = ((cx[None, cols] - px) ** 2 + (cy[rows, None] - py) ** 2) / (bandwidth_m ** 2)
+        inside = u2 < 1.0
+        k = np.zeros_like(u2)
+        k[inside] = (15.0 / 16.0) * (1.0 - u2[inside]) ** 2
+        values[rows, cols] += p[2] * k
+    return center, x0, y0, values
+
+
+def strict_maxima(values, percentile):
+    """``(score, row, col)`` of every strict 8-neighbourhood maximum of
+    ``values`` that reaches ``np.percentile`` of its positive values, by
+    descending score, then row, then column: the package's earlier test,
+    eight comparisons of the whole grid with its shifted copies."""
+    positive = values[values > 0.0]
+    if positive.size == 0:
+        return []
+    threshold = np.percentile(positive, percentile)
+    padded = np.pad(values, 1, constant_values=-np.inf)
+    is_max = np.ones_like(values, dtype=bool)
+    for dr in (-1, 0, 1):
+        for dc in (-1, 0, 1):
+            if dr == 0 and dc == 0:
+                continue
+            neighbour = padded[1 + dr:1 + dr + values.shape[0], 1 + dc:1 + dc + values.shape[1]]
+            is_max &= values > neighbour
+    cells = [(float(values[r, c]), int(r), int(c))
+             for r, c in zip(*np.nonzero(is_max)) if values[r, c] >= threshold]
+    cells.sort(key=lambda t: (-t[0], t[1], t[2]))
+    return cells
 
 
 def density_features(grid):

@@ -197,9 +197,9 @@ class TestRun:
         def disk_full_on_map(path, *args, **kwargs):
             handle = real_open(path, *args, **kwargs)
             if "map.geojson" in path.name:
-                def disk_full(chunks):
+                def disk_full(text):
                     raise OSError(28, "No space left on device")
-                handle.writelines = disk_full
+                handle.write = disk_full
             return handle
 
         with monkeypatch.context() as patch:
@@ -445,7 +445,8 @@ class TestSpansAndDurations:
          None, [], 3, "target range [-1e+308, 1e+308] must "),
         ({}, (-1e308, 1e308), [], 2, "factors.csv:2: source range [-1e+308, 1e+308] must "),
         ({}, (0.0, 5e-324), ["--clamp"], 2, "factors.csv:2: source range [0.0, 5e-324] must "),
-    ], ids=["target", "factor-range", "subnormal-factor-span"])
+        ({}, (0.0, 1e-308), ["--clamp"], 2, "factors.csv:2: source range [0.0, 1e-308] must "),
+    ], ids=["target", "factor-range", "subnormal-factor-span", "subnormal-finite-reciprocal"])
     def test_overflow_exits_with_its_code(self, dataset_builder, tmp_path, capsys, extra,
                                           factor, argv, code, message):
         """A span or a duration that would overflow, or divide by a span
@@ -458,6 +459,25 @@ class TestSpansAndDurations:
             assert invoke("run", "--config", str(config_path), *argv) == code
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_subnormal_target_span_exits_3(self, sample_dir, tmp_path, capsys):
+        """A target span below the smallest normal float has a finite
+        reciprocal but too few significant bits: on it the sample's FTVs
+        would lose digits (a01's mode 80.5979 on [0, 100] would print as
+        8.05978e-309 on [0, 1e-308]), so it is a config error."""
+        config = json.loads((sample_dir / "config.json").read_text(encoding="utf-8"))
+        for key in ("factors", "evaluations", "attractions"):
+            config[key] = str(sample_dir / config[key])
+        config.update(out_dir=str(tmp_path / "out"), target=[0, 1e-308],
+                      tier_thresholds=[3.3e-309, 6.6e-309], filter_threshold=6.6e-309)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config), encoding="utf-8")
+        assert invoke("ftv", "--config", str(config_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config_path}: target range [0, 1e-308] must increase "
+                              f"by a finite span of at least {sys.float_info.min} ")
+        assert "Traceback" not in err
         assert not (tmp_path / "out").exists()
 
     def test_infinite_tour_duration_exits_3(self, sample_dir, tmp_path, capsys):

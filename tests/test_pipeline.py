@@ -2,7 +2,9 @@ import csv
 import io
 import json
 import math
+import os
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,14 +13,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from tourval import TriangularFuzzyNumber as TFN
-from tourval import datasets, render
+from tourval import datasets, pipeline, render
 from tourval.ahp import derive_weights
 from tourval.errors import ConfigError, InputError, NumericError
 from tourval.pipeline import (
     IngestResult,
     KdeSettings,
+    WRITE_BLOCK_CHUNKS,
     RunConfig,
     _exact_sums,
+    _write_all,
     ingest,
     load_attractions,
     load_config,
@@ -53,8 +57,8 @@ class TestFormatNumber:
         from tourval.rounding import round6
 
         result = ValuationResult("a", TFN(-0.0, 0.0, 1.0), -0.0, "Low")
-        text = "".join(render.map_geojson({"a": "A"}, {"a": GeoPoint(-75.8, 20.0)}, [result],
-                                    {"a": 1}, None, (), None))
+        text = "".join(render_map({"a": "A"}, {"a": GeoPoint(-75.8, 20.0)}, [result],
+                                  {"a": 1}, None, (), None))
         assert json.dumps(round6(-0.0)) == "0.0"
         assert '"ftv_lo": 0.0,' in text
         assert '"crisp": 0.0,' in text
@@ -925,6 +929,19 @@ def _map_inputs(names, grid, hotspot_scores=(), with_tour=False, center=(-75.8, 
             {aid: i + 1 for i, aid in enumerate(ids)}, grid, hotspots, tour)
 
 
+def render_map(names, locations, ranked, ranks, grid, hotspots, tour):
+    """``render.map_geojson`` on the arguments of ``oracles.map_geojson``."""
+    return render.map_geojson(render.result_columns(ranked, names, ranks),
+                              [locations[r.attraction_id] for r in ranked], grid, hotspots, tour)
+
+
+def render_results(config, ingested, ranked, ranks, retained, hotspots, tour):
+    """``render.results_json`` on the arguments of ``oracles.results_json``."""
+    return render.results_json(config, ingested, render.result_columns(ranked, ingested.names,
+                                                                        ranks),
+                               retained, hotspots, tour)
+
+
 def _grid(values, center=(-75.8, 20.0), x0=-12.5, y0=7.25, cell_m=9.0):
     return DensityGrid(GeoPoint(*center), x0, y0, cell_m, np.asarray(values, dtype=float))
 
@@ -954,7 +971,7 @@ class TestMapText:
 
     @staticmethod
     def assert_same(inputs):
-        assert "".join(render.map_geojson(*inputs)) == oracles.map_geojson(*inputs)
+        assert "".join(render_map(*inputs)) == oracles.map_geojson(*inputs)
 
     @settings(max_examples=150, deadline=None)
     @given(map_inputs())
@@ -985,7 +1002,7 @@ class TestMapText:
         inputs = _map_inputs(["A"], _grid([[1.0, 2.0], [3.0, 0.5]], center=(0.0, 0.0),
                                           x0=-1e-3, y0=-1e-3, cell_m=1e-3),
                              center=(0.0, 0.0))
-        assert "              -0.0,\n" in "".join(render.map_geojson(*inputs))
+        assert "              -0.0,\n" in "".join(render_map(*inputs))
 
     @settings(max_examples=100, deadline=None)
     @given(st.one_of(st.floats(allow_nan=True), st.text(NAME_CHARS, max_size=8),
@@ -1043,11 +1060,11 @@ class TestResultsText:
     @given(data=st.data())
     def test_equals_reference(self, sample, data):
         inputs = data.draw(results_inputs(*sample))
-        assert "".join(render.results_json(*inputs)) == oracles.results_json(*inputs)
+        assert "".join(render_results(*inputs)) == oracles.results_json(*inputs)
 
     def test_no_results(self, sample):
         inputs = (*sample, [], {}, [], (), None)
-        assert "".join(render.results_json(*inputs)) == oracles.results_json(*inputs)
+        assert "".join(render_results(*inputs)) == oracles.results_json(*inputs)
 
 
 # -- the one splice of pre-rendered items into a JSON document ----------------
@@ -1084,3 +1101,43 @@ class TestDocument:
         # a list, or a one-shot generator read only as the chunks are
         items = (text for text in texts) if data.draw(st.booleans()) else texts
         assert "".join(render._document(outer, key, items)) == want
+
+
+# -- the block writer ----------------------------------------------------------
+
+# empty chunks, multi-byte text and line ends, which are written as they are
+CHUNK = st.one_of(st.just(""), st.sampled_from(["Café", "é", "寺", "\U0001f3b8", "\n", "\r\n"]),
+                  st.text(NAME_CHARS, max_size=6))
+
+
+class TestWriteAll:
+    """pipeline._write_all joins each payload's chunks in blocks of
+    WRITE_BLOCK_CHUNKS and writes exactly the UTF-8 of their join."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(CHUNK, max_size=40), st.integers(1, 5))
+    def test_bytes_are_the_join(self, chunks, block):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(pipeline, "WRITE_BLOCK_CHUNKS", block)
+            written = _write_all(Path(tmp), {"a.txt": chunks, "b.txt": iter(chunks)})
+            assert [p.read_bytes() for p in written] == ["".join(chunks).encode("utf-8")] * 2
+            assert sorted(os.listdir(tmp)) == ["a.txt", "b.txt"]
+
+    def test_one_write_per_block(self, tmp_path, monkeypatch):
+        """Four blocks of the package's size: the second is a multi-byte
+        letter split from its word at the block edge, then empty chunks."""
+        n = WRITE_BLOCK_CHUNKS
+        chunks = ["x"] * (n - 1) + ["Caf", "é"] + [""] * n + ["寺"] * (n + 5)
+        writes = []
+        real_open = Path.open
+
+        def counting_writes(path, *args, **kwargs):
+            handle = real_open(path, *args, **kwargs)
+            write = handle.write
+            handle.write = lambda text: writes.append(text) or write(text)
+            return handle
+
+        monkeypatch.setattr(Path, "open", counting_writes)
+        (path,) = _write_all(tmp_path, {"map.geojson": iter(chunks)})
+        assert path.read_bytes() == "".join(chunks).encode("utf-8")
+        assert writes == ["x" * (n - 1) + "Caf", "é", "寺" * (n - 1), "寺" * 6]

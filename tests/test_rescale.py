@@ -1,6 +1,7 @@
 import logging
 import math
 import re
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -37,16 +38,22 @@ class TestRanges:
             SourceRange(0, float("inf"))
 
     @pytest.mark.parametrize("make, kind", [(SourceRange, "source"), (TargetRange, "target")])
-    @pytest.mark.parametrize("ends", [(-1e308, 1e308), (0, 5e-324), (1e308, 1e308)])
+    @pytest.mark.parametrize("ends", [(-1e308, 1e308), (0, 5e-324), (1e308, 1e308),
+                                      (0, 1e-308), (-2e-308, 0.0)])
     def test_span_and_its_reciprocal_must_be_finite(self, make, kind, ends):
         """One rule for both range types: a span that overflows, or whose
-        reciprocal does, is rejected with the kind of range and its ends."""
+        reciprocal does, or that is subnormal (fewer than 53 significant
+        bits, though its reciprocal may be finite) is rejected with the kind
+        of range and its ends."""
         with pytest.raises(ValueError, match="^" + re.escape(f"{kind} range {list(ends)} must ")):
             make(*ends)
 
-    def test_smallest_span_with_a_finite_reciprocal_accepted(self):
-        assert SourceRange(0, 1e-308).span == 1e-308
-        assert rescale_crisp(1e-308, SourceRange(0, 1e-308), TargetRange(0, 100)) == 100.0
+    def test_smallest_normal_span_accepted(self):
+        tiny = sys.float_info.min
+        assert SourceRange(0, tiny).span == tiny
+        assert TargetRange(-tiny, 0.0).span == tiny
+        assert rescale_crisp(tiny, SourceRange(0, tiny), TargetRange(0, 100)) == 100.0
+        assert rescale_crisp(tiny / 2, SourceRange(0, tiny), TargetRange(0, 100)) == 50.0
 
 
 class TestCrisp:

@@ -21,6 +21,7 @@ from tourval import (
     merge_hotspots,
     plan_tour,
 )
+from tourval import spatial
 from tourval.errors import ConfigError, NumericError
 from tourval.render import _density_features, _encode
 from tourval.rounding import round6
@@ -142,12 +143,13 @@ class TestKde:
 
 
 @st.composite
-def kde_cases(draw):
-    """(points, bandwidth, cell): up to six points within 400 m, some
-    repeated, some weightless; cells from 2 m to wider than the bandwidth."""
+def kde_cases(draw, max_points=6):
+    """(points, bandwidth, cell): up to ``max_points`` points within 400 m,
+    some repeated, some weightless; cells from 2 m to wider than the
+    bandwidth."""
     offsets = draw(st.lists(st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 0.4),
                                       st.one_of(st.just(0.0), st.floats(0.0, 100.0))),
-                            min_size=1, max_size=6))
+                            min_size=1, max_size=max_points))
     repeats = draw(st.lists(st.sampled_from(offsets), max_size=2))
     points = [ScoredPoint(offset_point(CENTER, e, n), w) for e, n, w in offsets + repeats]
     return points, draw(st.floats(5.0, 250.0)), draw(st.floats(2.0, 300.0))
@@ -177,6 +179,44 @@ class TestKdeMatchesFullGrid:
         assert (grid.x0, grid.y0) == (x0, y0)
         assert grid.values.shape == values.shape
         assert grid.values.tobytes() == values.tobytes()
+
+
+class TestKdeMatchesPerPointLoop:
+    """The KDE on index arrays against the per-point window loop it
+    replaced, bit for bit, with its points in batches of any size."""
+
+    @staticmethod
+    def assert_same(points, bandwidth, cell, batch_cells=spatial.KDE_BATCH_CELLS):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spatial, "KDE_BATCH_CELLS", batch_cells)
+            grid = kde_heatmap(points, bandwidth_m=bandwidth, cell_m=cell)
+        center, x0, y0, values = oracles.windowed_kde(
+            [(p.point.lon, p.point.lat, p.weight) for p in points], bandwidth, cell)
+        assert (grid.center.lon, grid.center.lat) == center
+        assert (grid.x0, grid.y0) == (x0, y0)
+        assert grid.values.shape == values.shape
+        assert grid.values.tobytes() == values.tobytes()
+
+    # a bound of one cell gives batches of one point; 5,000 cells, of a few points
+    @given(kde_cases(max_points=30), st.sampled_from([1, 5000, spatial.KDE_BATCH_CELLS]))
+    @settings(max_examples=150, deadline=None)
+    @example((_points((0.0, 0.0, 7.0)), 100.0, 10.0), 1)                    # single point
+    @example((_points((0.0, 0.0, 3.0), (0.2, 0.1, 5.0)), 40.0, 130.0), 1)     # cell > bandwidth
+    @example((_points((0.0, 0.0, 2.0), (0.0, 0.3, 2.0), (0.3, 0.0, 1.0),      # bbox edges:
+                      (0.3, 0.3, 4.0), (0.0, 0.15, 6.0)), 100.0, 10.0), 5000)   # clipped windows
+    @example((_points((0.1, 0.1, 5.0), (0.1, 0.1, 5.0), (0.2, 0.0, 1.0)), 100.0, 7.0), 1)
+    @example((_points((0.1, 0.1, 0.0), (0.0, 0.0, 4.0), (0.2, 0.2, 0.0)), 100.0, 10.0), 1)
+    def test_bytes_equal_per_point_reference(self, case, batch_cells):
+        self.assert_same(*case, batch_cells)
+
+    def test_batches_at_the_package_bound(self):
+        """A 120 m bandwidth on 2 m cells gives windows of 123 x 123 cells
+        and batches of two points, so seven points, some coincident and
+        some on the bounding box's edges, cross three batch boundaries."""
+        assert spatial.KDE_BATCH_CELLS // 123 ** 2 == 2
+        points = _points((0.0, 0.0, 2.0), (0.3, 0.2, 5.0), (0.3, 0.2, 1.0), (0.0, 0.2, 0.0),
+                         (0.15, 0.0, 3.5), (0.1, 0.1, 8.0), (0.3, 0.0, 2.5))
+        self.assert_same(points, 120.0, 2.0)
 
 
 class TestDensityFeatures:
@@ -297,6 +337,48 @@ class TestHotspots:
             detect_hotspots(grid, percentile=0.0)
         with pytest.raises(ConfigError, match="percentile"):
             detect_hotspots(grid, percentile=100.0)
+
+
+@st.composite
+def plateau_grids(draw):
+    """Grids of up to 8 x 8 cells on at most four levels besides 0, so
+    that plateaus and ties between neighbours are common."""
+    nrows, ncols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    levels = draw(st.lists(st.floats(1e-300, 1e6), min_size=1, max_size=4)) + [0.0]
+    return np.reshape(draw(st.lists(st.sampled_from(levels), min_size=nrows * ncols,
+                                    max_size=nrows * ncols)), (nrows, ncols))
+
+
+class TestHotspotsMatchFullGridTest:
+    """The test of candidates against their neighbours, against the eight
+    full-grid passes it replaced: the same hotspots, in the same order."""
+
+    PERCENTILES = st.one_of(st.floats(0.0, 100.0, exclude_min=True, exclude_max=True),
+                            st.sampled_from([1e-9, 0.01, 1.0, 50.0, 99.0, 99.99, 99.999999]))
+
+    @staticmethod
+    def assert_same(values, percentile):
+        grid = DensityGrid(CENTER, -12.5, 7.25, 9.0, values)
+        want = [HotSpot(grid.cell_center(row, col), score, f"H{i + 1}")
+                for i, (score, row, col) in enumerate(oracles.strict_maxima(grid.values,
+                                                                             percentile))]
+        assert detect_hotspots(grid, percentile=percentile) == want
+
+    @given(plateau_grids(), PERCENTILES)
+    @settings(max_examples=300, deadline=None)
+    def test_plateaus_and_ties(self, values, percentile):
+        self.assert_same(values, percentile)
+
+    @given(st.integers(0, 2**32 - 1), PERCENTILES)
+    @settings(max_examples=50, deadline=None)
+    def test_all_positive_noise(self, seed, percentile):
+        rng = np.random.default_rng(seed)
+        self.assert_same(rng.uniform(0.5, 1.0, size=(40, 30)).round(2), percentile)
+
+    @pytest.mark.parametrize("percentile", [1e-9, 1.0, 50.0, 90.0, 99.9, 99.999999])
+    def test_kernel_surface(self, percentile):
+        points = _points((0.0, 0.0, 5.0), (0.05, 0.02, 4.0), (0.3, 0.25, 4.0), (0.31, 0.0, 2.0))
+        self.assert_same(kde_heatmap(points, bandwidth_m=80.0, cell_m=8.0).values, percentile)
 
 
 class TestPercentile:
