@@ -32,9 +32,9 @@ config = replace(load_config(sample / "config.json"), out_dir=out_dir)
 output = run_pipeline(config)
 
 print(f"\n--- 1. Valuation (weights from {output.weight_source}) ---")
-for result in output.results:
+for rank, result in enumerate(output.results, start=1):
     marker = "*" if result.attraction_id in output.retained else " "
-    print(f" {marker} #{output.ranks[result.attraction_id]:<2d} "
+    print(f" {marker} #{rank:<2d} "
           f"{result.attraction_id}  crisp={result.crisp:7.3f}  tier={result.tier}")
 print("   (* = above the filter threshold, eligible for the tour)")
 

@@ -114,7 +114,7 @@ def _cmd_write(args: argparse.Namespace) -> int:
     output = (stage(config) if args.command == "tour"
               else stage(config, allow_inconsistent=args.allow_inconsistent))
     retained = ", ".join(output.retained) or "(none)"
-    print(f"valued {len(output.results)} attractions; {len(output.retained)} above "
+    print(f"valued {len(output.results.ids)} attractions; {len(output.retained)} above "
           f"{format_number(config.filter_threshold)}: {retained}")
     if output.hotspots:
         print(f"hotspots: {', '.join(h.label for h in output.hotspots)}")

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import require_choice
 
 __all__ = [
@@ -144,20 +146,22 @@ def mean(ts) -> TFN:
     )
 
 
-def defuzzify(t: TFN, method: str = "centroid") -> float:
-    """Map a TFN to a single representative real number.
-
-    ``centroid`` returns (lo + mode + hi) / 3, ``mode`` returns the mode.
-    The result always lies inside [lo, hi].
-    """
+def defuzzify(t: TFN | np.ndarray, method: str = "centroid") -> float | np.ndarray:
+    """Map a TFN, or each (lo, mode, hi) row of an (n, 3) array, to one real number:
+    ``centroid`` returns (lo + mode + hi) / 3, ``mode`` returns the mode.  The
+    result always lies inside [lo, hi]."""
+    if isinstance(t, TFN):
+        return defuzzify(np.array([t.as_tuple()]), method).item()
     require_choice(method, DEFUZZIFY_METHODS, "defuzzification method")
+    lo, mode, hi = np.asarray(t, dtype=float).T
     if method == "mode":
-        return t.mode
-    c = (t.lo + t.mode + t.hi) / 3.0
-    if abs(c) == math.inf:   # the sum overflowed; the thirds of finite ends cannot
-        c = t.lo / 3.0 + t.mode / 3.0 + t.hi / 3.0
+        return mode
+    with np.errstate(over="ignore"):
+        c = (lo + mode + hi) / 3.0
+        # where the sum overflowed; the thirds of finite ends cannot
+        c = np.where(abs(c) == math.inf, lo / 3.0 + mode / 3.0 + hi / 3.0, c)
     # the fp mean of three equal values can exit the support by an ulp
-    return min(max(c, t.lo), t.hi)
+    return np.minimum(np.maximum(c, lo), hi)
 
 
 def tfn_to_text(t: TFN) -> str:

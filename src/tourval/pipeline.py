@@ -15,7 +15,8 @@ is written under a temporary name as the stream of text chunks ``render``
 yields for it, one ``write`` per block of ``WRITE_BLOCK_CHUNKS`` chunks, and
 no output is replaced until every artifact is written, so a failed write
 leaves the previous outputs intact.  ``run_tour`` reads results.csv back
-under the rules ``run`` writes it by: a tier is one of ``TIERS``.
+under the rules ``run`` writes it by: its rows in rank order, each rank
+the row's position, and a tier one of ``TIERS``.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import numpy as np
 from . import fuzzy, render
 from .ahp import CR_LIMIT, WeightReport, derive_weights
 from .errors import ConfigError, InputError, NumericError, require_choice
-from .fuzzy import TFN
 from .rescale import (COMPONENTS, RANGE_POLICIES, SourceRange, TargetRange,
                       apply_range_policy)
 from .rounding import format_number, round6
@@ -46,8 +46,8 @@ from .spatial import (GeoPoint, HotSpot, ScoredPoint, Tour,
                       merge_hotspots, plan_tour, require_dwell, require_percentile,
                       require_positive)
 from .valuation import (DEFAULT_SCALE, DEFAULT_THRESHOLDS, TIERS, FactorCatalogue,
-                        FactorDefinition, ValuationResult, classify, evaluate_attractions,
-                        filter_high, id_mismatch, rank)
+                        FactorDefinition, Valuation, classify, evaluate_attractions,
+                        id_mismatch)
 
 __all__ = [
     "KdeSettings",
@@ -213,6 +213,8 @@ def _rows(path: Path) -> Iterator[tuple[int, list[str]]]:
                     yield reader.line_num, row
     except UnicodeDecodeError as e:
         raise InputError(f"{path}: not UTF-8 text ({e.reason})") from None
+    except csv.Error as e:
+        raise InputError(f"{path}:{reader.line_num}: not read as CSV: {e}") from None
 
 
 def _records(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, tuple[str, ...]]]:
@@ -503,8 +505,7 @@ def ingest(config: RunConfig) -> IngestResult:
 class PipelineOutput:
     """What a run decided, for the CLI's summary, and the paths it wrote."""
 
-    results: tuple[ValuationResult, ...]
-    ranks: dict[str, int]
+    results: Valuation
     retained: tuple[str, ...]
     weight_source: str | None   # None for ``run_tour``, which reads no weights
     weight_report: WeightReport | None
@@ -520,17 +521,17 @@ def _gate_consistency(report: WeightReport | None, allow_inconsistent: bool) -> 
             f"> {CR_LIMIT}); re-elicit them or pass --allow-inconsistent")
 
 
-def _spatial_analysis(config: RunConfig, retained: list[ValuationResult],
+def _spatial_analysis(config: RunConfig, valuation: Valuation, retained: list[int],
                       locations: dict[str, GeoPoint]):
     # weighted by the crisp value as results.csv prints it, which is what
     # ``run_tour`` reads back, so both paths build the same surface
     # the first retained value below 0, if any
-    for r in (r for r in retained if round6(r.crisp) < 0):
-        raise ConfigError(f"attraction {r.attraction_id!r} is kept with the negative value "
-                          f"{format_number(r.crisp)}, which cannot weigh the density surface; "
-                          f"filter_threshold ({format_number(config.filter_threshold)}) "
+    for i in (i for i in retained if valuation.printed[i] < 0):
+        raise ConfigError(f"attraction {valuation.ids[i]!r} is kept with the negative value "
+                          f"{format_number(valuation.crisp[i])}, which cannot weigh the density "
+                          f"surface; filter_threshold ({format_number(config.filter_threshold)}) "
                           "must be 0 or above")
-    points = [ScoredPoint(locations[r.attraction_id], round6(r.crisp)) for r in retained]
+    points = [ScoredPoint(locations[valuation.ids[i]], valuation.printed[i]) for i in retained]
     grid = kde_heatmap(points, bandwidth_m=config.kde.bandwidth_m, cell_m=config.kde.cell_m)
     hotspots = detect_hotspots(grid, percentile=config.kde.hotspot_percentile)
     hotspots = merge_hotspots(hotspots, config.kde.merge_radius_m)
@@ -581,37 +582,35 @@ def run_pipeline(config: RunConfig, allow_inconsistent: bool = False) -> Pipelin
 def _run(config: RunConfig, allow_inconsistent: bool, with_spatial: bool) -> PipelineOutput:
     ingested = ingest(config)
     _gate_consistency(ingested.weight_report, allow_inconsistent)
-    ranked = rank(evaluate_attractions(
+    valuation = evaluate_attractions(
         list(ingested.names), ingested.scores, ingested.catalogue, method=config.defuzzify,
-        thresholds=config.tier_thresholds))
-    ranks = {r.attraction_id: i + 1 for i, r in enumerate(ranked)}
-    return _finish(config, ranked, ranks, ingested.names, ingested.locations, ingested,
-                   with_spatial)
+        thresholds=config.tier_thresholds)
+    return _finish(config, valuation, ingested.names, ingested.locations, ingested, with_spatial)
 
 
-def _finish(config: RunConfig, ranked: list[ValuationResult], ranks: dict[str, int],
-            names: dict[str, str], locations: dict[str, GeoPoint],
-            ingested: IngestResult | None, with_spatial: bool) -> PipelineOutput:
+def _finish(config: RunConfig, valuation: Valuation, names: dict[str, str],
+            locations: dict[str, GeoPoint], ingested: IngestResult | None,
+            with_spatial: bool) -> PipelineOutput:
     """Filter, spatial stage, render, write.  ``ingested`` is None when the
     valuation was read back from results.csv: then only the map is written
     and the weight source is unknown."""
-    retained = filter_high(ranked, threshold=config.filter_threshold)
+    retained = valuation.above(config.filter_threshold)
     grid, hotspots, tour = None, (), None
     if with_spatial:
-        grid, hotspots, tour = _spatial_analysis(config, retained, locations)
+        grid, hotspots, tour = _spatial_analysis(config, valuation, retained, locations)
 
     payloads = {}
-    columns = render.result_columns(ranked, names, ranks)
+    columns = render.result_columns(valuation, names)
+    kept = tuple(valuation.ids[i] for i in retained)
     if ingested is not None:
-        payloads["results.csv"] = (render.results_csv(ranked, ranks),)
-        payloads["results.json"] = render.results_json(config, ingested, columns, retained,
+        payloads["results.csv"] = (render.results_csv(valuation),)
+        payloads["results.json"] = render.results_json(config, ingested, columns, kept,
                                                        hotspots, tour)
     if with_spatial:
         payloads["map.geojson"] = render.map_geojson(
-            columns, [locations[r.attraction_id] for r in ranked], grid, hotspots, tour)
+            columns, [locations[i] for i in valuation.ids], grid, hotspots, tour)
     written = _write_all(config.out_dir, payloads)
-    return PipelineOutput(tuple(ranked), ranks, tuple(r.attraction_id for r in retained),
-                          ingested.weight_source if ingested else None,
+    return PipelineOutput(valuation, kept, ingested.weight_source if ingested else None,
                           ingested.weight_report if ingested else None,
                           hotspots, tour, written)
 
@@ -625,31 +624,26 @@ def run_tour(config: RunConfig) -> PipelineOutput:
                          "valuation stage) first")
     names, locations = load_attractions(config.attractions)
 
-    results: list[ValuationResult] = []
-    ranks: dict[str, int] = {}
+    rows: dict[str, tuple[list[float], float, str]] = {}
     # the printed value of a crisp value on the target lies between the printed ends
     scale = (round6(config.target[0]), round6(config.target[1]))
     for line, (attraction_id, lo, mode, hi, crisp, tier, rank_text) in _records(
             results_path, render.RESULT_COLUMNS):
         where = f"{results_path}:{line}"
         attraction_id = attraction_id.strip()
-        if attraction_id in ranks:
+        if attraction_id in rows:
             raise InputError(f"{where}: duplicate attraction id {attraction_id!r}")
         if attraction_id not in locations:
             raise InputError(f"{where}: attraction {attraction_id!r} has no "
                              f"coordinates in {config.attractions}")
-        try:
-            ftv = TFN(_number(lo, "ftv_lo", where), _number(mode, "ftv_mode", where),
-                      _number(hi, "ftv_hi", where))
-        except ValueError as e:
-            raise InputError(f"{where}: {e}") from e
+        ftv = [_number(text, f"ftv_{c}", where) for text, c in zip((lo, mode, hi), COMPONENTS)]
+        if not fuzzy.is_tfn(*ftv):
+            raise InputError(f"{where}: not a TFN (finite, lo <= mode <= hi): {tuple(ftv)}")
         crisp = _number(crisp, "crisp", where)
         if not math.isfinite(crisp):
             raise InputError(f"{where}: column 'crisp' is not a finite number: {crisp}")
-        rank_text = rank_text.strip()
-        if not (rank_text.isascii() and rank_text.isdigit()) or int(rank_text) == 0:
-            raise InputError(f"{where}: column 'rank' is not a positive integer: "
-                             f"{rank_text!r}")
+        if rank_text.strip() != str(len(rows) + 1):   # the rows are in rank order
+            raise InputError(f"{where}: column 'rank' is not the row's position, {len(rows) + 1}")
         tier = tier.strip()
         require_choice(tier, TIERS, f"{where}: column 'tier'", InputError)
         try:
@@ -662,8 +656,9 @@ def run_tour(config: RunConfig) -> PipelineOutput:
                              f"{format_number(crisp)} is {expected!r} under tier_thresholds "
                              f"[{thresholds}]; after changing tier_thresholds, re-run ftv "
                              "or run")
-        results.append(ValuationResult(attraction_id, ftv, crisp, tier))
-        ranks[attraction_id] = int(rank_text)
-    if not results:
+        rows[attraction_id] = (ftv, crisp, tier)
+    if not rows:
         raise InputError(f"{results_path}: no result rows")
-    return _finish(config, results, ranks, names, locations, ingested=None, with_spatial=True)
+    ftv, crisp, tiers = zip(*rows.values())
+    return _finish(config, Valuation(tuple(rows), np.array(ftv), np.array(crisp), tiers),
+                   names, locations, ingested=None, with_spatial=True)

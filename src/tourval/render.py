@@ -33,7 +33,7 @@ import numpy as np
 from .ahp import WeightReport
 from .rounding import format_number, round6
 from .spatial import DensityGrid, GeoPoint, HotSpot, Tour
-from .valuation import FactorCatalogue, ValuationResult
+from .valuation import FactorCatalogue, Valuation
 
 if TYPE_CHECKING:
     from .pipeline import IngestResult, RunConfig
@@ -126,33 +126,30 @@ def _document(outer: dict[str, Any], key: str, items: Iterable[str]) -> Iterator
                  ("\n  " + text[cut:],))
 
 
-def result_columns(ranked: list[ValuationResult], names: dict[str, str],
-                   ranks: dict[str, int]) -> dict[str, list[str]]:
-    """The results' ids, names, 6-digit FTVs and crisp values, tiers and
-    ranks, in order, as ``_encode`` prints them, by ``_template`` field:
-    made once per run for both the ``results.json`` rows and the
+def result_columns(valuation: Valuation, names: dict[str, str]) -> dict[str, list[str]]:
+    """The rows' ids, names, 6-digit FTVs and printed values, tiers and
+    ranks, in rank order, as ``_encode`` prints them, by ``_template``
+    field: made once per run for both the ``results.json`` rows and the
     attraction features."""
-    ids = [r.attraction_id for r in ranked]
-    values = {"id": ids, "name": [names[i] for i in ids], "rank": [ranks[i] for i in ids],
-              "lo": [round6(r.ftv.lo) for r in ranked], "hi": [round6(r.ftv.hi) for r in ranked],
-              "mode": [round6(r.ftv.mode) for r in ranked],
-              "crisp": [round6(r.crisp) for r in ranked], "tier": [r.tier for r in ranked]}
+    lo, mode, hi = valuation.ftv.T.tolist()
+    values = {"id": valuation.ids, "name": [names[i] for i in valuation.ids],
+              "rank": range(1, len(valuation.ids) + 1), "lo": map(round6, lo),
+              "hi": map(round6, hi), "mode": map(round6, mode), "crisp": valuation.printed,
+              "tier": valuation.tiers}
     return {field: list(map(_encode, column)) for field, column in values.items()}
 
 
 # --- results.csv and results.json -------------------------------------------
 
 
-def results_csv(ranked: list[ValuationResult], ranks: dict[str, int]) -> str:
-    """One row of ``RESULT_COLUMNS`` per result, in order, under that header."""
+def results_csv(valuation: Valuation) -> str:
+    """One row of ``RESULT_COLUMNS`` per row of ``valuation``, under that header."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
-    for r in ranked:
-        writer.writerow([
-            r.attraction_id, format_number(r.ftv.lo), format_number(r.ftv.mode),
-            format_number(r.ftv.hi), format_number(r.crisp), r.tier, ranks[r.attraction_id],
-        ])
+    lo, mode, hi, crisp = (map(format_number, column)
+                           for column in (*valuation.ftv.T.tolist(), valuation.crisp.tolist()))
+    writer.writerows(zip(valuation.ids, lo, mode, hi, crisp, valuation.tiers, count(1)))
     return buffer.getvalue()
 
 
@@ -184,18 +181,18 @@ _RESULT_ROW = _template({
 
 
 def results_json(config: RunConfig, ingested: IngestResult, columns: dict[str, list[str]],
-                 retained: list[ValuationResult],
-                 hotspots: tuple[HotSpot, ...], tour: Tour | None) -> Iterator[str]:
-    """The config echo, weight report, results, filter outcome, hotspots
-    and tour, in text chunks (``_document``); the rows of the ``results``
-    array are the ``result_columns`` filled into ``_RESULT_ROW``."""
+                 retained: tuple[str, ...], hotspots: tuple[HotSpot, ...],
+                 tour: Tour | None) -> Iterator[str]:
+    """The config echo, weight report, results, filter outcome (``retained``
+    ids), hotspots and tour, in text chunks (``_document``); the rows of the
+    ``results`` array are the ``result_columns`` filled into ``_RESULT_ROW``."""
     document: dict[str, Any] = {
         "config": _config_echo(config),
         "weights": _weights_block(ingested.catalogue, ingested.weight_source,
                                   ingested.weight_report),
         "filter": {
             "threshold": round6(config.filter_threshold),
-            "retained": [r.attraction_id for r in retained],
+            "retained": list(retained),
             "count": len(retained),
         },
         "spatial": {
@@ -252,7 +249,7 @@ def _density_features(grid: DensityGrid) -> Iterator[str]:
     lons, lats = grid.edges()
     lons = [_encode(round(v, 6)) for v in lons]
     lats = [_encode(round(v, 6)) for v in lats]
-    rows, cols = np.nonzero(grid.values > 0.0)
+    rows, cols = np.divmod(np.flatnonzero(grid.values > 0.0), grid.ncols)
     # A 6-digit text with a point and no exponent is already the shortest text
     # that reads back as its float.  Only the others, those whose "has a point"
     # is at most their "has an exponent" (an exponent, or an integral value,

@@ -189,10 +189,10 @@ def require_dwell(dwell: Sequence[float], name: str) -> None:
                           f"got {tuple(dwell)}")
 
 
-def _grid_frame(xs: Sequence[float], ys: Sequence[float], bandwidth_m: float,
-                cell_m: float) -> tuple[float, float, int, int]:
-    """South-west corner, rows and columns of the grid over points at ``xs``,
-    ``ys`` metres; past ``MAX_GRID_CELLS`` a ConfigError, decided on floats."""
+def _grid_frame(xs: Sequence[float], ys: Sequence[float], bandwidth_m: float, cell_m: float,
+                center: GeoPoint = GeoPoint(0.0, 0.0)) -> tuple[float, float, int, int]:
+    """South-west corner, rows and columns of the grid over points ``xs``, ``ys``
+    metres from ``center``; past ``MAX_GRID_CELLS`` (on floats) or WGS84, a ConfigError."""
     x0 = min(xs) - bandwidth_m - cell_m / 2.0
     y0 = min(ys) - bandwidth_m - cell_m / 2.0
     # as floats, so that an extent too large for an int is reported too
@@ -203,6 +203,11 @@ def _grid_frame(xs: Sequence[float], ys: Sequence[float], bandwidth_m: float,
             f"a density grid of {rows:.6g} x {cols:.6g} cells exceeds {MAX_GRID_CELLS} "
             f"(kde.cell_m {cell_m}, kde.bandwidth_m {bandwidth_m}); raise kde.cell_m or check "
             "the coordinates")
+    try:   # a longitude grows with x alone and a latitude with y: the corners bound every edge
+        _unproject(x0, y0, center), _unproject(x0 + cols * cell_m, y0 + rows * cell_m, center)
+    except ValueError as e:
+        raise ConfigError(f"the density grid (kde.bandwidth_m {bandwidth_m}) leaves WGS84: {e}; "
+                          "tourval does not map across the antimeridian or a pole") from None
     return x0, y0, int(rows), int(cols)
 
 
@@ -247,7 +252,7 @@ def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,
     xs = [v[0] for v in xy]
     ys = [v[1] for v in xy]
 
-    x0, y0, nrows, ncols = _grid_frame(xs, ys, bandwidth_m, cell_m)
+    x0, y0, nrows, ncols = _grid_frame(xs, ys, bandwidth_m, cell_m, center)
     values = np.zeros((nrows, ncols))
     # every cell centre within bandwidth + 1.5 cells of a point lies in its
     # window, so no rounding of the cell index can leave a support cell out

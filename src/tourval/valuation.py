@@ -3,15 +3,15 @@
 The fuzzy tourism value (FTV) of an attraction is the weight vector applied
 to its factor scores after each score has been rescaled onto the common
 target range:  FTV = sum_i w_i * rescale(score_i).  ``evaluate_attractions``
-computes it for a whole (attractions, factors, 3) array of scores at once;
-``evaluate_attraction`` is the same computation for one attraction.
+values a whole (attractions, factors, 3) array of scores at once, as one
+``Valuation``; ``evaluate_attraction`` values one attraction the same way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ __all__ = [
     "FactorCatalogue",
     "AttractionEvaluation",
     "ValuationResult",
+    "Valuation",
     "evaluate_attractions",
     "evaluate_attraction",
     "id_mismatch",
@@ -124,6 +125,29 @@ class ValuationResult:
     tier: str | None = None
 
 
+@dataclass(frozen=True)
+class Valuation:
+    """Attractions valued, as columns in ``rank`` order (row ``i`` has rank ``i + 1``): ids,
+    FTVs, crisp and printed (``round6``) values and tiers; iterating yields ``ValuationResult``s."""
+
+    ids: tuple[str, ...]
+    ftv: np.ndarray     # (n, 3)
+    crisp: np.ndarray   # (n,)
+    tiers: tuple[str | None, ...]
+    printed: list[float] = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "printed", list(map(round6, self.crisp.tolist())))
+
+    def __iter__(self) -> Iterator[ValuationResult]:
+        return map(ValuationResult, self.ids, (TFN(*row) for row in self.ftv.tolist()),
+                   self.crisp.tolist(), self.tiers)
+
+    def above(self, threshold: float) -> list[int]:
+        """The rows whose printed value exceeds ``threshold``, in order."""
+        return [i for i, value in enumerate(self.printed) if value > threshold]
+
+
 def id_mismatch(have: Iterable[str], want: Iterable[str]) -> str:
     """The ids of ``want`` that ``have`` lacks and those it adds, as text;
     empty when the two sets agree."""
@@ -135,13 +159,12 @@ def id_mismatch(have: Iterable[str], want: Iterable[str]) -> str:
 def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
                          catalogue: FactorCatalogue, method: str = "centroid",
                          thresholds: tuple[float, float] | None = DEFAULT_THRESHOLDS
-                         ) -> list[ValuationResult]:
-    """FTV, defuzzified value and tier of each id from an (ids, factors, 3)
-    array of range-admitted scores, factors in catalogue order; the tiers
-    are classified on the catalogue's target range.  An FTV off the target
-    range by no more than the rounding error of its weighted sum is put on
-    the range's end; one further off (weights summing above 1) is an
-    InputError naming the id."""
+                         ) -> Valuation:
+    """FTV, defuzzified value and tier of each id, in ``rank`` order, from an
+    (ids, factors, 3) array of range-admitted scores, factors in catalogue order;
+    tiers are on the catalogue's target range.  An FTV off the range by at most
+    the rounding error of its weighted sum is put on the range's end; one further
+    off (weights summing above 1) is an InputError naming the id."""
     x, y = catalogue.source_ranges
     tgt = catalogue.target
     rescaled = rescale_endpoints(scores, x, y, tgt)
@@ -162,16 +185,17 @@ def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
     slack = len(catalogue.weights) * np.finfo(float).eps * max(abs(tgt.m), abs(tgt.M))
     snapped = np.clip(ftv, tgt.m, tgt.M)
     ftv = np.where(np.abs(ftv - snapped) <= slack, snapped, ftv)
-    results = []
-    for at, row in enumerate(ftv.tolist()):
-        t = TFN(*row)
-        crisp = fuzzy.defuzzify(t, method=method)
+    crisp = fuzzy.defuzzify(ftv, method=method)
+    values, modes = crisp.tolist(), ftv[:, 1].tolist()
+    tiers = []
+    for at, value in enumerate(values):
         try:
-            tier = classify(crisp, thresholds, (tgt.m, tgt.M)) if thresholds else None
+            tiers.append(classify(value, thresholds, (tgt.m, tgt.M)) if thresholds else None)
         except ValueError as e:
             raise off_range(at, str(e)) from None
-        results.append(ValuationResult(ids[at], t, crisp, tier))
-    return results
+    order = sorted(range(len(ids)), key=lambda i: _rank_key(values[i], modes[i], ids[i]))
+    return Valuation(tuple(ids[i] for i in order), ftv[order], crisp[order],
+                     tuple(tiers[i] for i in order))
 
 
 def evaluate_attraction(evaluation: AttractionEvaluation, catalogue: FactorCatalogue,
@@ -194,8 +218,8 @@ def evaluate_attraction(evaluation: AttractionEvaluation, catalogue: FactorCatal
         [[evaluation.scores[f].as_tuple() for f in ids]], x, y, policy,
         lambda i: f"attraction {evaluation.attraction_id!r}, factor {ids[i[1]]!r}: "
                   f"{COMPONENTS[i[2]]}=")
-    return evaluate_attractions([evaluation.attraction_id], admitted, catalogue,
-                                method=method, thresholds=thresholds)[0]
+    return next(iter(evaluate_attractions([evaluation.attraction_id], admitted, catalogue,
+                                          method=method, thresholds=thresholds)))
 
 
 def classify(crisp: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
@@ -219,7 +243,11 @@ def filter_high(results: Iterable[ValuationResult],
     return [r for r in results if round6(r.crisp) > threshold]
 
 
+def _rank_key(crisp: float, mode: float, attraction_id: str) -> tuple[float, float, str]:
+    return -crisp, -mode, attraction_id
+
+
 def rank(results: Iterable[ValuationResult]) -> list[ValuationResult]:
-    """Order results by descending crisp value; ties fall back to the
-    descending fuzzy mode and then to the ascending attraction id."""
-    return sorted(results, key=lambda r: (-r.crisp, -r.ftv.mode, r.attraction_id))
+    """Order results by descending crisp value; ties fall back to the descending
+    fuzzy mode and then to the attraction id, ascending as ``str`` compares."""
+    return sorted(results, key=lambda r: _rank_key(r.crisp, r.ftv.mode, r.attraction_id))

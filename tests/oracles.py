@@ -17,7 +17,9 @@ csv.DictReader, kept as it was so that results and error texts compare.
 The tour planner is the package's earlier Held-Karp loop over subsets by
 size, kept as it was, on the package's haversine distance.  The bundled
 Santiago tables are read as the package's earlier ``datasets`` read them,
-with csv.DictReader, kept as it was.
+with csv.DictReader, kept as it was.  The valuation of FTV rows is the
+package's earlier per-attraction loop, with its scalar defuzzification, its
+``rank`` key and its ``filter_high`` rule, kept as they were.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ from tourval.fuzzy import TriangularFuzzyNumber
 from tourval.rescale import SourceRange, TargetRange
 from tourval.rounding import round6
 from tourval.spatial import HotSpot, Tour, haversine_km
-from tourval.valuation import FactorCatalogue, FactorDefinition
+from tourval.valuation import FactorCatalogue, FactorDefinition, ValuationResult, classify
 
 
 def lre(a: float, x: float, y: float, m: float, big_m: float) -> float:
@@ -108,6 +110,31 @@ def pipeline_oracle(sample_dir: Path, m: float = 0.0, big_m: float = 100.0):
         ftv = weighted_ftv(means, factors, m, big_m)
         out[attraction_id] = (ftv, centroid(ftv))
     return out
+
+
+def defuzzify(t: TriangularFuzzyNumber, method: str = "centroid") -> float:
+    """The package's earlier defuzzification of one TFN."""
+    if method == "mode":
+        return t.mode
+    c = (t.lo + t.mode + t.hi) / 3.0
+    if abs(c) == math.inf:   # the sum overflowed; the thirds of finite ends cannot
+        c = t.lo / 3.0 + t.mode / 3.0 + t.hi / 3.0
+    return min(max(c, t.lo), t.hi)
+
+
+def valuation_loop(rows, method, thresholds, scale, filter_threshold):
+    """The package's earlier valuation of ``(id, (lo, mode, hi))`` FTV rows:
+    one TFN, crisp value and tier (``classify``) per row, each row a
+    ValuationResult, sorted by the earlier ``rank`` key and kept by the
+    earlier ``filter_high`` rule.  Returns (ranked, retained)."""
+    results = []
+    for attraction_id, row in rows:
+        t = TriangularFuzzyNumber(*row)
+        crisp = defuzzify(t, method)
+        results.append(ValuationResult(attraction_id, t, crisp,
+                                       classify(crisp, thresholds, scale)))
+    ranked = sorted(results, key=lambda r: (-r.crisp, -r.ftv.mode, r.attraction_id))
+    return ranked, [r for r in ranked if round6(r.crisp) > filter_threshold]
 
 
 def circuit_cost(order, dist):

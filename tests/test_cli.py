@@ -95,6 +95,19 @@ class TestRun:
         assert code == 3
         assert err.startswith("error: 13 hotspots") and "kde.merge_radius_m" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("lon, lat", [(179.9995, 20.0), (-179.9995, 20.0), (0.0, 89.9995),
+                                          (0.0, -89.9995)])
+    def test_grid_past_the_wgs84_range_exits_3(self, dataset_builder, capsys, lon, lat):
+        """The kept attraction p2 next to the antimeridian or a pole: its
+        grid, padded by the 100 m bandwidth, would reach past WGS84, which
+        is reported before the grid is built, not while the map is written."""
+        config_path = dataset_builder(attractions=[("p1", "First Court", -75.8267, 20.0211),
+                                                   ("p2", "Second Court", lon, lat)])
+        assert invoke("run", "--config", str(config_path)) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the density grid (kde.bandwidth_m 100.0) leaves WGS84: ")
+        assert err.rstrip().endswith("tourval does not map across the antimeridian or a pole")
     def test_writes_three_artifacts(self, sample_dir, tmp_path, capsys):
         out_dir = tmp_path / "result"
         code = invoke("run", "--config", str(sample_dir / "config.json"),
@@ -324,6 +337,9 @@ class TestTour:
         ("rank", "inf"),
         ("rank", "1.7"),
         ("rank", "0"),
+        # the rank is the row's position, here 3
+        ("rank", "2"),
+        ("rank", "03"),
         ("ftv_lo", "99"),
         ("crisp", "inf"),
         # tour reads back only the tiers run writes
@@ -396,7 +412,8 @@ class TestTour:
 
 
 class TestEncoding:
-    """Every input file is UTF-8; a leading byte-order mark is dropped."""
+    """Every input file is UTF-8; a leading byte-order mark is dropped; a
+    record the csv module cannot read is an input error naming its line."""
 
     FILES = ["factors.csv", "evaluations.csv", "attractions.csv", "pairwise.csv",
              "results.csv"]
@@ -437,6 +454,21 @@ class TestEncoding:
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
         assert invoke(self._command(name), "--config", str(config_path)) == 0
         assert {p.name: p.read_bytes() for p in out_dir.iterdir() if p != path} == before
+
+    @pytest.mark.parametrize("name", FILES)
+    def test_field_past_the_csv_limit_exits_2(self, inputs, capsys, name):
+        """A cell longer than the csv module's field limit (131,072
+        characters), such as a very long attraction name."""
+        config_path, out_dir = inputs
+        path = (out_dir if name == "results.csv" else config_path.parent) / name
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text + "z," + "x" * 140_000 + "\n", encoding="utf-8")
+        line = text.count("\n") + 1
+        capsys.readouterr()
+        assert invoke(self._command(name), "--config", str(config_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: not read as CSV: ")
+        assert "field larger than field limit" in err and "Traceback" not in err
 
 
 class TestSpansAndDurations:

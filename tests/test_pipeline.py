@@ -34,7 +34,7 @@ from tourval.pipeline import (
 )
 from tourval.rounding import format_number
 from tourval.spatial import DensityGrid, GeoPoint, HotSpot, Tour
-from tourval.valuation import TIERS, ValuationResult
+from tourval.valuation import TIERS, Valuation, ValuationResult
 
 import oracles
 
@@ -929,17 +929,27 @@ def _map_inputs(names, grid, hotspot_scores=(), with_tour=False, center=(-75.8, 
             {aid: i + 1 for i, aid in enumerate(ids)}, grid, hotspots, tour)
 
 
+def _valuation(ranked, ranks):
+    """The ``Valuation`` whose rows are ``ranked``, in order; ``ranks`` must
+    be their positions, as a ``Valuation``'s ranks are."""
+    assert ranks == {r.attraction_id: i + 1 for i, r in enumerate(ranked)}
+    return Valuation(tuple(r.attraction_id for r in ranked),
+                     np.array([r.ftv.as_tuple() for r in ranked]).reshape(-1, 3),
+                     np.array([r.crisp for r in ranked]), tuple(r.tier for r in ranked))
+
+
 def render_map(names, locations, ranked, ranks, grid, hotspots, tour):
     """``render.map_geojson`` on the arguments of ``oracles.map_geojson``."""
-    return render.map_geojson(render.result_columns(ranked, names, ranks),
-                              [locations[r.attraction_id] for r in ranked], grid, hotspots, tour)
+    valuation = _valuation(ranked, ranks)
+    return render.map_geojson(render.result_columns(valuation, names),
+                              [locations[i] for i in valuation.ids], grid, hotspots, tour)
 
 
 def render_results(config, ingested, ranked, ranks, retained, hotspots, tour):
     """``render.results_json`` on the arguments of ``oracles.results_json``."""
-    return render.results_json(config, ingested, render.result_columns(ranked, ingested.names,
-                                                                        ranks),
-                               retained, hotspots, tour)
+    return render.results_json(config, ingested,
+                               render.result_columns(_valuation(ranked, ranks), ingested.names),
+                               tuple(r.attraction_id for r in retained), hotspots, tour)
 
 
 def _grid(values, center=(-75.8, 20.0), x0=-12.5, y0=7.25, cell_m=9.0):

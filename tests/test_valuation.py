@@ -24,6 +24,9 @@ from tourval import (
 from tourval import datasets, fuzzy
 from tourval.errors import ConfigError, InputError
 from tourval.pipeline import load_config, run_valuation
+from tourval.rescale import rescale_endpoints
+from tourval.rounding import round6
+from tourval.valuation import DEFAULT_THRESHOLDS, evaluate_attractions
 
 import oracles
 
@@ -369,3 +372,56 @@ class TestEvaluateAttraction:
                     AttractionEvaluation(f"a{a}", scores), catalogue, thresholds=None))
             orders.append([r.attraction_id for r in rank(results)])
         assert orders[0] == orders[1]
+
+
+# Ids that a sort of numpy unicode arrays confuses ("a" and "a\x00" are equal
+# there) and ids that compare differently by code point and by letter.
+RECORD_IDS = st.one_of(st.sampled_from(["a", "a\x00", "a\x00\x00", "b", "Z", "é", "e\u0301",
+                                        "寺", "\U0001f3b8", " a"]),
+                       st.text(max_size=3))
+BIG = sys.float_info.max
+
+
+@st.composite
+def record_inputs(draw):
+    """Distinct ids, their (ids, 1, 3) scores on [0, top], the top of the
+    target and a defuzzifier.  The scores come from a few triples, so rows
+    tie; on [0, 128], where rescaling keeps integers exact, (0, 60, 90) and
+    (30, 40, 80) tie on the centroid and not on the mode.  Near the top of
+    a target ending at the largest float the centroid's sum overflows."""
+    top = draw(st.sampled_from([128.0, BIG]))
+    if top == BIG:
+        value = st.one_of(st.sampled_from([BIG, BIG / 2, BIG / 3, 1.0, 0.0]), st.floats(0.0, BIG))
+    else:
+        # on, and within half a printed unit of, each threshold
+        value = st.one_of(st.sampled_from([0.0, 33.0, 33.0000004, 65.9999996, 66.0, 66.0000004,
+                                           66.00005, 128.0]),
+                          st.integers(0, 128).map(float), st.floats(0.0, 128.0))
+    triple = st.lists(value, min_size=3, max_size=3).map(sorted)
+    pool = draw(st.lists(triple, min_size=1, max_size=4)) + [[0, 60, 90], [30, 40, 80]]
+    ids = draw(st.lists(RECORD_IDS, min_size=1, max_size=8, unique=True))
+    scores = np.array([[draw(st.sampled_from(pool))] for _ in ids], dtype=float)
+    return ids, scores, top, draw(st.sampled_from(fuzzy.DEFUZZIFY_METHODS))
+
+
+class TestValuationRecord:
+    """``evaluate_attractions``' record against the earlier per-attraction
+    loop, ``oracles.valuation_loop``, on the same FTVs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(record_inputs())
+    def test_equals_per_attraction_loop(self, inputs):
+        ids, scores, top, method = inputs
+        catalogue = make_catalogue(("f1", 0.0, top, 1.0), target=(0.0, top))
+        valuation = evaluate_attractions(ids, scores, catalogue, method=method)
+        # one factor of weight 1: each FTV is its rescaled score
+        rows = zip(ids, rescale_endpoints(scores[:, 0], 0.0, top, catalogue.target).tolist())
+        threshold = DEFAULT_THRESHOLDS[1]
+        ranked, retained = oracles.valuation_loop(rows, method, DEFAULT_THRESHOLDS,
+                                                  (0.0, top), threshold)
+        assert valuation.ids == tuple(r.attraction_id for r in ranked)
+        assert valuation.tiers == tuple(r.tier for r in ranked)
+        assert valuation.printed == [round6(r.crisp) for r in ranked]
+        assert ([valuation.ids[i] for i in valuation.above(threshold)]
+                == [r.attraction_id for r in retained])
+        assert list(valuation) == ranked

@@ -10,10 +10,11 @@ from this checkout's, both with the same --out, so the config echo in
 results.json matches; for district_tour, the workload the benchmark times
 as `tour`, `tourval tour` runs after `run` on each side.  `tourval ftv`
 runs on every input set too, into a --out of its own, the same on both
-sides.  The SHA-256 of every artifact is compared.
+sides.  The SHA-256 of every artifact and of each command's standard output
+(the summary the CLI prints) is compared.
 
-Exit status: 0 when every artifact matches; 1 when one differs or a run
-fails, naming each; 2 when the base cannot be checked out.
+Exit status: 0 when every artifact and standard output matches; 1 when one
+differs or a run fails, naming each; 2 when the base cannot be checked out.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ def _inputs(directory: Path) -> dict[str, Path]:
 def _artifacts(source: Path, config: Path, outs: dict[Path, tuple[str, ...]]
                ) -> dict[str, str]:
     """SHA-256 of each artifact after each command, by "command artifact",
-    the commands run in turn into the --out directory they are listed
-    under; a failed command maps to its exit status and standard error, and
-    no later command of its directory runs."""
+    and of its standard output, by "command stdout", the commands run in
+    turn into the --out directory they are listed under; a failed command
+    maps to its exit status and standard error, and no later command of its
+    directory runs."""
     env = {**os.environ, "PYTHONPATH": str(source / "src")}
     digests = {}
     for out, commands in outs.items():
@@ -63,6 +65,7 @@ def _artifacts(source: Path, config: Path, outs: dict[Path, tuple[str, ...]]
             if done.returncode:
                 digests[command] = f"exit {done.returncode}: {done.stderr.strip()}"
                 break
+            digests[f"{command} stdout"] = hashlib.sha256(done.stdout.encode()).hexdigest()
             for artifact in ARTIFACTS[command]:
                 digests[f"{command} {artifact}"] = hashlib.sha256(
                     (out / artifact).read_bytes()).hexdigest()
@@ -98,7 +101,7 @@ def main(argv: list[str]) -> int:
                            capture_output=True)
     for line in differ:
         print(f"differs: {line}")
-    print(f"{len(differ)} artifact(s) differ from {argv[0]}")
+    print(f"{len(differ)} artifact(s) or stdout(s) differ from {argv[0]}")
     return 1 if differ else 0
 
 
