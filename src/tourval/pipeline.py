@@ -600,10 +600,10 @@ def _finish(config: RunConfig, valuation: Valuation, names: dict[str, str],
         grid, hotspots, tour = _spatial_analysis(config, valuation, retained, locations)
 
     payloads = {}
-    columns = render.result_columns(valuation, names)
+    columns, numbers = render.result_columns(valuation, names)
     kept = tuple(valuation.ids[i] for i in retained)
     if ingested is not None:
-        payloads["results.csv"] = (render.results_csv(valuation),)
+        payloads["results.csv"] = (render.results_csv(valuation, numbers),)
         payloads["results.json"] = render.results_json(config, ingested, columns, kept,
                                                        hotspots, tour)
     if with_spatial:

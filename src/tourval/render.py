@@ -10,8 +10,9 @@ one ``itertools.chain`` of chunks read as they are written.  The few
 hotspot and tour features are dicts passed to ``_indented``.  Every
 per-item record (an attraction or density feature, a ``results`` row) is
 filled column by column instead (``_filled``): its ``_template`` pieces,
-split once at import, joined with one list of ``_encode``d field texts per
-field, with no dict built for ``json`` and no Python frame per record.
+split once at import, joined with one list of texts per field, each printed
+a column at a time by its type (6-digit numbers by ``rounding.print_column``),
+with no dict built for ``json`` and no Python frame per record.
 """
 
 from __future__ import annotations
@@ -19,11 +20,9 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-import operator
 import re
 from dataclasses import asdict
-from itertools import chain, compress, count, repeat
+from itertools import chain, count, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
@@ -31,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 import numpy as np
 
 from .ahp import WeightReport
-from .rounding import format_number, round6
+from .rounding import print_column, round6
 from .spatial import DensityGrid, GeoPoint, HotSpot, Tour
 from .valuation import FactorCatalogue, Valuation
 
@@ -97,15 +96,9 @@ def _filled(slots: list[str], columns: dict[str, list[str]]) -> Iterator[str]:
     return map("".join, zip(*pieces))
 
 
-def _encode(value: Any) -> str:
-    """``value`` as ``json.dumps(ensure_ascii=False)`` prints it."""
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    if type(value) is int:
-        return repr(value)
-    if isinstance(value, str):
-        return encode_basestring(value)
-    return json.dumps(value)
+def _coordinates(values: list[float]) -> list[str]:
+    """Each coordinate rounded to 6 decimal places, as JSON prints it."""
+    return [float.__repr__(round(v, 6)) for v in values]
 
 
 def _document(outer: dict[str, Any], key: str, items: Iterable[str]) -> Iterator[str]:
@@ -126,30 +119,31 @@ def _document(outer: dict[str, Any], key: str, items: Iterable[str]) -> Iterator
                  ("\n  " + text[cut:],))
 
 
-def result_columns(valuation: Valuation, names: dict[str, str]) -> dict[str, list[str]]:
-    """The rows' ids, names, 6-digit FTVs and printed values, tiers and
-    ranks, in rank order, as ``_encode`` prints them, by ``_template``
-    field: made once per run for both the ``results.json`` rows and the
-    attraction features."""
-    lo, mode, hi = valuation.ftv.T.tolist()
-    values = {"id": valuation.ids, "name": [names[i] for i in valuation.ids],
-              "rank": range(1, len(valuation.ids) + 1), "lo": map(round6, lo),
-              "hi": map(round6, hi), "mode": map(round6, mode), "crisp": valuation.printed,
-              "tier": valuation.tiers}
-    return {field: list(map(_encode, column)) for field, column in values.items()}
+def result_columns(valuation: Valuation, names: dict[str, str]
+                   ) -> tuple[dict[str, list[str]], tuple[list[str], ...]]:
+    """The rows' fields in rank order, as JSON prints them, by ``_template``
+    field, for the ``results.json`` rows and the attraction features; and
+    their FTVs' and crisp values' texts, for ``results_csv``."""
+    texts, json_texts = zip(*map(print_column, (*valuation.ftv.T.tolist(),
+                                                valuation.crisp.tolist())))
+    columns = {"id": list(map(encode_basestring, valuation.ids)),
+               "name": [encode_basestring(names[i]) for i in valuation.ids],
+               "rank": list(map(str, range(1, len(valuation.ids) + 1))),
+               "tier": list(map(encode_basestring, valuation.tiers)),
+               **dict(zip(("lo", "mode", "hi", "crisp"), json_texts))}
+    return columns, texts
 
 
 # --- results.csv and results.json -------------------------------------------
 
 
-def results_csv(valuation: Valuation) -> str:
-    """One row of ``RESULT_COLUMNS`` per row of ``valuation``, under that header."""
+def results_csv(valuation: Valuation, numbers: tuple[list[str], ...]) -> str:
+    """One row of ``RESULT_COLUMNS`` per row of ``valuation``, under that header,
+    with the ``numbers`` texts of ``result_columns``."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(RESULT_COLUMNS)
-    lo, mode, hi, crisp = (map(format_number, column)
-                           for column in (*valuation.ftv.T.tolist(), valuation.crisp.tolist()))
-    writer.writerows(zip(valuation.ids, lo, mode, hi, crisp, valuation.tiers, count(1)))
+    writer.writerows(zip(valuation.ids, *numbers, valuation.tiers, count(1)))
     return buffer.getvalue()
 
 
@@ -226,9 +220,8 @@ def _attraction_features(columns: dict[str, list[str]], points: list[GeoPoint]
                          ) -> Iterator[str]:
     """One Point Feature per result, in order, as ``_indented`` text: its
     ``result_columns`` and its location in ``points``."""
-    return _filled(_ATTRACTION, {**columns,
-                                 "lon": [_encode(round(p.lon, 6)) for p in points],
-                                 "lat": [_encode(round(p.lat, 6)) for p in points]})
+    return _filled(_ATTRACTION, {**columns, "lon": _coordinates([p.lon for p in points]),
+                                 "lat": _coordinates([p.lat for p in points])})
 
 
 # One density feature: its ring's corners from the south-west, then its density.
@@ -244,20 +237,11 @@ def _density_features(grid: DensityGrid) -> Iterator[str]:
     row-major order, as ``_indented`` text, made as it is read; zero cells
     are skipped to keep files small.  Rings are counter-clockwise from the
     south-west corner and closed.  Each edge coordinate is rounded and
-    encoded once and shared by the cells along it.  Each density is printed
-    as ``_encode(round6(value))`` prints it."""
-    lons, lats = grid.edges()
-    lons = [_encode(round(v, 6)) for v in lons]
-    lats = [_encode(round(v, 6)) for v in lats]
+    printed once and shared by the cells along it.  Each density is printed
+    as JSON prints its ``round6`` (``print_column``)."""
+    lons, lats = map(_coordinates, grid.edges())
     rows, cols = np.divmod(np.flatnonzero(grid.values > 0.0), grid.ncols)
-    # A 6-digit text with a point and no exponent is already the shortest text
-    # that reads back as its float.  Only the others, those whose "has a point"
-    # is at most their "has an exponent" (an exponent, or an integral value,
-    # which prints with ".0"), are printed again.
-    densities = list(map(format, grid.values[rows, cols].tolist(), repeat(".6g")))
-    redo = map(operator.le, *(map(operator.contains, densities, repeat(c)) for c in ".e"))
-    for i in list(compress(count(), redo)):
-        densities[i] = float.__repr__(float(densities[i]))
+    _, densities = print_column(grid.values[rows, cols].tolist())
     rows, cols = rows.tolist(), cols.tolist()
     return _filled(_DENSITY_FEATURE, {
         "west": list(map(lons.__getitem__, cols)), "east": list(map(lons[1:].__getitem__, cols)),

@@ -117,7 +117,7 @@ class DensityGrid:
         v = np.array(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"grid values must be a 2-d array, got shape {v.shape}")
-        if np.any(v < 0) or not np.all(np.isfinite(v)):
+        if not (v.min() >= 0.0 and v.max() < math.inf):   # NaN fails both
             raise ValueError("grid values must be finite and non-negative")
         if not self.cell_m > 0:
             raise ValueError(f"cell size must be positive, got {self.cell_m}")
@@ -310,14 +310,16 @@ def detect_hotspots(grid: DensityGrid, percentile: float = 90.0) -> list[HotSpot
         return []
     threshold = _percentile(positive, percentile)
 
-    # each candidate, in row-major order, against its 8 neighbours: flat
-    # indices into the grid padded by one -inf cell on every side
-    width = v.shape[1] + 2
-    padded = np.pad(v, 1, constant_values=-np.inf).reshape(-1)
-    rows, cols = np.divmod(np.flatnonzero(v >= threshold), v.shape[1])
-    around = np.array([-width - 1, -width, -width + 1, -1, 1, width - 1, width, width + 1])
+    # each candidate, in row-major order, against those of its 8 neighbours
+    # that are on the grid, gathered by flat index
+    nrows, ncols = v.shape
+    rows, cols = np.divmod(np.flatnonzero(v >= threshold), ncols)
+    near_rows = rows[:, None] + np.array([-1, -1, -1, 0, 0, 1, 1, 1])
+    near_cols = cols[:, None] + np.array([-1, 0, 1, -1, 1, -1, 0, 1])
+    on_grid = (0 <= near_rows) & (near_rows < nrows) & (0 <= near_cols) & (near_cols < ncols)
+    near = v.reshape(-1)[np.where(on_grid, near_rows * ncols + near_cols, 0)]
     scores = v[rows, cols]
-    is_max = (scores[:, None] > padded[((rows + 1) * width + cols + 1)[:, None] + around]).all(1)
+    is_max = ((scores[:, None] > near) | ~on_grid).all(1)
     cells = sorted(zip((-scores[is_max]).tolist(), rows[is_max].tolist(), cols[is_max].tolist()))
     return [HotSpot(grid.cell_center(r, c), -score, f"H{i + 1}")
             for i, (score, r, c) in enumerate(cells)]

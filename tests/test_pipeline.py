@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from tourval import TriangularFuzzyNumber as TFN
 from tourval import datasets, pipeline, render
@@ -32,7 +32,7 @@ from tourval.pipeline import (
     run_tour,
     run_valuation,
 )
-from tourval.rounding import format_number
+from tourval.rounding import format_number, print_column, round6
 from tourval.spatial import DensityGrid, GeoPoint, HotSpot, Tour
 from tourval.valuation import TIERS, Valuation, ValuationResult
 
@@ -54,14 +54,24 @@ class TestFormatNumber:
         assert format_number(-0.0) == "0"
 
     def test_negative_zero_same_in_every_artifact(self):
-        from tourval.rounding import round6
-
         result = ValuationResult("a", TFN(-0.0, 0.0, 1.0), -0.0, "Low")
         text = "".join(render_map({"a": "A"}, {"a": GeoPoint(-75.8, 20.0)}, [result],
                                   {"a": 1}, None, (), None))
         assert json.dumps(round6(-0.0)) == "0.0"
         assert '"ftv_lo": 0.0,' in text
         assert '"crisp": 0.0,' in text
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+    # zeros of both signs, the smallest subnormal, values whose 6-digit text
+    # switches notation or rounds up across a power of ten, the largest float
+    # and integral values, which JSON prints with ".0"
+    @example([-0.0, 0.0, 5e-324, 9.99995e-5, 99999.95, 999999.5, 1e16,
+              1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 100.0, 123456.0])
+    def test_print_column_is_format_number_and_json_of_round6(self, values):
+        texts, json_texts = print_column(values)
+        assert texts == [format_number(x) for x in values]
+        assert json_texts == [json.dumps(round6(x)) for x in values]
 
 
 class TestLoadConfig:
@@ -941,14 +951,14 @@ def _valuation(ranked, ranks):
 def render_map(names, locations, ranked, ranks, grid, hotspots, tour):
     """``render.map_geojson`` on the arguments of ``oracles.map_geojson``."""
     valuation = _valuation(ranked, ranks)
-    return render.map_geojson(render.result_columns(valuation, names),
+    return render.map_geojson(render.result_columns(valuation, names)[0],
                               [locations[i] for i in valuation.ids], grid, hotspots, tour)
 
 
 def render_results(config, ingested, ranked, ranks, retained, hotspots, tour):
     """``render.results_json`` on the arguments of ``oracles.results_json``."""
     return render.results_json(config, ingested,
-                               render.result_columns(_valuation(ranked, ranks), ingested.names),
+                               render.result_columns(_valuation(ranked, ranks), ingested.names)[0],
                                tuple(r.attraction_id for r in retained), hotspots, tour)
 
 
@@ -1013,13 +1023,6 @@ class TestMapText:
                                           x0=-1e-3, y0=-1e-3, cell_m=1e-3),
                              center=(0.0, 0.0))
         assert "              -0.0,\n" in "".join(render_map(*inputs))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.one_of(st.floats(allow_nan=True), st.text(NAME_CHARS, max_size=8),
-                     st.integers(-10**20, 10**20), st.booleans(), st.none(),
-                     st.sampled_from([-0.0, 1e16, 1e-07, math.inf, np.float64(2.5)])))
-    def test_encode_prints_as_json(self, value):
-        assert render._encode(value) == json.dumps(value, ensure_ascii=False)
 
 
 # -- results.json text against json.dumps of the whole document ---------------

@@ -23,7 +23,7 @@ from tourval import (
 )
 from tourval import spatial
 from tourval.errors import ConfigError, NumericError
-from tourval.render import _density_features, _encode
+from tourval.render import _density_features
 from tourval.rounding import round6
 from tourval.spatial import MAX_GRID_CELLS, _grid_frame, _percentile, _unproject
 
@@ -142,6 +142,31 @@ class TestKde:
             grid.values[0, 0] = 99.0
 
 
+class TestDensityGrid:
+    @pytest.mark.parametrize("bad", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("at", [(0, 0), (1, 2)])
+    def test_values_must_be_finite_and_non_negative(self, bad, at):
+        values = np.ones((2, 3))
+        values[at] = bad
+        with pytest.raises(ValueError, match="grid values must be finite and non-negative"):
+            DensityGrid(CENTER, 0.0, 0.0, 10.0, values)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (2, 2, 2), (0, 3), (3, 0)])
+    def test_values_must_be_a_2d_array(self, shape):
+        with pytest.raises(ValueError, match="grid values must be a 2-d array"):
+            DensityGrid(CENTER, 0.0, 0.0, 10.0, np.ones(shape))
+
+    def test_zeros_of_both_signs_are_accepted(self):
+        grid = DensityGrid(CENTER, 0.0, 0.0, 10.0, np.array([[0.0, -0.0]]))
+        assert grid.values.tolist() == [[0.0, 0.0]]
+
+    def test_values_are_a_copy_of_the_callers_array(self):
+        values = np.ones((2, 2))
+        grid = DensityGrid(CENTER, 0.0, 0.0, 10.0, values)
+        values[0, 0] = 5.0
+        assert grid.values[0, 0] == 1.0
+
+
 @st.composite
 def kde_cases(draw, max_points=6):
     """(points, bandwidth, cell): up to ``max_points`` points within 400 m,
@@ -257,7 +282,7 @@ class TestDensityFeatures:
     def test_text_is_json_dumps_of_the_reference(self, nrows, ncols, data):
         """Each feature's text is ``json.dumps`` of the reference feature
         dict at the depth of a ``features`` array, its density printed as
-        ``_encode(round6(value))``."""
+        ``json.dumps(round6(value))``."""
         value = st.one_of(st.just(0.0), st.sampled_from(self.EDGE_DENSITIES),
                           st.floats(5e-324, 1e300))
         values = np.reshape(data.draw(st.lists(value, min_size=nrows * ncols,
@@ -272,7 +297,7 @@ class TestDensityFeatures:
                 for f in oracles.density_features(grid)]
         assert list(_density_features(grid)) == want
         densities = [re.search(r'"density": ([^,\n]+)', text)[1] for text in want]
-        assert densities == [_encode(round6(v)) for v in values[values > 0].tolist()]
+        assert densities == [json.dumps(round6(v)) for v in values[values > 0].tolist()]
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.floats(1e-4, 1e6), st.floats(5e-324, 1.7976931348623157e308),
@@ -366,6 +391,19 @@ class TestHotspotsMatchFullGridTest:
 
     @given(plateau_grids(), PERCENTILES)
     @settings(max_examples=300, deadline=None)
+    # a strict maximum in each corner, whose neighbours off the grid count for nothing
+    @example(np.array([[5.0, 1.0, 1.0, 4.0], [1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 1.0],
+                       [3.0, 1.0, 1.0, 2.0]]), 50.0)
+    @example(np.array([[1.0, 0.5], [0.5, 0.5]]), 50.0)
+    @example(np.array([[0.5, 1.0], [0.5, 0.5]]), 50.0)
+    @example(np.array([[0.5, 0.5], [1.0, 0.5]]), 50.0)
+    @example(np.array([[0.5, 0.5], [0.5, 1.0]]), 50.0)
+    # one row and one column: maxima at both ends, a plateau and a single cell
+    @example(np.array([[3.0, 1.0, 2.0, 2.0, 0.0, 4.0]]), 1.0)
+    @example(np.array([[3.0], [1.0], [2.0], [2.0], [0.0], [4.0]]), 1.0)
+    @example(np.array([[0.0, 2.0, 1.0]]), 50.0)
+    @example(np.array([[0.0], [2.0], [1.0]]), 50.0)
+    @example(np.array([[7.0]]), 50.0)
     def test_plateaus_and_ties(self, values, percentile):
         self.assert_same(values, percentile)
 
