@@ -8,11 +8,10 @@ inconsistent but does not raise; the caller decides whether to proceed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NumericError
+from .record import Record
 
 __all__ = ["WeightReport", "WeightCheck", "validate_pairwise", "derive_weights",
            "validate_weights", "RANDOM_INDEX", "CR_LIMIT"]
@@ -34,27 +33,27 @@ MAX_FACTORS = 15
 _RECIPROCAL_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class WeightReport:
+class WeightReport(Record):
     """Derived weight vector plus consistency diagnostics."""
 
-    weights: tuple[float, ...]
-    lambda_max: float
-    consistency_index: float
-    consistency_ratio: float
+    __slots__ = ("weights", "lambda_max", "consistency_index", "consistency_ratio")
+
+    def __init__(self, weights: tuple[float, ...], lambda_max: float,
+                 consistency_index: float, consistency_ratio: float):
+        self._set(weights, lambda_max, consistency_index, consistency_ratio)
 
     @property
     def inconsistent(self) -> bool:
         return self.consistency_ratio > CR_LIMIT
 
 
-@dataclass(frozen=True)
-class WeightCheck:
+class WeightCheck(Record):
     """Outcome of a weight-vector validity check."""
 
-    ok: bool
-    offending_indices: tuple[int, ...] = ()
-    detail: str = ""
+    __slots__ = ("ok", "detail")
+
+    def __init__(self, ok: bool, detail: str = ""):
+        self._set(ok, detail)
 
 
 def validate_pairwise(matrix) -> np.ndarray:
@@ -117,10 +116,10 @@ def validate_weights(weights, tolerance: float = WEIGHT_SUM_TOLERANCE) -> Weight
     than raising, so callers can report or ignore as they see fit."""
     w = [float(v) for v in weights]
     total = sum(w)
-    bad = tuple(i for i, v in enumerate(w) if not 0.0 <= v <= 1.0)
+    bad = [i for i, v in enumerate(w) if not 0.0 <= v <= 1.0]
     problems = []
     if bad:
-        problems.append(f"weights outside [0, 1] at indices {list(bad)}")
+        problems.append(f"weights outside [0, 1] at indices {bad}")
     if abs(total - 1.0) > tolerance:
         problems.append(f"sum {total:.6g} differs from 1 by more than {tolerance:.6g}")
-    return WeightCheck(ok=not problems, offending_indices=bad, detail="; ".join(problems))
+    return WeightCheck(ok=not problems, detail="; ".join(problems))

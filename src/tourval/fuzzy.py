@@ -9,11 +9,11 @@ immutable values and are safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import require_choice
+from .record import Record
 
 __all__ = [
     "TriangularFuzzyNumber",
@@ -32,24 +32,19 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TriangularFuzzyNumber:
+class TriangularFuzzyNumber(Record):
     """Value-semantic TFN.  Construction rejects unordered or non-finite
     triplets instead of silently reordering them: a reversed triplet in
     survey data is a data-entry error worth surfacing."""
 
-    lo: float
-    mode: float
-    hi: float
+    __slots__ = ("lo", "mode", "hi")
 
-    def __post_init__(self):
-        lo, mode, hi = float(self.lo), float(self.mode), float(self.hi)
+    def __init__(self, lo: float, mode: float, hi: float):
+        lo, mode, hi = float(lo), float(mode), float(hi)
         if not is_tfn(lo, mode, hi):
             raise ValueError(f"TFN components must be finite and satisfy lo <= mode <= hi, "
                              f"got ({lo}, {mode}, {hi})")
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "hi", hi)
+        self._set(lo, mode, hi)
 
     @classmethod
     def crisp(cls, a: float) -> "TriangularFuzzyNumber":
@@ -70,20 +65,15 @@ def is_tfn(lo, mode, hi):
     return (abs(lo) < math.inf) & (abs(hi) < math.inf) & (lo <= mode) & (mode <= hi)
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed real interval [low, high]."""
 
-    low: float
-    high: float
+    __slots__ = ("low", "high")
 
-    def __post_init__(self):
-        if not self.low <= self.high:
-            raise ValueError(f"interval requires low <= high, got [{self.low}, {self.high}]")
-
-    @property
-    def width(self) -> float:
-        return self.high - self.low
+    def __init__(self, low: float, high: float):
+        if not low <= high:
+            raise ValueError(f"interval requires low <= high, got [{low}, {high}]")
+        self._set(low, high)
 
 
 def membership(t: TFN, x: float) -> float:

@@ -28,7 +28,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -38,6 +38,7 @@ import numpy as np
 from . import fuzzy, render
 from .ahp import CR_LIMIT, WeightReport, derive_weights
 from .errors import ConfigError, InputError, NumericError, require_choice
+from .record import Record
 from .rescale import (COMPONENTS, RANGE_POLICIES, SourceRange, TargetRange,
                       apply_range_policy)
 from .rounding import format_number, round6
@@ -120,8 +121,6 @@ class RunConfig:
     def __post_init__(self):
         object.__setattr__(self, "target", tuple(self.target))
         object.__setattr__(self, "tier_thresholds", tuple(self.tier_thresholds))
-        if isinstance(self.filter_threshold, str):   # float() would read it as a number
-            raise ConfigError(f"filter_threshold must be a number, got {self.filter_threshold!r}")
         object.__setattr__(self, "filter_threshold", float(self.filter_threshold))
         object.__setattr__(self, "out_dir", Path(str(self.out_dir)).resolve())
         if len(self.target) != 2:
@@ -143,19 +142,32 @@ class RunConfig:
 
 def _present(raw: Any, settings: type, where: str) -> dict[str, Any]:
     """The keys of a JSON config object that are not null (null means the
-    default), after checking that it names only fields of ``settings``."""
+    default), after checking that it names only fields of ``settings`` and
+    that each value has its field's JSON type: a ``Path`` a string, a
+    ``float`` a number and a ``tuple`` of floats a list of numbers."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where}: expected a JSON object")
-    unknown = sorted(set(raw) - {f.name for f in fields(settings)})
+    annotations = {f.name: f.type for f in fields(settings)}
+    unknown = sorted(set(raw) - set(annotations))
     if unknown:
         raise ConfigError(f"{where}: unknown keys: {', '.join(unknown)}")
-    for key, value in raw.items():
+    present = {key: value for key, value in raw.items() if value is not None}
+    for key, value in present.items():
+        kind, values = annotations[key], value if isinstance(value, list) else [value]
+        listed = kind.startswith("tuple")
         # Python reads true as the number 1 and keeps an integer past the float range exact
         if any(isinstance(v, bool) or isinstance(v, int) and abs(v) > sys.float_info.max
-               for v in (value if isinstance(value, list) else [value])):
-            raise ConfigError(f"{where}: {key} takes no true, false or integer beyond the "
-                              f"float range, got {json.dumps(value)}")
-    return {key: value for key, value in raw.items() if value is not None}
+               for v in values):
+            why = f"takes no true, false or integer beyond the float range, got {json.dumps(value)}"
+        elif "Path" in kind and not isinstance(value, str):
+            why = f"must be a path string, got {value!r}"
+        elif "float" in kind and (isinstance(value, list) != listed
+                                  or not all(isinstance(v, (int, float)) for v in values)):
+            why = f"must be {'a list of numbers' if listed else 'a number'}, got {value!r}"
+        else:
+            continue
+        raise ConfigError(f"{where}: {key} {why}")
+    return present
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -363,15 +375,16 @@ def load_attractions(path: Path) -> tuple[dict[str, str], dict[str, GeoPoint]]:
     return names, locations
 
 
-@dataclass(frozen=True)
-class IngestResult:
-    catalogue: FactorCatalogue
-    scores: np.ndarray   # (attractions, factors, 3) expert-mean TFNs, in names order
-    names: dict[str, str]
-    locations: dict[str, GeoPoint]
-    weight_source: str
-    weight_report: WeightReport | None
-    judgements: int      # evaluations.csv rows read
+class IngestResult(Record):
+    # scores: (attractions, factors, 3) expert-mean TFNs, in names order;
+    # judgements: evaluations.csv rows read
+    __slots__ = ("catalogue", "scores", "names", "locations", "weight_source",
+                 "weight_report", "judgements")
+
+    def __init__(self, catalogue: FactorCatalogue, scores: np.ndarray, names: dict[str, str],
+                 locations: dict[str, GeoPoint], weight_source: str,
+                 weight_report: WeightReport | None, judgements: int):
+        self._set(catalogue, scores, names, locations, weight_source, weight_report, judgements)
 
 
 def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -486,7 +499,7 @@ def ingest(config: RunConfig) -> IngestResult:
                 "configured; supply one of the two")
         ids, report = load_pairwise(config.pairwise, factor_ids)
         by_id = dict(zip(ids, report.weights))
-        factors = tuple(replace(f, weight=by_id[f.id]) for f in factors)
+        factors = tuple(f.replace(weight=by_id[f.id]) for f in factors)
         weight_source = "pairwise"
 
     catalogue = FactorCatalogue(factors=factors, target=TargetRange(*config.target))
@@ -501,17 +514,17 @@ def ingest(config: RunConfig) -> IngestResult:
 # --- the run itself --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PipelineOutput:
+class PipelineOutput(Record):
     """What a run decided, for the CLI's summary, and the paths it wrote."""
 
-    results: Valuation
-    retained: tuple[str, ...]
-    weight_source: str | None   # None for ``run_tour``, which reads no weights
-    weight_report: WeightReport | None
-    hotspots: tuple[HotSpot, ...]
-    tour: Tour | None
-    written: tuple[Path, ...]
+    # weight_source is None for ``run_tour``, which reads no weights
+    __slots__ = ("results", "retained", "weight_source", "weight_report", "hotspots", "tour",
+                 "written")
+
+    def __init__(self, results: Valuation, retained: tuple[str, ...], weight_source: str | None,
+                 weight_report: WeightReport | None, hotspots: tuple[HotSpot, ...],
+                 tour: Tour | None, written: tuple[Path, ...]):
+        self._set(results, retained, weight_source, weight_report, hotspots, tour, written)
 
 
 def _gate_consistency(report: WeightReport | None, allow_inconsistent: bool) -> None:
@@ -540,7 +553,7 @@ def _spatial_analysis(config: RunConfig, valuation: Valuation, retained: list[in
         tour = plan_tour(hotspots)
         duration = estimate_duration(tour, config.tour.walk_speed_kmh,
                                      config.tour.dwell_minutes)
-        tour = replace(tour, duration_hours=duration)
+        tour = tour.replace(duration_hours=duration)
     return grid, tuple(hotspots), tour
 
 

@@ -11,13 +11,13 @@ from __future__ import annotations
 import logging
 import math
 import sys
-from dataclasses import astuple, dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import OutOfRangeError, require_choice
 from .fuzzy import TFN
+from .record import Record
 
 __all__ = ["SourceRange", "TargetRange", "RANGE_POLICIES", "apply_range_policy",
            "rescale_endpoints", "rescale_crisp", "rescale_tfn"]
@@ -28,26 +28,28 @@ COMPONENTS = ("lo", "mode", "hi")
 RANGE_POLICIES = ("strict", "clamp")
 
 
-class _Range:
+class _Range(Record):
     """Both range types' rule: lower < upper by a finite span of at least the
     smallest normal float, so the min-max map neither overflows, nor divides
     by zero, nor loses digits to a subnormal span (its reciprocal is then
     finite too)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def _set_range(self, low: float, high: float) -> None:
+        self._set(low, high)
         if not sys.float_info.min <= self.span < math.inf:
             kind = type(self).__name__.removesuffix("Range").lower()
-            raise ValueError(f"{kind} range {list(astuple(self))} must increase by a finite "
+            raise ValueError(f"{kind} range {[low, high]} must increase by a finite "
                              f"span of at least {sys.float_info.min} (negate a descending "
                              "scale)")
 
     @property
     def span(self) -> float:
-        low, high = astuple(self)
+        low, high = self._values()
         return float(high - low)
 
 
-@dataclass(frozen=True)
 class SourceRange(_Range):
     """Inventoried range [x, y] of a factor, x < y.
 
@@ -56,16 +58,19 @@ class SourceRange(_Range):
     rescaling stays strictly increasing that way.
     """
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: float, y: float):
+        self._set_range(x, y)
 
 
-@dataclass(frozen=True)
 class TargetRange(_Range):
     """Common dimensionless range [m, M] that all factors are mapped onto."""
 
-    m: float
-    M: float
+    __slots__ = ("m", "M")
+
+    def __init__(self, m: float, M: float):
+        self._set_range(m, M)
 
 
 def apply_range_policy(values, x, y, policy: str,

@@ -9,12 +9,12 @@ is metrically honest at the city scales this targets (a few km).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, NumericError
+from .record import Record
 
 __all__ = [
     "EARTH_RADIUS_KM",
@@ -40,66 +40,59 @@ MAX_GRID_CELLS = 10_000_000
 KDE_BATCH_CELLS = 1 << 15
 
 
-@dataclass(frozen=True)
-class GeoPoint:
+class GeoPoint(Record):
     """WGS84 position in degrees, (lon, lat) order as in GeoJSON."""
 
-    lon: float
-    lat: float
+    __slots__ = ("lon", "lat")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lon) and -180.0 <= self.lon <= 180.0):
-            raise ValueError(f"longitude must be in [-180, 180], got {self.lon}")
-        if not (math.isfinite(self.lat) and -90.0 <= self.lat <= 90.0):
-            raise ValueError(f"latitude must be in [-90, 90], got {self.lat}")
+    def __init__(self, lon: float, lat: float):
+        if not (math.isfinite(lon) and -180.0 <= lon <= 180.0):
+            raise ValueError(f"longitude must be in [-180, 180], got {lon}")
+        if not (math.isfinite(lat) and -90.0 <= lat <= 90.0):
+            raise ValueError(f"latitude must be in [-90, 90], got {lat}")
+        self._set(lon, lat)
 
 
-@dataclass(frozen=True)
-class ScoredPoint:
+class ScoredPoint(Record):
     """A location carrying a non-negative weight (a defuzzified value)."""
 
-    point: GeoPoint
-    weight: float
+    __slots__ = ("point", "weight")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.weight) and self.weight >= 0.0):
-            raise ValueError(f"weight must be finite and non-negative, got {self.weight}")
+    def __init__(self, point: GeoPoint, weight: float):
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise ValueError(f"weight must be finite and non-negative, got {weight}")
+        self._set(point, weight)
 
 
-@dataclass(frozen=True)
-class HotSpot:
+class HotSpot(Record):
     """Local maximum of the density surface."""
 
-    center: GeoPoint
-    score: float
-    label: str
+    __slots__ = ("center", "score", "label")
 
-    def __post_init__(self):
-        if not self.score > 0.0:
-            raise ValueError(f"hotspot score must be positive, got {self.score}")
+    def __init__(self, center: GeoPoint, score: float, label: str):
+        if not score > 0.0:
+            raise ValueError(f"hotspot score must be positive, got {score}")
+        self._set(center, score, label)
 
 
-@dataclass(frozen=True)
-class Tour:
+class Tour(Record):
     """Closed walking circuit over hotspots.  ``stops`` lists each hotspot
     once; the circuit returns to the first stop."""
 
-    stops: tuple[HotSpot, ...]
-    length_km: float
-    duration_hours: tuple[float, float, float] | None = None
+    __slots__ = ("stops", "length_km", "duration_hours")
 
-    def __post_init__(self):
-        object.__setattr__(self, "stops", tuple(self.stops))
-        if self.length_km < 0.0:
+    def __init__(self, stops: Iterable[HotSpot], length_km: float,
+                 duration_hours: tuple[float, float, float] | None = None):
+        self._set(tuple(stops), length_km, duration_hours)
+        if length_km < 0.0:
             raise ValueError("tour length cannot be negative")
-        if self.duration_hours is not None:
-            dmin, davg, dmax = self.duration_hours
+        if duration_hours is not None:
+            dmin, davg, dmax = duration_hours
             if not dmin <= davg <= dmax:
-                raise ValueError(f"duration bounds must be ordered, got {self.duration_hours}")
+                raise ValueError(f"duration bounds must be ordered, got {duration_hours}")
 
 
-@dataclass(frozen=True)
-class DensityGrid:
+class DensityGrid(Record):
     """Regular grid of density values in a local equirectangular frame.
 
     ``center`` is the projection reference; ``(x0, y0)`` locate the grid's
@@ -107,22 +100,19 @@ class DensityGrid:
     the density at the cell centre, row 0 being the southernmost row.
     """
 
-    center: GeoPoint
-    x0: float
-    y0: float
-    cell_m: float
-    values: np.ndarray
+    __slots__ = ("center", "x0", "y0", "cell_m", "values")
 
-    def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+    def __init__(self, center: GeoPoint, x0: float, y0: float, cell_m: float,
+                 values: np.ndarray):
+        v = np.array(values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"grid values must be a 2-d array, got shape {v.shape}")
         if not (v.min() >= 0.0 and v.max() < math.inf):   # NaN fails both
             raise ValueError("grid values must be finite and non-negative")
-        if not self.cell_m > 0:
-            raise ValueError(f"cell size must be positive, got {self.cell_m}")
+        if not cell_m > 0:
+            raise ValueError(f"cell size must be positive, got {cell_m}")
         v.flags.writeable = False
-        object.__setattr__(self, "values", v)
+        self._set(center, x0, y0, cell_m, v)
 
     @property
     def nrows(self) -> int:

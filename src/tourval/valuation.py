@@ -10,7 +10,6 @@ values a whole (attractions, factors, 3) array of scores at once, as one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -19,6 +18,7 @@ from . import fuzzy
 from .ahp import validate_weights
 from .errors import ConfigError, InputError
 from .fuzzy import TFN
+from .record import Record
 from .rescale import (COMPONENTS, SourceRange, TargetRange, apply_range_policy,
                       rescale_endpoints)
 from .rounding import round6
@@ -50,24 +50,20 @@ DEFAULT_SCALE = (0.0, 100.0)
 TIERS = ("Low", "Medium", "High")
 
 
-@dataclass(frozen=True)
-class FactorDefinition:
+class FactorDefinition(Record):
     """One evaluation factor: id, display name, inventoried range, weight."""
 
-    id: str
-    name: str
-    src: SourceRange
-    weight: float
+    __slots__ = ("id", "name", "src", "weight")
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id: str, name: str, src: SourceRange, weight: float):
+        if not id:
             raise ValueError("factor id must be nonempty")
-        if not 0.0 <= self.weight <= 1.0:
-            raise ValueError(f"factor {self.id!r}: weight must be in [0, 1], got {self.weight}")
+        if not 0.0 <= weight <= 1.0:
+            raise ValueError(f"factor {id!r}: weight must be in [0, 1], got {weight}")
+        self._set(id, name, src, weight)
 
 
-@dataclass(frozen=True)
-class FactorCatalogue:
+class FactorCatalogue(Record):
     """Ordered factor list plus the shared target range.
 
     Weights must pass ``ahp.validate_weights`` (sum 1 within its tolerance);
@@ -75,12 +71,11 @@ class FactorCatalogue:
     result.
     """
 
-    factors: tuple[FactorDefinition, ...]
-    target: TargetRange
+    __slots__ = ("factors", "target")
 
-    def __post_init__(self):
-        factors = tuple(self.factors)
-        object.__setattr__(self, "factors", factors)
+    def __init__(self, factors: Iterable[FactorDefinition], target: TargetRange):
+        factors = tuple(factors)
+        self._set(factors, target)
         if not factors:
             raise ValueError("catalogue must contain at least one factor")
         ids = [f.id for f in factors]
@@ -107,37 +102,34 @@ class FactorCatalogue:
                 np.array([[f.src.y] for f in self.factors], dtype=float))
 
 
-@dataclass(frozen=True)
-class AttractionEvaluation:
+class AttractionEvaluation(Record):
     """Expert-aggregated TFN score per factor for one attraction."""
 
-    attraction_id: str
-    scores: Mapping[str, TFN]
+    __slots__ = ("attraction_id", "scores")
+
+    def __init__(self, attraction_id: str, scores: Mapping[str, TFN]):
+        self._set(attraction_id, scores)
 
 
-@dataclass(frozen=True)
-class ValuationResult:
+class ValuationResult(Record):
     """Valuation of one attraction: fuzzy index, crisp value, tier."""
 
-    attraction_id: str
-    ftv: TFN
-    crisp: float
-    tier: str | None = None
+    __slots__ = ("attraction_id", "ftv", "crisp", "tier")
+
+    def __init__(self, attraction_id: str, ftv: TFN, crisp: float, tier: str | None = None):
+        self._set(attraction_id, ftv, crisp, tier)
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(Record):
     """Attractions valued, as columns in ``rank`` order (row ``i`` has rank ``i + 1``): ids,
     FTVs, crisp and printed (``round6``) values and tiers; iterating yields ``ValuationResult``s."""
 
-    ids: tuple[str, ...]
-    ftv: np.ndarray     # (n, 3)
-    crisp: np.ndarray   # (n,)
-    tiers: tuple[str | None, ...]
-    printed: list[float] = field(init=False)
+    __slots__ = ("ids", "ftv", "crisp", "tiers", "printed")
 
-    def __post_init__(self):
-        object.__setattr__(self, "printed", list(map(round6, self.crisp.tolist())))
+    def __init__(self, ids: tuple[str, ...], ftv: np.ndarray, crisp: np.ndarray,
+                 tiers: tuple[str | None, ...]):
+        # ftv is (n, 3), crisp (n,)
+        self._set(ids, ftv, crisp, tiers, list(map(round6, crisp.tolist())))
 
     def __iter__(self) -> Iterator[ValuationResult]:
         return map(ValuationResult, self.ids, (TFN(*row) for row in self.ftv.tolist()),

@@ -123,7 +123,7 @@ class TestValidateWeights:
     def test_out_of_unit_entries_reported(self):
         check = validate_weights([0.5, 1.2, -0.7])
         assert not check.ok
-        assert check.offending_indices == (1, 2)
+        assert "weights outside [0, 1] at indices [1, 2]" in check.detail
 
     def test_exact_sum_passes(self):
         assert validate_weights([0.25, 0.25, 0.5]).ok

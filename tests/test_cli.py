@@ -78,6 +78,35 @@ class TestValidate:
         assert err.startswith("error:") and key in err
         assert not (config_path.parent / "out").exists()
 
+    @pytest.mark.parametrize("key, value, rule", [
+        ("out_dir", ["a"], "a path string"),
+        ("out_dir", {"a": 1}, "a path string"),
+        ("out_dir", 5, "a path string"),
+        ("kde.cell_m", "10", "a number"),
+        ("kde.merge_radius_m", "0", "a number"),
+        ("tour.walk_speed_kmh", "4", "a number"),
+        ("target", [0, "100"], "a list of numbers"),
+        ("tier_thresholds", ["a", "b"], "a list of numbers"),
+        ("tour.dwell_minutes", 5, "a list of numbers"),
+    ])
+    def test_setting_of_the_wrong_json_type_exits_3(self, dataset_builder, tmp_path,
+                                                    monkeypatch, capsys, key, value, rule):
+        """A path setting takes a JSON string, a numeric one a number or a
+        list of numbers; any other value is a configuration error that names
+        its key, and nothing is written, not even under the value as a name."""
+        monkeypatch.chdir(tmp_path)
+        *objects, name = key.split(".")
+        extra = {name: value}
+        for outer in objects:
+            extra = {outer: extra}
+        config_path = dataset_builder(config_extra=extra)
+        inputs = sorted(tmp_path.iterdir())
+        code = invoke("run", "--config", str(config_path))
+        err = capsys.readouterr().err
+        assert code == 3
+        assert f"{': '.join(key.split('.'))} must be {rule}, got {value!r}" in err
+        assert sorted(tmp_path.iterdir()) == inputs
+
 
 class TestRun:
     def test_more_hotspots_than_the_planner_takes_exit_3(self, dataset_builder, capsys):

@@ -1048,8 +1048,8 @@ def results_inputs(draw, config, ingested):
     retained = [r for r in ranked if draw(st.booleans())]
     report = draw(st.sampled_from([None, derive_weights([[1.0, 3.0], [1 / 3, 1.0]]),
                                    derive_weights([[1, 2, 0.5], [0.5, 1, 4], [2, 0.25, 1]])]))
-    ingested = replace(ingested, names=names, weight_report=report,
-                       weight_source="column" if report is None else "pairwise")
+    ingested = ingested.replace(names=names, weight_report=report,
+                                weight_source="column" if report is None else "pairwise")
     hotspots = tuple(HotSpot(GeoPoint(-75.8 - i * 1e-3, 20.0 + i * 1e-7), score, f"H{i + 1}")
                      for i, score in enumerate(draw(st.lists(POSITIVE, max_size=3))))
     tour = None

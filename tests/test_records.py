@@ -1,0 +1,276 @@
+"""The value-record contract: every record but the three run settings is a
+``Record`` and behaves as the frozen dataclass it replaces did."""
+
+import copy
+import dataclasses
+import importlib
+import math
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+from typing import Any, NamedTuple
+
+import numpy as np
+import pytest
+
+import tourval
+from tourval import TriangularFuzzyNumber as TFN
+from tourval.ahp import WeightCheck, WeightReport
+from tourval.errors import ConfigError
+from tourval.fuzzy import Interval
+from tourval.pipeline import IngestResult, PipelineOutput
+from tourval.record import Record
+from tourval.rescale import SourceRange, TargetRange
+from tourval.spatial import DensityGrid, GeoPoint, HotSpot, ScoredPoint, Tour
+from tourval.valuation import (AttractionEvaluation, FactorCatalogue, FactorDefinition,
+                               Valuation, ValuationResult)
+
+SOURCE_ROOT = Path(tourval.__file__).resolve().parents[1]
+
+
+class Case(NamedTuple):
+    cls: type
+    fields: dict[str, Any]          # every __init__ argument, in order
+    defaults: dict[str, Any]        # the arguments that may be left out, and their defaults
+    text: str                       # the repr
+    bad: tuple[dict, type, str]     # changes that __init__ refuses, the error, its message
+    hashable: bool = True
+
+
+POINT = GeoPoint(-75.8, 20.0)
+SPOT = HotSpot(POINT, 2.5, "H1")
+SOURCE = SourceRange(0.0, 5.0)
+TARGET = TargetRange(0.0, 100.0)
+FACTOR = FactorDefinition("f1", "Condition", SOURCE, 1.0)
+CATALOGUE = FactorCatalogue((FACTOR,), TARGET)
+ONE = TFN(1.0, 2.0, 3.0)
+VALUATION = Valuation(("a1",), np.array([[1.0, 2.0, 3.0]]), np.array([2.0]), ("Low",))
+POINT_TEXT = "GeoPoint(lon=-75.8, lat=20.0)"
+SPOT_TEXT = f"HotSpot(center={POINT_TEXT}, score=2.5, label='H1')"
+FACTOR_TEXT = ("FactorDefinition(id='f1', name='Condition', src=SourceRange(x=0.0, y=5.0), "
+               "weight=1.0)")
+ONE_TEXT = "TriangularFuzzyNumber(lo=1.0, mode=2.0, hi=3.0)"
+VALUATION_TEXT = ("Valuation(ids=('a1',), ftv=array([[1., 2., 3.]]), crisp=array([2.]), "
+                  "tiers=('Low',), printed=[2.0])")
+SPAN = "must increase by a finite span of at least 2.2250738585072014e-308 (negate a " \
+       "descending scale)"
+
+CASES = [
+    Case(TFN, dict(lo=1.0, mode=2.0, hi=3.0), {}, ONE_TEXT,
+         ({"mode": 4.0}, ValueError, "TFN components must be finite and satisfy "
+                                     "lo <= mode <= hi, got (1.0, 4.0, 3.0)")),
+    Case(Interval, dict(low=1.0, high=2.0), {}, "Interval(low=1.0, high=2.0)",
+         ({"low": 3.0}, ValueError, "interval requires low <= high, got [3.0, 2.0]")),
+    Case(SourceRange, dict(x=0.0, y=5.0), {}, "SourceRange(x=0.0, y=5.0)",
+         ({"y": 0.0}, ValueError, f"source range [0.0, 0.0] {SPAN}")),
+    Case(TargetRange, dict(m=0.0, M=100.0), {}, "TargetRange(m=0.0, M=100.0)",
+         ({"M": math.inf}, ValueError, f"target range [0.0, inf] {SPAN}")),
+    Case(WeightReport, dict(weights=(0.75, 0.25), lambda_max=2.0, consistency_index=0.0,
+                            consistency_ratio=0.0), {},
+         "WeightReport(weights=(0.75, 0.25), lambda_max=2.0, consistency_index=0.0, "
+         "consistency_ratio=0.0)", None),
+    Case(WeightCheck, dict(ok=False, detail="sum 2 differs"), {"detail": ""},
+         "WeightCheck(ok=False, detail='sum 2 differs')", None),
+    Case(GeoPoint, dict(lon=-75.8, lat=20.0), {}, POINT_TEXT,
+         ({"lat": 91.0}, ValueError, "latitude must be in [-90, 90], got 91.0")),
+    Case(ScoredPoint, dict(point=POINT, weight=80.5), {},
+         f"ScoredPoint(point={POINT_TEXT}, weight=80.5)",
+         ({"weight": -1.0}, ValueError, "weight must be finite and non-negative, got -1.0")),
+    Case(HotSpot, dict(center=POINT, score=2.5, label="H1"), {}, SPOT_TEXT,
+         ({"score": 0.0}, ValueError, "hotspot score must be positive, got 0.0")),
+    Case(Tour, dict(stops=(SPOT,), length_km=1.5, duration_hours=(0.5, 0.75, 1.0)),
+         {"duration_hours": None},
+         f"Tour(stops=({SPOT_TEXT},), length_km=1.5, duration_hours=(0.5, 0.75, 1.0))",
+         ({"duration_hours": (1.0, 0.5, 2.0)}, ValueError,
+          "duration bounds must be ordered, got (1.0, 0.5, 2.0)")),
+    Case(DensityGrid, dict(center=POINT, x0=-10.0, y0=-20.0, cell_m=5.0,
+                           values=np.array([[0.5]])), {},
+         f"DensityGrid(center={POINT_TEXT}, x0=-10.0, y0=-20.0, cell_m=5.0, "
+         "values=array([[0.5]]))",
+         ({"cell_m": 0.0}, ValueError, "cell size must be positive, got 0.0"), hashable=False),
+    Case(FactorDefinition, dict(id="f1", name="Condition", src=SOURCE, weight=1.0), {},
+         FACTOR_TEXT,
+         ({"weight": 2.0}, ValueError, "factor 'f1': weight must be in [0, 1], got 2.0")),
+    Case(FactorCatalogue, dict(factors=(FACTOR,), target=TARGET), {},
+         f"FactorCatalogue(factors=({FACTOR_TEXT},), target=TargetRange(m=0.0, M=100.0))",
+         ({"factors": (FACTOR, FACTOR)}, ValueError, "duplicate factor ids in catalogue: f1")),
+    Case(AttractionEvaluation, dict(attraction_id="a1", scores={"f1": ONE}), {},
+         f"AttractionEvaluation(attraction_id='a1', scores={{'f1': {ONE_TEXT}}})", None,
+         hashable=False),
+    Case(ValuationResult, dict(attraction_id="a1", ftv=ONE, crisp=2.0, tier="Low"),
+         {"tier": None},
+         f"ValuationResult(attraction_id='a1', ftv={ONE_TEXT}, crisp=2.0, tier='Low')", None),
+    Case(Valuation, dict(ids=("a1",), ftv=VALUATION.ftv, crisp=VALUATION.crisp,
+                         tiers=("Low",)), {}, VALUATION_TEXT, None, hashable=False),
+    Case(IngestResult, dict(catalogue=CATALOGUE, scores=np.array([[[1.0, 2.0, 3.0]]]),
+                            names={"a1": "First"}, locations={"a1": POINT},
+                            weight_source="column", weight_report=None, judgements=1), {},
+         f"IngestResult(catalogue=FactorCatalogue(factors=({FACTOR_TEXT},), "
+         "target=TargetRange(m=0.0, M=100.0)), scores=array([[[1., 2., 3.]]]), "
+         f"names={{'a1': 'First'}}, locations={{'a1': {POINT_TEXT}}}, weight_source='column', "
+         "weight_report=None, judgements=1)", None, hashable=False),
+    Case(PipelineOutput, dict(results=VALUATION, retained=("a1",), weight_source=None,
+                              weight_report=None, hotspots=(SPOT,), tour=None, written=()), {},
+         f"PipelineOutput(results={VALUATION_TEXT}, retained=('a1',), weight_source=None, "
+         f"weight_report=None, hotspots=({SPOT_TEXT},), tour=None, written=())", None,
+         hashable=False),
+]
+IDS = [case.cls.__name__ for case in CASES]
+
+
+def make(case: Case):
+    return case.cls(*case.fields.values())
+
+
+def same(a, b) -> bool:
+    """Equal in type and field by field; arrays by their elements."""
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def test_eighteen_records():
+    assert len({case.cls for case in CASES}) == 18
+    assert all(issubclass(case.cls, Record) for case in CASES)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_positional_and_keyword_construction(case):
+    record = make(case)
+    assert all(repr(getattr(record, name)) == repr(value) for name, value in case.fields.items())
+    assert same(case.cls(**case.fields), record)
+    required = {name: value for name, value in case.fields.items() if name not in case.defaults}
+    for left_out in (case.cls(*required.values()), case.cls(**required)):
+        for name, default in case.defaults.items():
+            assert getattr(left_out, name) == default
+
+
+@pytest.mark.parametrize("case", [case for case in CASES if case.bad], ids=lambda c: c.cls.__name__)
+def test_validation_messages(case):
+    changes, error, message = case.bad
+    with pytest.raises(error) as raised:
+        case.cls(**{**case.fields, **changes})
+    assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_assignment_and_deletion_refused(case):
+    record = make(case)
+    for name in [*case.fields, "unknown"]:
+        with pytest.raises(AttributeError):
+            setattr(record, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert repr(record) == case.text
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_equality_and_hash_by_value(case):
+    a, b = make(case), make(case)
+    assert a == b and not a != b
+    if case.hashable:
+        assert hash(a) == hash(b) and len({a, b}) == 1
+    else:
+        with pytest.raises(TypeError):
+            hash(a)
+    other = CASES[(CASES.index(case) + 1) % len(CASES)]
+    assert a != make(other) and a.__eq__(make(other)) is NotImplemented
+    plain = tuple(case.fields.values())
+    assert a != plain and a.__eq__(plain) is NotImplemented
+
+
+def test_equal_fields_of_another_class_differ():
+    assert SourceRange(0.0, 5.0) != TargetRange(0.0, 5.0)
+    assert SourceRange(0.0, 5.0) != Interval(0.0, 5.0)
+    assert GeoPoint(1.0, 2.0) != Interval(1.0, 2.0)
+    assert ValuationResult("a1", ONE, 2.0) != ValuationResult("a1", ONE, 2.5)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_repr(case):
+    assert repr(make(case)) == case.text
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_copy_deepcopy_and_pickle(case):
+    record = make(case)
+    for twin in (copy.copy(record), copy.deepcopy(record),
+                 *(pickle.loads(pickle.dumps(record, protocol))
+                   for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+        assert twin is not record and same(twin, record)
+        with pytest.raises(AttributeError):
+            setattr(twin, next(iter(case.fields)), 1)
+
+
+@pytest.mark.parametrize("case", CASES, ids=IDS)
+def test_replace_builds_again(case):
+    record = make(case)
+    assert same(record.replace(), record)
+    name, value = next(iter(case.fields.items()))
+    changed = record.replace(**{name: value})
+    assert same(changed, record) and changed is not record
+    with pytest.raises(TypeError):
+        record.replace(no_such_field=1)
+    if case.bad:
+        changes, error, message = case.bad
+        with pytest.raises(error) as raised:
+            record.replace(**changes)
+        assert str(raised.value) == message
+
+
+def test_replace_keeps_the_other_fields_and_coerces_again():
+    tour = Tour([SPOT], 1.5)
+    timed = tour.replace(duration_hours=(0.5, 0.75, 1.0))
+    assert timed == Tour((SPOT,), 1.5, (0.5, 0.75, 1.0)) and tour.duration_hours is None
+    assert tour.replace(stops=[SPOT, SPOT]).stops == (SPOT, SPOT)
+    assert TFN(1, 2, 3).replace(hi=4).as_tuple() == (1.0, 2.0, 4.0)
+    assert type(TFN(1, 2, 3).replace(hi=4).hi) is float
+    assert FACTOR.replace(weight=0.5) == FactorDefinition("f1", "Condition", SOURCE, 0.5)
+    heavier = FactorDefinition("f2", "Impact", SOURCE, 0.5)
+    with pytest.raises(ConfigError, match="factor weights: sum 1.5 differs from 1"):
+        CATALOGUE.replace(factors=[FACTOR, heavier])
+
+
+def test_derived_and_coerced_fields():
+    assert Valuation(("a", "b"), np.zeros((2, 3)), np.array([66.0000004, 1.5]),
+                     (None, None)).printed == [66.0, 1.5]
+    values = np.array([[0.5, 1.0]])
+    grid = DensityGrid(POINT, 0.0, 0.0, 5.0, values)
+    assert grid.values is not values and not grid.values.flags.writeable
+    assert FactorCatalogue([FACTOR], TARGET).factors == (FACTOR,)
+
+
+def test_only_the_run_settings_are_dataclasses():
+    """Among the public names, and among all classes of the package's
+    modules, only the three run settings are dataclasses."""
+    public = {name: getattr(tourval, name) for name in tourval.__all__}
+    modules = [importlib.import_module(f"tourval.{name}") for name in (
+        "ahp", "cli", "datasets", "errors", "fuzzy", "pipeline", "record", "render",
+        "rescale", "rounding", "spatial", "valuation")]
+    for module in modules:
+        public.update((name, getattr(module, name)) for name in getattr(module, "__all__", ()))
+    assert sorted(name for name, value in public.items()
+                  if isinstance(value, type) and dataclasses.is_dataclass(value)) == \
+        ["KdeSettings", "RunConfig", "TourSettings"]
+    assert sorted(name for name, value in tourval.__dict__.items()
+                  if isinstance(value, type) and dataclasses.is_dataclass(value)) == ["RunConfig"]
+    classes = {value for module in modules for value in vars(module).values()
+               if isinstance(value, type) and value.__module__ == module.__name__}
+    assert sorted(c.__name__ for c in classes if dataclasses.is_dataclass(c)) == \
+        ["KdeSettings", "RunConfig", "TourSettings"]
+
+
+def test_import_creates_three_dataclasses():
+    """Counted in a fresh interpreter, where the import runs every class body."""
+    counter = ("import dataclasses, sys\n"
+               "made = []\n"
+               "process = dataclasses._process_class\n"
+               "def counted(cls, *args, **kwargs):\n"
+               "    made.append(cls.__name__)\n"
+               "    return process(cls, *args, **kwargs)\n"
+               "dataclasses._process_class = counted\n"
+               "import tourval.cli\n"
+               "print(' '.join(sorted(made)))\n")
+    done = subprocess.run([sys.executable, "-c", counter], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(SOURCE_ROOT)})
+    assert done.stdout.split() == ["KdeSettings", "RunConfig", "TourSettings"]

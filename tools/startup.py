@@ -1,0 +1,110 @@
+"""Print how long `import tourval.cli` takes beside the benchmark's reference
+child, with and without a bytecode cache, and how many dataclasses it makes.
+
+Usage: python3 tools/startup.py [PAIRS]
+
+src/tourval is copied, without any bytecode, into a temporary directory,
+and each child imports it from there.  PAIRS (default 15) interleaved pairs
+of two fresh interpreters are timed from spawn to exit: `import tourval.cli`
+and bench/run.py's reference child, `import csv, json, numpy`, the tourval
+child first in odd pairs and second in even ones.  The pairs run twice:
+
+- without bytecode: PYTHONDONTWRITEBYTECODE=1, so every tourval child
+  compiles the package again, as the benchmark's children do when they
+  inherit that variable;
+- with a warm cache: PYTHONPYCACHEPREFIX set to a directory in the
+  temporary directory, filled by one untimed child of each kind first.
+
+For each condition the two medians and their difference are printed.  A
+last child counts the classes that `dataclasses` processes while it imports
+tourval.cli.  This process imports nothing from tourval or numpy.
+
+Exit status: 0 on success; 1 when a child fails; 2 on bad arguments.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+IMPORT = "import tourval.cli"
+# bench/run.py's REFERENCE child
+REFERENCE = "import csv, json, numpy"
+COUNT = """
+import dataclasses
+made = []
+process = dataclasses._process_class
+def counted(cls, *args, **kwargs):
+    made.append(cls.__name__)
+    return process(cls, *args, **kwargs)
+dataclasses._process_class = counted
+import tourval.cli
+print(len(made), ", ".join(sorted(made)))
+"""
+
+
+class ChildFailed(Exception):
+    pass
+
+
+def _child(code: str, env: dict[str, str]) -> tuple[float, str]:
+    """Wall time of one ``python -c code`` and its standard output."""
+    start = time.perf_counter()
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    if done.returncode:
+        reason = (done.stderr.strip().splitlines() or ["no message"])[-1]
+        raise ChildFailed(f"a child exited {done.returncode}: {reason}")
+    return wall, done.stdout
+
+
+def _pairs(pairs: int, env: dict[str, str]) -> tuple[float, float]:
+    """Median wall times of the tourval and the reference child."""
+    times: dict[str, list[float]] = {IMPORT: [], REFERENCE: []}
+    for pair in range(pairs):
+        for code in (IMPORT, REFERENCE) if pair % 2 == 0 else (REFERENCE, IMPORT):
+            times[code].append(_child(code, env)[0])
+    return statistics.median(times[IMPORT]), statistics.median(times[REFERENCE])
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) > 1 or argv and not (argv[0].isdigit() and int(argv[0]) > 0):
+        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        return 2
+    pairs = int(argv[0]) if argv else 15
+    with tempfile.TemporaryDirectory(prefix="startup-") as tmp:
+        source = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src" / "tourval", source / "tourval",
+                        ignore=shutil.ignore_patterns("__pycache__", "*.pyc"))
+        base = {key: value for key, value in os.environ.items()
+                if key not in ("PYTHONDONTWRITEBYTECODE", "PYTHONPYCACHEPREFIX")}
+        # one BLAS thread, as bench/run.py gives its children
+        base.update(PYTHONPATH=str(source), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                    MKL_NUM_THREADS="1")
+        cold = {**base, "PYTHONDONTWRITEBYTECODE": "1"}
+        warm = {**base, "PYTHONPYCACHEPREFIX": str(Path(tmp) / "pycache")}
+        try:
+            print(f"{IMPORT!r} against {REFERENCE!r}, medians of {pairs} interleaved pairs")
+            for label, env in (("without bytecode", cold), ("warm bytecode cache", warm)):
+                _child(IMPORT, env), _child(REFERENCE, env)   # untimed; fills a warm cache
+                tourval, reference = _pairs(pairs, env)
+                print(f"{label}: tourval {tourval:.4f} s, reference {reference:.4f} s, "
+                      f"difference {tourval - reference:+.4f} s")
+            count = _child(COUNT, cold)[1].strip()
+        except ChildFailed as e:
+            print(f"error: {e}", file=sys.stderr)
+            return 1
+    number, _, names = count.partition(" ")
+    print(f"dataclasses made by {IMPORT!r}: {number} ({names})")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
