@@ -28,6 +28,7 @@ import math
 import operator
 import os
 import sys
+from array import array
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
@@ -95,6 +96,10 @@ class TourSettings:
 
 # text chunks joined into one ``write`` by ``_write_all``: about 330 KB of map text
 WRITE_BLOCK_CHUNKS = 1024
+
+# evaluations.csv rows whose number cells ``load_evaluations`` holds as text
+# before it parses them into one float array: about 0.7 MB of text
+_NUMBER_BLOCK_ROWS = 4096
 
 # the input files, whose relative paths ``load_config`` takes from the config's directory
 _INPUTS = ("factors", "evaluations", "attractions", "pairwise")
@@ -298,33 +303,57 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], W
 
 
 def load_evaluations(path: Path, catalogue_ids: Iterable[str]
-                     ) -> tuple[list[str], np.ndarray, np.ndarray, list[int], np.ndarray]:
+                     ) -> tuple[list[str], np.ndarray, np.ndarray, array, np.ndarray]:
     """Long-format expert judgements in file order: the distinct attraction
     ids in order of first appearance, each row's index into them, factor
-    catalogue indices, file lines and an (n, 3) array of (lo, mode, hi).
-    Errors name their line.  The id rules are checked row by row; then the
-    duplicates, the numbers and the TFN rule, in that order, each over the
-    whole file and reporting its first offending line."""
+    catalogue indices, file lines (an ``array('l')``) and an (n, 3) array of
+    (lo, mode, hi).  Errors name their line.  The id rules are checked row by
+    row; then the duplicates, the numbers and the TFN rule, in that order,
+    each over the whole file and reporting its first offending line.
+
+    The number cells are read ``_NUMBER_BLOCK_ROWS`` rows at a time: each
+    block's text is parsed into a float array before the next is read, and
+    a block that does not parse only remembers its first bad cell, which is
+    reported once the duplicates are checked."""
     known = {factor_id: k for k, factor_id in enumerate(catalogue_ids)}
     attraction_codes: dict[str, int] = {}
     expert_codes: dict[str, int] = {}
-    attractions, factors, experts, lines, numbers = [], [], [], [], []
-    for line, (attraction, factor, expert, lo, mode, hi) in _records(
-            path, ("attraction_id", "factor_id", "expert_id") + COMPONENTS):
-        attraction, factor, expert = attraction.strip(), factor.strip(), expert.strip()
-        k = known.get(factor)
-        if not attraction or not factor or not expert:
-            raise InputError(f"{path}:{line}: attraction_id, factor_id and expert_id "
-                             "must all be non-empty")
-        if k is None:
-            raise InputError(f"{path}:{line}: unknown factor id {factor!r}")
-        attractions.append(attraction_codes.setdefault(attraction, len(attraction_codes)))
-        factors.append(k)
-        experts.append(expert_codes.setdefault(expert, len(expert_codes)))
-        lines.append(line)
-        numbers.append(lo)
-        numbers.append(mode)
-        numbers.append(hi)
+    attractions, factors, experts = [], [], []
+    lines = array("l")
+    blocks: list[np.ndarray] = []
+    bad_cell: tuple[int, str] | None = None   # the first cell, in file order, not a number
+    rows = _records(path, ("attraction_id", "factor_id", "expert_id") + COMPONENTS)
+    while True:
+        block_lines, numbers = [], []
+        for line, (attraction, factor, expert, lo, mode, hi) in islice(rows, _NUMBER_BLOCK_ROWS):
+            attraction, factor, expert = attraction.strip(), factor.strip(), expert.strip()
+            k = known.get(factor)
+            if not attraction or not factor or not expert:
+                raise InputError(f"{path}:{line}: attraction_id, factor_id and expert_id "
+                                 "must all be non-empty")
+            if k is None:
+                raise InputError(f"{path}:{line}: unknown factor id {factor!r}")
+            attractions.append(attraction_codes.setdefault(attraction, len(attraction_codes)))
+            factors.append(k)
+            experts.append(expert_codes.setdefault(expert, len(expert_codes)))
+            block_lines.append(line)
+            numbers.append(lo)
+            numbers.append(mode)
+            numbers.append(hi)
+        if bad_cell is None:
+            try:
+                blocks.append(np.fromiter(map(float, map(str.strip, numbers)), float,
+                                          len(numbers)))
+            except ValueError:
+                for at, text in enumerate(numbers):
+                    try:
+                        float(text.strip())
+                    except ValueError:
+                        bad_cell = 3 * len(lines) + at, text
+                        break
+        lines.fromlist(block_lines)
+        if len(block_lines) < _NUMBER_BLOCK_ROWS:
+            break
     n = len(lines)
     codes = np.array(attractions, dtype=np.intp)
     factor_index = np.array(factors, dtype=np.intp)
@@ -340,12 +369,10 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
                          f"factor {list(known)[factors[at]]!r}, "
                          f"expert {list(expert_codes)[experts[at]]!r}")
 
-    try:
-        tfns = np.fromiter(map(float, map(str.strip, numbers)), float, 3 * n).reshape(n, 3)
-    except ValueError:
-        for at, text in enumerate(numbers):  # the first bad cell, in file order
-            _number(text, COMPONENTS[at % 3], f"{path}:{lines[at // 3]}")
-        raise
+    if bad_cell is not None:
+        at, text = bad_cell
+        _number(text, COMPONENTS[at % 3], f"{path}:{lines[at // 3]}")   # raises
+    tfns = np.concatenate(blocks).reshape(n, 3)
     bad = np.flatnonzero(~fuzzy.is_tfn(*tfns.T))
     if bad.size:
         raise InputError(f"{path}:{lines[bad[0]]}: not a TFN (finite, lo <= mode <= hi): "
@@ -435,7 +462,7 @@ def _exact_sums(rows: np.ndarray, counts: np.ndarray,
 
 
 def _expert_means(config: RunConfig, catalogue: FactorCatalogue, names: dict[str, str],
-                  judgements: tuple[list[str], np.ndarray, np.ndarray, list[int], np.ndarray]
+                  judgements: tuple[list[str], np.ndarray, np.ndarray, array, np.ndarray]
                   ) -> np.ndarray:
     """Apply the range policy to each judgement, then average the experts per
     (attraction, factor) into an (attractions, factors, 3) array.  The sums

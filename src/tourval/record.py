@@ -1,8 +1,19 @@
 """``Record``, the frozen base of tourval's value records: they compare, hash
 and print by class and field values, as frozen dataclasses do, but no code is
-generated for them when their modules are imported."""
+generated for them when their modules are imported, and an array field
+compares by shape and elements, so ``==`` always gives a bool."""
 
 from dataclasses import FrozenInstanceError
+
+import numpy as np
+
+
+def _same(a, b) -> bool:
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return bool(a == b)
 
 
 class Record:
@@ -37,7 +48,9 @@ class Record:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __eq__(self, other):
-        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        return all(map(_same, self._values(), other._values()))
 
     def __hash__(self):
         return hash((type(self), self._values()))

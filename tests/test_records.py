@@ -179,6 +179,38 @@ def test_equality_and_hash_by_value(case):
     assert a != plain and a.__eq__(plain) is NotImplemented
 
 
+ARRAY_RECORDS = [
+    pytest.param(lambda v: Valuation(("a1", "a2"), v.reshape(2, 3), v[:2].copy(), ("Low", "Low")),
+                 id="Valuation"),
+    pytest.param(lambda v: DensityGrid(POINT, 0.0, 0.0, 5.0, v.reshape(2, 3)), id="DensityGrid"),
+    pytest.param(lambda v: IngestResult(CATALOGUE, v.reshape(2, 1, 3), {"a1": "A", "a2": "B"},
+                                        {"a1": POINT, "a2": POINT}, "column", None, 2),
+                 id="IngestResult"),
+    pytest.param(lambda v: PipelineOutput(Valuation(("a1", "a2"), v.reshape(2, 3), v[:2].copy(),
+                                                    ("Low", "Low")),
+                                          ("a1",), None, None, (), None, ()),
+                 id="PipelineOutput"),
+]
+
+
+@pytest.mark.parametrize("build", ARRAY_RECORDS)
+def test_records_built_apart_compare_by_array_elements(build):
+    values = np.arange(1.0, 7.0)
+    a, b = build(values), build(values.copy())
+    assert (a == b) is True and (a != b) is False
+    changed = values.copy()
+    changed[-1] = 9.0
+    assert (a == build(changed)) is False and (a != build(changed)) is True
+    assert a.__eq__(tuple(a._values())) is NotImplemented and a != tuple(a._values())
+
+
+def test_array_fields_of_other_shapes_differ():
+    grid = DensityGrid(POINT, 0.0, 0.0, 5.0, np.zeros((2, 3)))
+    assert grid != grid.replace(values=np.zeros((3, 2)))
+    assert grid != grid.replace(values=np.zeros((1, 6)))
+    assert grid == grid.replace(values=np.zeros((2, 3)))
+
+
 def test_equal_fields_of_another_class_differ():
     assert SourceRange(0.0, 5.0) != TargetRange(0.0, 5.0)
     assert SourceRange(0.0, 5.0) != Interval(0.0, 5.0)

@@ -9,7 +9,10 @@ the standard library, and the child's own ru_maxrss (from wait4) is
 printed.  Linux keeps a process's high-water mark across exec, so a child
 started from a large parent, such as bench/run.py after it has imported
 numpy, reports at least that parent's size; this parent's own peak is
-printed beside the child's to show that floor.
+printed beside the child's to show that floor.  The peak of a child that
+only runs `import tourval.cli` (the interpreter, numpy and tourval's
+modules) is printed too, so the share of the command's peak that its run
+adds can be read off.
 
 Exit status: 0 on success; 1 when a child fails; 2 on bad arguments.
 """
@@ -74,9 +77,14 @@ def main(argv: list[str]) -> int:
             if code:
                 print(f"error: tourval {step} exited {code}: {err.strip()}", file=sys.stderr)
                 return 1
+    code, imported, err = _child([sys.executable, "-c", "import tourval.cli"])
+    if code:
+        print(f"error: import tourval.cli exited {code}: {err.strip()}", file=sys.stderr)
+        return 1
     parent = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    print(f"{name} seed {seed}: tourval {command} peak RSS {peak:.1f} MiB "
-          f"(this parent: {parent:.1f} MiB)")
+    print(f"{name} seed {seed}: tourval {command} peak RSS {peak:.1f} MiB, "
+          f"{peak - imported:.1f} MiB above import tourval.cli alone ({imported:.1f} MiB; "
+          f"this parent: {parent:.1f} MiB)")
     return 0
 
 
