@@ -14,7 +14,6 @@ Equivalent CLI:  python3 -m tourval.cli run --config <sample>/config.json --out 
 
 import json
 import tempfile
-from dataclasses import replace
 from pathlib import Path
 
 from tourval import datasets
@@ -28,7 +27,7 @@ for name in ("config.json", "factors.csv", "evaluations.csv", "attractions.csv")
 # --- 1. Run everything ---
 
 out_dir = Path(tempfile.mkdtemp(prefix="tourval_demo_")) / "out"
-config = replace(load_config(sample / "config.json"), out_dir=out_dir)
+config = load_config(sample / "config.json").replace(out_dir=out_dir)
 output = run_pipeline(config)
 
 print(f"\n--- 1. Valuation (weights from {output.weight_source}) ---")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline, render
@@ -67,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
 def _effective_config(args: argparse.Namespace) -> RunConfig:
     config = load_config(args.config)
     if getattr(args, "clamp", False):
-        config = replace(config, range_policy="clamp")
+        config = config.replace(range_policy="clamp")
     if getattr(args, "out", None) is not None:
-        config = replace(config, out_dir=args.out)
+        config = config.replace(out_dir=args.out)
     return config
 
 

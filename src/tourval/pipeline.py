@@ -27,9 +27,7 @@ import logging
 import math
 import operator
 import os
-import sys
 from array import array
-from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
@@ -38,7 +36,8 @@ import numpy as np
 
 from . import fuzzy, render
 from .ahp import CR_LIMIT, WeightReport, derive_weights
-from .errors import ConfigError, InputError, NumericError, require_choice
+from .errors import (ConfigError, InputError, NumericError, require_choice,
+                     require_number, require_numbers)
 from .record import Record
 from .rescale import (COMPONENTS, RANGE_POLICIES, SourceRange, TargetRange,
                       apply_range_policy)
@@ -67,31 +66,28 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class KdeSettings:
-    bandwidth_m: float = 100.0
-    cell_m: float = 10.0
-    hotspot_percentile: float = 90.0
-    merge_radius_m: float = 0.0
+class KdeSettings(Record):
+    __slots__ = ("bandwidth_m", "cell_m", "hotspot_percentile", "merge_radius_m")
 
-    def __post_init__(self):
-        require_positive(self.bandwidth_m, "kde.bandwidth_m")
-        require_positive(self.cell_m, "kde.cell_m")
-        require_percentile(self.hotspot_percentile, "kde.hotspot_percentile")
-        if not 0 <= self.merge_radius_m < math.inf:
+    def __init__(self, bandwidth_m: float = 100.0, cell_m: float = 10.0,
+                 hotspot_percentile: float = 90.0, merge_radius_m: float = 0.0):
+        require_positive(bandwidth_m, "kde.bandwidth_m")
+        require_positive(cell_m, "kde.cell_m")
+        require_percentile(hotspot_percentile, "kde.hotspot_percentile")
+        require_number(merge_radius_m, "kde.merge_radius_m")
+        if not 0 <= merge_radius_m < math.inf:
             raise ConfigError(
-                f"kde.merge_radius_m must be finite and not negative, got {self.merge_radius_m}")
+                f"kde.merge_radius_m must be finite and not negative, got {merge_radius_m}")
+        self._set(bandwidth_m, cell_m, hotspot_percentile, merge_radius_m)
 
 
-@dataclass(frozen=True)
-class TourSettings:
-    walk_speed_kmh: float = 4.0
-    dwell_minutes: tuple[float, float, float] = (0.0, 0.0, 0.0)
+class TourSettings(Record):
+    __slots__ = ("walk_speed_kmh", "dwell_minutes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "dwell_minutes", tuple(self.dwell_minutes))
-        require_positive(self.walk_speed_kmh, "tour.walk_speed_kmh")
-        require_dwell(self.dwell_minutes, "tour.dwell_minutes")
+    def __init__(self, walk_speed_kmh: float = 4.0,
+                 dwell_minutes: tuple[float, float, float] = (0.0, 0.0, 0.0)):
+        require_positive(walk_speed_kmh, "tour.walk_speed_kmh")
+        self._set(walk_speed_kmh, require_dwell(dwell_minutes, "tour.dwell_minutes"))
 
 
 # text chunks joined into one ``write`` by ``_write_all``: about 330 KB of map text
@@ -105,74 +101,51 @@ _NUMBER_BLOCK_ROWS = 4096
 _INPUTS = ("factors", "evaluations", "attractions", "pairwise")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Resolved run configuration; out_dir is made absolute against the
     working directory, the input files must exist."""
 
-    factors: Path
-    evaluations: Path
-    attractions: Path
-    pairwise: Path | None = None
-    target: tuple[float, float] = DEFAULT_SCALE
-    defuzzify: str = "centroid"
-    range_policy: str = "strict"
-    tier_thresholds: tuple[float, float] = DEFAULT_THRESHOLDS
-    filter_threshold: float = DEFAULT_THRESHOLDS[1]
-    kde: KdeSettings = field(default_factory=KdeSettings)
-    tour: TourSettings = field(default_factory=TourSettings)
-    out_dir: Path = Path("out")
+    __slots__ = ("factors", "evaluations", "attractions", "pairwise", "target", "defuzzify",
+                 "range_policy", "tier_thresholds", "filter_threshold", "kde", "tour", "out_dir")
 
-    def __post_init__(self):
-        object.__setattr__(self, "target", tuple(self.target))
-        object.__setattr__(self, "tier_thresholds", tuple(self.tier_thresholds))
-        object.__setattr__(self, "filter_threshold", float(self.filter_threshold))
-        object.__setattr__(self, "out_dir", Path(str(self.out_dir)).resolve())
-        if len(self.target) != 2:
-            raise ConfigError(f"target must be a pair (m, M), got {self.target}")
-        TargetRange(*self.target)
-        require_choice(self.defuzzify, fuzzy.DEFUZZIFY_METHODS, "defuzzify")
-        require_choice(self.range_policy, RANGE_POLICIES, "range_policy")
-        t = self.tier_thresholds
+    def __init__(self, factors: Path, evaluations: Path, attractions: Path,
+                 pairwise: Path | None = None, target: tuple[float, float] = DEFAULT_SCALE,
+                 defuzzify: str = "centroid", range_policy: str = "strict",
+                 tier_thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
+                 filter_threshold: float = DEFAULT_THRESHOLDS[1],
+                 kde: KdeSettings = KdeSettings(), tour: TourSettings = TourSettings(),
+                 out_dir: Path = Path("out")):
+        target = require_numbers(target, "target")
+        t = require_numbers(tier_thresholds, "tier_thresholds")
+        require_number(filter_threshold, "filter_threshold")
+        self._set(factors, evaluations, attractions, pairwise, target, defuzzify, range_policy,
+                  t, float(filter_threshold), kde, tour, Path(str(out_dir)).resolve())
+        if len(target) != 2:
+            raise ConfigError(f"target must be a pair (m, M), got {target}")
+        TargetRange(*target)
+        require_choice(defuzzify, fuzzy.DEFUZZIFY_METHODS, "defuzzify")
+        require_choice(range_policy, RANGE_POLICIES, "range_policy")
         if len(t) != 2 or not t[0] < t[1]:
             raise ConfigError(f"tier_thresholds must be increasing, got {t}")
-        m, big_m = self.target
+        m, big_m = target
         if not (m <= t[0] and t[1] <= big_m and m <= self.filter_threshold <= big_m):
             raise ConfigError(f"tier_thresholds {t} and filter_threshold "
-                              f"{self.filter_threshold} must lie inside target {self.target}")
-        for p in (getattr(self, key) for key in _INPUTS):
+                              f"{self.filter_threshold} must lie inside target {target}")
+        for p in (factors, evaluations, attractions, pairwise):
             if p is not None and not Path(p).is_file():
                 raise ConfigError(f"referenced file does not exist: {p}")
 
 
-def _present(raw: Any, settings: type, where: str) -> dict[str, Any]:
+def _present(raw: Any, settings: type, prefix: str = "") -> dict[str, Any]:
     """The keys of a JSON config object that are not null (null means the
-    default), after checking that it names only fields of ``settings`` and
-    that each value has its field's JSON type: a ``Path`` a string, a
-    ``float`` a number and a ``tuple`` of floats a list of numbers."""
+    default), after checking that it names only fields of ``settings``;
+    ``prefix`` is the dotted name of an object nested in the config."""
     if not isinstance(raw, dict):
-        raise ConfigError(f"{where}: expected a JSON object")
-    annotations = {f.name: f.type for f in fields(settings)}
-    unknown = sorted(set(raw) - set(annotations))
+        raise ConfigError(f"{prefix.rstrip('.') or 'the config'} must be a JSON object")
+    unknown = sorted(prefix + key for key in set(raw) - set(settings.__slots__))
     if unknown:
-        raise ConfigError(f"{where}: unknown keys: {', '.join(unknown)}")
-    present = {key: value for key, value in raw.items() if value is not None}
-    for key, value in present.items():
-        kind, values = annotations[key], value if isinstance(value, list) else [value]
-        listed = kind.startswith("tuple")
-        # Python reads true as the number 1 and keeps an integer past the float range exact
-        if any(isinstance(v, bool) or isinstance(v, int) and abs(v) > sys.float_info.max
-               for v in values):
-            why = f"takes no true, false or integer beyond the float range, got {json.dumps(value)}"
-        elif "Path" in kind and not isinstance(value, str):
-            why = f"must be a path string, got {value!r}"
-        elif "float" in kind and (isinstance(value, list) != listed
-                                  or not all(isinstance(v, (int, float)) for v in values)):
-            why = f"must be {'a list of numbers' if listed else 'a number'}, got {value!r}"
-        else:
-            continue
-        raise ConfigError(f"{where}: {key} {why}")
-    return present
+        raise ConfigError(f"unknown keys: {', '.join(unknown)}")
+    return {key: value for key, value in raw.items() if value is not None}
 
 
 def load_config(path: Path | str) -> RunConfig:
@@ -188,17 +161,19 @@ def load_config(path: Path | str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ConfigError(f"{path}: invalid JSON: {e}") from e
-    present = _present(raw, RunConfig, str(path))
     base = path.resolve().parent
     try:
-        for key in _INPUTS:
-            if key in present:
-                present[key] = (base / str(present[key])).resolve()
+        present = _present(raw, RunConfig)
+        for key in (*_INPUTS, "out_dir"):
+            if not isinstance(present.get(key, ""), str):
+                raise ConfigError(f"{key} must be a path string, got {present[key]!r}")
+            if key in present and key != "out_dir":
+                present[key] = (base / present[key]).resolve()
         for key, settings in (("kde", KdeSettings), ("tour", TourSettings)):
             if key in present:
-                present[key] = settings(**_present(present[key], settings, f"{path}: {key}"))
+                present[key] = settings(**_present(present[key], settings, f"{key}."))
         return RunConfig(**present)
-    except (TypeError, ValueError) as e:
+    except (ConfigError, TypeError, ValueError) as e:
         raise ConfigError(f"{path}: {e}") from e
 
 

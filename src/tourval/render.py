@@ -21,7 +21,6 @@ import csv
 import io
 import json
 import re
-from dataclasses import asdict
 from itertools import chain, count, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -30,6 +29,7 @@ from typing import TYPE_CHECKING, Any, Iterable, Iterator
 import numpy as np
 
 from .ahp import WeightReport
+from .record import Record
 from .rounding import print_column, round6
 from .spatial import DensityGrid, GeoPoint, HotSpot, Tour
 from .valuation import FactorCatalogue, Valuation
@@ -147,9 +147,11 @@ def results_csv(valuation: Valuation, numbers: tuple[list[str], ...]) -> str:
     return buffer.getvalue()
 
 
-def _config_echo(config: RunConfig) -> dict[str, Any]:
-    return {key: str(value) if isinstance(value, Path) else value
-            for key, value in asdict(config).items()}
+def _config_echo(settings: Record) -> dict[str, Any]:
+    """The run settings as results.json echoes them: records as objects, paths as text."""
+    return {key: _config_echo(value) if isinstance(value, Record)
+            else str(value) if isinstance(value, Path) else value
+            for key, value in zip(settings.__slots__, settings._values())}
 
 
 def weight_diagnostics(report: WeightReport) -> dict[str, Any]:

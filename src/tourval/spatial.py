@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, require_number, require_numbers
 from .record import Record
 
 __all__ = [
@@ -164,19 +164,22 @@ def _unproject(x: float, y: float, center: GeoPoint) -> GeoPoint:
 # One check per parameter rule, shared by the functions below and by the
 # run configuration (which passes its config key as ``name``).
 def require_positive(value: float, name: str) -> None:
+    require_number(value, name)
     if not 0 < value < math.inf:
         raise ConfigError(f"{name} must be positive and finite, got {value}")
 
 
 def require_percentile(value: float, name: str) -> None:
+    require_number(value, name)
     if not 0.0 < value < 100.0:
         raise ConfigError(f"{name} must be in (0, 100), got {value}")
 
 
-def require_dwell(dwell: Sequence[float], name: str) -> None:
+def require_dwell(dwell: Sequence[float], name: str) -> tuple[float, float, float]:
+    dwell = require_numbers(dwell, name)
     if len(dwell) != 3 or not 0.0 <= dwell[0] <= dwell[1] <= dwell[2] < math.inf:
-        raise ConfigError(f"{name} must be ordered finite (min, avg, max) >= 0, "
-                          f"got {tuple(dwell)}")
+        raise ConfigError(f"{name} must be ordered finite (min, avg, max) >= 0, got {dwell}")
+    return dwell
 
 
 def _grid_frame(xs: Sequence[float], ys: Sequence[float], bandwidth_m: float, cell_m: float,

@@ -28,7 +28,6 @@ import csv
 import io
 import json
 import math
-from dataclasses import asdict
 from importlib.resources import files
 from itertools import combinations, permutations
 from pathlib import Path
@@ -404,8 +403,14 @@ def map_geojson(names, locations, ranked, ranks, grid, hotspots, tour) -> str:
 
 
 def _config_echo(config) -> dict[str, Any]:
-    return {key: str(value) if isinstance(value, Path) else value
-            for key, value in asdict(config).items()}
+    """The run settings' fields by name, read one by one: the nested ``kde``
+    and ``tour`` settings as objects, paths as text."""
+    echo = {}
+    for key in config.__slots__:
+        value = getattr(config, key)
+        echo[key] = (_config_echo(value) if key in ("kde", "tour")
+                     else str(value) if isinstance(value, Path) else value)
+    return echo
 
 
 def weight_diagnostics(report: WeightReport) -> dict[str, Any]:

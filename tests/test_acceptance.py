@@ -241,11 +241,10 @@ def test_09_end_to_end_sample_run_is_reproducible_and_oracle_accurate(tmp_path):
         assert elapsed < 10.0, f"two runs took {elapsed:.2f}s"
 
         # full-precision agreement, then the rounded rendering of the file
-        from dataclasses import replace
         from tourval.pipeline import load_config, run_pipeline
         from tourval.rounding import format_number
-        output = run_pipeline(replace(load_config(sample / "config.json"),
-                                      out_dir=tmp_path / "mem"))
+        output = run_pipeline(load_config(sample / "config.json").replace(
+            out_dir=tmp_path / "mem"))
         want = oracles.pipeline_oracle(sample)
         for result in output.results:
             ftv, crisp = want[result.attraction_id]

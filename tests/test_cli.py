@@ -104,7 +104,7 @@ class TestValidate:
         code = invoke("run", "--config", str(config_path))
         err = capsys.readouterr().err
         assert code == 3
-        assert f"{': '.join(key.split('.'))} must be {rule}, got {value!r}" in err
+        assert f": {key} must be {rule}" in err and f", got {value!r}" in err
         assert sorted(tmp_path.iterdir()) == inputs
 
 

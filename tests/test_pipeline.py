@@ -7,7 +7,6 @@ import sys
 import tempfile
 import tracemalloc
 from array import array
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +73,12 @@ class TestFormatNumber:
         texts, json_texts = print_column(values)
         assert texts == [format_number(x) for x in values]
         assert json_texts == [json.dumps(round6(x)) for x in values]
+
+
+def _dotted(extra, key):
+    """A pattern of ``key`` as messages name it: ``kde.`` or ``tour.`` before a nested one."""
+    outer = next(iter(extra))
+    return key if outer == key else f"{outer}\\.{key}"
 
 
 class TestLoadConfig:
@@ -151,7 +156,7 @@ class TestLoadConfig:
             **nulls, "kde": {"bandwidth_m": None, "cell_m": 5},
             "tour": {"walk_speed_kmh": None, "dwell_minutes": None}}))
         defaults = RunConfig(config.factors, config.evaluations, config.attractions)
-        assert config == replace(defaults, kde=KdeSettings(cell_m=5))
+        assert config == defaults.replace(kde=KdeSettings(cell_m=5))
         assert config.out_dir == (tmp_path / "out").resolve()
         with pytest.raises(ConfigError, match="factors"):
             load_config(dataset_builder(config_extra={"factors": None}))
@@ -188,7 +193,8 @@ class TestLoadConfig:
     ])
     def test_boolean_rejected(self, dataset_builder, extra, key):
         """No setting is a boolean, although Python reads true as 1."""
-        with pytest.raises(ConfigError, match=rf": {key} takes no true, false or integer "):
+        with pytest.raises(ConfigError,
+                           match=rf": {_dotted(extra, key)} must be .*, got \[?(True|False)"):
             load_config(dataset_builder(config_extra=extra))
 
     @pytest.mark.parametrize("extra, key", [
@@ -198,14 +204,15 @@ class TestLoadConfig:
     ])
     def test_integer_beyond_the_float_range_rejected(self, dataset_builder, extra, key):
         """JSON keeps such an integer exact, where a float would be infinite."""
-        with pytest.raises(ConfigError, match=rf": {key} takes no true, false or integer "
-                                              "beyond the float range, got "):
+        with pytest.raises(ConfigError, match=rf": {_dotted(extra, key)} must be a (list of )?"
+                                              "numbers? within the float range, got "):
             load_config(dataset_builder(config_extra=extra))
 
     def test_string_filter_threshold_rejected(self, dataset_builder):
         """A JSON string is no number, although ``float`` reads "66" as one;
         a JSON integer is still read as a float."""
-        with pytest.raises(ConfigError, match="filter_threshold must be a number, got '66'"):
+        with pytest.raises(ConfigError, match=": filter_threshold must be a number within "
+                                              "the float range, got '66'"):
             load_config(dataset_builder(config_extra={"filter_threshold": "66"}))
         config = load_config(dataset_builder(config_extra={"filter_threshold": 66}))
         assert config.filter_threshold == 66.0 and type(config.filter_threshold) is float
@@ -846,10 +853,55 @@ class TestPairwiseWeights:
 class TestRunPipeline:
     @pytest.fixture()
     def sample_run(self, sample_dir, tmp_path):
-        from dataclasses import replace
-        config = replace(load_config(sample_dir / "config.json"),
-                         out_dir=tmp_path / "out")
+        config = load_config(sample_dir / "config.json").replace(out_dir=tmp_path / "out")
         return config, run_pipeline(config)
+
+    def test_config_echo_keeps_integer_settings(self, dataset_builder):
+        """results.json echoes each setting as the records hold it: an integer
+        as written, a pair or a dwell triple as a list of what was written, and
+        only the filter threshold, which the config makes a float, as a float.
+        The sample and the benchmark's configs hold floats only."""
+        config = load_config(dataset_builder(config_extra={
+            "target": [0, 100], "filter_threshold": 66, "kde": {"cell_m": 15},
+            "tour": {"dwell_minutes": [5, 10, 15]}}))
+        run_valuation(config)
+        text = (config.out_dir / "results.json").read_text("utf-8")
+        path = {name: json.dumps(str(getattr(config, name)))
+                for name in ("factors", "evaluations", "attractions", "out_dir")}
+        assert text[:text.index('  "filter": {')] == f"""{{
+  "config": {{
+    "attractions": {path["attractions"]},
+    "defuzzify": "centroid",
+    "evaluations": {path["evaluations"]},
+    "factors": {path["factors"]},
+    "filter_threshold": 66.0,
+    "kde": {{
+      "bandwidth_m": 100.0,
+      "cell_m": 15,
+      "hotspot_percentile": 90.0,
+      "merge_radius_m": 0.0
+    }},
+    "out_dir": {path["out_dir"]},
+    "pairwise": null,
+    "range_policy": "strict",
+    "target": [
+      0,
+      100
+    ],
+    "tier_thresholds": [
+      33.0,
+      66.0
+    ],
+    "tour": {{
+      "dwell_minutes": [
+        5,
+        10,
+        15
+      ],
+      "walk_speed_kmh": 4.0
+    }}
+  }},
+"""
 
     def test_row_count_and_rank_order(self, sample_run):
         config, output = sample_run
@@ -910,9 +962,7 @@ class TestRunPipeline:
         assert not (tmp_path / "out").exists()
 
     def test_valuation_only_skips_map(self, sample_dir, tmp_path):
-        from dataclasses import replace
-        config = replace(load_config(sample_dir / "config.json"),
-                         out_dir=tmp_path / "out")
+        config = load_config(sample_dir / "config.json").replace(out_dir=tmp_path / "out")
         output = run_valuation(config)
         names = sorted(p.name for p in output.written)
         assert names == ["results.csv", "results.json"]
@@ -921,9 +971,7 @@ class TestRunPipeline:
 
 class TestRunTour:
     def test_requires_prior_results(self, sample_dir, tmp_path):
-        from dataclasses import replace
-        config = replace(load_config(sample_dir / "config.json"),
-                         out_dir=tmp_path / "empty")
+        config = load_config(sample_dir / "config.json").replace(out_dir=tmp_path / "empty")
         with pytest.raises(InputError, match="results.csv"):
             run_tour(config)
 
@@ -932,9 +980,7 @@ class TestRunTour:
         rounded to 6 significant digits; the full run makes every decision
         on those printed values too, so the tour stage rewrites its
         map.geojson byte for byte, and does so deterministically."""
-        from dataclasses import replace
-        config = replace(load_config(sample_dir / "config.json"),
-                         out_dir=tmp_path / "out")
+        config = load_config(sample_dir / "config.json").replace(out_dir=tmp_path / "out")
         full = run_pipeline(config)
         first = (config.out_dir / "map.geojson").read_bytes()
         (config.out_dir / "map.geojson").unlink()
@@ -1148,8 +1194,8 @@ class TestResultsText:
 
     @pytest.fixture(scope="class")
     def sample(self, sample_dir, tmp_path_factory):
-        config = replace(load_config(sample_dir / "config.json"),
-                         out_dir=tmp_path_factory.mktemp("results") / 'out "Café" 寺')
+        config = load_config(sample_dir / "config.json").replace(
+            out_dir=tmp_path_factory.mktemp("results") / 'out "Café" 寺')
         return config, ingest(config)
 
     @settings(max_examples=150, deadline=None,

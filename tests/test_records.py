@@ -1,5 +1,5 @@
-"""The value-record contract: every record but the three run settings is a
-``Record`` and behaves as the frozen dataclass it replaces did."""
+"""The value-record contract: every record, the three run settings included,
+is a ``Record`` and behaves as the frozen dataclass it replaces did."""
 
 import copy
 import dataclasses
@@ -7,6 +7,7 @@ import importlib
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,7 +21,8 @@ from tourval import TriangularFuzzyNumber as TFN
 from tourval.ahp import WeightCheck, WeightReport
 from tourval.errors import ConfigError
 from tourval.fuzzy import Interval
-from tourval.pipeline import IngestResult, PipelineOutput
+from tourval.pipeline import (IngestResult, KdeSettings, PipelineOutput, RunConfig,
+                              TourSettings, load_config)
 from tourval.record import Record
 from tourval.rescale import SourceRange, TargetRange
 from tourval.spatial import DensityGrid, GeoPoint, HotSpot, ScoredPoint, Tour
@@ -117,7 +119,37 @@ CASES = [
          f"weight_report=None, hotspots=({SPOT_TEXT},), tour=None, written=())", None,
          hashable=False),
 ]
-IDS = [case.cls.__name__ for case in CASES]
+HERE = Path(__file__).resolve()
+KDE_TEXT = ("KdeSettings(bandwidth_m=100.0, cell_m=10.0, hotspot_percentile=90.0, "
+            "merge_radius_m=0.0)")
+TOUR_TEXT = "TourSettings(walk_speed_kmh=4.0, dwell_minutes=(0.0, 0.0, 0.0))"
+NUMBER = "must be a number within the float range, got"
+# the run settings; RunConfig takes this file as each input, which must exist
+SETTINGS = [
+    Case(KdeSettings, dict(bandwidth_m=100.0, cell_m=10.0, hotspot_percentile=90.0,
+                           merge_radius_m=0.0),
+         dict(bandwidth_m=100.0, cell_m=10.0, hotspot_percentile=90.0, merge_radius_m=0.0),
+         KDE_TEXT, ({"bandwidth_m": True}, ConfigError, f"kde.bandwidth_m {NUMBER} True")),
+    Case(TourSettings, dict(walk_speed_kmh=4.0, dwell_minutes=(0.0, 0.0, 0.0)),
+         dict(walk_speed_kmh=4.0, dwell_minutes=(0.0, 0.0, 0.0)), TOUR_TEXT,
+         ({"dwell_minutes": [True] * 3}, ConfigError, "tour.dwell_minutes must be a list of "
+                                                      "numbers within the float range, got "
+                                                      "[True, True, True]")),
+    Case(RunConfig, dict(factors=HERE, evaluations=HERE, attractions=HERE, pairwise=None,
+                         target=(0.0, 100.0), defuzzify="centroid", range_policy="strict",
+                         tier_thresholds=(33.0, 66.0), filter_threshold=66.0,
+                         kde=KdeSettings(), tour=TourSettings(), out_dir=HERE.parent / "out"),
+         dict(pairwise=None, target=(0.0, 100.0), defuzzify="centroid", range_policy="strict",
+              tier_thresholds=(33.0, 66.0), filter_threshold=66.0, kde=KdeSettings(),
+              tour=TourSettings(), out_dir=Path("out").resolve()),
+         f"RunConfig(factors={HERE!r}, evaluations={HERE!r}, attractions={HERE!r}, "
+         "pairwise=None, target=(0.0, 100.0), defuzzify='centroid', range_policy='strict', "
+         f"tier_thresholds=(33.0, 66.0), filter_threshold=66.0, kde={KDE_TEXT}, "
+         f"tour={TOUR_TEXT}, out_dir={HERE.parent / 'out'!r})",
+         ({"filter_threshold": "66"}, ConfigError, f"filter_threshold {NUMBER} '66'")),
+]
+RECORDS = CASES + SETTINGS
+IDS = [case.cls.__name__ for case in RECORDS]
 
 
 def make(case: Case):
@@ -134,7 +166,7 @@ def test_eighteen_records():
     assert all(issubclass(case.cls, Record) for case in CASES)
 
 
-@pytest.mark.parametrize("case", CASES, ids=IDS)
+@pytest.mark.parametrize("case", RECORDS, ids=IDS)
 def test_positional_and_keyword_construction(case):
     record = make(case)
     assert all(repr(getattr(record, name)) == repr(value) for name, value in case.fields.items())
@@ -145,7 +177,8 @@ def test_positional_and_keyword_construction(case):
             assert getattr(left_out, name) == default
 
 
-@pytest.mark.parametrize("case", [case for case in CASES if case.bad], ids=lambda c: c.cls.__name__)
+@pytest.mark.parametrize("case", [case for case in RECORDS if case.bad],
+                         ids=lambda c: c.cls.__name__)
 def test_validation_messages(case):
     changes, error, message = case.bad
     with pytest.raises(error) as raised:
@@ -153,7 +186,7 @@ def test_validation_messages(case):
     assert str(raised.value) == message
 
 
-@pytest.mark.parametrize("case", CASES, ids=IDS)
+@pytest.mark.parametrize("case", RECORDS, ids=IDS)
 def test_assignment_and_deletion_refused(case):
     record = make(case)
     for name in [*case.fields, "unknown"]:
@@ -164,7 +197,7 @@ def test_assignment_and_deletion_refused(case):
     assert repr(record) == case.text
 
 
-@pytest.mark.parametrize("case", CASES, ids=IDS)
+@pytest.mark.parametrize("case", RECORDS, ids=IDS)
 def test_equality_and_hash_by_value(case):
     a, b = make(case), make(case)
     assert a == b and not a != b
@@ -173,7 +206,7 @@ def test_equality_and_hash_by_value(case):
     else:
         with pytest.raises(TypeError):
             hash(a)
-    other = CASES[(CASES.index(case) + 1) % len(CASES)]
+    other = RECORDS[(RECORDS.index(case) + 1) % len(RECORDS)]
     assert a != make(other) and a.__eq__(make(other)) is NotImplemented
     plain = tuple(case.fields.values())
     assert a != plain and a.__eq__(plain) is NotImplemented
@@ -218,12 +251,12 @@ def test_equal_fields_of_another_class_differ():
     assert ValuationResult("a1", ONE, 2.0) != ValuationResult("a1", ONE, 2.5)
 
 
-@pytest.mark.parametrize("case", CASES, ids=IDS)
+@pytest.mark.parametrize("case", RECORDS, ids=IDS)
 def test_repr(case):
     assert repr(make(case)) == case.text
 
 
-@pytest.mark.parametrize("case", CASES, ids=IDS)
+@pytest.mark.parametrize("case", RECORDS, ids=IDS)
 def test_copy_deepcopy_and_pickle(case):
     record = make(case)
     for twin in (copy.copy(record), copy.deepcopy(record),
@@ -234,7 +267,7 @@ def test_copy_deepcopy_and_pickle(case):
             setattr(twin, next(iter(case.fields)), 1)
 
 
-@pytest.mark.parametrize("case", CASES, ids=IDS)
+@pytest.mark.parametrize("case", RECORDS, ids=IDS)
 def test_replace_builds_again(case):
     record = make(case)
     assert same(record.replace(), record)
@@ -274,26 +307,28 @@ def test_derived_and_coerced_fields():
 
 def test_only_the_run_settings_are_dataclasses():
     """Among the public names, and among all classes of the package's
-    modules, only the three run settings are dataclasses."""
+    modules, no class is a dataclass: the run settings, the last three that
+    were, are records now."""
     public = {name: getattr(tourval, name) for name in tourval.__all__}
     modules = [importlib.import_module(f"tourval.{name}") for name in (
         "ahp", "cli", "datasets", "errors", "fuzzy", "pipeline", "record", "render",
         "rescale", "rounding", "spatial", "valuation")]
     for module in modules:
         public.update((name, getattr(module, name)) for name in getattr(module, "__all__", ()))
-    assert sorted(name for name, value in public.items()
-                  if isinstance(value, type) and dataclasses.is_dataclass(value)) == \
-        ["KdeSettings", "RunConfig", "TourSettings"]
-    assert sorted(name for name, value in tourval.__dict__.items()
-                  if isinstance(value, type) and dataclasses.is_dataclass(value)) == ["RunConfig"]
+    assert {"KdeSettings", "RunConfig", "TourSettings"} <= set(public)
+    assert not [name for name, value in public.items()
+                if isinstance(value, type) and dataclasses.is_dataclass(value)]
+    assert not [name for name, value in tourval.__dict__.items()
+                if isinstance(value, type) and dataclasses.is_dataclass(value)]
     classes = {value for module in modules for value in vars(module).values()
                if isinstance(value, type) and value.__module__ == module.__name__}
-    assert sorted(c.__name__ for c in classes if dataclasses.is_dataclass(c)) == \
-        ["KdeSettings", "RunConfig", "TourSettings"]
+    assert len(classes) > 20 and not [c for c in classes if dataclasses.is_dataclass(c)]
 
 
 def test_import_creates_three_dataclasses():
-    """Counted in a fresh interpreter, where the import runs every class body."""
+    """Counted in a fresh interpreter, where the import runs every class body:
+    importing tourval.cli makes ``dataclasses`` process no class, the three run
+    settings it once processed included."""
     counter = ("import dataclasses, sys\n"
                "made = []\n"
                "process = dataclasses._process_class\n"
@@ -302,7 +337,59 @@ def test_import_creates_three_dataclasses():
                "    return process(cls, *args, **kwargs)\n"
                "dataclasses._process_class = counted\n"
                "import tourval.cli\n"
-               "print(' '.join(sorted(made)))\n")
+               "print(len(made), ' '.join(sorted(made)))\n")
     done = subprocess.run([sys.executable, "-c", counter], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(SOURCE_ROOT)})
-    assert done.stdout.split() == ["KdeSettings", "RunConfig", "TourSettings"]
+    assert done.stdout.split() == ["0"]
+
+
+def _build(key: str, value):
+    """The settings record that holds ``key``, built in code with ``value`` there."""
+    outer, _, name = key.rpartition(".")
+    if outer:
+        return {"kde": KdeSettings, "tour": TourSettings}[outer](**{name: value})
+    return RunConfig(HERE, HERE, HERE, **{name: value})
+
+
+REFUSED_NUMBERS = [pytest.param(value, id=name) for value, name in (
+    (True, "true"), ("66", "'66'"), (10 ** 400, "10**400"), ("100", "'100'"))]
+REFUSED_LISTS = REFUSED_NUMBERS + [pytest.param(66, id="scalar"),
+                                   pytest.param([0, "100"], id="[0, '100']"),
+                                   pytest.param([False, 10 ** 400], id="[false, 10**400]")]
+
+
+@pytest.mark.parametrize("value", REFUSED_NUMBERS)
+@pytest.mark.parametrize("key", ["kde.bandwidth_m", "kde.cell_m", "kde.hotspot_percentile",
+                                 "kde.merge_radius_m", "tour.walk_speed_kmh",
+                                 "filter_threshold"])
+def test_settings_built_in_code_refuse_a_non_number(key, value):
+    """A setting built in code meets the number rule that a config file
+    meets: true is no number, though Python reads it as 1, nor is a string
+    that ``float`` reads, nor an integer past the float range."""
+    with pytest.raises(ConfigError) as raised:
+        _build(key, value)
+    assert str(raised.value) == f"{key} {NUMBER} {value!r}"
+
+
+@pytest.mark.parametrize("value", REFUSED_LISTS)
+@pytest.mark.parametrize("key", ["target", "tier_thresholds", "tour.dwell_minutes"])
+def test_settings_built_in_code_refuse_a_non_list_of_numbers(key, value):
+    with pytest.raises(ConfigError) as raised:
+        _build(key, value)
+    assert str(raised.value) == \
+        f"{key} must be a list of numbers within the float range, got {value!r}"
+
+
+@pytest.mark.parametrize("key, value", [
+    ("kde.cell_m", "10"), ("tour.walk_speed_kmh", True),
+    pytest.param("filter_threshold", 10 ** 400, id="filter_threshold-10**400"),
+    ("target", 66), ("tour.dwell_minutes", [0, "5", 10])])
+def test_load_config_prefixes_the_same_message(dataset_builder, key, value):
+    """``load_config`` refuses by the records' own rule: the message is the
+    record's, after the config's path."""
+    outer, _, name = key.rpartition(".")
+    path = dataset_builder(config_extra={outer: {name: value}} if outer else {name: value})
+    with pytest.raises(ConfigError) as built:
+        _build(key, value)
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}: {built.value}')}$"):
+        load_config(path)

@@ -9,7 +9,9 @@ BENCHMARK.json in this checkout differ from BASE_REF's, uncommitted changes
 included.  Each pair runs `bench/run.py --workload WORKLOAD --seed SEED
 --seconds S --trace 0` once from the base's checkout and once from this one,
 the base first in odd pairs and second in even ones, and reads each run's
-last line, the benchmark's JSON summary.
+last line, the benchmark's JSON summary.  As each run completes, the tool
+prints that summary on one line after its pair and side, `pair 1 base {...}`,
+so every run's data can be collected from this output.
 
 For each end-to-end metric of BENCHMARK.json the tool prints each side's
 median and quartiles, the change of the medians, the pairs this checkout
@@ -65,11 +67,6 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"attempted": 1, "failed": 1, "metrics": {}, "error": reason}
 
 
-def _run_s(summary: dict) -> str:
-    metric = summary["metrics"].get("run_s")
-    return "failed" if metric is None else f"{metric['value']:.4f}"
-
-
 def _quartiles(values: list[float]) -> tuple[float, float, float]:
     if len(values) < 2:
         return values[0], values[0], values[0]
@@ -107,8 +104,7 @@ def main(argv: list[str]) -> int:
                 for side in order:
                     runs[side].append(_run(base if side == "base" else ROOT, args.workload,
                                            args.seed, args.seconds))
-                shown = ", ".join(f"{side} {_run_s(runs[side][-1])}" for side in order)
-                print(f"pair {pair}: run_s {shown}", flush=True)
+                    print(f"pair {pair} {side} {json.dumps(runs[side][-1])}", flush=True)
         finally:
             _git("worktree", "remove", "--force", str(base))
 

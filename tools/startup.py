@@ -1,5 +1,5 @@
 """Print how long `import tourval.cli` takes beside the benchmark's reference
-child, with and without a bytecode cache, and how many dataclasses it makes.
+child, with and without a bytecode cache.
 
 Usage: python3 tools/startup.py [PAIRS]
 
@@ -15,9 +15,8 @@ child first in odd pairs and second in even ones.  The pairs run twice:
 - with a warm cache: PYTHONPYCACHEPREFIX set to a directory in the
   temporary directory, filled by one untimed child of each kind first.
 
-For each condition the two medians and their difference are printed.  A
-last child counts the classes that `dataclasses` processes while it imports
-tourval.cli.  This process imports nothing from tourval or numpy.
+For each condition the two medians and their difference are printed.  This
+process imports nothing from tourval or numpy.
 
 Exit status: 0 on success; 1 when a child fails; 2 on bad arguments.
 """
@@ -37,32 +36,21 @@ ROOT = Path(__file__).resolve().parents[1]
 IMPORT = "import tourval.cli"
 # bench/run.py's REFERENCE child
 REFERENCE = "import csv, json, numpy"
-COUNT = """
-import dataclasses
-made = []
-process = dataclasses._process_class
-def counted(cls, *args, **kwargs):
-    made.append(cls.__name__)
-    return process(cls, *args, **kwargs)
-dataclasses._process_class = counted
-import tourval.cli
-print(len(made), ", ".join(sorted(made)))
-"""
 
 
 class ChildFailed(Exception):
     pass
 
 
-def _child(code: str, env: dict[str, str]) -> tuple[float, str]:
-    """Wall time of one ``python -c code`` and its standard output."""
+def _child(code: str, env: dict[str, str]) -> float:
+    """Wall time of one ``python -c code``."""
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
     if done.returncode:
         reason = (done.stderr.strip().splitlines() or ["no message"])[-1]
         raise ChildFailed(f"a child exited {done.returncode}: {reason}")
-    return wall, done.stdout
+    return wall
 
 
 def _pairs(pairs: int, env: dict[str, str]) -> tuple[float, float]:
@@ -70,7 +58,7 @@ def _pairs(pairs: int, env: dict[str, str]) -> tuple[float, float]:
     times: dict[str, list[float]] = {IMPORT: [], REFERENCE: []}
     for pair in range(pairs):
         for code in (IMPORT, REFERENCE) if pair % 2 == 0 else (REFERENCE, IMPORT):
-            times[code].append(_child(code, env)[0])
+            times[code].append(_child(code, env))
     return statistics.median(times[IMPORT]), statistics.median(times[REFERENCE])
 
 
@@ -97,12 +85,9 @@ def main(argv: list[str]) -> int:
                 tourval, reference = _pairs(pairs, env)
                 print(f"{label}: tourval {tourval:.4f} s, reference {reference:.4f} s, "
                       f"difference {tourval - reference:+.4f} s")
-            count = _child(COUNT, cold)[1].strip()
         except ChildFailed as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
-    number, _, names = count.partition(" ")
-    print(f"dataclasses made by {IMPORT!r}: {number} ({names})")
     return 0
 
 
