@@ -97,8 +97,18 @@ WRITE_BLOCK_CHUNKS = 1024
 # before it parses them into one float array: about 0.7 MB of text
 _NUMBER_BLOCK_ROWS = 4096
 
-# the input files, whose relative paths ``load_config`` takes from the config's directory
+# the input files, whose relative paths ``load_config`` takes from the config's
+# directory; the first three have no default
 _INPUTS = ("factors", "evaluations", "attractions", "pairwise")
+_REQUIRED = _INPUTS[:3]
+
+
+def _require_path(value, name: str) -> None:
+    """The rule of every path setting: text, a ``str`` or an ``os.PathLike``
+    of one, without a NUL character, which no file name holds."""
+    text = os.fspath(value) if isinstance(value, (str, os.PathLike)) else None
+    if not isinstance(text, str) or "\0" in text:
+        raise ConfigError(f"{name} must be a path string, got {value!r}")
 
 
 class RunConfig(Record):
@@ -115,14 +125,21 @@ class RunConfig(Record):
                  filter_threshold: float = DEFAULT_THRESHOLDS[1],
                  kde: KdeSettings = KdeSettings(), tour: TourSettings = TourSettings(),
                  out_dir: Path = Path("out")):
+        paths = (factors, evaluations, attractions, pairwise)
+        for name, value in zip((*_INPUTS, "out_dir"), (*paths, out_dir)):
+            if value is not None or name != "pairwise":   # None: weights from factors.csv
+                _require_path(value, name)
         target = require_numbers(target, "target")
         t = require_numbers(tier_thresholds, "tier_thresholds")
         require_number(filter_threshold, "filter_threshold")
-        self._set(factors, evaluations, attractions, pairwise, target, defuzzify, range_policy,
-                  t, float(filter_threshold), kde, tour, Path(str(out_dir)).resolve())
+        self._set(*paths, target, defuzzify, range_policy, t, float(filter_threshold), kde,
+                  tour, Path(out_dir).resolve())
         if len(target) != 2:
             raise ConfigError(f"target must be a pair (m, M), got {target}")
-        TargetRange(*target)
+        try:
+            TargetRange(*target)
+        except ValueError as e:
+            raise ConfigError(str(e)) from None
         require_choice(defuzzify, fuzzy.DEFUZZIFY_METHODS, "defuzzify")
         require_choice(range_policy, RANGE_POLICIES, "range_policy")
         if len(t) != 2 or not t[0] < t[1]:
@@ -131,7 +148,7 @@ class RunConfig(Record):
         if not (m <= t[0] and t[1] <= big_m and m <= self.filter_threshold <= big_m):
             raise ConfigError(f"tier_thresholds {t} and filter_threshold "
                               f"{self.filter_threshold} must lie inside target {target}")
-        for p in (factors, evaluations, attractions, pairwise):
+        for p in paths:
             if p is not None and not Path(p).is_file():
                 raise ConfigError(f"referenced file does not exist: {p}")
 
@@ -164,16 +181,18 @@ def load_config(path: Path | str) -> RunConfig:
     base = path.resolve().parent
     try:
         present = _present(raw, RunConfig)
-        for key in (*_INPUTS, "out_dir"):
-            if not isinstance(present.get(key, ""), str):
-                raise ConfigError(f"{key} must be a path string, got {present[key]!r}")
-            if key in present and key != "out_dir":
+        missing = [key for key in _REQUIRED if key not in present]
+        if missing:
+            raise ConfigError(f"missing keys: {', '.join(missing)}")
+        for key in _INPUTS:
+            if key in present:
+                _require_path(present[key], key)
                 present[key] = (base / present[key]).resolve()
         for key, settings in (("kde", KdeSettings), ("tour", TourSettings)):
             if key in present:
                 present[key] = settings(**_present(present[key], settings, f"{key}."))
         return RunConfig(**present)
-    except (ConfigError, TypeError, ValueError) as e:
+    except ConfigError as e:
         raise ConfigError(f"{path}: {e}") from e
 
 

@@ -3,9 +3,11 @@ and print by class and field values, as frozen dataclasses do, but no code is
 generated for them when their modules are imported, and an array field
 compares by shape and elements, so ``==`` always gives a bool."""
 
-from dataclasses import FrozenInstanceError
-
 import numpy as np
+
+
+class FrozenInstanceError(AttributeError):
+    """Assigning to or deleting a record's field (not ``dataclasses``' error)."""
 
 
 def _same(a, b) -> bool:

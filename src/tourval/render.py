@@ -235,15 +235,16 @@ _DENSITY_FEATURE = _template(_feature(
 
 
 def _density_features(grid: DensityGrid) -> Iterator[str]:
-    """One square Polygon Feature per cell with positive density, in
-    row-major order, as ``_indented`` text, made as it is read; zero cells
-    are skipped to keep files small.  Rings are counter-clockwise from the
-    south-west corner and closed.  Each edge coordinate is rounded and
-    printed once and shared by the cells along it.  Each density is printed
-    as JSON prints its ``round6`` (``print_column``)."""
+    """One square Polygon Feature per cell with positive density (the
+    grid's ``positive`` cells), in row-major order, as ``_indented`` text,
+    made as it is read; zero cells are skipped to keep files small.  Rings
+    are counter-clockwise from the south-west corner and closed.  Each edge
+    coordinate is rounded and printed once and shared by the cells along
+    it.  Each density is printed as JSON prints its ``round6``
+    (``print_column``)."""
     lons, lats = map(_coordinates, grid.edges())
-    rows, cols = np.divmod(np.flatnonzero(grid.values > 0.0), grid.ncols)
-    _, densities = print_column(grid.values[rows, cols].tolist())
+    rows, cols = np.divmod(grid.positive, grid.ncols)
+    _, densities = print_column(grid.values.take(grid.positive).tolist())
     rows, cols = rows.tolist(), cols.tolist()
     return _filled(_DENSITY_FEATURE, {
         "west": list(map(lons.__getitem__, cols)), "east": list(map(lons[1:].__getitem__, cols)),

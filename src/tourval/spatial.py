@@ -98,9 +98,12 @@ class DensityGrid(Record):
     ``center`` is the projection reference; ``(x0, y0)`` locate the grid's
     south-west corner in metres relative to it.  ``values[row, col]`` holds
     the density at the cell centre, row 0 being the southernmost row.
+    ``positive`` holds the flat (row-major) indices of the cells with
+    positive density, found once when the grid is built: the hotspot test
+    and the map's density features read them instead of scanning the grid.
     """
 
-    __slots__ = ("center", "x0", "y0", "cell_m", "values")
+    __slots__ = ("center", "x0", "y0", "cell_m", "values", "positive")
 
     def __init__(self, center: GeoPoint, x0: float, y0: float, cell_m: float,
                  values: np.ndarray):
@@ -111,8 +114,9 @@ class DensityGrid(Record):
             raise ValueError("grid values must be finite and non-negative")
         if not cell_m > 0:
             raise ValueError(f"cell size must be positive, got {cell_m}")
-        v.flags.writeable = False
-        self._set(center, x0, y0, cell_m, v)
+        positive = np.flatnonzero(v > 0.0)
+        v.flags.writeable = positive.flags.writeable = False
+        self._set(center, x0, y0, cell_m, v, positive)
 
     @property
     def nrows(self) -> int:
@@ -129,12 +133,14 @@ class DensityGrid(Record):
     def edges(self) -> tuple[list[float], list[float]]:
         """Longitudes of the ``ncols + 1`` cell edges, west to east, and
         latitudes of the ``nrows + 1`` edges, south to north.  The frame is
-        separable: a longitude depends only on x, a latitude only on y."""
-        lons = [_unproject(self.x0 + col * self.cell_m, self.y0, self.center).lon
-                for col in range(self.ncols + 1)]
-        lats = [_unproject(self.x0, self.y0 + row * self.cell_m, self.center).lat
-                for row in range(self.nrows + 1)]
-        return lons, lats
+        separable: a longitude depends only on x, a latitude only on y, so
+        both come from ``_lon_lat`` on arrays, bit for bit what
+        ``_unproject`` gives each edge.  No edge is checked against WGS84:
+        for a grid that ``kde_heatmap`` makes, ``_grid_frame`` checked the
+        two corners that bound them all."""
+        lons, lats = _lon_lat(self.x0 + np.arange(self.ncols + 1) * self.cell_m,
+                              self.y0 + np.arange(self.nrows + 1) * self.cell_m, self.center)
+        return lons.tolist(), lats.tolist()
 
 
 def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
@@ -154,11 +160,17 @@ def _project(point: GeoPoint, center: GeoPoint) -> tuple[float, float]:
     return x, y
 
 
-def _unproject(x: float, y: float, center: GeoPoint) -> GeoPoint:
+def _lon_lat(x, y, center: GeoPoint):
+    """Longitude and latitude of the point ``(x, y)`` metres from ``center``,
+    the inverse of ``_project``; ``x`` and ``y`` may be floats or arrays of
+    any two shapes.  ``* (180 / pi)`` is CPython's ``math.degrees``."""
     r = EARTH_RADIUS_KM * 1000.0
-    lon = center.lon + math.degrees(x / (r * math.cos(math.radians(center.lat))))
-    lat = center.lat + math.degrees(y / r)
-    return GeoPoint(lon, lat)
+    return (center.lon + x / (r * math.cos(math.radians(center.lat))) * (180.0 / math.pi),
+            center.lat + y / r * (180.0 / math.pi))
+
+
+def _unproject(x: float, y: float, center: GeoPoint) -> GeoPoint:
+    return GeoPoint(*_lon_lat(x, y, center))
 
 
 # One check per parameter rule, shared by the functions below and by the
@@ -298,20 +310,22 @@ def detect_hotspots(grid: DensityGrid, percentile: float = 90.0) -> list[HotSpot
     """
     require_percentile(percentile, "percentile")
     v = grid.values
-    positive = v[v > 0.0]
+    positive = v.take(grid.positive)
     if positive.size == 0:
         return []
     threshold = _percentile(positive, percentile)
 
     # each candidate, in row-major order, against those of its 8 neighbours
-    # that are on the grid, gathered by flat index
+    # that are on the grid, gathered by flat index; the threshold lies
+    # between two positive values, so every candidate is a positive cell
     nrows, ncols = v.shape
-    rows, cols = np.divmod(np.flatnonzero(v >= threshold), ncols)
+    reached = positive >= threshold
+    rows, cols = np.divmod(grid.positive[reached], ncols)
     near_rows = rows[:, None] + np.array([-1, -1, -1, 0, 0, 1, 1, 1])
     near_cols = cols[:, None] + np.array([-1, 0, 1, -1, 1, -1, 0, 1])
     on_grid = (0 <= near_rows) & (near_rows < nrows) & (0 <= near_cols) & (near_cols < ncols)
     near = v.reshape(-1)[np.where(on_grid, near_rows * ncols + near_cols, 0)]
-    scores = v[rows, cols]
+    scores = positive[reached]
     is_max = ((scores[:, None] > near) | ~on_grid).all(1)
     cells = sorted(zip((-scores[is_max]).tolist(), rows[is_max].tolist(), cols[is_max].tolist()))
     return [HotSpot(grid.cell_center(r, c), -score, f"H{i + 1}")
@@ -341,11 +355,19 @@ def plan_tour(hotspots: Sequence[HotSpot]) -> Tour:
     """Shortest closed circuit visiting every hotspot exactly once, starting
     at the smallest label.
 
-    Exact Held-Karp dynamic programming over visited subsets; intended for
-    the handful of clusters a destination yields (at most 12 -- merge or
-    filter first beyond that).  Cost ties are broken by the
-    lexicographically smallest label sequence, making the result fully
-    deterministic.
+    Exact Held-Karp dynamic programming (Held and Karp, 1962) over the
+    subsets of the other stops; intended for the handful of clusters a
+    destination yields (at most 12 -- merge or filter first beyond that).
+    ``cost[mask, j]`` is the length of the cheapest path from the start
+    through the stops in ``mask`` that ends at stop ``j`` of them, and
+    ``parent[mask, j]`` the stop before ``j`` on it.  The masks of ``k``
+    stops are one layer, filled from the layer before by one set of array
+    operations: every ``cost[mask without j, l] + leg(l, j)``, then the
+    cheapest.  So each length is the sum of its legs in path order, as a
+    loop over the stops adds them.  Cost ties are broken by the
+    lexicographically smallest label sequence, then by the earlier stop,
+    making the result fully deterministic; the few exact ties are settled
+    in Python, each candidate's sequence read back from the parent table.
     """
     hotspots = list(hotspots)
     n = len(hotspots)
@@ -357,33 +379,51 @@ def plan_tour(hotspots: Sequence[HotSpot]) -> Tour:
             f"{MAX_TOUR_STOPS}; raise kde.merge_radius_m or kde.hotspot_percentile")
     labels = [h.label for h in hotspots]
     s = labels.index(min(labels))
+    if n == 1:
+        return Tour(hotspots, 0.0)
     others = [i for i in range(n) if i != s]
-    d = [[haversine_km(a.center, b.center) for b in hotspots] for a in hotspots]
+    m = len(others)
+    d = np.array([[haversine_km(a.center, b.center) for b in hotspots] for a in hotspots])
 
-    # best[mask][last] = (cost, label sequence, index path) of the paths from
-    # s through the `others` bits of mask; every subset of a mask is a smaller
-    # number, so it is complete before the mask is reached
-    best = [{} for _ in range(1 << len(others))]
-    best[0][s] = (0.0, (labels[s],), (s,))
-    for mask in range(1, len(best)):
-        for bit, i in enumerate(others):
-            if mask >> bit & 1:
-                cost, sequence, path = _cheapest_to(best[mask ^ 1 << bit], d, i)
-                best[mask][i] = (cost, sequence + (labels[i],), path + (i,))
-    length, _, path = _cheapest_to(best[-1], d, s)
-    return Tour(tuple(hotspots[i] for i in path), length)
+    bits = 1 << np.arange(m)
+    masks = np.arange(1 << m)
+    held = (masks[:, None] & bits) > 0
+    size = held.sum(1)
+    # a stop not in a mask, or a mask not yet reached, costs inf
+    cost = np.full((1 << m, m), np.inf)
+    parent = np.zeros((1 << m, m), dtype=np.intp)
+    cost[bits, np.arange(m)] = d[s, others]
+    legs = d[np.ix_(others, others)].T          # legs[j, l]: from stop l to stop j
 
+    def path(mask: int, j: int) -> list[int]:
+        """The stops of the cheapest path through ``mask`` to ``j``, in order."""
+        stops = []
+        while mask:
+            stops.append(j)
+            mask, j = mask ^ 1 << j, int(parent[mask, j])
+        return stops[::-1]
 
-def _cheapest_to(paths: dict, d: list[list[float]], i: int) -> tuple:
-    """The cheapest of ``paths`` extended by the leg to stop ``i``: ``(cost,
-    label sequence, index path)``, the leg counted but not yet appended.
-    Equal costs go to the smaller label sequence, then to the earlier path."""
-    winner = None
-    for last, (cost, sequence, path) in paths.items():
-        cost += d[last][i]
-        if winner is None or cost < winner[0] or cost == winner[0] and sequence < winner[1]:
-            winner = cost, sequence, path
-    return winner
+    def sequence(mask: int, j: int) -> list[str]:
+        return [labels[others[i]] for i in path(mask, j)]
+
+    for k in range(2, m + 1):
+        layer = masks[size == k]
+        # via[i, j, l]: the path through layer[i] without j that ends at l, then on to j
+        via = cost[layer[:, None] ^ bits] + legs
+        best, low = via.argmin(2), via.min(2, keepdims=True)
+        tied = (np.count_nonzero(via == low, 2) > 1) & held[layer]
+        for i, j in zip(*np.nonzero(tied)):
+            prev = int(layer[i]) ^ 1 << int(j)
+            best[i, j] = min(np.flatnonzero(via[i, j] == low[i, j]).tolist(),
+                             key=lambda last: sequence(prev, last))
+        cost[layer] = low[:, :, 0]
+        parent[layer] = best
+
+    full = (1 << m) - 1
+    lengths = cost[full] + d[others, s]
+    length = lengths.min()
+    last = min(np.flatnonzero(lengths == length).tolist(), key=lambda j: sequence(full, j))
+    return Tour([hotspots[s], *(hotspots[others[i]] for i in path(full, last))], float(length))
 
 
 def estimate_duration(tour: Tour, walk_speed_kmh: float,

@@ -4,7 +4,8 @@ Everything here is deliberately written from the defining formulas with
 plain csv/math only, sharing no code path with the package internals; the
 full-grid and the per-point windowed KDE keep the package's earlier numpy
 loops so that bytes compare, and the hotspot test keeps its earlier
-full-grid strict-maximum passes.
+full-grid strict-maximum passes over the whole grid.  The grid's cell
+edges are the package's earlier per-edge loop, one ``GeoPoint`` each.
 The map renderer is the package's earlier dict-based one, kept as it was
 so that bytes compare: it keeps the earlier attraction, hotspot and tour
 feature builders, uses the package's 6-digit rounding, and hands the whole
@@ -41,7 +42,7 @@ from tourval.errors import InputError
 from tourval.fuzzy import TriangularFuzzyNumber
 from tourval.rescale import SourceRange, TargetRange
 from tourval.rounding import round6
-from tourval.spatial import HotSpot, Tour, haversine_km
+from tourval.spatial import GeoPoint, HotSpot, Tour, haversine_km
 from tourval.valuation import FactorCatalogue, FactorDefinition, ValuationResult, classify
 
 
@@ -312,10 +313,27 @@ def strict_maxima(values, percentile):
     return cells
 
 
+def grid_edges(grid):
+    """The longitudes of a grid's column edges and the latitudes of its row
+    edges, as the package computed them before its array arithmetic: one
+    ``GeoPoint`` per edge, from ``math.degrees`` of the scalar offset."""
+    r = EARTH_RADIUS_KM * 1000.0
+
+    def unproject(x, y):
+        lon = grid.center.lon + math.degrees(x / (r * math.cos(math.radians(grid.center.lat))))
+        return GeoPoint(lon, grid.center.lat + math.degrees(y / r))
+
+    lons = [unproject(grid.x0 + col * grid.cell_m, grid.y0).lon
+            for col in range(grid.ncols + 1)]
+    lats = [unproject(grid.x0, grid.y0 + row * grid.cell_m).lat
+            for row in range(grid.nrows + 1)]
+    return lons, lats
+
+
 def density_features(grid):
     """One square Polygon Feature dict per cell with positive density, in
     row-major order; rings counter-clockwise from the south-west corner."""
-    lons, lats = grid.edges()
+    lons, lats = grid_edges(grid)
     lons = [round(v, 6) for v in lons]
     lats = [round(v, 6) for v in lats]
     rows, cols = np.nonzero(grid.values > 0.0)

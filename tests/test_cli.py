@@ -54,6 +54,13 @@ class TestValidate:
         assert code == 3
         assert "tier_thresholds" in capsys.readouterr().err
 
+    def test_missing_input_key_exits_3(self, dataset_builder, capsys):
+        """The message names the missing key, not Python's call of the record."""
+        config_path = dataset_builder(config_extra={"evaluations": None})
+        code = invoke("validate", "--config", str(config_path))
+        assert code == 3
+        assert capsys.readouterr().err == f"error: {config_path}: missing keys: evaluations\n"
+
     def test_config_error_exits_3(self, dataset_builder, capsys):
         config_path = dataset_builder(config_extra={"no_such_option": 1})
         code = invoke("validate", "--config", str(config_path))

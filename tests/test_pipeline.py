@@ -230,6 +230,64 @@ class TestLoadConfig:
             load_config(config_path)
 
 
+class TestConfigRulesInCodeAndFile:
+    """A bad target, a path setting that is no path, and a missing input
+    key are configuration errors that name the key, whether the settings
+    are built in code or read from config.json, where the message is the
+    same after the config's path."""
+
+    @staticmethod
+    def inputs(dataset_builder):
+        config = load_config(dataset_builder())
+        return config.factors, config.evaluations, config.attractions
+
+    @pytest.mark.parametrize("target", [(7, 7), (0, math.inf), (math.nan, 100)])
+    def test_bad_target(self, dataset_builder, target):
+        with pytest.raises(ConfigError, match=r"^target range \[") as built:
+            RunConfig(*self.inputs(dataset_builder), target=target)
+        path = dataset_builder(config_extra={"target": list(target)})
+        with pytest.raises(ConfigError) as read:
+            load_config(path)
+        assert str(read.value) == f"{path}: {built.value}"
+
+    PATH_KEYS = ["factors", "evaluations", "attractions", "pairwise", "out_dir"]
+
+    @pytest.mark.parametrize("value", [5, ["a"], {"a": 1}, "fact\0ors.csv"])
+    @pytest.mark.parametrize("key", PATH_KEYS)
+    def test_path_setting_that_is_no_path(self, dataset_builder, key, value):
+        settings = dict(zip(self.PATH_KEYS, self.inputs(dataset_builder)))
+        with pytest.raises(ConfigError) as built:
+            RunConfig(**{**settings, key: value})
+        assert str(built.value) == f"{key} must be a path string, got {value!r}"
+        path = dataset_builder(config_extra={key: value})
+        with pytest.raises(ConfigError) as read:
+            load_config(path)
+        assert str(read.value) == f"{path}: {built.value}"
+
+    @pytest.mark.parametrize("key, value", [("factors", None), ("attractions", None),
+                                            ("evaluations", b"evaluations.csv")])
+    def test_path_setting_that_is_no_path_in_code(self, dataset_builder, key, value):
+        """In code, a required input may not be None, and no path is bytes
+        (JSON has neither: null there means missing)."""
+        settings = dict(zip(self.PATH_KEYS, self.inputs(dataset_builder)))
+        with pytest.raises(ConfigError) as built:
+            RunConfig(**{**settings, key: value})
+        assert str(built.value) == f"{key} must be a path string, got {value!r}"
+
+    def test_missing_input_key(self, dataset_builder):
+        factors, _, attractions = self.inputs(dataset_builder)
+        with pytest.raises(TypeError, match="'evaluations'"):
+            RunConfig(factors, attractions=attractions)
+        path = dataset_builder()
+        body = json.loads(path.read_text(encoding="utf-8"))
+        for missing in (["evaluations"], ["evaluations", "attractions"]):
+            write_config(path, {key: value for key, value in body.items()
+                                if key not in missing})
+            with pytest.raises(ConfigError) as read:
+                load_config(path)
+            assert str(read.value) == f"{path}: missing keys: {', '.join(missing)}"
+
+
 class TestIngest:
     def test_sample_dataset_complete(self, sample_dir):
         result = ingest(load_config(sample_dir / "config.json"))

@@ -23,7 +23,7 @@ from tourval.errors import ConfigError
 from tourval.fuzzy import Interval
 from tourval.pipeline import (IngestResult, KdeSettings, PipelineOutput, RunConfig,
                               TourSettings, load_config)
-from tourval.record import Record
+from tourval.record import FrozenInstanceError, Record
 from tourval.rescale import SourceRange, TargetRange
 from tourval.spatial import DensityGrid, GeoPoint, HotSpot, ScoredPoint, Tour
 from tourval.valuation import (AttractionEvaluation, FactorCatalogue, FactorDefinition,
@@ -90,7 +90,7 @@ CASES = [
     Case(DensityGrid, dict(center=POINT, x0=-10.0, y0=-20.0, cell_m=5.0,
                            values=np.array([[0.5]])), {},
          f"DensityGrid(center={POINT_TEXT}, x0=-10.0, y0=-20.0, cell_m=5.0, "
-         "values=array([[0.5]]))",
+         "values=array([[0.5]]), positive=array([0]))",
          ({"cell_m": 0.0}, ValueError, "cell size must be positive, got 0.0"), hashable=False),
     Case(FactorDefinition, dict(id="f1", name="Condition", src=SOURCE, weight=1.0), {},
          FACTOR_TEXT,
@@ -305,7 +305,7 @@ def test_derived_and_coerced_fields():
     assert FactorCatalogue([FACTOR], TARGET).factors == (FACTOR,)
 
 
-def test_only_the_run_settings_are_dataclasses():
+def test_no_class_is_a_dataclass():
     """Among the public names, and among all classes of the package's
     modules, no class is a dataclass: the run settings, the last three that
     were, are records now."""
@@ -325,7 +325,7 @@ def test_only_the_run_settings_are_dataclasses():
     assert len(classes) > 20 and not [c for c in classes if dataclasses.is_dataclass(c)]
 
 
-def test_import_creates_three_dataclasses():
+def test_import_makes_no_dataclass():
     """Counted in a fresh interpreter, where the import runs every class body:
     importing tourval.cli makes ``dataclasses`` process no class, the three run
     settings it once processed included."""
@@ -341,6 +341,25 @@ def test_import_creates_three_dataclasses():
     done = subprocess.run([sys.executable, "-c", counter], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(SOURCE_ROOT)})
     assert done.stdout.split() == ["0"]
+
+
+def test_import_loads_no_dataclasses_module():
+    """In a fresh interpreter that has imported numpy, importing tourval.cli
+    does not load ``dataclasses`` (nor ``copy``, which it pulls in): a
+    record's frozen-field error is the package's own ``AttributeError``."""
+    probe = ("import sys, numpy\n"
+             "before = set(sys.modules)\n"
+             "import tourval.cli\n"
+             "print(' '.join(sorted({'dataclasses', 'copy'} & (set(sys.modules) - before))))\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(SOURCE_ROOT)})
+    assert done.stdout.split() == []
+    assert issubclass(FrozenInstanceError, AttributeError)
+    assert not issubclass(FrozenInstanceError, dataclasses.FrozenInstanceError)
+    with pytest.raises(FrozenInstanceError, match="cannot assign to field 'lon'"):
+        POINT.lon = 0.0
+    with pytest.raises(FrozenInstanceError, match="cannot delete field 'lat'"):
+        del POINT.lat
 
 
 def _build(key: str, value):

@@ -419,6 +419,64 @@ class TestHotspotsMatchFullGridTest:
         self.assert_same(kde_heatmap(points, bandwidth_m=80.0, cell_m=8.0).values, percentile)
 
 
+class TestEdgesMatchPerEdgeLoop:
+    """``DensityGrid.edges`` on arrays against the per-edge loop of
+    ``GeoPoint``s it replaced, bit for bit."""
+
+    @given(st.floats(-170.0, 170.0), st.floats(-80.0, 80.0), st.floats(-5000.0, 5000.0),
+           st.floats(-5000.0, 5000.0), st.floats(0.01, 500.0), st.integers(1, 200),
+           st.integers(1, 200))
+    @settings(max_examples=300, deadline=None)
+    @example(0.0, 0.0, 0.0, 0.0, 10.0, 1, 1)
+    @example(-70.65, -33.44, -1234.5, -987.25, 7.0, 291, 292)
+    @example(170.0, 80.0, 5000.0, 5000.0, 500.0, 200, 200)
+    @example(-170.0, -80.0, -5000.0, -5000.0, 0.01, 3, 2)
+    def test_bit_for_bit(self, lon, lat, x0, y0, cell_m, nrows, ncols):
+        grid = DensityGrid(GeoPoint(lon, lat), x0, y0, cell_m, np.zeros((nrows, ncols)))
+        got, want = grid.edges(), oracles.grid_edges(grid)
+        for got_edges, want_edges in zip(got, want):
+            assert all(type(v) is float for v in got_edges)
+            assert list(map(float.hex, got_edges)) == list(map(float.hex, want_edges))
+
+
+@st.composite
+def sparse_grids(draw):
+    """A grid of up to 30 x 30 cells in a random frame, a few of them
+    positive, some equal so that ties and plateaus occur."""
+    nrows, ncols = draw(st.integers(1, 30)), draw(st.integers(1, 30))
+    cells = draw(st.lists(st.integers(0, nrows * ncols - 1), max_size=40, unique=True))
+    values = np.zeros(nrows * ncols)
+    values[cells] = draw(st.lists(st.one_of(st.floats(5e-324, 1e300),
+                                            st.sampled_from([1.0, 2.0, 3.5])),
+                                  min_size=len(cells), max_size=len(cells)))
+    return DensityGrid(GeoPoint(draw(st.floats(-170.0, 170.0)), draw(st.floats(-80.0, 80.0))),
+                       draw(st.floats(-5000.0, 5000.0)), draw(st.floats(-5000.0, 5000.0)),
+                       draw(st.floats(0.5, 100.0)), values.reshape(nrows, ncols))
+
+
+class TestPositiveCellsFoundOnce:
+    """The hotspot test and the density features, both reading the grid's
+    ``positive`` cells, against the reference passes over the whole grid."""
+
+    def test_positive_cells_are_the_row_major_nonzero_cells(self):
+        values = np.array([[0.0, 2.0, 0.0], [5e-324, 0.0, 1.0]])
+        grid = DensityGrid(CENTER, 0.0, 0.0, 10.0, values)
+        assert grid.positive.tolist() == [1, 3, 5] and not grid.positive.flags.writeable
+        assert DensityGrid(CENTER, 0.0, 0.0, 10.0, np.zeros((2, 2))).positive.size == 0
+
+    @given(sparse_grids(), TestHotspotsMatchFullGridTest.PERCENTILES)
+    @settings(max_examples=200, deadline=None)
+    def test_hotspots_and_density_features(self, grid, percentile):
+        want = [HotSpot(grid.cell_center(row, col), score, f"H{i + 1}")
+                for i, (score, row, col) in enumerate(oracles.strict_maxima(grid.values,
+                                                                             percentile))]
+        assert detect_hotspots(grid, percentile=percentile) == want
+        features = ["    " + json.dumps(f, indent=2, sort_keys=True,
+                                        ensure_ascii=False).replace("\n", "\n    ")
+                    for f in oracles.density_features(grid)]
+        assert list(_density_features(grid)) == features
+
+
 class TestPercentile:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(st.floats(5e-324, 1e308), st.sampled_from([1.0, 2.0, 3.0])),

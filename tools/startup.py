@@ -15,8 +15,11 @@ child first in odd pairs and second in even ones.  The pairs run twice:
 - with a warm cache: PYTHONPYCACHEPREFIX set to a directory in the
   temporary directory, filled by one untimed child of each kind first.
 
-For each condition the two medians and their difference are printed.  This
-process imports nothing from tourval or numpy.
+For each condition the two medians and their difference are printed.  Then
+one more child runs the reference child's imports and then `import
+tourval.cli`, and the modules that the second import adds to `sys.modules`
+are printed: the package's own, then every other, so that a new start-up
+import shows.  This process imports nothing from tourval or numpy.
 
 Exit status: 0 on success; 1 when a child fails; 2 on bad arguments.
 """
@@ -38,19 +41,24 @@ IMPORT = "import tourval.cli"
 REFERENCE = "import csv, json, numpy"
 
 
+# the modules that IMPORT loads beyond REFERENCE's, printed by one child
+ADDED = (f"import sys\n{REFERENCE}\nbefore = set(sys.modules)\n{IMPORT}\n"
+         "print(*sorted(set(sys.modules) - before))")
+
+
 class ChildFailed(Exception):
     pass
 
 
-def _child(code: str, env: dict[str, str]) -> float:
-    """Wall time of one ``python -c code``."""
+def _child(code: str, env: dict[str, str]) -> tuple[float, str]:
+    """Wall time and standard output of one ``python -c code``."""
     start = time.perf_counter()
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     wall = time.perf_counter() - start
     if done.returncode:
         reason = (done.stderr.strip().splitlines() or ["no message"])[-1]
         raise ChildFailed(f"a child exited {done.returncode}: {reason}")
-    return wall
+    return wall, done.stdout
 
 
 def _pairs(pairs: int, env: dict[str, str]) -> tuple[float, float]:
@@ -58,7 +66,7 @@ def _pairs(pairs: int, env: dict[str, str]) -> tuple[float, float]:
     times: dict[str, list[float]] = {IMPORT: [], REFERENCE: []}
     for pair in range(pairs):
         for code in (IMPORT, REFERENCE) if pair % 2 == 0 else (REFERENCE, IMPORT):
-            times[code].append(_child(code, env))
+            times[code].append(_child(code, env)[0])
     return statistics.median(times[IMPORT]), statistics.median(times[REFERENCE])
 
 
@@ -85,6 +93,12 @@ def main(argv: list[str]) -> int:
                 tourval, reference = _pairs(pairs, env)
                 print(f"{label}: tourval {tourval:.4f} s, reference {reference:.4f} s, "
                       f"difference {tourval - reference:+.4f} s")
+            added = _child(ADDED, warm)[1].split()
+            own = [name for name in added if name.partition(".")[0] == "tourval"]
+            others = [name for name in added if name not in own]
+            print(f"{IMPORT!r} loads {len(added)} module(s) beyond {REFERENCE!r}: "
+                  f"{len(own)} of tourval ({' '.join(own)}), {len(others)} other(s) "
+                  f"({' '.join(others) or 'none'})")
         except ChildFailed as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
