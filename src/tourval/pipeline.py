@@ -12,7 +12,7 @@ an optional byte-order mark, a line of blank cells skipped anywhere):
 
 This module decides: what is read, valued, kept and mapped.  Each artifact
 is written under a temporary name as the stream of text chunks ``render``
-yields for it, one ``write`` per block of ``WRITE_BLOCK_CHUNKS`` chunks, and
+yields for it, most of them blocks of records, each written as it is made;
 no output is replaced until every artifact is written, so a failed write
 leaves the previous outputs intact.  ``run_tour`` reads results.csv back
 under the rules ``run`` writes it by: its rows in rank order, each rank
@@ -89,9 +89,6 @@ class TourSettings(Record):
         require_positive(walk_speed_kmh, "tour.walk_speed_kmh")
         self._set(walk_speed_kmh, require_dwell(dwell_minutes, "tour.dwell_minutes"))
 
-
-# text chunks joined into one ``write`` by ``_write_all``: about 330 KB of map text
-WRITE_BLOCK_CHUNKS = 1024
 
 # evaluations.csv rows whose number cells ``load_evaluations`` holds as text
 # before it parses them into one float array: about 0.7 MB of text
@@ -581,9 +578,8 @@ def _spatial_analysis(config: RunConfig, valuation: Valuation, retained: list[in
 def _write_all(out_dir: Path, payloads: dict[str, Iterable[str]]) -> tuple[Path, ...]:
     """Write every payload, an iterable of text chunks, to a hidden
     temporary file in ``out_dir``, then move each into place with
-    ``os.replace``.  The chunks are joined in blocks of
-    ``WRITE_BLOCK_CHUNKS``, one ``write`` per block, so a payload is never
-    held whole.  A failure while writing, or while a payload makes its
+    ``os.replace``.  Each chunk is written as it is made, so a payload is
+    never held whole.  A failure while writing, or while a payload makes its
     chunks, leaves the previous outputs as they were; the temporary files
     are always removed."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -591,10 +587,8 @@ def _write_all(out_dir: Path, payloads: dict[str, Iterable[str]]) -> tuple[Path,
               for name in payloads]
     try:
         for (temporary, _), chunks in zip(staged, payloads.values()):
-            chunks = iter(chunks)
             with temporary.open("w", encoding="utf-8", newline="") as handle:
-                while block := list(islice(chunks, WRITE_BLOCK_CHUNKS)):
-                    handle.write("".join(block))
+                handle.writelines(chunks)
         for temporary, target in staged:
             os.replace(temporary, target)
     finally:

@@ -10,9 +10,10 @@ one ``itertools.chain`` of chunks read as they are written.  The few
 hotspot and tour features are dicts passed to ``_indented``.  Every
 per-item record (an attraction or density feature, a ``results`` row) is
 filled column by column instead (``_filled``): its ``_template`` pieces,
-split once at import, joined with one list of texts per field, each printed
-a column at a time by its type (6-digit numbers by ``rounding.print_column``),
-with no dict built for ``json`` and no Python frame per record.
+split once at import (a density feature's once per grid row), with one list
+of texts per field, each printed a column at a time by its type (6-digit
+numbers by ``rounding.print_column``), joined in blocks of ``_BLOCK_RECORDS``
+records with no dict built for ``json`` and no Python frame per record.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import csv
 import io
 import json
 import re
-from itertools import chain, count, repeat
+from itertools import chain, count, islice, repeat
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterable, Iterator
@@ -41,6 +42,9 @@ __all__ = ["RESULT_COLUMNS", "result_columns", "results_csv", "results_json", "m
            "weight_diagnostics"]
 
 RESULT_COLUMNS = ("attraction_id", "ftv_lo", "ftv_mode", "ftv_hi", "crisp", "tier", "rank")
+
+# records joined into one text by ``_filled``: about 330 KB of map text
+_BLOCK_RECORDS = 512
 
 
 def _coord(p: GeoPoint) -> list[float]:
@@ -81,19 +85,26 @@ def _indented(record: dict[str, Any]) -> str:
     return "    " + text.replace("\n", "\n    ")
 
 
-def _template(record: dict[str, Any]) -> list[str]:
-    """``record`` as ``_indented`` prints it, split at its fields: each string
-    value ``"<name>"`` is the field ``name``.  The constant pieces are at
+def _template(text: str) -> list[str]:
+    """``text``, a record as ``_indented`` prints it, split at its fields: each
+    string value ``"<name>"`` is the field ``name``.  The constant pieces are at
     the even positions and the field names, in print order, at the odd
     ones; putting a text at each odd position and joining fills it."""
-    return re.split(r'"<(\w+)>"', _indented(record))
+    return re.split(r'"<(\w+)>"', text)
 
 
-def _filled(slots: list[str], columns: dict[str, list[str]]) -> Iterator[str]:
-    """The ``_template`` ``slots`` filled lazily, record ``i`` with text ``i``
-    of each field's list in ``columns``, with no Python frame per record."""
-    pieces = [iter(columns[piece]) if i % 2 else repeat(piece) for i, piece in enumerate(slots)]
-    return map("".join, zip(*pieces))
+def _filled(groups: Iterable[tuple[list[str], dict[str, list[str]]]]) -> Iterator[str]:
+    """Each group's ``_template`` slots filled lazily, record ``i`` with text
+    ``i`` of each field's list in its columns, in blocks of
+    ``_BLOCK_RECORDS`` records, ``",\\n"`` between two records as between
+    ``_document``'s items: one join per block, no Python frame per record."""
+    records = chain.from_iterable(
+        zip(repeat(",\n"), *(iter(columns[piece]) if i % 2 else repeat(piece)
+                             for i, piece in enumerate(slots)))
+        for slots, columns in groups)
+    for first in records:
+        rest = chain.from_iterable(islice(records, _BLOCK_RECORDS - 1))
+        yield "".join(chain(first[1:], rest))
 
 
 def _coordinates(values: list[float]) -> list[str]:
@@ -124,8 +135,7 @@ def result_columns(valuation: Valuation, names: dict[str, str]
     """The rows' fields in rank order, as JSON prints them, by ``_template``
     field, for the ``results.json`` rows and the attraction features; and
     their FTVs' and crisp values' texts, for ``results_csv``."""
-    texts, json_texts = zip(*map(print_column, (*valuation.ftv.T.tolist(),
-                                                valuation.crisp.tolist())))
+    texts, json_texts = zip(*map(print_column, (*valuation.ftv.T, valuation.crisp)))
     columns = {"id": list(map(encode_basestring, valuation.ids)),
                "name": [encode_basestring(names[i]) for i in valuation.ids],
                "rank": list(map(str, range(1, len(valuation.ids) + 1))),
@@ -171,9 +181,9 @@ def _weights_block(catalogue: FactorCatalogue, source: str,
 
 
 # one row of results.json's "results" array
-_RESULT_ROW = _template({
+_RESULT_ROW = _template(_indented({
     "attraction_id": "<id>", "name": "<name>", "ftv_lo": "<lo>", "ftv_mode": "<mode>",
-    "ftv_hi": "<hi>", "crisp": "<crisp>", "tier": "<tier>", "rank": "<rank>"})
+    "ftv_hi": "<hi>", "crisp": "<crisp>", "tier": "<tier>", "rank": "<rank>"}))
 
 
 def results_json(config: RunConfig, ingested: IngestResult, columns: dict[str, list[str]],
@@ -204,30 +214,31 @@ def results_json(config: RunConfig, ingested: IngestResult, columns: dict[str, l
             },
         },
     }
-    return _document(document, "results", _filled(_RESULT_ROW, columns))
+    return _document(document, "results", _filled([(_RESULT_ROW, columns)]))
 
 
 # --- map.geojson -------------------------------------------------------------
 
 
 # one attraction feature
-_ATTRACTION = _template(_feature(
+_ATTRACTION = _template(_indented(_feature(
     {"type": "Point", "coordinates": ["<lon>", "<lat>"]},
     {"feature_type": "attraction", "id": "<id>", "name": "<name>", "ftv_lo": "<lo>",
      "ftv_mode": "<mode>", "ftv_hi": "<hi>", "crisp": "<crisp>", "rank": "<rank>",
-     "tier": "<tier>"}))
+     "tier": "<tier>"})))
 
 
 def _attraction_features(columns: dict[str, list[str]], points: list[GeoPoint]
                          ) -> Iterator[str]:
     """One Point Feature per result, in order, as ``_indented`` text: its
     ``result_columns`` and its location in ``points``."""
-    return _filled(_ATTRACTION, {**columns, "lon": _coordinates([p.lon for p in points]),
-                                 "lat": _coordinates([p.lat for p in points])})
+    return _filled([(_ATTRACTION, {**columns, "lon": _coordinates([p.lon for p in points]),
+                                   "lat": _coordinates([p.lat for p in points])})])
 
 
-# One density feature: its ring's corners from the south-west, then its density.
-_DENSITY_FEATURE = _template(_feature(
+# One density feature, as ``_indented`` prints it: its ring's corners from the
+# south-west, then its density.
+_DENSITY_FEATURE = _indented(_feature(
     {"type": "Polygon", "coordinates": [[["<west>", "<south>"], ["<east>", "<south>"],
                                          ["<east>", "<north>"], ["<west>", "<north>"],
                                          ["<west>", "<south>"]]]},
@@ -240,16 +251,19 @@ def _density_features(grid: DensityGrid) -> Iterator[str]:
     made as it is read; zero cells are skipped to keep files small.  Rings
     are counter-clockwise from the south-west corner and closed.  Each edge
     coordinate is rounded and printed once and shared by the cells along
-    it.  Each density is printed as JSON prints its ``round6``
+    it; a grid row's south and north edges are filled into the template
+    once.  Each density is printed as JSON prints its ``round6``
     (``print_column``)."""
     lons, lats = map(_coordinates, grid.edges())
-    rows, cols = np.divmod(grid.positive, grid.ncols)
-    _, densities = print_column(grid.values.take(grid.positive).tolist())
-    rows, cols = rows.tolist(), cols.tolist()
-    return _filled(_DENSITY_FEATURE, {
-        "west": list(map(lons.__getitem__, cols)), "east": list(map(lons[1:].__getitem__, cols)),
-        "south": list(map(lats.__getitem__, rows)),
-        "north": list(map(lats[1:].__getitem__, rows)), "density": densities})
+    _, densities = print_column(grid.values.take(grid.positive))
+    cols = (grid.positive % grid.ncols).tolist()
+    west, east = list(map(lons.__getitem__, cols)), list(map(lons[1:].__getitem__, cols))
+    starts = np.searchsorted(grid.positive, np.arange(grid.nrows + 1) * grid.ncols).tolist()
+    return _filled(
+        (_template(_DENSITY_FEATURE.replace('"<south>"', lats[row])
+                   .replace('"<north>"', lats[row + 1])),
+         {"west": west[start:end], "east": east[start:end], "density": densities[start:end]})
+        for row, (start, end) in enumerate(zip(starts, starts[1:])) if start < end)
 
 
 def map_geojson(columns: dict[str, list[str]], points: list[GeoPoint],

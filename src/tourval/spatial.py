@@ -114,7 +114,7 @@ class DensityGrid(Record):
             raise ValueError("grid values must be finite and non-negative")
         if not cell_m > 0:
             raise ValueError(f"cell size must be positive, got {cell_m}")
-        positive = np.flatnonzero(v > 0.0)
+        positive = np.flatnonzero(v)   # after the range check, only positive cells are nonzero
         v.flags.writeable = positive.flags.writeable = False
         self._set(center, x0, y0, cell_m, v, positive)
 

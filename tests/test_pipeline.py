@@ -20,7 +20,6 @@ from tourval.errors import ConfigError, InputError, NumericError
 from tourval.pipeline import (
     IngestResult,
     KdeSettings,
-    WRITE_BLOCK_CHUNKS,
     RunConfig,
     _exact_sums,
     _write_all,
@@ -62,15 +61,33 @@ class TestFormatNumber:
         assert '"ftv_lo": 0.0,' in text
         assert '"crisp": 0.0,' in text
 
+    # values at which print_column's check for texts to print again changes
+    # its answer or the 6-digit text changes notation (1e-4, 999999.5), that
+    # round up to an integer (0.9999995, 12.99995) or are one, with the floats
+    # next to them on either side, of both signs
+    CHECK_EDGES = [float(y) for x in (1e-4, 999999.0, 999999.5, 0.9999995, 12.99995, 1.0,
+                                      7.0, 100.0, 123456.0, 999998.0, 1e6)
+                   for y in (np.nextafter(x, 0.0), x, np.nextafter(x, np.inf), -x)]
+
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=8))
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              # integers and the values a little off them
+                              st.builds(lambda n, d: n + d, st.integers(-10**7, 10**7),
+                                        st.sampled_from([0.0, 1e-6, -1e-6, 1e-4, 0.5]))),
+                    max_size=8), st.booleans())
     # zeros of both signs, the smallest subnormal, values whose 6-digit text
     # switches notation or rounds up across a power of ten, the largest float
     # and integral values, which JSON prints with ".0"
     @example([-0.0, 0.0, 5e-324, 9.99995e-5, 99999.95, 999999.5, 1e16,
-              1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 100.0, 123456.0])
-    def test_print_column_is_format_number_and_json_of_round6(self, values):
-        texts, json_texts = print_column(values)
+              1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 100.0, 123456.0],
+             False)
+    @example(CHECK_EDGES, True)
+    @example([], True)
+    @example([], False)
+    def test_print_column_is_format_number_and_json_of_round6(self, values, as_array):
+        """Each text is ``format_number``'s and each JSON text ``json.dumps``
+        of the ``round6``, from a list or an array of floats."""
+        texts, json_texts = print_column(np.array(values, dtype=float) if as_array else values)
         assert texts == [format_number(x) for x in values]
         assert json_texts == [json.dumps(round6(x)) for x in values]
 
@@ -1312,33 +1329,37 @@ CHUNK = st.one_of(st.just(""), st.sampled_from(["Café", "é", "寺", "\U0001f3b
 
 
 class TestWriteAll:
-    """pipeline._write_all joins each payload's chunks in blocks of
-    WRITE_BLOCK_CHUNKS and writes exactly the UTF-8 of their join."""
+    """pipeline._write_all writes each payload's chunks as they are made,
+    exactly the UTF-8 of their join."""
 
     @settings(max_examples=100, deadline=None)
-    @given(st.lists(CHUNK, max_size=40), st.integers(1, 5))
-    def test_bytes_are_the_join(self, chunks, block):
-        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
-            patch.setattr(pipeline, "WRITE_BLOCK_CHUNKS", block)
+    @given(st.lists(CHUNK, max_size=40))
+    def test_bytes_are_the_join(self, chunks):
+        with tempfile.TemporaryDirectory() as tmp:
             written = _write_all(Path(tmp), {"a.txt": chunks, "b.txt": iter(chunks)})
             assert [p.read_bytes() for p in written] == ["".join(chunks).encode("utf-8")] * 2
             assert sorted(os.listdir(tmp)) == ["a.txt", "b.txt"]
 
-    def test_one_write_per_block(self, tmp_path, monkeypatch):
-        """Four blocks of the package's size: the second is a multi-byte
-        letter split from its word at the block edge, then empty chunks."""
-        n = WRITE_BLOCK_CHUNKS
-        chunks = ["x"] * (n - 1) + ["Caf", "é"] + [""] * n + ["寺"] * (n + 5)
+    def test_each_chunk_written_before_the_next_is_made(self, tmp_path, monkeypatch):
+        """Large chunks, a multi-byte letter split from its word and empty
+        chunks: each is handed to the file before the next one is made,
+        and the file is the UTF-8 of their join."""
+        chunks = ["x" * 100_000, "Caf", "é", "", "", "寺" * 50_000, "\n"]
         writes = []
         real_open = Path.open
 
-        def counting_writes(path, *args, **kwargs):
+        def recording_writes(path, *args, **kwargs):
             handle = real_open(path, *args, **kwargs)
             write = handle.write
             handle.write = lambda text: writes.append(text) or write(text)
             return handle
 
-        monkeypatch.setattr(Path, "open", counting_writes)
-        (path,) = _write_all(tmp_path, {"map.geojson": iter(chunks)})
+        def made():
+            for i, chunk in enumerate(chunks):
+                assert writes == chunks[:i]
+                yield chunk
+
+        monkeypatch.setattr(Path, "open", recording_writes)
+        (path,) = _write_all(tmp_path, {"map.geojson": made()})
+        assert writes == chunks
         assert path.read_bytes() == "".join(chunks).encode("utf-8")
-        assert writes == ["x" * (n - 1) + "Caf", "é", "寺" * (n - 1), "寺" * 6]

@@ -21,7 +21,7 @@ from tourval import (
     merge_hotspots,
     plan_tour,
 )
-from tourval import spatial
+from tourval import render, spatial
 from tourval.errors import ConfigError, NumericError
 from tourval.render import _density_features
 from tourval.rounding import round6
@@ -264,7 +264,7 @@ class TestDensityFeatures:
                              "geometry": {"type": "Polygon", "coordinates": [ring]},
                              "properties": {"feature_type": "density",
                                             "density": float(f"{value:.6g}")}})
-        got = [json.loads(text) for text in _density_features(grid)]
+        got = json.loads("[" + ",\n".join(_density_features(grid)) + "]")
         assert 0 < len(got) < grid.nrows * grid.ncols
         assert got == want
 
@@ -295,7 +295,7 @@ class TestDensityFeatures:
         want = ["    " + json.dumps(f, indent=2, sort_keys=True,
                                     ensure_ascii=False).replace("\n", "\n    ")
                 for f in oracles.density_features(grid)]
-        assert list(_density_features(grid)) == want
+        assert ",\n".join(_density_features(grid)) == ",\n".join(want)
         densities = [re.search(r'"density": ([^,\n]+)', text)[1] for text in want]
         assert densities == [json.dumps(round6(v)) for v in values[values > 0].tolist()]
 
@@ -307,7 +307,7 @@ class TestDensityFeatures:
         """Each density prints as ``float.__repr__`` of its 6-digit text reads
         back, also where that text is kept as it is."""
         grid = DensityGrid(CENTER, 0.0, 0.0, 10.0, np.array([values]))
-        got = [re.search(r'"density": ([^,\n]+)', text)[1] for text in _density_features(grid)]
+        got = re.findall(r'"density": ([^,\n]+)', "".join(_density_features(grid)))
         assert got == [float.__repr__(float(f"{v:.6g}")) for v in values]
 
 
@@ -459,7 +459,7 @@ class TestPositiveCellsFoundOnce:
     ``positive`` cells, against the reference passes over the whole grid."""
 
     def test_positive_cells_are_the_row_major_nonzero_cells(self):
-        values = np.array([[0.0, 2.0, 0.0], [5e-324, 0.0, 1.0]])
+        values = np.array([[0.0, 2.0, -0.0], [5e-324, 0.0, 1.0]])
         grid = DensityGrid(CENTER, 0.0, 0.0, 10.0, values)
         assert grid.positive.tolist() == [1, 3, 5] and not grid.positive.flags.writeable
         assert DensityGrid(CENTER, 0.0, 0.0, 10.0, np.zeros((2, 2))).positive.size == 0
@@ -474,7 +474,56 @@ class TestPositiveCellsFoundOnce:
         features = ["    " + json.dumps(f, indent=2, sort_keys=True,
                                         ensure_ascii=False).replace("\n", "\n    ")
                     for f in oracles.density_features(grid)]
-        assert list(_density_features(grid)) == features
+        assert ",\n".join(_density_features(grid)) == ",\n".join(features)
+
+
+def _grid(values):
+    return DensityGrid(CENTER, -40.0, 25.0, 7.0, np.array(values, dtype=float))
+
+
+@st.composite
+def patterned_grids(draw):
+    """A grid of up to 12 x 12 cells: one positive cell, every cell
+    positive, or cells chosen at random, which leaves gaps inside rows and
+    rows with none."""
+    nrows, ncols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    pattern = draw(st.sampled_from(["single", "all", "random"]))
+    if pattern == "single":
+        positive = np.zeros(nrows * ncols, dtype=bool)
+        positive[draw(st.integers(0, nrows * ncols - 1))] = True
+    elif pattern == "all":
+        positive = np.ones(nrows * ncols, dtype=bool)
+    else:
+        positive = np.array(draw(st.lists(st.booleans(), min_size=nrows * ncols,
+                                          max_size=nrows * ncols)))
+    densities = draw(st.lists(st.one_of(st.floats(5e-324, 1e300),
+                                        st.sampled_from(TestDensityFeatures.EDGE_DENSITIES)),
+                              min_size=nrows * ncols, max_size=nrows * ncols))
+    return _grid(np.where(positive, densities, 0.0).reshape(nrows, ncols))
+
+
+class TestDensityBlocks:
+    """The density features' blocks, spliced into the map by
+    ``render._document``, print what ``json.dumps`` prints for the
+    reference features, at any block size."""
+
+    @given(patterned_grids(), st.sampled_from([1, 2, 3, 5, render._BLOCK_RECORDS]))
+    @settings(max_examples=200, deadline=None)
+    # one positive cell, gaps inside a row, rows skipped, every cell positive, none
+    @example(_grid([[0, 0, 0], [0, 4.5, 0], [0, 0, 0]]), 1)
+    @example(_grid([[1, 0, 2, 0, 0, 3]]), 2)
+    @example(_grid([[0, 1e-5], [0, 0], [0, 0], [2, 0], [0, 0]]), 1)
+    @example(_grid(np.arange(1.0, 13.0).reshape(3, 4)), 5)
+    @example(_grid(np.zeros((2, 3))), 1)
+    def test_spliced_blocks_are_json_dumps_of_the_reference(self, grid, block):
+        outer = {"type": "FeatureCollection"}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(render, "_BLOCK_RECORDS", block)
+            blocks = list(_density_features(grid))
+        text = "".join(render._document(outer, "features", blocks))
+        assert text == json.dumps({**outer, "features": oracles.density_features(grid)},
+                                  indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert len(blocks) == -(-grid.positive.size // block)
 
 
 class TestPercentile:
