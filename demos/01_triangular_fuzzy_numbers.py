@@ -1,6 +1,6 @@
 """
 ===================================================================
-Triangular fuzzy numbers: construction, membership, arithmetic
+Triangular fuzzy numbers: one record, arrays of them, defuzzification
 ===================================================================
 
 A triangular fuzzy number (TFN) models an uncertain quantity with three
@@ -8,27 +8,28 @@ anchors: the lowest plausible value, the most plausible value, and the
 highest plausible value.  Survey answers like "somewhere around 4, but
 definitely between 3 and 5" become TFN(3, 4, 5).
 
-This script walks through the basic toolkit:
+The valuation works on many TFNs at once, so it holds them as the rows of
+an (n, 3) numpy array of (lo, mode, hi).  This script walks through:
 
-1.  Building TFNs (including crisp ones) and reading them back from text.
-2.  Membership grades and alpha-cuts.
-3.  Interval arithmetic: sums, scalar multiples, averages across experts.
-4.  Collapsing a TFN to a single number (centroid defuzzification).
+1.  Building one TFN (including a crisp one) and the ordering rule.
+2.  Checking a whole array of triples against that rule.
+3.  Averaging a panel of expert ratings, component by component.
+4.  Collapsing each TFN to a single number (centroid or mode).
 """
+
+import numpy as np
 
 from tourval import TriangularFuzzyNumber as TFN
 from tourval import fuzzy
 
-# --- 1. Construction ---
+# --- 1. One TFN ---
 
-print("--- 1. Construction ---")
+print("--- 1. One TFN ---")
 vague = TFN(3.0, 4.0, 5.0)
 sharp = TFN.crisp(4.0)          # lo == mode == hi: no uncertainty at all
-parsed = fuzzy.tfn_from_text("3;4;5")
 
-print(f"  vague  = {vague}")
-print(f"  sharp  = {sharp}  (degenerate: a plain number in TFN clothing)")
-print(f"  parsed = {parsed}  round-trips as {fuzzy.tfn_to_text(parsed)!r}")
+print(f"  vague = {vague}")
+print(f"  sharp = {sharp}  (degenerate: a plain number in TFN clothing)")
 
 # Ordering is enforced; TFN(5, 4, 3) is rejected outright.
 try:
@@ -36,36 +37,29 @@ try:
 except ValueError as exc:
     print(f"  TFN(5, 4, 3) -> ValueError: {exc}")
 
-# --- 2. Membership and alpha-cuts ---
+# --- 2. Arrays of TFNs ---
 
-print("\n--- 2. Membership and alpha-cuts ---")
-for x in (2.5, 3.5, 4.0, 4.8):
-    print(f"  membership({x}) = {fuzzy.membership(vague, x):.3f}")
+# The loader checks every judgement row at once with the same rule.
+print("\n--- 2. Arrays of TFNs ---")
+ratings = np.array([[3.0, 4.0, 5.0], [1.0, 2.0, 6.0], [5.0, 4.0, 3.0]])
+valid = fuzzy.is_tfn(*ratings.T)
+for row, ok in zip(ratings.tolist(), valid.tolist()):
+    print(f"  {tuple(row)} is {'a TFN' if ok else 'not a TFN (lo > mode)'}")
 
-# The alpha-cut is the interval of values with membership >= alpha.
-for alpha in (0.0, 0.5, 1.0):
-    cut = fuzzy.alpha_cut(vague, alpha)
-    print(f"  alpha={alpha:.1f}: [{cut.low:.2f}, {cut.high:.2f}]")
+# --- 3. A panel of experts ---
 
-# --- 3. Arithmetic ---
-
-print("\n--- 3. Arithmetic ---")
-a = TFN(1.0, 2.0, 3.0)
-b = TFN(0.5, 1.0, 1.5)
-print(f"  {a} + {b} = {fuzzy.add(a, b)}")
-print(f"  0.4 * {a} = {fuzzy.scale(0.4, a)}")
-# Negative scalars flip the endpoints (lo and hi swap) so the result is
-# still a valid TFN; this is the move that powers scale conversion.
-print(f"  -1  * {a} = {fuzzy.scale(-1.0, a)}")
-
-# Three experts rate the same thing; the panel view is the component mean.
-panel = [TFN(2.0, 3.0, 4.0), TFN(3.0, 4.0, 5.0), TFN(2.5, 3.5, 4.0)]
-print(f"  mean of {len(panel)} expert ratings = {fuzzy.mean(panel)}")
+# Three experts rate the same thing; the panel's view is the mean of each
+# component, as the pipeline averages the experts of each attraction and factor.
+print("\n--- 3. A panel of experts ---")
+panel = np.array([[2.0, 3.0, 4.0], [3.0, 4.0, 5.0], [2.5, 3.5, 4.0]])
+print(f"  mean of {len(panel)} expert ratings = {tuple(panel.mean(axis=0).tolist())}")
 
 # --- 4. Defuzzification ---
 
 print("\n--- 4. Defuzzification ---")
-skewed = TFN(1.0, 2.0, 6.0)
-print(f"  centroid of {vague}  = {fuzzy.defuzzify(vague):.4f}")
-print(f"  centroid of {skewed} = {fuzzy.defuzzify(skewed):.4f} "
-      "(the long right tail pulls it past the mode)")
+tfns = ratings[valid]
+centroids = fuzzy.defuzzify(tfns)
+modes = fuzzy.defuzzify(tfns, method="mode")
+for row, centroid, mode in zip(tfns.tolist(), centroids.tolist(), modes.tolist()):
+    print(f"  {tuple(row)}: centroid {centroid:.4f}, mode {mode:.4f}")
+print("  (the long right tail of (1, 2, 6) pulls its centroid past the mode)")

@@ -11,13 +11,17 @@ The rescaling here is the affine map that sends the source range onto the
 target range, applied to each endpoint of a triangular fuzzy number.  It
 preserves ordering and relative spread, and a crisp number rescales to
 exactly the same value whether treated as a number or a degenerate TFN.
+``rescale_endpoints`` maps whole arrays at once; ``apply_range_policy``
+first decides what happens to values outside their source range.
 """
 
 import logging
 
-from tourval import SourceRange, TargetRange, TriangularFuzzyNumber as TFN
-from tourval import rescale_crisp, rescale_tfn
+import numpy as np
+
+from tourval import SourceRange, TargetRange
 from tourval.errors import OutOfRangeError
+from tourval.rescale import apply_range_policy, rescale_endpoints
 
 TARGET = TargetRange(0.0, 100.0)
 
@@ -25,14 +29,17 @@ TARGET = TargetRange(0.0, 100.0)
 
 print("--- 1. Crisp rescaling ---")
 five_point = SourceRange(0.0, 5.0)
-for raw in (0.0, 2.5, 4.0, 5.0):
-    print(f"  {raw} on 0..5  ->  {rescale_crisp(raw, five_point, TARGET):.1f} on 0..100")
+raw = np.array([0.0, 2.5, 4.0, 5.0])
+rescaled = rescale_endpoints(raw, five_point.x, five_point.y, TARGET)
+for a, r in zip(raw.tolist(), rescaled.tolist()):
+    print(f"  {a} on 0..5  ->  {r:.1f} on 0..100")
 
 # --- 2. Whole fuzzy numbers ---
 
 print("\n--- 2. Fuzzy rescaling ---")
-rating = TFN(3.0, 4.0, 4.5)
-print(f"  {rating} on 0..5 -> {rescale_tfn(rating, five_point, TARGET)}")
+rating = (3.0, 4.0, 4.5)
+print(f"  {rating} on 0..5 -> "
+      f"{tuple(rescale_endpoints(rating, five_point.x, five_point.y, TARGET).tolist())}")
 
 # --- 3. Reversed-polarity scales ---
 
@@ -40,19 +47,38 @@ print(f"  {rating} on 0..5 -> {rescale_tfn(rating, five_point, TARGET)}")
 # still order-preserving, so "nearly harmless" lands near 100.
 print("\n--- 3. Negative source ranges ---")
 impact = SourceRange(-5.0, 0.0)
-nearly_harmless = TFN(-1.18, -0.18, -0.02)
-print(f"  {nearly_harmless} on -5..0 -> {rescale_tfn(nearly_harmless, impact, TARGET)}")
+nearly_harmless = (-1.18, -0.18, -0.02)
+print(f"  {nearly_harmless} on -5..0 -> "
+      f"{tuple(rescale_endpoints(nearly_harmless, impact.x, impact.y, TARGET).tolist())}")
 
-# --- 4. Out-of-range answers: refuse or clamp ---
+# --- 4. Several factors at once ---
 
-print("\n--- 4. Range policies ---")
-typo = TFN(0.5, 4.5, 5.5)   # hi exceeds the 0..5 scale
+# Each factor's range ends as a column broadcast against an (attractions,
+# factors, 3) array: the valuation rescales every score in one call.
+print("\n--- 4. Several factors at once ---")
+x = np.array([[five_point.x], [impact.x]])
+y = np.array([[five_point.y], [impact.y]])
+scores = np.array([[rating, nearly_harmless]])
+print(rescale_endpoints(scores, x, y, TARGET))
+
+# --- 5. Out-of-range answers: refuse or clamp ---
+
+print("\n--- 5. Range policies ---")
+typo = (0.5, 4.5, 5.5)   # hi exceeds the 0..5 scale
+
+
+def locate(index):
+    """Name the value at ``index`` in a message."""
+    return f"enjoyment: {('lo', 'mode', 'hi')[index[0]]}="
+
+
 try:
-    rescale_tfn(typo, five_point, TARGET, label="enjoyment")
+    apply_range_policy(typo, five_point.x, five_point.y, "strict", locate)
 except OutOfRangeError as exc:
-    print(f"  strict (default): {exc}")
+    print(f"  strict: {exc}")
 
 logging.basicConfig(level=logging.WARNING, format="  [log] %(message)s")
-clamped = rescale_tfn(typo, five_point, TARGET, policy="clamp", label="enjoyment")
-print(f"  clamp: {typo} -> {clamped}")
+admitted = apply_range_policy(typo, five_point.x, five_point.y, "clamp", locate)
+clamped = rescale_endpoints(admitted, five_point.x, five_point.y, TARGET)
+print(f"  clamp: {typo} -> {tuple(clamped.tolist())}")
 print("  (the warning above records exactly what was moved)")

@@ -5,12 +5,15 @@ From expert ratings to a ranked list of attractions
 
 The experiential value of a tourist attraction is scored against a
 catalogue of weighted factors (condition, authenticity, engagement, ...),
-each on its own survey scale.  Per attraction:
+each on its own survey scale.  For all attractions at once:
 
-1.  every factor rating is rescaled onto 0..100,
-2.  the rescaled TFNs are combined into one weighted fuzzy value (FTV),
-3.  the FTV is defuzzified to a crisp score, classified into a tier
-    (Low / Medium / High), and used for ranking and filtering.
+1.  every factor rating is checked against its range and rescaled onto
+    0..100,
+2.  the rescaled TFNs are combined into one weighted fuzzy value (FTV) per
+    attraction,
+3.  each FTV is defuzzified to a crisp score and classified into a tier
+    (Low / Medium / High); the attractions come back ranked, and the
+    filter keeps those above 66.
 
 This demo scores three fictional attractions against the bundled
 20-factor catalogue from the Santiago de Cuba study.
@@ -18,9 +21,11 @@ This demo scores three fictional attractions against the bundled
 
 import random
 
-from tourval import AttractionEvaluation, TriangularFuzzyNumber as TFN
-from tourval import evaluate_attraction, filter_high, rank
-from tourval import datasets
+import numpy as np
+
+from tourval import classify, datasets, fuzzy
+from tourval.rescale import apply_range_policy
+from tourval.valuation import evaluate_attractions
 
 catalogue = datasets.santiago_catalogue()
 
@@ -33,15 +38,16 @@ print(f"           target range {catalogue.target.m}..{catalogue.target.M}\n")
 # quality is the typical position inside each factor's own range
 rng = random.Random(7)
 
-def rate(quality: float) -> dict:
-    scores = {}
+def rate(quality: float) -> list:
+    """One (lo, mode, hi) rating per factor, in catalogue order."""
+    scores = []
     for factor in catalogue.factors:
         x, y = factor.src.x, factor.src.y
         span = y - x
         mode = x + span * min(0.95, max(0.05, quality + rng.uniform(-0.1, 0.1)))
         lo = max(x, mode - 0.12 * span)
         hi = min(y, mode + 0.12 * span)
-        scores[factor.id] = TFN(lo, mode, hi)
+        scores.append((lo, mode, hi))
     return scores
 
 bundles = {
@@ -50,31 +56,32 @@ bundles = {
     "forgotten_warehouse": rate(0.25),
 }
 
-# --- 2. Evaluate each attraction ---
+# --- 2. Evaluate every attraction in one call ---
 
-print("--- evaluation ---")
-results = []
-for attraction_id, scores in bundles.items():
-    result = evaluate_attraction(AttractionEvaluation(attraction_id, scores),
-                                 catalogue)
-    results.append(result)
-    print(f"  {attraction_id:20s} FTV={result.ftv}  "
+# an (attractions, factors, 3) array; "strict" refuses a rating outside its
+# factor's range, naming it ("clamp" would saturate it with a warning)
+ids = list(bundles)
+x, y = catalogue.source_ranges
+scores = apply_range_policy(
+    [bundles[i] for i in ids], x, y, "strict",
+    lambda at: f"attraction {ids[at[0]]!r}, factor {catalogue.ids[at[1]]!r}: ")
+valuation = evaluate_attractions(ids, scores, catalogue)
+
+print("--- evaluation, in rank order (crisp score, ties by mode) ---")
+for position, result in enumerate(valuation, start=1):
+    print(f"  {position}. {result.attraction_id:20s} FTV={result.ftv}  "
           f"crisp={result.crisp:6.2f}  tier={result.tier}")
 
-# --- 3. Rank and filter ---
+# --- 3. Filter ---
 
-print("\n--- ranking (crisp score, ties by mode) ---")
-for position, result in enumerate(rank(results), start=1):
-    print(f"  {position}. {result.attraction_id} ({result.crisp:.2f})")
-
-kept = filter_high(results)     # strictly above 66 by default
-print(f"\nfilter keeps {len(kept)} of {len(results)}: "
-      f"{[r.attraction_id for r in kept]}")
+kept = valuation.above(66.0)     # the rows printed strictly above 66
+print(f"\nfilter keeps {len(kept)} of {len(ids)}: "
+      f"{[valuation.ids[i] for i in kept]}")
 
 # --- 4. The published top five, for comparison ---
 
 print("\n--- published Santiago de Cuba top five ---")
-from tourval import classify, fuzzy
-for name, ftv in datasets.santiago_reference_ftv():
-    crisp = fuzzy.defuzzify(ftv)
+listed = datasets.santiago_reference_ftv()
+centroids = fuzzy.defuzzify(np.array([ftv.as_tuple() for _, ftv in listed]))
+for (name, ftv), crisp in zip(listed, centroids.tolist()):
     print(f"  {name:45s} {ftv}  -> {crisp:.2f} {classify(crisp)}")

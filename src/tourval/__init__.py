@@ -22,17 +22,9 @@ from .errors import (
     OutOfRangeError,
     TourvalError,
 )
-from .fuzzy import (
-    Interval,
-    TriangularFuzzyNumber,
-    alpha_cut,
-    defuzzify,
-    membership,
-    tfn_from_text,
-    tfn_to_text,
-)
+from .fuzzy import TriangularFuzzyNumber, defuzzify
 from .pipeline import RunConfig, load_config, run_pipeline, run_tour, run_valuation
-from .rescale import SourceRange, TargetRange, rescale_crisp, rescale_tfn
+from .rescale import SourceRange, TargetRange
 from .spatial import (
     EARTH_RADIUS_KM,
     DensityGrid,
@@ -47,39 +39,19 @@ from .spatial import (
     merge_hotspots,
     plan_tour,
 )
-from .valuation import (
-    AttractionEvaluation,
-    FactorCatalogue,
-    FactorDefinition,
-    ValuationResult,
-    classify,
-    evaluate_attraction,
-    filter_high,
-    rank,
-)
+from .valuation import FactorCatalogue, FactorDefinition, ValuationResult, classify
 
 __version__ = "0.1.0"
 
 __all__ = [
     "TriangularFuzzyNumber",
-    "Interval",
-    "membership",
-    "alpha_cut",
     "defuzzify",
-    "tfn_to_text",
-    "tfn_from_text",
     "SourceRange",
     "TargetRange",
-    "rescale_crisp",
-    "rescale_tfn",
     "FactorDefinition",
     "FactorCatalogue",
-    "AttractionEvaluation",
     "ValuationResult",
-    "evaluate_attraction",
     "classify",
-    "filter_high",
-    "rank",
     "WeightReport",
     "WeightCheck",
     "validate_pairwise",

@@ -2,8 +2,9 @@
 
 ``rescale_endpoints`` maps values from a source range [x, y] onto a target
 range [m, M] with the affine min-max transform, a TFN endpoint by endpoint;
-``apply_range_policy`` handles values outside [x, y].  Every caller,
-``rescale_crisp``, ``rescale_tfn`` and the batch valuation, uses these two.
+``apply_range_policy`` handles values outside [x, y].  Both take arrays:
+the pipeline admits every judgement with the one and the valuation rescales
+every score with the other.
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import OutOfRangeError, require_choice
-from .fuzzy import TFN
 from .record import Record
 
 __all__ = ["SourceRange", "TargetRange", "RANGE_POLICIES", "apply_range_policy",
-           "rescale_endpoints", "rescale_crisp", "rescale_tfn"]
+           "rescale_endpoints"]
 
 log = logging.getLogger(__name__)
 
@@ -100,25 +100,3 @@ def rescale_endpoints(values, x, y, tgt: TargetRange) -> np.ndarray:
     r = tgt.M - tgt.span * ((1.0 / (y - x)) * (y - np.asarray(values, dtype=float)))
     # anchor rounding can exit [m, M] by a few ulp
     return np.minimum(np.maximum(r, tgt.m), tgt.M)
-
-
-def rescale_crisp(a: float, src: SourceRange, tgt: TargetRange,
-                  policy: str = "strict", label: str | None = None) -> float:
-    """Min-max rescale one value: M - (M - m) * (y - a) / (y - x).
-
-    Maps x to m and y to M and is strictly increasing in between.  ``a``
-    must lie in [x, y]; under the ``clamp`` policy an outside value is
-    saturated to the range with a logged warning instead of raising.
-    """
-    a = apply_range_policy(a, src.x, src.y, policy,
-                           lambda _: f"{label}: value " if label else "value ")
-    return float(rescale_endpoints(a, src.x, src.y, tgt))
-
-
-def rescale_tfn(t: TFN, src: SourceRange, tgt: TargetRange,
-                policy: str = "strict", label: str | None = None) -> TFN:
-    """Min-max rescale a TFN onto the target range, endpoint by endpoint
-    (see ``rescale_endpoints``); the result stays inside [m, M]."""
-    a = apply_range_policy(t.as_tuple(), src.x, src.y, policy,
-                           lambda i: (f"{label}: " if label else "") + f"{COMPONENTS[i[0]]}=")
-    return TFN(*rescale_endpoints(a, src.x, src.y, tgt).tolist())

@@ -1,6 +1,8 @@
 """6-significant-digit rendering of every metric number the artifacts and
 the CLI print; negative zero renders as ``0``."""
 
+import sys
+
 import numpy as np
 
 __all__ = ["format_number", "round6", "print_column"]
@@ -23,13 +25,15 @@ def print_column(values: np.ndarray) -> tuple[list[str], list[str]]:
     texts = ("%.6g\n" * len(values) % tuple(values.tolist())).splitlines()
     json_texts = texts.copy()
     # A text with a point and no exponent is already the shortest text that
-    # reads back as its float, hence its JSON text.  Only the others, with an
-    # exponent or an integral value, which JSON prints with ".0", are printed
-    # again.  They lie among the values below 1e-4 and those within 5e-6 of
-    # their size of an integer, the check allowing 2e-5: from 25,000 up that
-    # is every value, so every text with a positive exponent is checked.
+    # reads back as its float, hence its JSON text; so is a normal float's
+    # text with a negative exponent, as JSON also writes an exponent below
+    # 1e-4.  Only subnormals (5e-324 prints as 4.94066e-324) and integral
+    # values, which JSON prints with ".0", are printed again.  The latter lie
+    # among the values within 5e-6 of their size of an integer, the check
+    # allowing 2e-5: from 25,000 up that is every value, so every text with a
+    # positive exponent is checked.
     size = np.abs(values)
-    near = (size < 1e-4) | (np.abs(values - np.rint(values)) <= 2e-5 * size)
+    near = (size < sys.float_info.min) | (np.abs(values - np.rint(values)) <= 2e-5 * size)
     for i in np.flatnonzero(near).tolist():
         if "." not in texts[i] or "e" in texts[i]:
             json_texts[i] = float.__repr__(float(texts[i]))

@@ -4,13 +4,13 @@ The fuzzy tourism value (FTV) of an attraction is the weight vector applied
 to its factor scores after each score has been rescaled onto the common
 target range:  FTV = sum_i w_i * rescale(score_i).  ``evaluate_attractions``
 values a whole (attractions, factors, 3) array of scores at once, as one
-``Valuation``; ``evaluate_attraction`` values one attraction the same way.
+``Valuation`` in rank order; ``Valuation.above`` is the filter.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -19,22 +19,17 @@ from .ahp import validate_weights
 from .errors import ConfigError, InputError
 from .fuzzy import TFN
 from .record import Record
-from .rescale import (COMPONENTS, SourceRange, TargetRange, apply_range_policy,
-                      rescale_endpoints)
+from .rescale import SourceRange, TargetRange, rescale_endpoints
 from .rounding import round6
 
 __all__ = [
     "FactorDefinition",
     "FactorCatalogue",
-    "AttractionEvaluation",
     "ValuationResult",
     "Valuation",
     "evaluate_attractions",
-    "evaluate_attraction",
     "id_mismatch",
     "classify",
-    "filter_high",
-    "rank",
     "DEFAULT_THRESHOLDS",
     "DEFAULT_SCALE",
     "TIERS",
@@ -102,15 +97,6 @@ class FactorCatalogue(Record):
                 np.array([[f.src.y] for f in self.factors], dtype=float))
 
 
-class AttractionEvaluation(Record):
-    """Expert-aggregated TFN score per factor for one attraction."""
-
-    __slots__ = ("attraction_id", "scores")
-
-    def __init__(self, attraction_id: str, scores: Mapping[str, TFN]):
-        self._set(attraction_id, scores)
-
-
 class ValuationResult(Record):
     """Valuation of one attraction: fuzzy index, crisp value, tier."""
 
@@ -121,7 +107,7 @@ class ValuationResult(Record):
 
 
 class Valuation(Record):
-    """Attractions valued, as columns in ``rank`` order (row ``i`` has rank ``i + 1``): ids,
+    """Attractions valued, as columns in rank order (row ``i`` has rank ``i + 1``): ids,
     FTVs, crisp and printed (``round6``) values and tiers; iterating yields ``ValuationResult``s."""
 
     __slots__ = ("ids", "ftv", "crisp", "tiers", "printed")
@@ -152,11 +138,13 @@ def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
                          catalogue: FactorCatalogue, method: str = "centroid",
                          thresholds: tuple[float, float] | None = DEFAULT_THRESHOLDS
                          ) -> Valuation:
-    """FTV, defuzzified value and tier of each id, in ``rank`` order, from an
-    (ids, factors, 3) array of range-admitted scores, factors in catalogue order;
-    tiers are on the catalogue's target range.  An FTV off the range by at most
-    the rounding error of its weighted sum is put on the range's end; one further
-    off (weights summing above 1) is an InputError naming the id."""
+    """FTV, defuzzified value and tier of each id from an (ids, factors, 3)
+    array of range-admitted scores, factors in catalogue order; tiers are on the
+    catalogue's target range.  The rows are in rank order: by descending
+    defuzzified value, ties by descending FTV mode, then by id as ``str``
+    compares.  An FTV off the range by at most the rounding error of its
+    weighted sum is put on the range's end; one further off (weights summing
+    above 1) is an InputError naming the id."""
     x, y = catalogue.source_ranges
     tgt = catalogue.target
     rescaled = rescale_endpoints(scores, x, y, tgt)
@@ -185,33 +173,9 @@ def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
             tiers.append(classify(value, thresholds, (tgt.m, tgt.M)) if thresholds else None)
         except ValueError as e:
             raise off_range(at, str(e)) from None
-    order = sorted(range(len(ids)), key=lambda i: _rank_key(values[i], modes[i], ids[i]))
+    order = sorted(range(len(ids)), key=lambda i: (-values[i], -modes[i], ids[i]))
     return Valuation(tuple(ids[i] for i in order), ftv[order], crisp[order],
                      tuple(tiers[i] for i in order))
-
-
-def evaluate_attraction(evaluation: AttractionEvaluation, catalogue: FactorCatalogue,
-                        policy: str = "strict", method: str = "centroid",
-                        thresholds: tuple[float, float] | None = DEFAULT_THRESHOLDS
-                        ) -> ValuationResult:
-    """Full valuation of one attraction, through ``evaluate_attractions``.
-
-    Every catalogue factor must be scored exactly once; ``policy`` handles
-    scores outside their factor's range.  The default thresholds are the
-    bands of the 0-100 scale; on another target pass thresholds on that
-    range, or ``thresholds=None`` to skip tiers.
-    """
-    problems = id_mismatch(evaluation.scores, catalogue.ids)
-    if problems:
-        raise InputError(f"attraction {evaluation.attraction_id!r}: factor ids {problems}")
-    ids = catalogue.ids
-    x, y = catalogue.source_ranges
-    admitted = apply_range_policy(
-        [[evaluation.scores[f].as_tuple() for f in ids]], x, y, policy,
-        lambda i: f"attraction {evaluation.attraction_id!r}, factor {ids[i[1]]!r}: "
-                  f"{COMPONENTS[i[2]]}=")
-    return next(iter(evaluate_attractions([evaluation.attraction_id], admitted, catalogue,
-                                          method=method, thresholds=thresholds)))
 
 
 def classify(crisp: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
@@ -226,20 +190,3 @@ def classify(crisp: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
         raise ValueError(f"value {crisp} outside the classification scale [{lo}, {hi}]")
     printed = round6(crisp)
     return TIERS[(printed > low_max) + (printed > medium_max)]
-
-
-def filter_high(results: Iterable[ValuationResult],
-                threshold: float = DEFAULT_THRESHOLDS[1]) -> list[ValuationResult]:
-    """Keep only results whose crisp value, as printed (``round6``),
-    exceeds the threshold, in order."""
-    return [r for r in results if round6(r.crisp) > threshold]
-
-
-def _rank_key(crisp: float, mode: float, attraction_id: str) -> tuple[float, float, str]:
-    return -crisp, -mode, attraction_id
-
-
-def rank(results: Iterable[ValuationResult]) -> list[ValuationResult]:
-    """Order results by descending crisp value; ties fall back to the descending
-    fuzzy mode and then to the attraction id, ascending as ``str`` compares."""
-    return sorted(results, key=lambda r: _rank_key(r.crisp, r.ftv.mode, r.attraction_id))

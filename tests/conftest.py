@@ -27,12 +27,6 @@ def spans(draw, lo=-1e4, hi=1e4, min_width=1e-3):
     return a, b
 
 
-@st.composite
-def tfns_within(draw, low, high):
-    a, b, c = sorted(draw(st.tuples(*[finite_floats(low, high)] * 3)))
-    return TFN(a, b, c)
-
-
 @pytest.fixture(scope="session")
 def sample_dir() -> Path:
     return santiago_sample_dir()

@@ -20,7 +20,8 @@ size, kept as it was, on the package's haversine distance.  The bundled
 Santiago tables are read as the package's earlier ``datasets`` read them,
 with csv.DictReader, kept as it was.  The valuation of FTV rows is the
 package's earlier per-attraction loop, with its scalar defuzzification, its
-``rank`` key and its ``filter_high`` rule, kept as they were.
+rank key (crisp value, then mode, both descending, then id) and its filter
+rule (printed crisp value above the threshold), kept as they were.
 """
 
 from __future__ import annotations
@@ -125,8 +126,8 @@ def defuzzify(t: TriangularFuzzyNumber, method: str = "centroid") -> float:
 def valuation_loop(rows, method, thresholds, scale, filter_threshold):
     """The package's earlier valuation of ``(id, (lo, mode, hi))`` FTV rows:
     one TFN, crisp value and tier (``classify``) per row, each row a
-    ValuationResult, sorted by the earlier ``rank`` key and kept by the
-    earlier ``filter_high`` rule.  Returns (ranked, retained)."""
+    ValuationResult, sorted by the earlier rank key and kept by the earlier
+    filter rule.  Returns (ranked, retained)."""
     results = []
     for attraction_id, row in rows:
         t = TriangularFuzzyNumber(*row)

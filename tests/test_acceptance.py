@@ -7,7 +7,6 @@ allowed to weaken a bound to make a test pass.
 """
 
 import csv
-import json
 import subprocess
 import sys
 import time
@@ -17,26 +16,20 @@ import numpy as np
 import pytest
 
 from tourval import (
-    AttractionEvaluation,
     FactorCatalogue,
     FactorDefinition,
     HotSpot,
     SourceRange,
     TargetRange,
-    TriangularFuzzyNumber as TFN,
-    classify,
     derive_weights,
-    evaluate_attraction,
-    filter_high,
-    fuzzy,
     plan_tour,
-    rank,
-    rescale_tfn,
     validate_pairwise,
     validate_weights,
 )
 from tourval import datasets
-from tourval.spatial import GeoPoint, haversine_km
+from tourval.rescale import apply_range_policy, rescale_endpoints
+from tourval.spatial import haversine_km
+from tourval.valuation import evaluate_attractions
 
 import oracles
 from test_spatial import CENTER, offset_point
@@ -73,9 +66,10 @@ def test_01_fuzzy_rescaling_equals_endpointwise_affine_map():
             m, big_m = draw_span(rng)
             units = np.sort(rng.uniform(0.0, 1.0, 3))
             a, b, c = (min(x + (y - x) * u, y) for u in units)
-            got = rescale_tfn(TFN(a, b, c), SourceRange(x, y), TargetRange(m, big_m))
+            admitted = apply_range_policy((a, b, c), x, y, "strict", lambda _: "")
+            got = rescale_endpoints(admitted, x, y, TargetRange(m, big_m))
             want = oracles.rescale3((a, b, c), x, y, m, big_m)
-            for component, expected in zip(got.as_tuple(), want):
+            for component, expected in zip(got.tolist(), want):
                 assert close(component, expected), (x, y, m, big_m, a, b, c)
         elapsed = time.perf_counter() - start
         assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -99,11 +93,10 @@ def test_02_degenerate_fuzzy_index_equals_crisp_index():
                                      weight=weights[k])
                     for k in range(n)),
                 target=TargetRange(0.0, 5.0))
-            scores = {f"f{k}": TFN.crisp(ratings[k]) for k in range(n)}
-            result = evaluate_attraction(AttractionEvaluation("a", scores),
-                                         catalogue, thresholds=None)
+            scores = np.repeat(ratings[None, :, None], 3, axis=2)   # (1, n, 3) point TFNs
+            crisp = evaluate_attractions(["a"], scores, catalogue, thresholds=None).crisp[0]
             want = oracles.crisp_minmax_index(ratings, weights, minima, maxima)
-            assert close(result.crisp, want), (n, result.crisp, want)
+            assert close(crisp, want), (n, crisp, want)
 
 
 def test_03_published_weight_column_needs_loose_tolerance():
@@ -117,31 +110,31 @@ def test_04_published_top_five_classify_high_in_listing_order():
     with criterion(4, "published top-five values all High, survive the filter, "
                       "rank in listing order"):
         listed = datasets.santiago_reference_ftv()
-        results = []
-        for name, ftv in listed:
-            crisp = fuzzy.defuzzify(ftv)
-            results.append((name, ftv, crisp, classify(crisp)))
+        # one factor of weight 1 whose source range is the target: each FTV is its score
+        catalogue = FactorCatalogue(
+            factors=(FactorDefinition(id="ftv", name="ftv", src=SourceRange(0.0, 100.0),
+                                      weight=1.0),),
+            target=TargetRange(0.0, 100.0))
+        v = evaluate_attractions([name for name, _ in listed],
+                                 np.array([[ftv.as_tuple()] for _, ftv in listed]), catalogue)
         hand_centroids = [85.73667, 85.05, 84.08667, 83.83, 83.70]
-        for (name, ftv, crisp, tier), want in zip(results, hand_centroids):
-            assert tier == "High", (name, crisp)
-            assert crisp == pytest.approx(want, abs=5e-4)
+        valued = {r.attraction_id: r for r in v}
+        for (name, _), want in zip(listed, hand_centroids):
+            assert valued[name].tier == "High", (name, valued[name].crisp)
+            assert valued[name].crisp == pytest.approx(want, abs=5e-4)
 
-        from tourval import ValuationResult
-        valuations = [ValuationResult(name, ftv, crisp, tier)
-                      for name, ftv, crisp, tier in results]
-        assert len(filter_high(valuations)) == 5
-        ranked = rank(valuations)
-        assert [v.attraction_id for v in ranked] == [name for name, _ in listed]
-        assert ranked[0].attraction_id == "House of the Trova"
+        assert len(v.above(66)) == 5
+        assert v.ids == tuple(name for name, _ in listed)
+        assert v.ids[0] == "House of the Trova"
 
 
 def test_05_negative_range_row_rescales_to_published_triplet():
     with criterion(5, "negative-range factor row rescales to (76.4, 96.4, 99.6) "
                       "within 1e-9"):
-        got = rescale_tfn(TFN(-1.18, -0.18, -0.02), SourceRange(-5.0, 0.0),
-                          TargetRange(0.0, 100.0))
+        admitted = apply_range_policy((-1.18, -0.18, -0.02), -5.0, 0.0, "strict", lambda _: "")
+        got = rescale_endpoints(admitted, -5.0, 0.0, TargetRange(0.0, 100.0))
         want = oracles.rescale3((-1.18, -0.18, -0.02), -5.0, 0.0, 0.0, 100.0)
-        for g, w, published in zip(got.as_tuple(), want, (76.4, 96.4, 99.6)):
+        for g, w, published in zip(got.tolist(), want, (76.4, 96.4, 99.6)):
             assert close(g, w)
             assert close(g, published)
 
@@ -155,11 +148,10 @@ def test_06_ranking_invariant_across_target_ranges():
             minima = rng.uniform(-10, 10, n)
             maxima = minima + rng.uniform(0.5, 10, n)
             weights = rng.dirichlet(np.ones(n))
-            attraction_scores = []
-            for a in range(int(rng.integers(3, 8))):
-                raw = np.sort(rng.uniform(minima, maxima, size=(3, n)), axis=0)
-                attraction_scores.append(
-                    {f"f{k}": TFN(raw[0, k], raw[1, k], raw[2, k]) for k in range(n)})
+            # (attractions, factors, 3): each attraction's sorted draws
+            scores = np.array([np.sort(rng.uniform(minima, maxima, size=(3, n)), axis=0).T
+                               for _ in range(int(rng.integers(3, 8)))])
+            ids = [f"a{i}" for i in range(len(scores))]
 
             orders = []
             for _ in range(2):
@@ -171,11 +163,7 @@ def test_06_ranking_invariant_across_target_ranges():
                                          weight=weights[k])
                         for k in range(n)),
                     target=TargetRange(m, big_m))
-                results = [
-                    evaluate_attraction(AttractionEvaluation(f"a{i}", scores),
-                                        catalogue, thresholds=None)
-                    for i, scores in enumerate(attraction_scores)]
-                orders.append([r.attraction_id for r in rank(results)])
+                orders.append(evaluate_attractions(ids, scores, catalogue, thresholds=None).ids)
             assert orders[0] == orders[1], orders
 
 

@@ -18,7 +18,6 @@ from tourval import datasets, pipeline, render
 from tourval.ahp import derive_weights
 from tourval.errors import ConfigError, InputError, NumericError
 from tourval.pipeline import (
-    IngestResult,
     KdeSettings,
     RunConfig,
     _exact_sums,
@@ -90,6 +89,20 @@ class TestFormatNumber:
         texts, json_texts = print_column(np.array(values, dtype=float) if as_array else values)
         assert texts == [format_number(x) for x in values]
         assert json_texts == [json.dumps(round6(x)) for x in values]
+
+    TINY = sys.float_info.min
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.floats(-1e-4, 1e-4), st.floats(-TINY, TINY),
+                              st.sampled_from([TINY, -TINY, float(np.nextafter(TINY, 0.0)),
+                                               5e-324, -5e-324, 0.0, -0.0])),
+                    max_size=16))
+    @example([TINY, -TINY, 5e-324, 0.0, -0.0, 1e-5, 9.99995e-5, 2.5e-308])
+    def test_json_texts_below_1e4_are_the_repr_of_the_text(self, values):
+        """Below 1e-4 only a subnormal is printed again: a normal float's
+        6-digit text is already its JSON text, a subnormal's may not be."""
+        _, json_texts = print_column(np.array(values, dtype=float))
+        assert json_texts == [float.__repr__(float(format_number(x))) for x in values]
 
 
 def _dotted(extra, key):

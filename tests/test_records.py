@@ -20,14 +20,12 @@ import tourval
 from tourval import TriangularFuzzyNumber as TFN
 from tourval.ahp import WeightCheck, WeightReport
 from tourval.errors import ConfigError
-from tourval.fuzzy import Interval
 from tourval.pipeline import (IngestResult, KdeSettings, PipelineOutput, RunConfig,
                               TourSettings, load_config)
 from tourval.record import FrozenInstanceError, Record
 from tourval.rescale import SourceRange, TargetRange
 from tourval.spatial import DensityGrid, GeoPoint, HotSpot, ScoredPoint, Tour
-from tourval.valuation import (AttractionEvaluation, FactorCatalogue, FactorDefinition,
-                               Valuation, ValuationResult)
+from tourval.valuation import FactorCatalogue, FactorDefinition, Valuation, ValuationResult
 
 SOURCE_ROOT = Path(tourval.__file__).resolve().parents[1]
 
@@ -63,8 +61,6 @@ CASES = [
     Case(TFN, dict(lo=1.0, mode=2.0, hi=3.0), {}, ONE_TEXT,
          ({"mode": 4.0}, ValueError, "TFN components must be finite and satisfy "
                                      "lo <= mode <= hi, got (1.0, 4.0, 3.0)")),
-    Case(Interval, dict(low=1.0, high=2.0), {}, "Interval(low=1.0, high=2.0)",
-         ({"low": 3.0}, ValueError, "interval requires low <= high, got [3.0, 2.0]")),
     Case(SourceRange, dict(x=0.0, y=5.0), {}, "SourceRange(x=0.0, y=5.0)",
          ({"y": 0.0}, ValueError, f"source range [0.0, 0.0] {SPAN}")),
     Case(TargetRange, dict(m=0.0, M=100.0), {}, "TargetRange(m=0.0, M=100.0)",
@@ -98,9 +94,6 @@ CASES = [
     Case(FactorCatalogue, dict(factors=(FACTOR,), target=TARGET), {},
          f"FactorCatalogue(factors=({FACTOR_TEXT},), target=TargetRange(m=0.0, M=100.0))",
          ({"factors": (FACTOR, FACTOR)}, ValueError, "duplicate factor ids in catalogue: f1")),
-    Case(AttractionEvaluation, dict(attraction_id="a1", scores={"f1": ONE}), {},
-         f"AttractionEvaluation(attraction_id='a1', scores={{'f1': {ONE_TEXT}}})", None,
-         hashable=False),
     Case(ValuationResult, dict(attraction_id="a1", ftv=ONE, crisp=2.0, tier="Low"),
          {"tier": None},
          f"ValuationResult(attraction_id='a1', ftv={ONE_TEXT}, crisp=2.0, tier='Low')", None),
@@ -161,8 +154,8 @@ def same(a, b) -> bool:
     return type(a) is type(b) and repr(a) == repr(b)
 
 
-def test_eighteen_records():
-    assert len({case.cls for case in CASES}) == 18
+def test_sixteen_records():
+    assert len({case.cls for case in CASES}) == 16
     assert all(issubclass(case.cls, Record) for case in CASES)
 
 
@@ -246,8 +239,7 @@ def test_array_fields_of_other_shapes_differ():
 
 def test_equal_fields_of_another_class_differ():
     assert SourceRange(0.0, 5.0) != TargetRange(0.0, 5.0)
-    assert SourceRange(0.0, 5.0) != Interval(0.0, 5.0)
-    assert GeoPoint(1.0, 2.0) != Interval(1.0, 2.0)
+    assert SourceRange(1.0, 2.0) != GeoPoint(1.0, 2.0)
     assert ValuationResult("a1", ONE, 2.0) != ValuationResult("a1", ONE, 2.5)
 
 

@@ -1,22 +1,16 @@
 import logging
-import math
 import re
 import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tourval import (
-    SourceRange,
-    TargetRange,
-    TriangularFuzzyNumber as TFN,
-    rescale_crisp,
-    rescale_tfn,
-)
+from tourval import SourceRange, TargetRange
 from tourval.errors import OutOfRangeError
+from tourval.rescale import COMPONENTS, apply_range_policy, rescale_endpoints
 
 import oracles
-from conftest import finite_floats, spans, tfns_within
+from conftest import spans
 
 
 class TestRanges:
@@ -52,46 +46,45 @@ class TestRanges:
         tiny = sys.float_info.min
         assert SourceRange(0, tiny).span == tiny
         assert TargetRange(-tiny, 0.0).span == tiny
-        assert rescale_crisp(tiny, SourceRange(0, tiny), TargetRange(0, 100)) == 100.0
-        assert rescale_crisp(tiny / 2, SourceRange(0, tiny), TargetRange(0, 100)) == 50.0
+        assert rescale_endpoints(tiny, 0.0, tiny, TargetRange(0, 100)) == 100.0
+        assert rescale_endpoints(tiny / 2, 0.0, tiny, TargetRange(0, 100)) == 50.0
 
 
 class TestCrisp:
     def test_endpoints_map_to_endpoints(self):
-        src, tgt = SourceRange(0, 5), TargetRange(0, 100)
-        assert rescale_crisp(0.0, src, tgt) == pytest.approx(0.0, abs=1e-12)
-        assert rescale_crisp(5.0, src, tgt) == pytest.approx(100.0, abs=1e-12)
+        got = rescale_endpoints([0.0, 5.0], 0.0, 5.0, TargetRange(0, 100))
+        assert got.tolist() == pytest.approx([0.0, 100.0], abs=1e-12)
 
     def test_midpoint(self):
-        assert rescale_crisp(2.5, SourceRange(0, 5), TargetRange(0, 100)) == pytest.approx(50.0)
+        assert rescale_endpoints(2.5, 0.0, 5.0, TargetRange(0, 100)) == pytest.approx(50.0)
 
     def test_negative_source_range(self):
-        got = rescale_crisp(-0.18, SourceRange(-5, 0), TargetRange(0, 100))
+        got = rescale_endpoints(-0.18, -5.0, 0.0, TargetRange(0, 100))
         assert got == pytest.approx(96.4, abs=1e-9)
 
     def test_strict_rejects_outside(self):
         with pytest.raises(OutOfRangeError) as err:
-            rescale_crisp(5.5, SourceRange(0, 5), TargetRange(0, 100), label="condition")
+            apply_range_policy(5.5, 0.0, 5.0, "strict", lambda _: "condition: value ")
         assert "condition" in str(err.value)
         assert "5.5" in str(err.value)
 
     def test_clamp_saturates(self, caplog):
-        src, tgt = SourceRange(0, 5), TargetRange(0, 100)
         with caplog.at_level(logging.WARNING, logger="tourval.rescale"):
-            assert rescale_crisp(5.5, src, tgt, policy="clamp") == 100.0
-            assert rescale_crisp(-1.0, src, tgt, policy="clamp") == 0.0
+            admitted = apply_range_policy([5.5, -1.0], 0.0, 5.0, "clamp", lambda _: "value ")
+        got = rescale_endpoints(admitted, 0.0, 5.0, TargetRange(0, 100))
+        assert got.tolist() == [100.0, 0.0]
         assert any("clamp" in record.message for record in caplog.records)
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
-            rescale_crisp(1.0, SourceRange(0, 5), TargetRange(0, 100), policy="wrap")
+            apply_range_policy(1.0, 0.0, 5.0, "wrap", lambda _: "value ")
 
     @given(spans(), spans())
     def test_matches_affine_oracle(self, src_span, tgt_span):
         x, y = src_span
         m, big_m = tgt_span
         a = (x + y) / 2.0
-        got = rescale_crisp(a, SourceRange(x, y), TargetRange(m, big_m))
+        got = rescale_endpoints(a, x, y, TargetRange(m, big_m))
         want = oracles.lre(a, x, y, m, big_m)
         assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
@@ -100,51 +93,51 @@ class TestCrisp:
         x, y = src_span
         m, big_m = tgt_span
         lo_u, hi_u = sorted((u1, u2))
-        src, tgt = SourceRange(x, y), TargetRange(m, big_m)
+        tgt = TargetRange(m, big_m)
         a = x + (y - x) * lo_u
         b = x + (y - x) * hi_u
         a, b = min(a, y), min(b, y)
-        assert rescale_crisp(a, src, tgt) <= rescale_crisp(b, src, tgt)
+        assert rescale_endpoints(a, x, y, tgt) <= rescale_endpoints(b, x, y, tgt)
 
     @given(spans(), spans(), st.floats(0, 1))
     def test_output_inside_target(self, src_span, tgt_span, u):
         x, y = src_span
         m, big_m = tgt_span
         a = min(x + (y - x) * u, y)
-        got = rescale_crisp(a, SourceRange(x, y), TargetRange(m, big_m))
+        got = rescale_endpoints(a, x, y, TargetRange(m, big_m))
         assert m <= got <= big_m
 
 
 class TestFuzzyRescaling:
     def test_whole_range_tfn(self):
-        got = rescale_tfn(TFN(0, 2.5, 5), SourceRange(0, 5), TargetRange(0, 100))
-        assert got.as_tuple() == pytest.approx((0.0, 50.0, 100.0), abs=1e-9)
+        got = rescale_endpoints((0, 2.5, 5), 0.0, 5.0, TargetRange(0, 100))
+        assert got.tolist() == pytest.approx((0.0, 50.0, 100.0), abs=1e-9)
 
     def test_negative_range_row(self):
-        got = rescale_tfn(TFN(-1.18, -0.18, -0.02), SourceRange(-5, 0), TargetRange(0, 100))
+        got = rescale_endpoints((-1.18, -0.18, -0.02), -5.0, 0.0, TargetRange(0, 100)).tolist()
         want = oracles.rescale3((-1.18, -0.18, -0.02), -5, 0, 0, 100)
-        assert got.as_tuple() == pytest.approx(want, abs=1e-9)
-        assert got.as_tuple() == pytest.approx((76.4, 96.4, 99.6), abs=1e-9)
+        assert got == pytest.approx(want, abs=1e-9)
+        assert got == pytest.approx((76.4, 96.4, 99.6), abs=1e-9)
 
     def test_degenerate_tfn_matches_crisp(self):
-        src, tgt = SourceRange(1, 5), TargetRange(0, 100)
-        got = rescale_tfn(TFN.crisp(3.0), src, tgt)
-        want = rescale_crisp(3.0, src, tgt)
-        assert got.lo == got.mode == got.hi
-        assert got.mode == pytest.approx(want, rel=1e-12)
+        tgt = TargetRange(0, 100)
+        lo, mode, hi = rescale_endpoints((3.0, 3.0, 3.0), 1.0, 5.0, tgt).tolist()
+        want = rescale_endpoints(3.0, 1.0, 5.0, tgt)
+        assert lo == mode == hi
+        assert mode == pytest.approx(want, rel=1e-12)
 
     def test_strict_names_offending_component(self):
         with pytest.raises(OutOfRangeError) as err:
-            rescale_tfn(TFN(0.87, 1.87, 2.86), SourceRange(1, 5), TargetRange(0, 100),
-                        label="historical")
+            apply_range_policy((0.87, 1.87, 2.86), 1.0, 5.0, "strict",
+                               lambda i: f"historical: {COMPONENTS[i[0]]}=")
         message = str(err.value)
-        assert "historical" in message and "lo" in message
+        assert "historical" in message and "lo=0.87" in message
 
     def test_clamp_keeps_ordering(self):
-        got = rescale_tfn(TFN(0.87, 1.87, 2.86), SourceRange(1, 5), TargetRange(0, 100),
-                          policy="clamp")
-        assert got.lo <= got.mode <= got.hi
-        assert got.lo == 0.0
+        admitted = apply_range_policy((0.87, 1.87, 2.86), 1.0, 5.0, "clamp", lambda _: "")
+        lo, mode, hi = rescale_endpoints(admitted, 1.0, 5.0, TargetRange(0, 100)).tolist()
+        assert lo <= mode <= hi
+        assert lo == 0.0
 
     @given(spans(), spans(), st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)))
     @settings(max_examples=300)
@@ -154,9 +147,9 @@ class TestFuzzyRescaling:
         x, y = src_span
         m, big_m = tgt_span
         a, b, c = sorted(min(x + (y - x) * u, y) for u in units)
-        got = rescale_tfn(TFN(a, b, c), SourceRange(x, y), TargetRange(m, big_m))
+        got = rescale_endpoints((a, b, c), x, y, TargetRange(m, big_m)).tolist()
         want = oracles.rescale3((a, b, c), x, y, m, big_m)
-        for label, out, expected in zip("ABC", got.as_tuple(), want):
+        for label, out, expected in zip("ABC", got, want):
             assert out == pytest.approx(expected, rel=1e-9, abs=1e-9), label
 
     @given(spans(), spans(), st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1)))
@@ -164,12 +157,11 @@ class TestFuzzyRescaling:
         x, y = src_span
         m, big_m = tgt_span
         a, b, c = sorted(min(x + (y - x) * u, y) for u in units)
-        got = rescale_tfn(TFN(a, b, c), SourceRange(x, y), TargetRange(m, big_m))
-        assert m <= got.lo <= got.mode <= got.hi <= big_m
+        lo, mode, hi = rescale_endpoints((a, b, c), x, y, TargetRange(m, big_m)).tolist()
+        assert m <= lo <= mode <= hi <= big_m
 
     def test_roundtrip_back_to_source(self):
-        src, tgt = SourceRange(1, 5), TargetRange(0, 100)
-        t = TFN(2.0, 3.0, 4.5)
-        there = rescale_tfn(t, src, tgt)
-        back = rescale_tfn(there, SourceRange(0, 100), TargetRange(1, 5))
-        assert back.as_tuple() == pytest.approx(t.as_tuple(), rel=1e-12)
+        t = (2.0, 3.0, 4.5)
+        there = rescale_endpoints(t, 1.0, 5.0, TargetRange(0, 100))
+        back = rescale_endpoints(there, 0.0, 100.0, TargetRange(1, 5))
+        assert back.tolist() == pytest.approx(t, rel=1e-12)

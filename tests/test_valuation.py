@@ -7,26 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tourval import (
-    AttractionEvaluation,
     FactorCatalogue,
     FactorDefinition,
     SourceRange,
     TargetRange,
-    TriangularFuzzyNumber as TFN,
-    ValuationResult,
     classify,
-    evaluate_attraction,
-    filter_high,
-    rank,
-    rescale_tfn,
     validate_weights,
 )
 from tourval import datasets, fuzzy
 from tourval.errors import ConfigError, InputError
 from tourval.pipeline import load_config, run_valuation
-from tourval.rescale import rescale_endpoints
+from tourval.rescale import apply_range_policy, rescale_endpoints
 from tourval.rounding import round6
-from tourval.valuation import DEFAULT_THRESHOLDS, evaluate_attractions
+from tourval.valuation import DEFAULT_THRESHOLDS, Valuation, evaluate_attractions
 
 import oracles
 
@@ -70,37 +63,46 @@ class TestCatalogue:
             FactorCatalogue(factors=(), target=TargetRange(0, 100))
 
 
+def value_one(scores, catalogue, attraction_id="a", **kwargs):
+    """The ``evaluate_attractions`` row of one attraction scored by one
+    (lo, mode, hi) triple per factor, in catalogue order."""
+    return next(iter(evaluate_attractions([attraction_id], np.array([scores], dtype=float),
+                                          catalogue, **kwargs)))
+
+
 def ftv_of(scores, catalogue, **kwargs):
-    return evaluate_attraction(AttractionEvaluation("a", scores), catalogue,
-                               thresholds=None, **kwargs).ftv
+    return value_one(scores, catalogue, thresholds=None, **kwargs).ftv
 
 
 class TestComputeFtv:
     def test_single_factor_equals_rescale(self):
         catalogue = make_catalogue(("f1", 0, 5, 1.0))
-        score = TFN(1, 2, 3)
-        got = ftv_of({"f1": score}, catalogue)
-        want = rescale_tfn(score, SourceRange(0, 5), TargetRange(0, 100))
-        assert got.as_tuple() == pytest.approx(want.as_tuple(), rel=1e-12)
+        got = ftv_of([(1, 2, 3)], catalogue)
+        want = rescale_endpoints((1, 2, 3), 0.0, 5.0, TargetRange(0, 100))
+        assert got.as_tuple() == pytest.approx(want.tolist(), rel=1e-12)
 
     def test_two_factors_by_hand(self):
         catalogue = make_catalogue(("f1", 0, 5, 0.5), ("f2", 0, 10, 0.5))
-        scores = {"f1": TFN.crisp(5.0), "f2": TFN.crisp(0.0)}
-        got = ftv_of(scores, catalogue)
+        got = ftv_of([(5.0,) * 3, (0.0,) * 3], catalogue)
         # 0.5 * 100 + 0.5 * 0
         assert got.as_tuple() == pytest.approx((50.0, 50.0, 50.0), abs=1e-9)
 
-    def test_missing_score_listed(self):
-        catalogue = make_catalogue(("f1", 0, 5, 0.5), ("f2", 0, 5, 0.5))
+    def test_missing_score_listed(self, dataset_builder):
+        """An attraction with no judgement for a factor is an input error
+        naming the factor."""
+        config_path = dataset_builder(evaluations=[
+            ("p1", "f1", "e1", 1.0, 2.0, 3.0), ("p1", "f2", "e1", -3.0, -2.0, -1.0),
+            ("p2", "f1", "e1", 3.0, 4.0, 5.0)])
         with pytest.raises(InputError) as err:
-            ftv_of({"f1": TFN.crisp(1)}, catalogue)
+            run_valuation(load_config(config_path))
         assert "f2" in str(err.value)
 
-    def test_unknown_score_listed(self):
-        catalogue = make_catalogue(("f1", 0, 5, 1.0))
-        scores = {"f1": TFN.crisp(1), "zz": TFN.crisp(1)}
+    def test_unknown_score_listed(self, dataset_builder):
+        config_path = dataset_builder(evaluations=[
+            ("p1", "f1", "e1", 1.0, 2.0, 3.0), ("p1", "f2", "e1", -3.0, -2.0, -1.0),
+            ("p1", "zz", "e1", 1.0, 1.0, 1.0)])
         with pytest.raises(InputError) as err:
-            ftv_of(scores, catalogue)
+            run_valuation(load_config(config_path))
         assert "zz" in str(err.value)
 
     def test_survey_means_against_reference_arithmetic(self):
@@ -108,7 +110,11 @@ class TestComputeFtv:
         its range floor, so the clamp policy is required."""
         catalogue = datasets.santiago_catalogue()
         means = datasets.santiago_factor_means()
-        got = ftv_of(means, catalogue, policy="clamp")
+        x, y = catalogue.source_ranges
+        admitted = apply_range_policy([[means[f].as_tuple() for f in catalogue.ids]], x, y,
+                                      "clamp", lambda _: "")
+        valuation = evaluate_attractions(["a"], admitted, catalogue, thresholds=None)
+        got = next(iter(valuation)).ftv
 
         clamped = {
             f.id: tuple(min(max(c, f.src.x), f.src.y) for c in means[f.id].as_tuple())
@@ -120,16 +126,15 @@ class TestComputeFtv:
             0.0, 100.0)
         assert got.as_tuple() == pytest.approx(want, abs=1e-9)
         assert got.as_tuple() == pytest.approx((53.25085, 75.81535, 89.2953), abs=1e-4)
-        assert fuzzy.defuzzify(got) == pytest.approx(72.7872, abs=1e-3)
+        assert fuzzy.defuzzify(valuation.ftv)[0] == pytest.approx(72.7872, abs=1e-3)
 
     def test_weights_above_one_name_the_attraction(self):
         """Weights within the 0.01 tolerance but summing above 1 can push a
         value off the classification scale; that is an input error naming
         the attraction, its value and the weight sum."""
         catalogue = make_catalogue(("f1", 0, 5, 0.505), ("f2", 0, 5, 0.5))
-        scores = {"f1": TFN.crisp(5.0), "f2": TFN.crisp(5.0)}
         with pytest.raises(InputError) as err:
-            evaluate_attraction(AttractionEvaluation("plaza", scores), catalogue)
+            value_one([(5.0,) * 3] * 2, catalogue, "plaza")
         message = str(err.value)
         assert "'plaza'" in message and "100.5" in message and "1.005" in message
 
@@ -150,9 +155,7 @@ class TestComputeFtv:
                                          for j, w in enumerate(weights)), target=target)
             slack = k * np.finfo(float).eps * max(abs(m), abs(big_m))
             for score, end in ((5.0, big_m), (0.0, m)):
-                scores = {f"f{j}": TFN.crisp(score) for j in range(k)}
-                got = evaluate_attraction(AttractionEvaluation("a", scores), catalogue,
-                                          thresholds=None)
+                got = value_one([(score,) * 3] * k, catalogue, thresholds=None)
                 for value in (*got.ftv.as_tuple(), got.crisp):
                     assert m <= value <= big_m
                     assert abs(value - end) <= slack
@@ -163,8 +166,7 @@ class TestComputeFtv:
         weights = (0.14, 0.28, 0.28, 0.3)
         assert sum(weights) == 1.0
         catalogue = make_catalogue(*((f"f{j}", 0, 5, w) for j, w in enumerate(weights)))
-        scores = {f"f{j}": TFN.crisp(5.0) for j in range(4)}
-        got = evaluate_attraction(AttractionEvaluation("a", scores), catalogue)
+        got = value_one([(5.0,) * 3] * 4, catalogue)
         assert got.ftv.as_tuple() == (100.0, 100.0, 100.0)
         assert (got.crisp, got.tier) == (100.0, "High")
 
@@ -173,18 +175,18 @@ class TestComputeFtv:
         end is valued with no numpy overflow; a weighted sum past it (weights
         summing above 1) is an input error naming the attraction."""
         top = sys.float_info.max
-        scores = {"f1": TFN.crisp(5.0), "f2": TFN.crisp(5.0)}
+        scores = [(5.0,) * 3] * 2
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            got = evaluate_attraction(
-                AttractionEvaluation("a", scores),
+            got = value_one(
+                scores,
                 make_catalogue(("f1", 0, 5, 0.5), ("f2", 0, 5, 0.5), target=(0.0, top)),
                 thresholds=(1.0, 2.0))
             assert (got.ftv.as_tuple(), got.tier) == ((top, top, top), "High")
             with pytest.raises(InputError, match="'a': value past the largest float; "
                                                  "factor weights sum to 1.005"):
-                evaluate_attraction(
-                    AttractionEvaluation("a", scores),
+                value_one(
+                    scores,
                     make_catalogue(("f1", 0, 5, 0.505), ("f2", 0, 5, 0.5), target=(0.0, top)),
                     thresholds=(1.0, 2.0))
 
@@ -192,8 +194,7 @@ class TestComputeFtv:
         """A 900 on a [0, 1000] target is High against thresholds (330, 660),
         not off a 0-100 scale."""
         catalogue = make_catalogue(("f1", 0, 10, 1.0), target=(0.0, 1000.0))
-        got = evaluate_attraction(AttractionEvaluation("a", {"f1": TFN.crisp(9.0)}),
-                                  catalogue, thresholds=(330.0, 660.0))
+        got = value_one([(9.0,) * 3], catalogue, thresholds=(330.0, 660.0))
         assert (got.crisp, got.tier) == (900.0, "High")
 
     @pytest.mark.parametrize("second", [0.5 + 1e-12, 0.509])
@@ -201,9 +202,8 @@ class TestComputeFtv:
         """Weights summing to 1 + 1e-12 put the value 1e-10 past M = 100,
         far beyond the 2 x eps x 100 rounding allowance; 1.009 further."""
         catalogue = make_catalogue(("f1", 0, 5, 0.5), ("f2", 0, 5, second))
-        scores = {"f1": TFN.crisp(5.0), "f2": TFN.crisp(5.0)}
         with pytest.raises(InputError, match="outside the classification scale"):
-            evaluate_attraction(AttractionEvaluation("a", scores), catalogue)
+            value_one([(5.0,) * 3] * 2, catalogue)
 
 class TestCrispIndex:
     """With point TFNs, target [0, 5] and one individual per factor, the
@@ -213,9 +213,7 @@ class TestCrispIndex:
         catalogue = make_catalogue(
             *((f"f{k}", minima[k], maxima[k], weights[k]) for k in range(len(weights))),
             target=(0.0, 5.0))
-        scores = {f"f{k}": TFN.crisp(r) for k, r in enumerate(ratings)}
-        return evaluate_attraction(AttractionEvaluation("a", scores), catalogue,
-                                   thresholds=None).crisp
+        return value_one([(r,) * 3 for r in ratings], catalogue, thresholds=None).crisp
 
     def test_single_rating(self):
         # one individual, one factor: 5 * 1.0 * (3-0)/(5-0)
@@ -281,52 +279,64 @@ class TestClassify:
         assert classify(0.3333336, thresholds=(0.1, 0.2), scale=(0.0, 0.3333336)) == "High"
 
 
-class TestFilterAndRank:
-    def _result(self, aid, crisp, mode=None):
-        mode = crisp if mode is None else mode
-        return ValuationResult(aid, TFN(crisp - 1, mode, crisp + 1), crisp, None)
+def valued_as_given(*rows):
+    """A ``Valuation`` of ``(id, crisp)`` rows in the order given, each FTV
+    (crisp - 1, crisp, crisp + 1)."""
+    crisp = np.array([value for _, value in rows])
+    return Valuation(tuple(attraction_id for attraction_id, _ in rows),
+                     crisp[:, None] + [-1.0, 0.0, 1.0], crisp, (None,) * len(rows))
 
+
+def ranked_ids(*rows, top=128.0):
+    """The ids in the order ``evaluate_attractions`` ranks ``(id, (lo, mode,
+    hi))`` rows, valued on one factor of weight 1 whose source range is the
+    target [0, top]: on [0, 128] rescaling keeps integers exact."""
+    catalogue = make_catalogue(("f1", 0.0, top, 1.0), target=(0.0, top))
+    scores = np.array([[ftv] for _, ftv in rows], dtype=float)
+    return evaluate_attractions([i for i, _ in rows], scores, catalogue, thresholds=None).ids
+
+
+class TestFilterAndRank:
     def test_filter_strictly_above(self):
-        results = [self._result("a", 66.0), self._result("b", 66.01),
-                   self._result("c", 70.0), self._result("d", 66.0000004)]
-        kept = filter_high(results)  # d prints as 66
-        assert [r.attraction_id for r in kept] == ["b", "c"]
+        valuation = valued_as_given(("a", 66.0), ("b", 66.01), ("c", 70.0), ("d", 66.0000004))
+        kept = valuation.above(66.0)  # d prints as 66
+        assert [valuation.ids[i] for i in kept] == ["b", "c"]
 
     def test_filter_keeps_input_order(self):
-        results = [self._result(x, 80.0 - i) for i, x in enumerate("zyx")]
-        assert [r.attraction_id for r in filter_high(results)] == ["z", "y", "x"]
+        valuation = valued_as_given(*((x, 80.0 - i) for i, x in enumerate("zyx")))
+        assert [valuation.ids[i] for i in valuation.above(66.0)] == ["z", "y", "x"]
 
     def test_rank_descending_crisp(self):
-        results = [self._result("a", 10.0), self._result("b", 30.0),
-                   self._result("c", 20.0)]
-        assert [r.attraction_id for r in rank(results)] == ["b", "c", "a"]
+        assert ranked_ids(("a", (9, 10, 11)), ("b", (29, 30, 31)),
+                          ("c", (19, 20, 21))) == ("b", "c", "a")
 
     def test_rank_tie_breaks_on_mode_then_id(self):
-        tie_hi = ValuationResult("pp", TFN(0, 60, 100), 50.0, None)
-        tie_lo = ValuationResult("aa", TFN(0, 40, 100), 50.0, None)
-        same_a = ValuationResult("m2", TFN(0, 50, 100), 50.0, None)
-        same_b = ValuationResult("m1", TFN(0, 50, 100), 50.0, None)
-        got = [r.attraction_id for r in rank([same_a, tie_lo, tie_hi, same_b])]
-        assert got == ["pp", "m1", "m2", "aa"]
+        # every centroid is 50
+        got = ranked_ids(("m2", (0, 50, 100)), ("aa", (30, 40, 80)), ("pp", (0, 60, 90)),
+                         ("m1", (0, 50, 100)))
+        assert got == ("pp", "m1", "m2", "aa")
+
+
+def reference_valuation(thresholds=DEFAULT_THRESHOLDS):
+    """The published top five valued on one factor of weight 1 whose source
+    range is the target [0, 100], so that each FTV is its own score."""
+    listed = datasets.santiago_reference_ftv()
+    catalogue = make_catalogue(("f1", 0.0, 100.0, 1.0))
+    scores = np.array([[ftv.as_tuple()] for _, ftv in listed])
+    return listed, evaluate_attractions([name for name, _ in listed], scores, catalogue,
+                                        thresholds=thresholds)
 
 
 class TestPublishedHighlights:
     def test_all_classify_high_and_survive_filter(self):
-        results = [
-            ValuationResult(name, ftv, fuzzy.defuzzify(ftv), classify(fuzzy.defuzzify(ftv)))
-            for name, ftv in datasets.santiago_reference_ftv()
-        ]
-        assert all(r.tier == "High" for r in results)
-        assert len(filter_high(results)) == len(results)
+        listed, valuation = reference_valuation()
+        assert valuation.tiers == ("High",) * len(listed)
+        assert len(valuation.above(66.0)) == len(listed)
 
     def test_listing_order_is_rank_order(self):
-        results = [
-            ValuationResult(name, ftv, fuzzy.defuzzify(ftv), None)
-            for name, ftv in datasets.santiago_reference_ftv()
-        ]
-        ranked = rank(results)
-        assert [r.attraction_id for r in ranked] == [r.attraction_id for r in results]
-        assert ranked[0].attraction_id == "House of the Trova"
+        listed, valuation = reference_valuation(thresholds=None)
+        assert valuation.ids == tuple(name for name, _ in listed)
+        assert valuation.ids[0] == "House of the Trova"
 
     def test_centroids_match_hand_values(self):
         centroids = [fuzzy.defuzzify(ftv) for _, ftv in datasets.santiago_reference_ftv()]
@@ -337,14 +347,12 @@ class TestPublishedHighlights:
 class TestEvaluateAttraction:
     def test_tier_skipped_when_thresholds_none(self):
         catalogue = make_catalogue(("f1", 0, 5, 1.0), target=(0.0, 5.0))
-        result = evaluate_attraction(
-            AttractionEvaluation("a", {"f1": TFN(1, 2, 3)}), catalogue, thresholds=None)
+        result = value_one([(1, 2, 3)], catalogue, thresholds=None)
         assert result.tier is None
 
     def test_mode_defuzzifier(self):
         catalogue = make_catalogue(("f1", 0, 5, 1.0))
-        result = evaluate_attraction(
-            AttractionEvaluation("a", {"f1": TFN(0, 2.5, 5)}), catalogue, method="mode")
+        result = value_one([(0, 2.5, 5)], catalogue, method="mode")
         assert result.crisp == pytest.approx(50.0)
 
     @given(st.integers(0, 2 ** 31 - 1))
@@ -363,14 +371,14 @@ class TestEvaluateAttraction:
             catalogue = make_catalogue(
                 *((f"f{k}", minima[k], maxima[k], weights[k]) for k in range(n)),
                 target=target)
-            results = []
-            for a in range(5):
-                arng = np.random.default_rng(seed * 7 + a)
-                raw = np.sort(arng.uniform(minima, maxima, size=(3, n)), axis=0)
-                scores = {f"f{k}": TFN(raw[0, k], raw[1, k], raw[2, k]) for k in range(n)}
-                results.append(evaluate_attraction(
-                    AttractionEvaluation(f"a{a}", scores), catalogue, thresholds=None))
-            orders.append([r.attraction_id for r in rank(results)])
+            # (attractions, factors, 3): each attraction's sorted draws
+            scores = np.array([
+                np.sort(np.random.default_rng(seed * 7 + a).uniform(minima, maxima, size=(3, n)),
+                        axis=0).T
+                for a in range(5)])
+            valuation = evaluate_attractions([f"a{a}" for a in range(5)], scores, catalogue,
+                                             thresholds=None)
+            orders.append(valuation.ids)
         assert orders[0] == orders[1]
 
 
@@ -425,3 +433,20 @@ class TestValuationRecord:
         assert ([valuation.ids[i] for i in valuation.above(threshold)]
                 == [r.attraction_id for r in retained])
         assert list(valuation) == ranked
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0.0, 32.9999996, 33.0, 33.0000004, 33.00005,
+                                               65.9999996, 66.0, 66.0000004, 66.00005, 128.0]),
+                              st.floats(0.0, 128.0)),
+                    min_size=1, max_size=12))
+    def test_filter_is_the_tier_rule(self, values):
+        """With the default thresholds ``above(66)`` is exactly the High rows
+        and ``above(33)`` exactly the rows not Low, values printed as a
+        threshold included: both rules compare the printed value."""
+        catalogue = make_catalogue(("f1", 0.0, 128.0, 1.0), target=(0.0, 128.0))
+        scores = np.array([[(value,) * 3] for value in values])
+        valuation = evaluate_attractions([f"a{i}" for i in range(len(values))], scores, catalogue)
+        low, high = DEFAULT_THRESHOLDS
+        tiers = list(enumerate(valuation.tiers))
+        assert valuation.above(high) == [i for i, tier in tiers if tier == "High"]
+        assert valuation.above(low) == [i for i, tier in tiers if tier != "Low"]
