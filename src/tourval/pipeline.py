@@ -47,8 +47,7 @@ from .spatial import (GeoPoint, HotSpot, ScoredPoint, Tour,
                       merge_hotspots, plan_tour, require_dwell, require_percentile,
                       require_positive)
 from .valuation import (DEFAULT_SCALE, DEFAULT_THRESHOLDS, TIERS, FactorCatalogue,
-                        FactorDefinition, Valuation, classify, evaluate_attractions,
-                        id_mismatch)
+                        FactorDefinition, Valuation, classify, evaluate_attractions)
 
 __all__ = [
     "KdeSettings",
@@ -267,6 +266,14 @@ def load_factor_table(path: Path) -> tuple[tuple[FactorDefinition, ...], bool]:
     return tuple(factors), has_weights
 
 
+def _id_mismatch(have: Iterable[str], want: Iterable[str]) -> str:
+    """The ids of ``want`` that ``have`` lacks and those it adds, as text;
+    empty when the two sets agree."""
+    have, want = set(have), set(want)
+    return "; ".join(f"{label}: {', '.join(sorted(ids))}"
+                     for label, ids in (("missing", want - have), ("unknown", have - want)) if ids)
+
+
 def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], WeightReport]:
     """Weights derived from a square pairwise matrix with a header row of
     factor ids.  The id set must match the catalogue exactly; row order
@@ -275,7 +282,7 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], W
     if not rows:
         raise InputError(f"{path}: empty pairwise matrix file")
     ids = [c.strip() for c in rows[0][1]]
-    detail = id_mismatch(ids, expected_ids)
+    detail = _id_mismatch(ids, expected_ids)
     if detail or len(ids) != len(set(ids)):
         raise InputError(f"{path}: header does not match factor catalogue"
                          + (f" (ids {detail})" if detail else ""))

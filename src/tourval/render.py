@@ -3,17 +3,19 @@
 The pipeline decides what goes in; every byte it writes is printed here.
 Numbers are rounded to 6 significant digits and coordinates ([lon, lat],
 RFC 7946) to 6 decimal places, about 0.1 m, so output is byte-stable across
-platforms.  Each JSON document is what ``json.dumps(indent=2,
-sort_keys=True, ensure_ascii=False)`` prints, plus a final newline: one
-splice, ``_document``, puts its list's items into the outer document, as
-one ``itertools.chain`` of chunks read as they are written.  The few
-hotspot and tour features are dicts passed to ``_indented``.  Every
-per-item record (an attraction or density feature, a ``results`` row) is
-filled column by column instead (``_filled``): its ``_template`` pieces,
-split once at import (a density feature's once per grid row), with one list
-of texts per field, each printed a column at a time by its type (6-digit
-numbers by ``rounding.print_column``), joined in blocks of ``_BLOCK_RECORDS``
-records with no dict built for ``json`` and no Python frame per record.
+platforms.  Each JSON document is what ``json.dumps(separators=(",", ":"),
+sort_keys=True, ensure_ascii=False)`` prints, except that each item of its
+list (``results.json``'s ``results``, a FeatureCollection's ``features``) is
+on a line of its own, plus a final newline: one splice, ``_document``, puts
+the list's items into the outer document, as one ``itertools.chain`` of
+chunks read as they are written.  The few hotspot and tour features are
+dicts passed to ``_compact``.  Every per-item record (an attraction or
+density feature, a ``results`` row) is filled column by column instead
+(``_filled``): its ``_template`` pieces, split once at import (a density
+feature's once per grid row), with one list of texts per field, each
+printed a column at a time by its type (6-digit numbers by
+``rounding.print_column``), joined in blocks of ``_BLOCK_RECORDS`` records
+with no dict built for ``json`` and no Python frame per record.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ __all__ = ["RESULT_COLUMNS", "result_columns", "results_csv", "results_json", "m
 
 RESULT_COLUMNS = ("attraction_id", "ftv_lo", "ftv_mode", "ftv_hi", "crisp", "tier", "rank")
 
-# records joined into one text by ``_filled``: about 330 KB of map text
+# records joined into one text by ``_filled``: about 120 KB of map text
 _BLOCK_RECORDS = 512
 
 
@@ -76,17 +78,15 @@ def _tour_feature(tour: Tour) -> dict[str, Any]:
     return _feature({"type": "LineString", "coordinates": coords}, properties)
 
 
-def _indented(record: dict[str, Any]) -> str:
-    """``record`` as ``json.dumps(indent=2, sort_keys=True,
-    ensure_ascii=False)`` prints it as an item of a top-level key's list
-    (4 spaces deep): a FeatureCollection's ``features`` or
-    ``results.json``'s ``results``."""
-    text = json.dumps(record, indent=2, sort_keys=True, ensure_ascii=False)
-    return "    " + text.replace("\n", "\n    ")
+def _compact(value: Any) -> str:
+    """``value`` as ``json.dumps(separators=(",", ":"), sort_keys=True,
+    ensure_ascii=False)`` prints it, on one line: the text of an item of a
+    JSON artifact's list."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True, ensure_ascii=False)
 
 
 def _template(text: str) -> list[str]:
-    """``text``, a record as ``_indented`` prints it, split at its fields: each
+    """``text``, a record as ``_compact`` prints it, split at its fields: each
     string value ``"<name>"`` is the field ``name``.  The constant pieces are at
     the even positions and the field names, in print order, at the odd
     ones; putting a text at each odd position and joining fills it."""
@@ -114,20 +114,22 @@ def _coordinates(values: list[float]) -> list[str]:
 
 def _document(outer: dict[str, Any], key: str, items: Iterable[str]) -> Iterator[str]:
     """``outer`` with the list of ``items`` at ``key``, in chunks whose join
-    is what ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)``
-    prints for it, plus a final newline.  Each item is its text as
-    ``_indented`` prints it.  The first item is read now, the others as the
-    chunks are; separators are chunks of their own."""
-    text = json.dumps({**outer, key: []}, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    is what ``_compact`` prints for it with a newline before the first item,
+    ``",\\n"`` between two items and a newline after the last, plus a final
+    newline.  Each item is its text as ``_compact`` prints it.  The first
+    item is read now, the others as the chunks are; separators are chunks of
+    their own."""
+    text = _compact({**outer, key: []}) + "\n"
     items = iter(items)
     first = next(items, None)
     if first is None:
         return iter((text,))
-    # a newline and two spaces begin a top-level key only: a string prints no newline
-    marker = f"\n  {encode_basestring(key)}: ["
-    cut = text.index(marker + "]") + len(marker)
+    # the keys that sort before ``key`` print first, each entry as it prints alone:
+    # ``key``'s "[" is the last character but two of their document with ``key``,
+    # wherever else ``key`` is nested or quoted
+    cut = len(_compact({k: v for k, v in outer.items() if k < key} | {key: []})) - 2
     return chain((text[:cut] + "\n", first), chain.from_iterable(zip(repeat(",\n"), items)),
-                 ("\n  " + text[cut:],))
+                 ("\n" + text[cut:],))
 
 
 def result_columns(valuation: Valuation, names: dict[str, str]
@@ -181,7 +183,7 @@ def _weights_block(catalogue: FactorCatalogue, source: str,
 
 
 # one row of results.json's "results" array
-_RESULT_ROW = _template(_indented({
+_RESULT_ROW = _template(_compact({
     "attraction_id": "<id>", "name": "<name>", "ftv_lo": "<lo>", "ftv_mode": "<mode>",
     "ftv_hi": "<hi>", "crisp": "<crisp>", "tier": "<tier>", "rank": "<rank>"}))
 
@@ -221,7 +223,7 @@ def results_json(config: RunConfig, ingested: IngestResult, columns: dict[str, l
 
 
 # one attraction feature
-_ATTRACTION = _template(_indented(_feature(
+_ATTRACTION = _template(_compact(_feature(
     {"type": "Point", "coordinates": ["<lon>", "<lat>"]},
     {"feature_type": "attraction", "id": "<id>", "name": "<name>", "ftv_lo": "<lo>",
      "ftv_mode": "<mode>", "ftv_hi": "<hi>", "crisp": "<crisp>", "rank": "<rank>",
@@ -230,15 +232,15 @@ _ATTRACTION = _template(_indented(_feature(
 
 def _attraction_features(columns: dict[str, list[str]], points: list[GeoPoint]
                          ) -> Iterator[str]:
-    """One Point Feature per result, in order, as ``_indented`` text: its
+    """One Point Feature per result, in order, as ``_compact`` text: its
     ``result_columns`` and its location in ``points``."""
     return _filled([(_ATTRACTION, {**columns, "lon": _coordinates([p.lon for p in points]),
                                    "lat": _coordinates([p.lat for p in points])})])
 
 
-# One density feature, as ``_indented`` prints it: its ring's corners from the
+# One density feature, as ``_compact`` prints it: its ring's corners from the
 # south-west, then its density.
-_DENSITY_FEATURE = _indented(_feature(
+_DENSITY_FEATURE = _compact(_feature(
     {"type": "Polygon", "coordinates": [[["<west>", "<south>"], ["<east>", "<south>"],
                                          ["<east>", "<north>"], ["<west>", "<north>"],
                                          ["<west>", "<south>"]]]},
@@ -247,7 +249,7 @@ _DENSITY_FEATURE = _indented(_feature(
 
 def _density_features(grid: DensityGrid) -> Iterator[str]:
     """One square Polygon Feature per cell with positive density (the
-    grid's ``positive`` cells), in row-major order, as ``_indented`` text,
+    grid's ``positive`` cells), in row-major order, as ``_compact`` text,
     made as it is read; zero cells are skipped to keep files small.  Rings
     are counter-clockwise from the south-west corner and closed.  Each edge
     coordinate is rounded and printed once and shared by the cells along
@@ -275,7 +277,7 @@ def map_geojson(columns: dict[str, list[str]], points: list[GeoPoint],
     (``result_columns``) at ``points``, their locations in the same order."""
     features = chain(
         _attraction_features(columns, points),
-        (_indented(_hotspot_feature(h)) for h in hotspots),
-        () if tour is None else (_indented(_tour_feature(tour)),),
+        (_compact(_hotspot_feature(h)) for h in hotspots),
+        () if tour is None else (_compact(_tour_feature(tour)),),
         () if grid is None else _density_features(grid))
     return _document({"type": "FeatureCollection"}, "features", features)

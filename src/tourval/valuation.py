@@ -28,7 +28,6 @@ __all__ = [
     "ValuationResult",
     "Valuation",
     "evaluate_attractions",
-    "id_mismatch",
     "classify",
     "DEFAULT_THRESHOLDS",
     "DEFAULT_SCALE",
@@ -124,14 +123,6 @@ class Valuation(Record):
     def above(self, threshold: float) -> list[int]:
         """The rows whose printed value exceeds ``threshold``, in order."""
         return [i for i, value in enumerate(self.printed) if value > threshold]
-
-
-def id_mismatch(have: Iterable[str], want: Iterable[str]) -> str:
-    """The ids of ``want`` that ``have`` lacks and those it adds, as text;
-    empty when the two sets agree."""
-    have, want = set(have), set(want)
-    return "; ".join(f"{label}: {', '.join(sorted(ids))}"
-                     for label, ids in (("missing", want - have), ("unknown", have - want)) if ids)
 
 
 def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,

@@ -9,10 +9,11 @@ edges are the package's earlier per-edge loop, one ``GeoPoint`` each.
 The map renderer is the package's earlier dict-based one, kept as it was
 so that bytes compare: it keeps the earlier attraction, hotspot and tour
 feature builders, uses the package's 6-digit rounding, and hands the whole
-document to json.dumps.  The results.json renderer is the package's earlier
-one, with its earlier config echo and weights block, the whole document
-through json.dumps.  The
-expert sums are the package's earlier math.fsum per (attraction, factor).
+document to ``one_item_per_line``.  The results.json renderer is the
+package's earlier one, with its earlier config echo and weights block, the
+whole document through ``one_item_per_line``, which prints a document entry
+by entry, each item of its list through ``compact``.  The expert sums are
+the package's earlier math.fsum per (attraction, factor).
 The judgement loader is the package's earlier row-at-a-time one on
 csv.DictReader, kept as it was so that results and error texts compare.
 The tour planner is the package's earlier Held-Karp loop over subsets by
@@ -404,9 +405,29 @@ def attraction_feature(point, result, name, rank=None):
             "properties": properties}
 
 
+def compact(value) -> str:
+    """``value`` on one line, as ``json.dumps(separators=(",", ":"),
+    sort_keys=True, ensure_ascii=False)`` prints it."""
+    return json.dumps(value, separators=(",", ":"), sort_keys=True, ensure_ascii=False)
+
+
+def one_item_per_line(document: dict[str, Any], key: str) -> str:
+    """``document`` as ``compact`` prints it, except that each item of the
+    list at its top-level ``key`` is on a line of its own: a newline after
+    the list's ``[``, ``",\\n"`` between two items and a newline before its
+    ``]``, an empty list printed as ``[]``; then a final newline.  Printed
+    entry by entry, the top-level keys in sorted order."""
+    def entry(name: str) -> str:
+        value = document[name]
+        if name == key and value:
+            return compact(name) + ":[\n" + ",\n".join(map(compact, value)) + "\n]"
+        return compact(name) + ":" + compact(value)
+    return "{" + ",".join(map(entry, sorted(document))) + "}\n"
+
+
 def map_geojson(names, locations, ranked, ranks, grid, hotspots, tour) -> str:
     """map.geojson as the whole FeatureCollection dict through
-    ``json.dumps(indent=2, sort_keys=True, ensure_ascii=False)``."""
+    ``one_item_per_line``, one feature per line."""
     features = [
         attraction_feature(locations[r.attraction_id], r,
                            names[r.attraction_id], rank=ranks[r.attraction_id])
@@ -417,8 +438,7 @@ def map_geojson(names, locations, ranked, ranks, grid, hotspots, tour) -> str:
         features.append(tour_feature(tour))
     if grid is not None:
         features.extend(density_features(grid))
-    document = {"type": "FeatureCollection", "features": features}
-    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return one_item_per_line({"type": "FeatureCollection", "features": features}, "features")
 
 
 def _config_echo(config) -> dict[str, Any]:
@@ -448,8 +468,8 @@ def _weights_block(catalogue: FactorCatalogue, source: str,
 
 
 def results_json(config, ingested, ranked, ranks, retained, hotspots, tour) -> str:
-    """results.json as the whole document through ``json.dumps(indent=2,
-    sort_keys=True, ensure_ascii=False)``."""
+    """results.json as the whole document through ``one_item_per_line``, one
+    row of ``results`` per line."""
     document: dict[str, Any] = {
         "config": _config_echo(config),
         "weights": _weights_block(ingested.catalogue, ingested.weight_source,
@@ -485,7 +505,7 @@ def results_json(config, ingested, ranked, ranks, retained, hotspots, tour) -> s
             },
         },
     }
-    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    return one_item_per_line(document, "results")
 
 
 def expert_sums(admitted, cells, counts):

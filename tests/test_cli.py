@@ -424,7 +424,7 @@ class TestTour:
         assert ",80.7383,High,1\n" in text
         results.write_text(text.replace(",80.7383,High,1\n", ",100,High,1\n"), encoding="utf-8")
         assert invoke("tour", "--config", str(config_path)) == 0
-        assert '"crisp": 100.0,' in (tmp_path / "out" / "map.geojson").read_text(encoding="utf-8")
+        assert '"crisp":100.0,' in (tmp_path / "out" / "map.geojson").read_text(encoding="utf-8")
 
     def test_repeated_attraction_exits_2(self, sample_dir, tmp_path, capsys):
         out_dir = tmp_path / "result"

@@ -57,8 +57,8 @@ class TestFormatNumber:
         text = "".join(render_map({"a": "A"}, {"a": GeoPoint(-75.8, 20.0)}, [result],
                                   {"a": 1}, None, (), None))
         assert json.dumps(round6(-0.0)) == "0.0"
-        assert '"ftv_lo": 0.0,' in text
-        assert '"crisp": 0.0,' in text
+        assert '"ftv_lo":0.0,' in text
+        assert '"crisp":0.0,' in text
 
     # values at which print_column's check for texts to print again changes
     # its answer or the 6-digit text changes notation (1e-4, 999999.5), that
@@ -956,40 +956,14 @@ class TestRunPipeline:
         text = (config.out_dir / "results.json").read_text("utf-8")
         path = {name: json.dumps(str(getattr(config, name)))
                 for name in ("factors", "evaluations", "attractions", "out_dir")}
-        assert text[:text.index('  "filter": {')] == f"""{{
-  "config": {{
-    "attractions": {path["attractions"]},
-    "defuzzify": "centroid",
-    "evaluations": {path["evaluations"]},
-    "factors": {path["factors"]},
-    "filter_threshold": 66.0,
-    "kde": {{
-      "bandwidth_m": 100.0,
-      "cell_m": 15,
-      "hotspot_percentile": 90.0,
-      "merge_radius_m": 0.0
-    }},
-    "out_dir": {path["out_dir"]},
-    "pairwise": null,
-    "range_policy": "strict",
-    "target": [
-      0,
-      100
-    ],
-    "tier_thresholds": [
-      33.0,
-      66.0
-    ],
-    "tour": {{
-      "dwell_minutes": [
-        5,
-        10,
-        15
-      ],
-      "walk_speed_kmh": 4.0
-    }}
-  }},
-"""
+        assert text[:text.index('"filter":{')] == (
+            f'{{"config":{{"attractions":{path["attractions"]},"defuzzify":"centroid",'
+            f'"evaluations":{path["evaluations"]},"factors":{path["factors"]},'
+            '"filter_threshold":66.0,"kde":{"bandwidth_m":100.0,"cell_m":15,'
+            '"hotspot_percentile":90.0,"merge_radius_m":0.0},'
+            f'"out_dir":{path["out_dir"]},"pairwise":null,"range_policy":"strict",'
+            '"target":[0,100],"tier_thresholds":[33.0,66.0],'
+            '"tour":{"dwell_minutes":[5,10,15],"walk_speed_kmh":4.0}},')
 
     def test_row_count_and_rank_order(self, sample_run):
         config, output = sample_run
@@ -1204,8 +1178,9 @@ def map_inputs(draw):
 
 
 class TestMapText:
-    """render.map_geojson prints the same bytes as json.dumps of the
-    whole FeatureCollection (oracles.map_geojson)."""
+    """render.map_geojson prints the same bytes as the whole
+    FeatureCollection through oracles.one_item_per_line
+    (oracles.map_geojson)."""
 
     @staticmethod
     def assert_same(inputs):
@@ -1240,10 +1215,10 @@ class TestMapText:
         inputs = _map_inputs(["A"], _grid([[1.0, 2.0], [3.0, 0.5]], center=(0.0, 0.0),
                                           x0=-1e-3, y0=-1e-3, cell_m=1e-3),
                              center=(0.0, 0.0))
-        assert "              -0.0,\n" in "".join(render_map(*inputs))
+        assert '"coordinates":[[[-0.0,-0.0],' in "".join(render_map(*inputs))
 
 
-# -- results.json text against json.dumps of the whole document ---------------
+# -- results.json text against the whole document, one result per line -------
 
 # exponent forms, zeros of both signs, and plain values
 RESULT_NUMBER = st.one_of(st.sampled_from([0.0, -0.0, 1e-05, 1.5e-07, 1e16, 123456789.0]),
@@ -1277,8 +1252,8 @@ def results_inputs(draw, config, ingested):
 
 
 class TestResultsText:
-    """render.results_json prints the same bytes as json.dumps of the
-    whole document (oracles.results_json)."""
+    """render.results_json prints the same bytes as the whole document
+    through oracles.one_item_per_line (oracles.results_json)."""
 
     @pytest.fixture(scope="class")
     def sample(self, sample_dir, tmp_path_factory):
@@ -1301,8 +1276,9 @@ class TestResultsText:
 # -- the one splice of pre-rendered items into a JSON document ----------------
 
 # text that looks like the splice's own marks: a newline, a quote, a list's end,
-# a line separator (U+2028) and an empty top-level list
-SPLICE_TEXT = st.one_of(st.sampled_from(["\n", '"', "],", "\u2028", '\n  "m": [],', "]\n}"]),
+# a line separator (U+2028), an empty list at a key and a document's end
+SPLICE_TEXT = st.one_of(st.sampled_from(["\n", '"', "],", "\u2028", '"m":[]', '{"m":[],',
+                                         "]}", "]\n}"]),
                         st.text(NAME_CHARS, max_size=8))
 JSON_VALUE = st.recursive(
     st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.floats(allow_nan=False)
@@ -1312,9 +1288,9 @@ JSON_VALUE = st.recursive(
 
 
 class TestDocument:
-    """render._document prints what json.dumps prints for the whole
-    document, whatever sorts around the list key and whatever the texts
-    hold."""
+    """render._document prints what oracles.one_item_per_line prints for
+    the whole document, whatever sorts around the list key, whatever the
+    texts hold and wherever the key is also nested."""
 
     @settings(max_examples=200, deadline=None)
     @given(st.sampled_from(["before", "after", "both"]), st.data())
@@ -1326,12 +1302,68 @@ class TestDocument:
                  for prefix in prefixes for _ in range(data.draw(st.integers(1, 2)))}
         outer[data.draw(st.sampled_from(sorted(outer)))] = {key: []}   # the key, nested
         values = data.draw(st.lists(JSON_VALUE, max_size=4))
-        want = json.dumps({**outer, key: values}, indent=2, sort_keys=True,
-                          ensure_ascii=False) + "\n"
-        texts = [render._indented(v) for v in values]
+        want = oracles.one_item_per_line({**outer, key: values}, key)
+        texts = [render._compact(v) for v in values]
         # a list, or a one-shot generator read only as the chunks are
         items = (text for text in texts) if data.draw(st.booleans()) else texts
         assert "".join(render._document(outer, key, items)) == want
+
+
+class TestJsonArtifactLines:
+    """results.json and map.geojson as a run writes them: each is
+    ``oracles.one_item_per_line`` of its own document, so every line between
+    the first and the last is one item as compact ``json.dumps`` prints it,
+    with a comma after every item but the last."""
+
+    @staticmethod
+    def documents(config):
+        """Each JSON artifact's text and document after ``run`` on ``config``."""
+        run_pipeline(config)
+        documents = {}
+        for name, key in (("results.json", "results"), ("map.geojson", "features")):
+            text = (config.out_dir / name).read_text("utf-8")
+            document = json.loads(text)
+            assert document[key] and text == oracles.one_item_per_line(document, key)
+            documents[name] = text, document
+        return documents
+
+    def test_sample(self, sample_dir, tmp_path):
+        config = load_config(sample_dir / "config.json").replace(out_dir=tmp_path / "out")
+        documents = self.documents(config)
+        assert len(documents["results.json"][1]["results"]) == 10
+
+    @pytest.mark.parametrize("word", ["results", "features", '"results":[]', '{"features":[]}'])
+    def test_list_key_spliced_at_the_top_level_only(self, dataset_builder, word):
+        """An attraction id, an attraction name and a factor id that are a
+        list's key, or hold one with its empty list, print where they are
+        and leave the items at the top-level key."""
+        config = load_config(dataset_builder(
+            factors=[(word, "Condition", 0.0, 5.0, 0.5), ("f2", "Impact", -5.0, 0.0, 0.5)],
+            evaluations=[(word, word, "e1", 1.0, 2.0, 3.0), (word, "f2", "e1", -3.0, -2.0, -1.0),
+                         ("p2", word, "e1", 3.0, 4.0, 5.0), ("p2", "f2", "e1", -2.0, -1.0, 0.0)],
+            attractions=[(word, word, -75.8267, 20.0211),
+                         ("p2", "Second Court", -75.8238, 20.0198)]))
+        documents = self.documents(config)
+        results = documents["results.json"][1]
+        assert {r["attraction_id"]: r["name"] for r in results["results"]} == {
+            word: word, "p2": "Second Court"}
+        assert sorted(results["weights"]["values"]) == sorted([word, "f2"])
+        assert {f["properties"]["id"]: f["properties"]["name"]
+                for f in documents["map.geojson"][1]["features"]
+                if f["properties"]["feature_type"] == "attraction"} == {
+            word: word, "p2": "Second Court"}
+
+    def test_non_ascii_names_unescaped(self, dataset_builder):
+        name = "Café Ñandú 寺 \U0001f3b8"
+        config = load_config(dataset_builder(attractions=[
+            ("p1", name, -75.8267, 20.0211), ("p2", "Second Court", -75.8238, 20.0198)]))
+        for text, _ in self.documents(config).values():
+            assert f'"name":"{name}"' in text and "\\u" not in text
+
+    def test_empty_list(self):
+        empty = '{"features":[],"type":"FeatureCollection"}\n'
+        assert "".join(render._document({"type": "FeatureCollection"}, "features", [])) == empty
+        assert "".join(render_map({}, {}, [], {}, None, (), None)) == empty
 
 
 # -- the block writer ----------------------------------------------------------

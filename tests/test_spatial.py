@@ -280,8 +280,8 @@ class TestDensityFeatures:
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 4), st.integers(1, 4), st.data())
     def test_text_is_json_dumps_of_the_reference(self, nrows, ncols, data):
-        """Each feature's text is ``json.dumps`` of the reference feature
-        dict at the depth of a ``features`` array, its density printed as
+        """Each feature's text is compact ``json.dumps`` of the reference
+        feature dict (``oracles.compact``), its density printed as
         ``json.dumps(round6(value))``."""
         value = st.one_of(st.just(0.0), st.sampled_from(self.EDGE_DENSITIES),
                           st.floats(5e-324, 1e300))
@@ -292,11 +292,9 @@ class TestDensityFeatures:
                            data.draw(st.floats(-5000.0, 5000.0)),
                            data.draw(st.floats(-5000.0, 5000.0)),
                            data.draw(st.floats(0.5, 1000.0)), values)
-        want = ["    " + json.dumps(f, indent=2, sort_keys=True,
-                                    ensure_ascii=False).replace("\n", "\n    ")
-                for f in oracles.density_features(grid)]
+        want = list(map(oracles.compact, oracles.density_features(grid)))
         assert ",\n".join(_density_features(grid)) == ",\n".join(want)
-        densities = [re.search(r'"density": ([^,\n]+)', text)[1] for text in want]
+        densities = [re.search(r'"density":([^,]+)', text)[1] for text in want]
         assert densities == [json.dumps(round6(v)) for v in values[values > 0].tolist()]
 
     @settings(max_examples=300, deadline=None)
@@ -307,7 +305,7 @@ class TestDensityFeatures:
         """Each density prints as ``float.__repr__`` of its 6-digit text reads
         back, also where that text is kept as it is."""
         grid = DensityGrid(CENTER, 0.0, 0.0, 10.0, np.array([values]))
-        got = re.findall(r'"density": ([^,\n]+)', "".join(_density_features(grid)))
+        got = re.findall(r'"density":([^,]+)', "".join(_density_features(grid)))
         assert got == [float.__repr__(float(f"{v:.6g}")) for v in values]
 
 
@@ -471,9 +469,7 @@ class TestPositiveCellsFoundOnce:
                 for i, (score, row, col) in enumerate(oracles.strict_maxima(grid.values,
                                                                              percentile))]
         assert detect_hotspots(grid, percentile=percentile) == want
-        features = ["    " + json.dumps(f, indent=2, sort_keys=True,
-                                        ensure_ascii=False).replace("\n", "\n    ")
-                    for f in oracles.density_features(grid)]
+        features = map(oracles.compact, oracles.density_features(grid))
         assert ",\n".join(_density_features(grid)) == ",\n".join(features)
 
 
@@ -504,8 +500,8 @@ def patterned_grids(draw):
 
 class TestDensityBlocks:
     """The density features' blocks, spliced into the map by
-    ``render._document``, print what ``json.dumps`` prints for the
-    reference features, at any block size."""
+    ``render._document``, print what ``oracles.one_item_per_line`` prints
+    for the reference features, at any block size."""
 
     @given(patterned_grids(), st.sampled_from([1, 2, 3, 5, render._BLOCK_RECORDS]))
     @settings(max_examples=200, deadline=None)
@@ -521,8 +517,8 @@ class TestDensityBlocks:
             patch.setattr(render, "_BLOCK_RECORDS", block)
             blocks = list(_density_features(grid))
         text = "".join(render._document(outer, "features", blocks))
-        assert text == json.dumps({**outer, "features": oracles.density_features(grid)},
-                                  indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+        assert text == oracles.one_item_per_line(
+            {**outer, "features": oracles.density_features(grid)}, "features")
         assert len(blocks) == -(-grid.positive.size // block)
 
 

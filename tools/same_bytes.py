@@ -11,15 +11,20 @@ results.json matches; for district_tour, the workload the benchmark times
 as `tour`, `tourval tour` runs after `run` on each side.  `tourval ftv`
 runs on every input set too, into a --out of its own, the same on both
 sides.  The SHA-256 of every artifact and of each command's standard output
-(the summary the CLI prints) is compared.
+(the summary the CLI prints) is compared.  For a JSON artifact (results.json,
+map.geojson) whose bytes differ, the tool also says whether the two
+documents that json.loads reads are equal, number types and the sign of
+zero included.
 
-Exit status: 0 when every artifact and standard output matches; 1 when one
-differs or a run fails, naming each; 2 when the base cannot be checked out.
+Exit status: 0 when every artifact and standard output matches byte for
+byte; 1 when one differs, even as an equal document, or a run fails, naming
+each; 2 when the base cannot be checked out.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import os
 import shutil
 import subprocess
@@ -47,15 +52,28 @@ def _inputs(directory: Path) -> dict[str, Path]:
     return configs
 
 
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _document_digest(path: Path) -> str:
+    """SHA-256 of the JSON document at ``path`` as json.loads reads it,
+    printed back in one form (keys sorted, no whitespace): two texts of one
+    document have the same digest."""
+    document = json.loads(path.read_bytes())
+    return _sha256(json.dumps(document, sort_keys=True, separators=(",", ":")).encode())
+
+
 def _artifacts(source: Path, config: Path, outs: dict[Path, tuple[str, ...]]
-               ) -> dict[str, str]:
+               ) -> tuple[dict[str, str], dict[str, str]]:
     """SHA-256 of each artifact after each command, by "command artifact",
     and of its standard output, by "command stdout", the commands run in
     turn into the --out directory they are listed under; a failed command
     maps to its exit status and standard error, and no later command of its
-    directory runs."""
+    directory runs.  Beside them, by the same keys, each JSON artifact's
+    ``_document_digest``."""
     env = {**os.environ, "PYTHONPATH": str(source / "src")}
-    digests = {}
+    digests, documents = {}, {}
     for out, commands in outs.items():
         shutil.rmtree(out, ignore_errors=True)
         for command in commands:
@@ -65,11 +83,12 @@ def _artifacts(source: Path, config: Path, outs: dict[Path, tuple[str, ...]]
             if done.returncode:
                 digests[command] = f"exit {done.returncode}: {done.stderr.strip()}"
                 break
-            digests[f"{command} stdout"] = hashlib.sha256(done.stdout.encode()).hexdigest()
+            digests[f"{command} stdout"] = _sha256(done.stdout.encode())
             for artifact in ARTIFACTS[command]:
-                digests[f"{command} {artifact}"] = hashlib.sha256(
-                    (out / artifact).read_bytes()).hexdigest()
-    return digests
+                digests[f"{command} {artifact}"] = _sha256((out / artifact).read_bytes())
+                if artifact.endswith((".json", ".geojson")):
+                    documents[f"{command} {artifact}"] = _document_digest(out / artifact)
+    return digests, documents
 
 
 def main(argv: list[str]) -> int:
@@ -86,22 +105,28 @@ def main(argv: list[str]) -> int:
                   file=sys.stderr)
             return 2
         try:
-            differ = []
+            differ, same_documents = [], 0
             for name, config in _inputs(tmp / "inputs").items():
                 outs = {tmp / "out": ("run", "tour") if name.startswith("district_tour")
                         else ("run",), tmp / "ftv-out": ("ftv",)}
-                before, after = (_artifacts(source, config, outs) for source in (base, ROOT))
+                (before, base_documents), (after, documents) = (
+                    _artifacts(source, config, outs) for source in (base, ROOT))
                 for key in sorted(before.keys() | after.keys()):
                     if before.get(key) != after.get(key):
-                        differ.append(f"{name}: {key}: base {before.get(key)}, "
-                                      f"head {after.get(key)}")
+                        line = f"{name}: {key}: base {before.get(key)}, head {after.get(key)}"
+                        if key in base_documents and key in documents:
+                            same = base_documents[key] == documents[key]
+                            same_documents += same
+                            line += f"; documents {'equal' if same else 'differ'}"
+                        differ.append(line)
                 print(f"{name}: {', '.join(before)} checked")
         finally:
             subprocess.run(["git", "-C", str(ROOT), "worktree", "remove", "--force", str(base)],
                            capture_output=True)
     for line in differ:
         print(f"differs: {line}")
-    print(f"{len(differ)} artifact(s) or stdout(s) differ from {argv[0]}")
+    print(f"{len(differ)} artifact(s) or stdout(s) differ from {argv[0]}; "
+          f"{same_documents} of them are JSON artifacts whose documents are equal")
     return 1 if differ else 0
 
 
