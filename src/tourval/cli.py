@@ -15,6 +15,8 @@ Exit codes: 0 success, 2 input/schema error, 3 configuration error,
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import json
 import sys
 from pathlib import Path
@@ -136,6 +138,17 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    Each call also registers ``gc.freeze`` as an exit hook, once per process
+    however often ``main`` is called.  Exit hooks run before the
+    interpreter's final collections, so a CLI process, or an embedder that
+    calls ``main()``, ends with every object in the collector's permanent
+    generation, and those collections skip the import heap.  Nothing is
+    frozen while ``main`` runs.
+    """
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

@@ -3,7 +3,8 @@
 A triangular fuzzy number (TFN) is the triplet (lo, mode, hi) with
 lo <= mode <= hi; membership rises linearly from lo to 1 at mode and falls
 linearly back to 0 at hi.  The valuation holds TFNs as the rows of (n, 3)
-arrays; ``is_tfn`` and ``defuzzify`` take such arrays as well as floats.
+arrays; ``is_tfn`` takes such arrays as well as floats, and ``defuzzify``
+takes the arrays.
 """
 
 from __future__ import annotations
@@ -57,12 +58,10 @@ def is_tfn(lo, mode, hi):
     return (abs(lo) < math.inf) & (abs(hi) < math.inf) & (lo <= mode) & (mode <= hi)
 
 
-def defuzzify(t: TFN | np.ndarray, method: str = "centroid") -> float | np.ndarray:
-    """Map a TFN, or each (lo, mode, hi) row of an (n, 3) array, to one real number:
+def defuzzify(t: np.ndarray, method: str = "centroid") -> np.ndarray:
+    """Map each (lo, mode, hi) row of an (n, 3) array to one real number:
     ``centroid`` returns (lo + mode + hi) / 3, ``mode`` returns the mode.  The
     result always lies inside [lo, hi]."""
-    if isinstance(t, TFN):
-        return defuzzify(np.array([t.as_tuple()]), method).item()
     require_choice(method, DEFUZZIFY_METHODS, "defuzzification method")
     lo, mode, hi = np.asarray(t, dtype=float).T
     if method == "mode":

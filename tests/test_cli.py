@@ -1,8 +1,11 @@
+import atexit
 import contextlib
 import csv
+import gc
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -624,6 +627,66 @@ class TestEntryPoint:
                   "print(code, 'numpy.ma' in sys.modules)")
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
+
+
+# a CLI child as CI starts it: development mode, every warning an error
+DEV_CLI = [sys.executable, "-X", "dev", "-W", "error", "-m", "tourval.cli"]
+
+
+class TestExitHook:
+    """``main`` registers ``gc.freeze`` to run at the interpreter's exit, once
+    per process, and freezes nothing while it runs; a CLI child writes, prints
+    and exits as an in-process ``main`` does."""
+
+    def test_two_calls_register_the_hook_once_and_freeze_nothing(self, sample_dir, tmp_path,
+                                                                  monkeypatch):
+        hooks = []
+
+        def unregister(func):
+            hooks[:] = [hook for hook in hooks if hook != func]
+
+        monkeypatch.setattr(atexit, "register", hooks.append)
+        monkeypatch.setattr(atexit, "unregister", unregister)
+        frozen = gc.get_freeze_count()
+        for out in ("first", "second"):
+            assert invoke("run", "--config", str(sample_dir / "config.json"),
+                          "--out", str(tmp_path / out)) == 0
+            assert gc.get_freeze_count() == frozen
+        assert hooks == [gc.freeze]
+
+    def test_import_registers_no_hook(self, sample_dir):
+        validate = ["validate", "--config", str(sample_dir / "config.json")]
+        script = "\n".join([
+            "import atexit, gc",
+            "seen, register = [], atexit.register",
+            "atexit.register = lambda func, *a, **k: seen.append(func) or register(func, *a, **k)",
+            "import tourval.cli",
+            "print(gc.freeze in seen)",
+            f"tourval.cli.main({validate!r})",
+            "print(gc.freeze in seen)"])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        lines = proc.stdout.splitlines()
+        assert (lines[0], lines[-1]) == ("False", "True"), proc.stderr
+
+    def test_child_writes_and_prints_what_main_does(self, sample_dir, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(sample_dir / "config.json"), "--out", str(out)]
+        assert invoke(*argv) == 0
+        stdout = capsys.readouterr().out
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        shutil.rmtree(out)
+        proc = subprocess.run([*DEV_CLI, *argv], capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+    def test_child_with_a_missing_config_prints_one_error_line(self, tmp_path):
+        missing = tmp_path / "missing.json"
+        proc = subprocess.run([*DEV_CLI, "run", "--config", str(missing)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 3
+        assert proc.stderr == (f"error: cannot read config {missing}: [Errno 2] "
+                               f"No such file or directory: {str(missing)!r}\n")
+        assert proc.stdout == ""
 
 
 # Each generated example replaces one config value or one CSV cell of the

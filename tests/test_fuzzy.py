@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -33,27 +34,27 @@ class TestConstruction:
 
 class TestDefuzzify:
     def test_centroid_symmetric(self):
-        assert defuzzify(TFN(1, 2, 3)) == pytest.approx(2.0)
+        assert defuzzify(np.array([TFN(1, 2, 3).as_tuple()]))[0] == pytest.approx(2.0)
 
     def test_centroid_skewed(self):
-        assert defuzzify(TFN(0, 0, 3)) == pytest.approx(1.0)
+        assert defuzzify(np.array([TFN(0, 0, 3).as_tuple()]))[0] == pytest.approx(1.0)
 
     def test_mode_method(self):
-        assert defuzzify(TFN(0, 0.7, 3), method="mode") == 0.7
+        assert defuzzify(np.array([TFN(0, 0.7, 3).as_tuple()]), method="mode")[0] == 0.7
 
     def test_unknown_method(self):
         with pytest.raises(ConfigError):
-            defuzzify(TFN(1, 2, 3), method="bisector")
+            defuzzify(np.array([TFN(1, 2, 3).as_tuple()]), method="bisector")
 
     def test_centroid_of_ends_whose_sum_overflows(self):
-        assert defuzzify(TFN(0.0, 1.5e308, 1.5e308)) == 1e308
+        assert defuzzify(np.array([TFN(0.0, 1.5e308, 1.5e308).as_tuple()]))[0] == 1e308
 
     def test_every_choice_rule_is_one_check(self):
         """``require_choice`` words each "A or B" rule; the callers keep
         their exception types."""
         with pytest.raises(ConfigError, match=r"^defuzzification method must be 'centroid' "
                                               r"or 'mode', got 'bisector'$"):
-            defuzzify(TFN(1, 2, 3), method="bisector")
+            defuzzify(np.array([TFN(1, 2, 3).as_tuple()]), method="bisector")
         with pytest.raises(ValueError, match=r"^out-of-range policy must be 'strict' or "
                                              r"'clamp', got 'wrap'$"):
             apply_range_policy(1.0, 0.0, 5.0, "wrap", lambda _: "value ")
@@ -63,11 +64,12 @@ class TestDefuzzify:
 
     @given(tfns())
     def test_centroid_inside_support(self, t):
-        c = defuzzify(t)
+        c = defuzzify(np.array([t.as_tuple()]))[0]
         assert t.lo <= c <= t.hi
 
     @given(tfns(), finite_floats(-100, 100), finite_floats(0.001, 100))
     def test_centroid_affine_equivariant(self, t, shift, stretch):
         moved = TFN(*(stretch * c + shift for c in t.as_tuple()))
-        expected = stretch * defuzzify(t) + shift
-        assert defuzzify(moved) == pytest.approx(expected, rel=1e-9, abs=1e-6)
+        expected = stretch * defuzzify(np.array([t.as_tuple()]))[0] + shift
+        assert defuzzify(np.array([moved.as_tuple()]))[0] == pytest.approx(expected, rel=1e-9,
+                                                                           abs=1e-6)

@@ -339,7 +339,8 @@ class TestPublishedHighlights:
         assert valuation.ids[0] == "House of the Trova"
 
     def test_centroids_match_hand_values(self):
-        centroids = [fuzzy.defuzzify(ftv) for _, ftv in datasets.santiago_reference_ftv()]
+        centroids = [fuzzy.defuzzify(np.array([ftv.as_tuple()]))[0]
+                     for _, ftv in datasets.santiago_reference_ftv()]
         assert centroids == pytest.approx([85.73667, 85.05, 84.08667, 83.83, 83.70],
                                           abs=5e-4)
 

@@ -15,7 +15,10 @@ child first in odd pairs and second in even ones.  The pairs run twice:
 - with a warm cache: PYTHONPYCACHEPREFIX set to a directory in the
   temporary directory, filled by one untimed child of each kind first.
 
-For each condition the two medians and their difference are printed.  Then
+For each condition the two medians and their difference are printed, and
+then the median and quartiles of the differences within each pair (the
+tourval child minus the reference child), which cancel a drift of the host
+that lasts longer than one pair.  Then
 one more child runs the reference child's imports and then `import
 tourval.cli`, and the modules that the second import adds to `sys.modules`
 are printed: the package's own, then every other, so that a new start-up
@@ -61,13 +64,15 @@ def _child(code: str, env: dict[str, str]) -> tuple[float, str]:
     return wall, done.stdout
 
 
-def _pairs(pairs: int, env: dict[str, str]) -> tuple[float, float]:
-    """Median wall times of the tourval and the reference child."""
+def _pairs(pairs: int, env: dict[str, str]) -> tuple[float, float, list[float]]:
+    """Median wall times of the tourval and the reference child, and each
+    pair's tourval time minus its reference time."""
     times: dict[str, list[float]] = {IMPORT: [], REFERENCE: []}
     for pair in range(pairs):
         for code in (IMPORT, REFERENCE) if pair % 2 == 0 else (REFERENCE, IMPORT):
             times[code].append(_child(code, env)[0])
-    return statistics.median(times[IMPORT]), statistics.median(times[REFERENCE])
+    differences = [t - r for t, r in zip(times[IMPORT], times[REFERENCE])]
+    return statistics.median(times[IMPORT]), statistics.median(times[REFERENCE]), differences
 
 
 def main(argv: list[str]) -> int:
@@ -90,9 +95,12 @@ def main(argv: list[str]) -> int:
             print(f"{IMPORT!r} against {REFERENCE!r}, medians of {pairs} interleaved pairs")
             for label, env in (("without bytecode", cold), ("warm bytecode cache", warm)):
                 _child(IMPORT, env), _child(REFERENCE, env)   # untimed; fills a warm cache
-                tourval, reference = _pairs(pairs, env)
+                tourval, reference, differences = _pairs(pairs, env)
+                q1, median, q3 = (statistics.quantiles(differences, n=4, method="inclusive")
+                                  if pairs > 1 else differences * 3)
                 print(f"{label}: tourval {tourval:.4f} s, reference {reference:.4f} s, "
-                      f"difference {tourval - reference:+.4f} s")
+                      f"difference {tourval - reference:+.4f} s; paired difference "
+                      f"{median:+.4f} s [{q1:+.4f}, {q3:+.4f}]")
             added = _child(ADDED, warm)[1].split()
             own = [name for name in added if name.partition(".")[0] == "tourval"]
             others = [name for name in added if name not in own]
