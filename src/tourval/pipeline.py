@@ -2,7 +2,9 @@
 the write of the artifacts, whose text ``render`` prints.
 
 Input layout (CSV with a header row, every file read by ``_rows``: UTF-8 with
-an optional byte-order mark, a line of blank cells skipped anywhere):
+an optional byte-order mark, a line of blank cells skipped anywhere;
+evaluations.csv is first offered to numpy's C reader, which takes it only
+where it reads as ``_rows`` would):
   factors.csv       id,name,x,y[,weight]
   evaluations.csv   attraction_id,factor_id,expert_id,lo,mode,hi  (long format,
                     one row per expert judgement)
@@ -89,9 +91,18 @@ class TourSettings(Record):
         self._set(walk_speed_kmh, require_dwell(dwell_minutes, "tour.dwell_minutes"))
 
 
-# evaluations.csv rows whose number cells ``load_evaluations`` holds as text
-# before it parses them into one float array: about 0.7 MB of text
+# evaluations.csv rows that ``load_evaluations`` parses at a time: the lines
+# numpy's C reader takes at once, or the number cells the fallback holds as
+# text before it parses them into one float array (about 0.7 MB of text)
 _NUMBER_BLOCK_ROWS = 4096
+
+# a row of evaluations.csv as numpy's C reader holds it: the three ids as
+# bytes, unstripped, then (lo, mode, hi); an id that fills its width may be cut
+_ID_BYTES = 32
+_EVALUATION_ROW = np.dtype([("ids", f"S{_ID_BYTES}", (3,)), ("tfn", "f8", (3,))])
+# what ``str.strip`` removes, or the ``S`` dtype drops at the end, but
+# ``bytes.strip`` keeps
+_STRIP_DISAGREES = ("\0", "\x1c", "\x1d", "\x1e", "\x1f")
 
 # the input files, whose relative paths ``load_config`` takes from the config's
 # directory; the first three have no default
@@ -300,6 +311,53 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], W
         raise InputError(f"{path}: {e}") from e
 
 
+def _evaluations_in_c(path: Path, known: dict[str, int]
+                      ) -> tuple[list[str], np.ndarray, np.ndarray, array, np.ndarray] | None:
+    """``load_evaluations``' result as numpy's C reader parses the file, or
+    None when a guard fails.  Raises nothing: every error is the fallback's."""
+    columns = ("attraction_id", "factor_id", "expert_id") + COMPONENTS
+    codes: tuple[dict[str, int], ...] = ({}, dict(known), {})   # a new factor is unknown
+    coded = (array("q"), array("q"), array("q"))
+    tfns = array("d")
+    try:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
+            reader = csv.reader(handle)
+            position = {name: i for i, name in enumerate(next(reader, []))}
+            if reader.line_num != 1 or not position.keys() >= set(columns):
+                return None
+            while block := list(islice(handle, _NUMBER_BLOCK_ROWS)):
+                text = "".join(block)
+                if (not text.isascii() or text.isspace()
+                        or any(map(text.__contains__, _STRIP_DISAGREES))):
+                    return None
+                rows = np.loadtxt(block, _EVALUATION_ROW, delimiter=",", comments=None,
+                                  quotechar='"', usecols=[position[c] for c in columns], ndmin=1)
+                # one row a line: no record was blank, whitespace only or on two lines
+                if (len(rows) != len(block) or np.char.str_len(rows["ids"]).max() >= _ID_BYTES
+                        or not fuzzy.is_tfn(*rows["tfn"].T).all()):
+                    return None
+                for ids, seen, out in zip(np.char.strip(rows["ids"]).T, codes, coded):
+                    distinct, first, inverse = np.unique(ids, return_index=True,
+                                                         return_inverse=True)
+                    order = np.argsort(first)
+                    lookup = np.empty(len(distinct), np.int64)
+                    lookup[order] = [seen.setdefault(i, len(seen))
+                                     for i in distinct[order].astype(str).tolist()]
+                    out.frombytes(lookup[inverse].tobytes())
+                tfns.frombytes(rows["tfn"].tobytes())
+    except (OSError, ValueError, csv.Error):
+        return None
+    if not tfns or len(codes[1]) > len(known) or any("" in seen for seen in codes):
+        return None
+    attractions, factors, experts = (np.frombuffer(c, np.int64) for c in coded)
+    keys = (attractions * len(known) + factors) * len(codes[2]) + experts
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        return None
+    return (list(codes[0]), attractions, factors, array("l", range(2, len(keys) + 2)),
+            np.frombuffer(tfns).reshape(-1, 3))
+
+
 def load_evaluations(path: Path, catalogue_ids: Iterable[str]
                      ) -> tuple[list[str], np.ndarray, np.ndarray, array, np.ndarray]:
     """Long-format expert judgements in file order: the distinct attraction
@@ -309,11 +367,26 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
     row; then the duplicates, the numbers and the TFN rule, in that order,
     each over the whole file and reporting its first offending line.
 
-    The number cells are read ``_NUMBER_BLOCK_ROWS`` rows at a time: each
-    block's text is parsed into a float array before the next is read, and
-    a block that does not parse only remembers its first bad cell, which is
-    reported once the duplicates are checked."""
+    The file is first read by numpy's C reader (``np.loadtxt``), whose
+    result is this one: the header as CSV from line 1, then the lines below
+    it ``_NUMBER_BLOCK_ROWS`` at a time, each block parsed with the ids as
+    bytes, stripped and coded in order of first appearance.  It is taken
+    only when every guard holds: each block is ASCII, holds no NUL and none
+    of ``\x1c``-``\x1f`` (``str.strip`` removes those, ``bytes.strip`` does
+    not), and is not blank; each line is one record, so the lines are
+    ``2..n+1``; no id fills its 32 bytes, nor strips to nothing; every factor
+    is known, no key repeats and every row is a TFN.  Otherwise the row
+    reader below reads the file from the start: it alone raises every
+    error, and it reads every file the C reader turns away.
+
+    The row reader reads the number cells ``_NUMBER_BLOCK_ROWS`` rows at a
+    time: each block's text is parsed into a float array before the next is
+    read, and a block that does not parse only remembers its first bad
+    cell, which is reported once the duplicates are checked."""
     known = {factor_id: k for k, factor_id in enumerate(catalogue_ids)}
+    fast = _evaluations_in_c(path, known)
+    if fast is not None:
+        return fast
     attraction_codes: dict[str, int] = {}
     expert_codes: dict[str, int] = {}
     attractions, factors, experts = [], [], []
@@ -417,7 +490,11 @@ def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     TAOCP vol. 2, 4.2.2), elementwise, barring overflow."""
     s = a + b
     b_part = s - a
-    return s, (a - (s - b_part)) + (b - b_part)
+    # (a - (s - b_part)) + (b - b_part) with two arrays made, not four
+    error = s - b_part
+    np.subtract(a, error, out=error)
+    error += np.subtract(b, b_part, out=b_part)
+    return s, error
 
 
 def _exact_sums(rows: np.ndarray, counts: np.ndarray,

@@ -679,6 +679,21 @@ class TestExitHook:
         assert (proc.returncode, proc.stderr, proc.stdout) == (0, "", stdout)
         assert {path.name: path.read_bytes() for path in out.iterdir()} == written
 
+    def test_child_without_the_hook_leaves_nothing_open_at_exit(self, sample_dir, tmp_path):
+        """The frozen collector no longer sees a resource kept until the exit,
+        so a child takes the hook away again after ``main``: then a file left
+        open, in a module global or in a reference cycle, warns at exit."""
+        argv = ["run", "--config", str(sample_dir / "config.json"), "--out", str(tmp_path)]
+        script = "\n".join([
+            "import atexit, gc, sys",
+            "from tourval.cli import main",
+            f"status = main({argv!r})",
+            "atexit.unregister(gc.freeze)",
+            "sys.exit(status)"])
+        proc = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", script],
+                              capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+
     def test_child_with_a_missing_config_prints_one_error_line(self, tmp_path):
         missing = tmp_path / "missing.json"
         proc = subprocess.run([*DEV_CLI, "run", "--config", str(missing)],

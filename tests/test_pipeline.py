@@ -6,6 +6,7 @@ import os
 import sys
 import tempfile
 import tracemalloc
+import warnings
 from array import array
 from pathlib import Path
 
@@ -521,27 +522,28 @@ NUMBER_FORMATS = (repr, "{:.2f}".format, "{:.3e}".format, "{:g}".format)
 
 
 @st.composite
-def judgement_rows(draw, min_size=0):
+def judgement_rows(draw, min_size=0, attractions=("a1", "a2", "a,3", "a\n4", "Café 5"),
+                   padding=PADDING):
     """Valid judgements as column -> cell text, the cells padded."""
     triples = draw(st.lists(
-        st.tuples(st.sampled_from(["a1", "a2", "a,3", "a\n4", "Café 5"]),
+        st.tuples(st.sampled_from(attractions),
                   st.sampled_from(CATALOGUE), st.sampled_from(["e1", "e2", "e 3", '"e4"'])),
         min_size=min_size, max_size=10, unique=True))
     rows = []
     for triple in triples:
         numbers = sorted(draw(st.lists(st.floats(-1e6, 1e6), min_size=3, max_size=3)))
         texts = triple + tuple(map(draw(st.sampled_from(NUMBER_FORMATS)), numbers))
-        rows.append({column: draw(PADDING) + text + draw(PADDING)
+        rows.append({column: draw(padding) + text + draw(padding)
                      for column, text in zip(EVALUATION_COLUMNS, texts)})
     return rows
 
 
 @st.composite
-def evaluation_text(draw, rows):
+def evaluation_text(draw, rows, filler=FILLER, blank_lines=2):
     """The rows as CSV text: header names permuted, repeated (the last one
     counts) and mixed with other columns; records quoted or not, some cut
-    short after their last used cell, some longer than the header, and
-    empty lines between them."""
+    short after their last used cell, some longer than the header, and up
+    to ``blank_lines`` empty lines before each."""
     header = list(draw(st.permutations(EVALUATION_COLUMNS)))
     for name in draw(st.lists(st.sampled_from(["note", "", "lo", "expert_id", "a,b"]),
                               max_size=3)):
@@ -553,14 +555,14 @@ def evaluation_text(draw, rows):
                         quoting=draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL])))
     writer.writerow(header)
     for row in rows:
-        buffer.write(terminator * draw(st.integers(0, 2)))
-        cells = [row.get(name, "") if used.get(name) == position else draw(FILLER)
+        buffer.write(terminator * draw(st.integers(0, blank_lines)))
+        cells = [row.get(name, "") if used.get(name) == position else draw(filler)
                  for position, name in enumerate(header)]
         # a record cut short loses its cells from the first dropped column on
         longest = min((used[c] for c in EVALUATION_COLUMNS if c not in row),
                       default=len(header) + 2)
         length = draw(st.integers(min(max(used[c] for c in row) + 1, longest), longest))
-        writer.writerow((cells + [draw(FILLER), draw(FILLER)])[:length])
+        writer.writerow((cells + [draw(filler), draw(filler)])[:length])
     return buffer.getvalue()
 
 
@@ -849,10 +851,120 @@ class TestNumberBlockFaults:
         assert values.tolist() == [[i + 0.5, i + 1.25, i + 2.0] for i in range(rows)]
 
 
+KNOWN = {factor_id: k for k, factor_id in enumerate(CATALOGUE)}
+
+
+class TestLoadEvaluationsInC:
+    """Files that numpy's C reader takes (ASCII, one record a line, no blank
+    line) are read by it alone, in blocks of 1, 2 or 3 rows, and the result
+    is the reference loader's."""
+
+    @pytest.fixture(autouse=True, params=[1, 2, 3])
+    def blocks(self, request, monkeypatch):
+        """The block size, and the sizes of the blocks ``np.loadtxt`` is given;
+        the row reader fails the test if it runs."""
+        monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", request.param)
+        sizes, loadtxt = [], np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda lines, *args, **kwargs: (
+            sizes.append(len(lines)) or loadtxt(lines, *args, **kwargs)))
+
+        def records(*args):
+            raise AssertionError("the row reader ran")
+
+        monkeypatch.setattr(pipeline, "_records", records)
+        return request.param, sizes
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_equals_reference(self, tmp_path, blocks, data):
+        size, sizes = blocks
+        rows = data.draw(judgement_rows(min_size=1, attractions=("a1", "a2", "a,3", "a 4", '"a5"'),
+                                        padding=st.sampled_from(["", " ", "\t", "  ", " \t"])))
+        text = data.draw(evaluation_text(
+            rows, filler=st.sampled_from(["", "x", " ", "1,5", '"quoted"']), blank_lines=0))
+        path = tmp_path / "evaluations.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        sizes.clear()
+        new, reference = _load_both(path)
+        assert not isinstance(reference, str)
+        assert new == reference
+        assert sizes == [min(size, len(rows) - at) for at in range(0, len(rows), size)]
+
+
+class TestFallbackFromC:
+    """Files that fail a guard of the C reader are read by the row reader
+    alone, from the start: the result or the error is the reference
+    loader's, and nothing warns."""
+
+    @pytest.mark.parametrize("block_rows", [2, 4096])
+    @pytest.mark.parametrize("body", [
+        pytest.param("p1,f1,e1,1_0,20,30\n", id="underscore-digits"),
+        pytest.param("p1,f1,e1,1,٢,3\n", id="non-ascii-digit"),
+        pytest.param("p1,f1,e1,1,2,3\np1\x1c,f2,e1,1,2,3\n", id="x1c-padding"),
+        pytest.param("p1,f1,e1,1,2,3\np1\xa0,f2,e1,1,2,3\n", id="no-break-space-padding"),
+        pytest.param(f"{'p' * 32}1,f1,e1,1,2,3\n{'p' * 32}2,f2,e1,1,2,3\n",
+                     id="ids-sharing-32-characters"),
+        pytest.param("p1,f1,e1,1,2,3\n \t \np1,f2,e1,1,2,3\n", id="whitespace-only-line"),
+        pytest.param('"p\n1",f1,e1,1,2,3\np2,f1,e1,1,2,3\n', id="quoted-two-line-cell"),
+        pytest.param("p1,f1,e1,nan,2,3\n", id="nan"),
+        pytest.param("p1,f1,e1,1,2,inf\n", id="inf"),
+        pytest.param("p1,f1,e1,1,2,3\np1,f2,e1,1,2,3\n\n\n", id="trailing-blank-block"),
+        pytest.param("p1,f1,e1,1,2,3\np1,f2,e1,1,2,3\n \n\t\n", id="trailing-whitespace-block"),
+        pytest.param("p1,f1,e1,1,2,3\np1\0,f2,e1,1,2,3\n", id="nul-ending-an-id",
+                     marks=pytest.mark.skipif(sys.version_info < (3, 11),
+                                              reason="csv reads NUL from Python 3.11")),
+    ])
+    def test_row_reader_result(self, tmp_path, monkeypatch, body, block_rows):
+        monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
+        path = tmp_path / "evaluations.csv"
+        path.write_text(EVALUATION_HEADER + body, encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pipeline._evaluations_in_c(path, KNOWN) is None
+            new, reference = _load_both(path)
+        assert new == reference
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(EVALUATION_HEADER, id="no-rows"),
+        pytest.param('"a\nb",' + EVALUATION_HEADER + "x,p1,f1,e1,1,2,3\n", id="two-line-header"),
+        pytest.param(EVALUATION_HEADER + "p1,ghost,e1,1,2,3\n", id="unknown-factor"),
+        pytest.param(EVALUATION_HEADER + "p1,f1, ,1,2,3\n", id="empty-id"),
+        pytest.param(EVALUATION_HEADER + "p1,f1,e1,1,2,3\np1,f1,e1 ,4,5,6\n", id="duplicate"),
+        pytest.param(EVALUATION_HEADER + "p1,f1,e1,3,2,1\n", id="not-a-tfn"),
+        pytest.param(EVALUATION_HEADER + "p1,f1,e1,1,2\n", id="short-row"),
+        pytest.param("attraction_id,factor_id,lo,mode,hi\np1,f1,1,2,3\n", id="missing-column"),
+    ])
+    def test_each_other_guard(self, tmp_path, text):
+        path = tmp_path / "evaluations.csv"
+        path.write_text(text, encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pipeline._evaluations_in_c(path, KNOWN) is None
+            new, reference = _load_both(path)
+        assert new == reference
+
+    def test_header_below_a_blank_line(self, tmp_path):
+        """The reference loader takes no blank line above the header; the row
+        reader skips it, and reads the record below the header as line 3."""
+        path = tmp_path / "evaluations.csv"
+        path.write_text("\n" + EVALUATION_HEADER + "p1,f1,e1,1,2,3\n", encoding="utf-8")
+        assert pipeline._evaluations_in_c(path, KNOWN) is None
+        assert _per_row_ids(path, CATALOGUE)[2] == [3]
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "evaluations.csv"
+        path.write_bytes(EVALUATION_HEADER.encode() + b"p\xe91,f1,e1,1,2,3\n")
+        assert pipeline._evaluations_in_c(path, KNOWN) is None
+        with pytest.raises(InputError, match=r": not UTF-8 text \("):
+            load_evaluations(path, CATALOGUE)
+
+
 def test_load_evaluations_memory_per_row(tmp_path):
     """The traced peak of reading 30,000 judgements stays under 240 bytes a
     row: the number cells are not all held as text until the file ends
-    (that took about 335 bytes a row; parsing them in blocks, about 155)."""
+    (that took about 335 bytes a row; parsing them in blocks, about 155;
+    numpy's C reader, in blocks, about 125)."""
     rows, experts = 30_000, 5
     path = tmp_path / "evaluations.csv"
     with path.open("w", encoding="utf-8", newline="") as handle:
@@ -868,6 +980,13 @@ def test_load_evaluations_memory_per_row(tmp_path):
         tracemalloc.stop()
     assert len(result[3]) == rows
     assert peak / rows < 240, f"{peak / rows:.0f} bytes a row"
+
+
+def test_row_reader_memory_per_row(tmp_path, monkeypatch):
+    """The same bound holds for the row reader, which reads every file the
+    C reader turns away."""
+    monkeypatch.setattr(pipeline, "_evaluations_in_c", lambda *args: None)
+    test_load_evaluations_memory_per_row(tmp_path)
 
 
 class TestPairwiseWeights:

@@ -6,10 +6,16 @@ Usage: python3 tools/ab.py BASE_REF WORKLOAD SEED [--pairs N] [--seconds S]
 BASE_REF is checked out as a git worktree in a temporary directory.  Both
 sides must hold the same benchmark: the tool refuses when bench/ or
 BENCHMARK.json in this checkout differ from BASE_REF's, uncommitted changes
-included.  Each pair runs `bench/run.py --workload WORKLOAD --seed SEED
---seconds S --trace 0` once from the base's checkout and once from this one,
-the base first in odd pairs and second in even ones, and reads each run's
-last line, the benchmark's JSON summary.  As each run completes, the tool
+included.  Both sides must start without bytecode: the fresh worktree holds
+none, and the tool refuses this checkout when a __pycache__ directory lies
+under its src/, since only this side's runs would read it (a warm cache
+makes start-up faster).  The runs write no bytecode themselves
+(PYTHONDONTWRITEBYTECODE=1), so each side compiles its sources on every
+run and the checkout stays clean for the next comparison.  Each pair runs
+`bench/run.py --workload WORKLOAD --seed SEED --seconds S --trace 0` once
+from the base's checkout and once from this one, the base first in odd
+pairs and second in even ones, and reads each run's last line, the
+benchmark's JSON summary.  As each run completes, the tool
 prints that summary on one line after its pair and side, `pair 1 base {...}`,
 so every run's data can be collected from this output.
 
@@ -21,14 +27,15 @@ spread a gain must beat.  The failed operation counts of each side are
 printed too.
 
 Exit status: 0 when every run completed with no failed operation; 1 when a
-run failed; 2 on bad arguments, when the base cannot be checked out, or when
-the benchmarks differ.
+run failed; 2 on bad arguments, when this checkout holds a bytecode cache,
+when the base cannot be checked out, or when the benchmarks differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -53,13 +60,18 @@ def _benchmark_differs(base: str) -> str | None:
     return f"the benchmark differs from {base}'s: {', '.join(changed)}" if changed else None
 
 
+def _bytecode_cache(checkout: Path) -> Path | None:
+    """A ``__pycache__`` directory under ``checkout``'s src/, or None."""
+    return next((checkout / "src").rglob("__pycache__"), None)
+
+
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     """The JSON summary of one benchmark run from ``checkout``; a run that
     prints none counts as one failed operation."""
     done = subprocess.run(
         [sys.executable, str(checkout / "bench" / "run.py"), "--workload", workload,
          "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     try:
         return json.loads(done.stdout.strip().splitlines()[-1])
     except (IndexError, json.JSONDecodeError):
@@ -84,6 +96,11 @@ def main(argv: list[str]) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1 or args.seconds <= 0:
         parser.error("--pairs must be at least 1 and --seconds positive")
+    cache = _bytecode_cache(ROOT)
+    if cache is not None:
+        print(f"error: {cache} holds bytecode that only this checkout's runs would read; "
+              "delete it and run again", file=sys.stderr)
+        return 2
     differs = _benchmark_differs(args.base)
     if differs:
         print(f"error: {differs}", file=sys.stderr)
