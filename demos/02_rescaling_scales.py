@@ -15,8 +15,6 @@ exactly the same value whether treated as a number or a degenerate TFN.
 first decides what happens to values outside their source range.
 """
 
-import logging
-
 import numpy as np
 
 from tourval import SourceRange, TargetRange
@@ -77,8 +75,7 @@ try:
 except OutOfRangeError as exc:
     print(f"  strict: {exc}")
 
-logging.basicConfig(level=logging.WARNING, format="  [log] %(message)s")
 admitted = apply_range_policy(typo, five_point.x, five_point.y, "clamp", locate)
 clamped = rescale_endpoints(admitted, five_point.x, five_point.y, TARGET)
 print(f"  clamp: {typo} -> {tuple(clamped.tolist())}")
-print("  (the warning above records exactly what was moved)")
+print("  (the line clamp printed to stderr records exactly what was moved)")

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import csv
 import json
-import logging
 import math
 import operator
 import os
@@ -63,8 +62,6 @@ __all__ = [
     "run_valuation",
     "run_tour",
 ]
-
-log = logging.getLogger(__name__)
 
 
 class KdeSettings(Record):
@@ -590,11 +587,7 @@ def ingest(config: RunConfig) -> IngestResult:
 
     weight_source = "column"
     report: WeightReport | None = None
-    if has_weights:
-        if config.pairwise is not None:
-            log.info("factor file carries weights; ignoring pairwise matrix %s",
-                     config.pairwise)
-    else:
+    if not has_weights:
         if config.pairwise is None:
             raise ConfigError(
                 f"{config.factors} has no weight column and no pairwise matrix is "

@@ -2,14 +2,13 @@
 
 ``rescale_endpoints`` maps values from a source range [x, y] onto a target
 range [m, M] with the affine min-max transform, a TFN endpoint by endpoint;
-``apply_range_policy`` handles values outside [x, y].  Both take arrays:
-the pipeline admits every judgement with the one and the valuation rescales
-every score with the other.
+``apply_range_policy`` handles values outside [x, y], under ``clamp`` by
+printing one line to stderr.  Both take arrays: the pipeline admits every
+judgement with the one and the valuation rescales every score with the other.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import sys
 from typing import Callable
@@ -21,8 +20,6 @@ from .record import Record
 
 __all__ = ["SourceRange", "TargetRange", "RANGE_POLICIES", "apply_range_policy",
            "rescale_endpoints"]
-
-log = logging.getLogger(__name__)
 
 COMPONENTS = ("lo", "mode", "hi")
 RANGE_POLICIES = ("strict", "clamp")
@@ -77,7 +74,8 @@ def apply_range_policy(values, x, y, policy: str,
                        locate: Callable[[tuple[int, ...]], str]) -> np.ndarray:
     """Out-of-range policy for values against their source range [x, y]
     (broadcast): ``strict`` raises OutOfRangeError for the first value outside,
-    ``clamp`` saturates all with one warning.  ``locate(index)`` names a value."""
+    ``clamp`` saturates all and prints one line to stderr, naming the first
+    value and the count.  ``locate(index)`` names a value."""
     require_choice(policy, RANGE_POLICIES, "out-of-range policy", ValueError)
     values = np.asarray(values, dtype=float)
     x, y = np.broadcast_to(x, values.shape), np.broadcast_to(y, values.shape)
@@ -88,8 +86,8 @@ def apply_range_policy(values, x, y, policy: str,
     a, lo, hi = float(values[first]), float(x[first]), float(y[first])
     if policy == "strict":
         raise OutOfRangeError(f"{locate(first)}{a} outside source range [{lo}, {hi}]")
-    log.warning("%s%s clamped to %s (source range [%s, %s]); %d value(s) clamped",
-                locate(first), a, min(max(a, lo), hi), lo, hi, outside.sum())
+    print(f"{locate(first)}{a} clamped to {min(max(a, lo), hi)} (source range "
+          f"[{lo}, {hi}]); {outside.sum()} value(s) clamped", file=sys.stderr)
     return np.minimum(np.maximum(values, x), y)
 
 

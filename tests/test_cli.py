@@ -181,6 +181,10 @@ class TestRun:
         code = invoke("run", "--config", str(config_path), "--clamp",
                       "--out", str(tmp_path / "clamped"))
         assert code == 0
+        evaluations_path = config_path.parent.resolve() / "evaluations.csv"
+        assert capsys.readouterr().err == (
+            f"{evaluations_path}:2: attraction 'p1', factor 'f1': hi=5.5 clamped to 5.0 "
+            "(source range [0.0, 5.0]); 1 value(s) clamped\n")
 
     def test_range_policy_applies_to_each_judgement(self, dataset_builder, tmp_path,
                                                      capsys):
@@ -334,6 +338,20 @@ class TestWeights:
         assert report["weights"]["f1"] == pytest.approx(0.8)
         assert report["weights"]["f2"] == pytest.approx(0.2)
         assert report["inconsistent"] is False
+
+    def test_weight_column_wins_over_pairwise(self, dataset_builder, tmp_path, capsys):
+        """A factor file with a weight column keeps its weights even when a
+        pairwise matrix is configured, and the run prints nothing on stderr."""
+        config_path = dataset_builder(config_extra={"pairwise": "pairwise.csv"})
+        with open(tmp_path / "pairwise.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["f1", "f2"], [1.0, 4.0], [0.25, 1.0]])
+        ingested = pipeline.ingest(pipeline.load_config(config_path))
+        assert ingested.weight_source == "column"
+        assert ingested.catalogue.weights == (0.5, 0.5)
+        assert ingested.weight_report is None
+        assert invoke("ftv", "--config", str(config_path),
+                      "--out", str(tmp_path / "ftv")) == 0
+        assert capsys.readouterr().err == ""
 
     def test_without_pairwise_entry_exits_3(self, dataset_builder, capsys):
         config_path = dataset_builder()

@@ -338,11 +338,14 @@ def test_import_makes_no_dataclass():
 def test_import_loads_no_dataclasses_module():
     """In a fresh interpreter that has imported numpy, importing tourval.cli
     does not load ``dataclasses`` (nor ``copy``, which it pulls in): a
-    record's frozen-field error is the package's own ``AttributeError``."""
+    record's frozen-field error is the package's own ``AttributeError``.
+    Nor does it load ``logging`` (nor ``traceback`` and ``string``, which it
+    pulls in): the clamp line is printed where it is decided."""
     probe = ("import sys, numpy\n"
              "before = set(sys.modules)\n"
              "import tourval.cli\n"
-             "print(' '.join(sorted({'dataclasses', 'copy'} & (set(sys.modules) - before))))\n")
+             "probe = {'dataclasses', 'copy', 'logging', 'traceback', 'string'}\n"
+             "print(' '.join(sorted(probe & (set(sys.modules) - before))))\n")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           check=True, env={**os.environ, "PYTHONPATH": str(SOURCE_ROOT)})
     assert done.stdout.split() == []

@@ -1,4 +1,3 @@
-import logging
 import re
 import sys
 
@@ -68,12 +67,12 @@ class TestCrisp:
         assert "condition" in str(err.value)
         assert "5.5" in str(err.value)
 
-    def test_clamp_saturates(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="tourval.rescale"):
-            admitted = apply_range_policy([5.5, -1.0], 0.0, 5.0, "clamp", lambda _: "value ")
+    def test_clamp_saturates(self, capsys):
+        admitted = apply_range_policy([5.5, -1.0], 0.0, 5.0, "clamp", lambda _: "value ")
         got = rescale_endpoints(admitted, 0.0, 5.0, TargetRange(0, 100))
         assert got.tolist() == [100.0, 0.0]
-        assert any("clamp" in record.message for record in caplog.records)
+        assert capsys.readouterr().err == (
+            "value 5.5 clamped to 5.0 (source range [0.0, 5.0]); 2 value(s) clamped\n")
 
     def test_unknown_policy(self):
         with pytest.raises(ValueError):

@@ -3,22 +3,24 @@
 Usage: python3 tools/same_bytes.py BASE_REF
 
 BASE_REF is checked out as a git worktree in a temporary directory.  The
-inputs are made once, from this checkout: the bundled sample, copied, and
-seeds 1 and 2 of each benchmark workload, generated by bench/workloads.py.
-On each input set `tourval run` runs first from the base's source, then
-from this checkout's, both with the same --out, so the config echo in
-results.json matches; for district_tour, the workload the benchmark times
-as `tour`, `tourval tour` runs after `run` on each side.  `tourval ftv`
-runs on every input set too, into a --out of its own, the same on both
-sides.  The SHA-256 of every artifact and of each command's standard output
-(the summary the CLI prints) is compared.  For a JSON artifact (results.json,
-map.geojson) whose bytes differ, the tool also says whether the two
-documents that json.loads reads are equal, number types and the sign of
-zero included.
+inputs are made once, from this checkout: the bundled sample, copied; a
+second copy of it with "range_policy": "clamp" in its config.json and the
+first judgement's hi pushed to 5.5, past its factor's range [0, 5], so that
+each command prints the clamp line; and seeds 1 and 2 of each benchmark
+workload, generated by bench/workloads.py.  On each input set `tourval run`
+runs first from the base's source, then from this checkout's, both with the
+same --out, so the config echo in results.json matches; for district_tour,
+the workload the benchmark times as `tour`, `tourval tour` runs after `run`
+on each side.  `tourval ftv` runs on every input set too, into a --out of
+its own, the same on both sides.  The SHA-256 of every artifact, of each
+command's standard output (the summary the CLI prints) and of its standard
+error is compared.  For a JSON artifact (results.json, map.geojson) whose
+bytes differ, the tool also says whether the two documents that json.loads
+reads are equal, number types and the sign of zero included.
 
-Exit status: 0 when every artifact and standard output matches byte for
-byte; 1 when one differs, even as an equal document, or a run fails, naming
-each; 2 when the base cannot be checked out.
+Exit status: 0 when every artifact, standard output and standard error
+matches byte for byte; 1 when one differs, even as an equal document, or a
+run fails, naming each; 2 when the base cannot be checked out.
 """
 
 from __future__ import annotations
@@ -45,6 +47,14 @@ ARTIFACTS = {"run": ("results.csv", "results.json", "map.geojson"), "tour": ("ma
 def _inputs(directory: Path) -> dict[str, Path]:
     """Config path of each input set, by name."""
     configs = {"sample": Path(shutil.copytree(SAMPLE, directory / "sample")) / "config.json"}
+    clamp = Path(shutil.copytree(SAMPLE, directory / "sample-clamp"))
+    config = json.loads((clamp / "config.json").read_text(encoding="utf-8"))
+    (clamp / "config.json").write_text(json.dumps({**config, "range_policy": "clamp"}),
+                                       encoding="utf-8")
+    header, first, rest = (clamp / "evaluations.csv").read_bytes().split(b"\n", 2)
+    (clamp / "evaluations.csv").write_bytes(
+        b"\n".join((header, first.rpartition(b",")[0] + b",5.5", rest)))
+    configs["sample with a clamped judgement"] = clamp / "config.json"
     for name in sorted(workloads.WORKLOADS):
         for seed in SEEDS:
             configs[f"{name} seed {seed}"] = workloads.generate(
@@ -67,7 +77,8 @@ def _document_digest(path: Path) -> str:
 def _artifacts(source: Path, config: Path, outs: dict[Path, tuple[str, ...]]
                ) -> tuple[dict[str, str], dict[str, str]]:
     """SHA-256 of each artifact after each command, by "command artifact",
-    and of its standard output, by "command stdout", the commands run in
+    and of its standard output and error, by "command stdout" and "command
+    stderr", the commands run in
     turn into the --out directory they are listed under; a failed command
     maps to its exit status and standard error, and no later command of its
     directory runs.  Beside them, by the same keys, each JSON artifact's
@@ -84,6 +95,7 @@ def _artifacts(source: Path, config: Path, outs: dict[Path, tuple[str, ...]]
                 digests[command] = f"exit {done.returncode}: {done.stderr.strip()}"
                 break
             digests[f"{command} stdout"] = _sha256(done.stdout.encode())
+            digests[f"{command} stderr"] = _sha256(done.stderr.encode())
             for artifact in ARTIFACTS[command]:
                 digests[f"{command} {artifact}"] = _sha256((out / artifact).read_bytes())
                 if artifact.endswith((".json", ".geojson")):
@@ -125,7 +137,7 @@ def main(argv: list[str]) -> int:
                            capture_output=True)
     for line in differ:
         print(f"differs: {line}")
-    print(f"{len(differ)} artifact(s) or stdout(s) differ from {argv[0]}; "
+    print(f"{len(differ)} artifact(s), stdout(s) or stderr(s) differ from {argv[0]}; "
           f"{same_documents} of them are JSON artifacts whose documents are equal")
     return 1 if differ else 0
 
