@@ -97,6 +97,10 @@ _NUMBER_BLOCK_ROWS = 4096
 # bytes, unstripped, then (lo, mode, hi); an id that fills its width may be cut
 _ID_BYTES = 32
 _EVALUATION_ROW = np.dtype([("ids", f"S{_ID_BYTES}", (3,)), ("tfn", "f8", (3,))])
+# an id's hash: each of its four 8-byte words times its own odd multiplier,
+# summed with wrapping; a row's words are checked against its hash's first row
+_ID_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
+                     0xD6E8FEB86659FD93], np.uint64)
 # what ``str.strip`` removes, or the ``S`` dtype drops at the end, but
 # ``bytes.strip`` keeps
 _STRIP_DISAGREES = ("\0", "\x1c", "\x1d", "\x1e", "\x1f")
@@ -311,7 +315,8 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], W
 def _evaluations_in_c(path: Path, known: dict[str, int]
                       ) -> tuple[list[str], np.ndarray, np.ndarray, array, np.ndarray] | None:
     """``load_evaluations``' result as numpy's C reader parses the file, or
-    None when a guard fails.  Raises nothing: every error is the fallback's."""
+    None when a guard fails, two raw ids of a block with one hash included.
+    Raises nothing: every error is the fallback's."""
     columns = ("attraction_id", "factor_id", "expert_id") + COMPONENTS
     codes: tuple[dict[str, int], ...] = ({}, dict(known), {})   # a new factor is unknown
     coded = (array("q"), array("q"), array("q"))
@@ -330,16 +335,21 @@ def _evaluations_in_c(path: Path, known: dict[str, int]
                 rows = np.loadtxt(block, _EVALUATION_ROW, delimiter=",", comments=None,
                                   quotechar='"', usecols=[position[c] for c in columns], ndmin=1)
                 # one row a line: no record was blank, whitespace only or on two lines
-                if (len(rows) != len(block) or np.char.str_len(rows["ids"]).max() >= _ID_BYTES
-                        or not fuzzy.is_tfn(*rows["tfn"].T).all()):
+                if len(rows) != len(block) or not fuzzy.is_tfn(*rows["tfn"].T).all():
                     return None
-                for ids, seen, out in zip(np.char.strip(rows["ids"]).T, codes, coded):
-                    distinct, first, inverse = np.unique(ids, return_index=True,
-                                                         return_inverse=True)
+                words = rows["ids"].view(np.uint64).reshape(len(rows), 3, len(_ID_HASH))
+                hashes = words @ _ID_HASH   # array arithmetic wraps silently
+                for column, seen, out in zip(range(3), codes, coded):
+                    _, first, inverse = np.unique(hashes[:, column], return_index=True,
+                                                  return_inverse=True)
                     order = np.argsort(first)
-                    lookup = np.empty(len(distinct), np.int64)
-                    lookup[order] = [seen.setdefault(i, len(seen))
-                                     for i in distinct[order].astype(str).tolist()]
+                    raw = rows["ids"][first[order], column].tolist()
+                    # two raw ids with one hash, or an id that may have been cut
+                    if ((words[first, column].take(inverse, axis=0) != words[:, column]).any()
+                            or max(map(len, raw)) >= _ID_BYTES):
+                        return None
+                    lookup = np.empty(len(first), np.int64)
+                    lookup[order] = [seen.setdefault(i.decode().strip(), len(seen)) for i in raw]
                     out.frombytes(lookup[inverse].tobytes())
                 tfns.frombytes(rows["tfn"].tobytes())
     except (OSError, ValueError, csv.Error):
@@ -351,8 +361,8 @@ def _evaluations_in_c(path: Path, known: dict[str, int]
     keys.sort()
     if (keys[1:] == keys[:-1]).any():
         return None
-    return (list(codes[0]), attractions, factors, array("l", range(2, len(keys) + 2)),
-            np.frombuffer(tfns).reshape(-1, 3))
+    lines = array("l", np.arange(2, len(keys) + 2, dtype="l").tobytes())
+    return list(codes[0]), attractions, factors, lines, np.frombuffer(tfns).reshape(-1, 3)
 
 
 def load_evaluations(path: Path, catalogue_ids: Iterable[str]
@@ -367,7 +377,9 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
     The file is first read by numpy's C reader (``np.loadtxt``), whose
     result is this one: the header as CSV from line 1, then the lines below
     it ``_NUMBER_BLOCK_ROWS`` at a time, each block parsed with the ids as
-    bytes, stripped and coded in order of first appearance.  It is taken
+    raw bytes and coded by a 64-bit hash of those bytes; only its distinct
+    raw ids are stripped and decoded, in order of first appearance, and a
+    hash collision sends the file to the row reader.  It is taken
     only when every guard holds: each block is ASCII, holds no NUL and none
     of ``\x1c``-``\x1f`` (``str.strip`` removes those, ``bytes.strip`` does
     not), and is not blank; each line is one record, so the lines are

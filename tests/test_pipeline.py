@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 import tracemalloc
@@ -852,6 +853,14 @@ class TestNumberBlockFaults:
 
 
 KNOWN = {factor_id: k for k, factor_id in enumerate(CATALOGUE)}
+# attraction ids for the C reader: short ones, and ones of 8-27 bytes that
+# share their first 8, 16 or 24 bytes (up to 31 bytes with their padding),
+# so that every word of a raw id's hash is used
+IN_C_ATTRACTIONS = ("a1", "a2", "a,3", "a 4", '"a5"', "attract_", "attract_1", "attract,2",
+                    "attraction_0001_", "attraction_0001_a", "attraction_0001_b",
+                    "attraction_of_santiago__", "attraction_of_santiago__1ab",
+                    "attraction_of_santiago__1ac")
+SOURCE_ROOT = Path(pipeline.__file__).resolve().parents[1]
 
 
 class TestLoadEvaluationsInC:
@@ -879,7 +888,7 @@ class TestLoadEvaluationsInC:
     @given(data=st.data())
     def test_equals_reference(self, tmp_path, blocks, data):
         size, sizes = blocks
-        rows = data.draw(judgement_rows(min_size=1, attractions=("a1", "a2", "a,3", "a 4", '"a5"'),
+        rows = data.draw(judgement_rows(min_size=1, attractions=IN_C_ATTRACTIONS,
                                         padding=st.sampled_from(["", " ", "\t", "  ", " \t"])))
         text = data.draw(evaluation_text(
             rows, filler=st.sampled_from(["", "x", " ", "1,5", '"quoted"']), blank_lines=0))
@@ -890,6 +899,38 @@ class TestLoadEvaluationsInC:
         assert not isinstance(reference, str)
         assert new == reference
         assert sizes == [min(size, len(rows) - at) for at in range(0, len(rows), size)]
+
+    @pytest.mark.parametrize("forms", [
+        pytest.param(("p1", " p1", "p1\t"), id="short"),
+        pytest.param(("p" * 27, "  " + "p" * 27 + "\t ", "\t" + "p" * 27), id="up-to-31-bytes"),
+    ])
+    def test_padded_forms_share_one_code(self, tmp_path, blocks, forms):
+        """Padded forms of one id hash apart, and are coded as one id: in one
+        block (of 3 rows) and across blocks."""
+        path = tmp_path / "evaluations.csv"
+        path.write_text(EVALUATION_HEADER + "".join(
+            f"{form},f1,e{expert},1,2,3\n" for expert, form in enumerate(forms)), encoding="utf-8")
+        ids, codes, *_ = load_evaluations(path, CATALOGUE)
+        assert ids == [forms[0]]
+        assert codes.tolist() == [0, 0, 0]
+
+
+def test_run_loads_no_numpy_string_module(sample_dir, tmp_path):
+    """In a fresh interpreter that has imported numpy, a ``run`` of the
+    sample loads none of numpy's string modules: the C reader codes the ids
+    by a hash of their bytes, not with ``np.char``."""
+    probe = ("import sys, numpy\n"
+             "before = set(sys.modules)\n"
+             "from tourval.cli import main\n"
+             f"code = main(['run', '--config', {str(sample_dir / 'config.json')!r}, "
+             f"'--out', {str(tmp_path)!r}])\n"
+             "probe = {'numpy.char', 'numpy.strings', 'numpy._core.defchararray'}\n"
+             "print('loaded:', *sorted(probe & (set(sys.modules) - before)))\n"
+             "sys.exit(code)\n")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": str(SOURCE_ROOT)})
+    assert done.stdout.splitlines()[-1] == "loaded:"
+    assert (tmp_path / "map.geojson").exists()
 
 
 class TestFallbackFromC:
@@ -943,6 +984,27 @@ class TestFallbackFromC:
             assert pipeline._evaluations_in_c(path, KNOWN) is None
             new, reference = _load_both(path)
         assert new == reference
+
+    @pytest.mark.parametrize("multipliers", [
+        pytest.param((0, 0, 0, 0), id="every-id-alike"),
+        pytest.param((0, 1, 1, 1), id="ids-alike-in-their-first-8-bytes"),
+    ])
+    def test_hash_collision(self, tmp_path, monkeypatch, multipliers):
+        """Raw ids that share a hash send the file to the row reader.  With
+        every id alike, the rows of a block would also share one key; with
+        the first word left out, ``p1`` and ``p2`` collide while the experts,
+        which differ in their second word, keep the keys apart, so only the
+        check of each row's words finds the collision."""
+        monkeypatch.setattr(pipeline, "_ID_HASH", np.array(multipliers, np.uint64))
+        path = tmp_path / "evaluations.csv"
+        path.write_text(EVALUATION_HEADER + "p1,f1,expert_01,1,2,3\np2,f1,expert_02,1,2,3\n",
+                        encoding="utf-8")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pipeline._evaluations_in_c(path, KNOWN) is None
+            new, reference = _load_both(path)
+        assert new == reference
+        assert new[0] == ["p1", "p2"]
 
     def test_header_below_a_blank_line(self, tmp_path):
         """The reference loader takes no blank line above the header; the row

@@ -22,7 +22,10 @@ that lasts longer than one pair.  Then
 one more child runs the reference child's imports and then `import
 tourval.cli`, and the modules that the second import adds to `sys.modules`
 are printed: the package's own, then every other, so that a new start-up
-import shows.  This process imports nothing from tourval or numpy.
+import shows.  Last, one child imports `tourval.cli` the same way and then
+runs `run` on the bundled sample, and the modules that the run adds are
+printed, so that a module a command loads lazily shows too.  This process
+imports nothing from tourval or numpy.
 
 Exit status: 0 on success; 1 when a child fails; 2 on bad arguments.
 """
@@ -47,16 +50,27 @@ REFERENCE = "import csv, json, numpy"
 # the modules that IMPORT loads beyond REFERENCE's, printed by one child
 ADDED = (f"import sys\n{REFERENCE}\nbefore = set(sys.modules)\n{IMPORT}\n"
          "print(*sorted(set(sys.modules) - before))")
+# the modules that `run` on the config given as the first argument loads
+# beyond IMPORT's, printed by one child after the run, whose stdout it drops
+RUN_ADDED = (f"import contextlib, io, sys, tempfile\n{REFERENCE}\n{IMPORT}\n"
+             "before = set(sys.modules)\n"
+             "with tempfile.TemporaryDirectory() as out, \\\n"
+             "        contextlib.redirect_stdout(io.StringIO()):\n"
+             "    code = tourval.cli.main(['run', '--config', sys.argv[1], '--out', out])\n"
+             "print(*sorted(set(sys.modules) - before))\n"
+             "sys.exit(code)")
+SAMPLE = Path("tourval", "data", "santiago_sample", "config.json")
 
 
 class ChildFailed(Exception):
     pass
 
 
-def _child(code: str, env: dict[str, str]) -> tuple[float, str]:
-    """Wall time and standard output of one ``python -c code``."""
+def _child(code: str, env: dict[str, str], *args: str) -> tuple[float, str]:
+    """Wall time and standard output of one ``python -c code args``."""
     start = time.perf_counter()
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True)
     wall = time.perf_counter() - start
     if done.returncode:
         reason = (done.stderr.strip().splitlines() or ["no message"])[-1]
@@ -77,7 +91,7 @@ def _pairs(pairs: int, env: dict[str, str]) -> tuple[float, float, list[float]]:
 
 def main(argv: list[str]) -> int:
     if len(argv) > 1 or argv and not (argv[0].isdigit() and int(argv[0]) > 0):
-        print(__doc__.strip().splitlines()[2], file=sys.stderr)
+        print(__doc__.strip().splitlines()[3], file=sys.stderr)
         return 2
     pairs = int(argv[0]) if argv else 15
     with tempfile.TemporaryDirectory(prefix="startup-") as tmp:
@@ -107,6 +121,9 @@ def main(argv: list[str]) -> int:
             print(f"{IMPORT!r} loads {len(added)} module(s) beyond {REFERENCE!r}: "
                   f"{len(own)} of tourval ({' '.join(own)}), {len(others)} other(s) "
                   f"({' '.join(others) or 'none'})")
+            by_run = _child(RUN_ADDED, warm, str(source / SAMPLE))[1].split()
+            print(f"a run of the bundled sample loads {len(by_run)} module(s) beyond "
+                  f"{IMPORT!r}: {' '.join(by_run) or 'none'}")
         except ChildFailed as e:
             print(f"error: {e}", file=sys.stderr)
             return 1
