@@ -3,8 +3,8 @@ the write of the artifacts, whose text ``render`` prints.
 
 Input layout (CSV with a header row, every file read by ``_rows``: UTF-8 with
 an optional byte-order mark, a line of blank cells skipped anywhere;
-evaluations.csv is first offered to numpy's C reader, which takes it only
-where it reads as ``_rows`` would):
+evaluations.csv is first offered to numpy's C reader, which reads its bytes
+and takes it only where it reads as ``_rows`` would, never with \v or \f):
   factors.csv       id,name,x,y[,weight]
   evaluations.csv   attraction_id,factor_id,expert_id,lo,mode,hi  (long format,
                     one row per expert judgement)
@@ -92,6 +92,8 @@ class TourSettings(Record):
 # numpy's C reader takes at once, or the number cells the fallback holds as
 # text before it parses them into one float array (about 0.7 MB of text)
 _NUMBER_BLOCK_ROWS = 4096
+# evaluations.csv bytes that numpy's C reader reads at once, then on to a line's end
+_READ_BYTES = 1 << 18
 
 # a row of evaluations.csv as numpy's C reader holds it: the three ids as
 # bytes, unstripped, then (lo, mode, hi); an id that fills its width may be cut
@@ -102,8 +104,8 @@ _EVALUATION_ROW = np.dtype([("ids", f"S{_ID_BYTES}", (3,)), ("tfn", "f8", (3,))]
 _ID_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
                      0xD6E8FEB86659FD93], np.uint64)
 # what ``str.strip`` removes, or the ``S`` dtype drops at the end, but
-# ``bytes.strip`` keeps
-_STRIP_DISAGREES = ("\0", "\x1c", "\x1d", "\x1e", "\x1f")
+# ``bytes.strip`` keeps; and what ``str.splitlines`` splits at, but not a text file
+_SPLIT_OR_STRIP_DISAGREES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\v", b"\f")
 
 # the input files, whose relative paths ``load_config`` takes from the config's
 # directory; the first three have no default
@@ -322,36 +324,42 @@ def _evaluations_in_c(path: Path, known: dict[str, int]
     coded = (array("q"), array("q"), array("q"))
     tfns = array("d")
     try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            reader = csv.reader(handle)
-            position = {name: i for i, name in enumerate(next(reader, []))}
-            if reader.line_num != 1 or not position.keys() >= set(columns):
+        with open(path, "rb") as handle:
+            # line 1 is a record as the text file reads it: no "\r" before its end, no open quote
+            header = handle.readline().decode("utf-8-sig")
+            position = {name: i for i, name in enumerate(next(csv.reader([header], strict=True)))}
+            if len(header.splitlines()) != 1 or not position.keys() >= set(columns):
                 return None
-            while block := list(islice(handle, _NUMBER_BLOCK_ROWS)):
-                text = "".join(block)
-                if (not text.isascii() or text.isspace()
-                        or any(map(text.__contains__, _STRIP_DISAGREES))):
+            usecols = [position[c] for c in columns]
+            # whole lines, so that no "\r\n" is split; a non-ASCII chunk raises ValueError
+            while chunk := handle.read(_READ_BYTES) + handle.readline():
+                lines = chunk.decode("ascii").splitlines(True)
+                # a block whose first line is blank: if it held no data, ``loadtxt`` would warn
+                if (any(map(chunk.__contains__, _SPLIT_OR_STRIP_DISAGREES))
+                        or any(map(str.isspace, lines[::_NUMBER_BLOCK_ROWS]))):
                     return None
-                rows = np.loadtxt(block, _EVALUATION_ROW, delimiter=",", comments=None,
-                                  quotechar='"', usecols=[position[c] for c in columns], ndmin=1)
-                # one row a line: no record was blank, whitespace only or on two lines
-                if len(rows) != len(block) or not fuzzy.is_tfn(*rows["tfn"].T).all():
-                    return None
-                words = rows["ids"].view(np.uint64).reshape(len(rows), 3, len(_ID_HASH))
-                hashes = words @ _ID_HASH   # array arithmetic wraps silently
-                for column, seen, out in zip(range(3), codes, coded):
-                    _, first, inverse = np.unique(hashes[:, column], return_index=True,
-                                                  return_inverse=True)
-                    order = np.argsort(first)
-                    raw = rows["ids"][first[order], column].tolist()
-                    # two raw ids with one hash, or an id that may have been cut
-                    if ((words[first, column].take(inverse, axis=0) != words[:, column]).any()
-                            or max(map(len, raw)) >= _ID_BYTES):
+                for at in range(0, len(lines), _NUMBER_BLOCK_ROWS):
+                    block = lines[at:at + _NUMBER_BLOCK_ROWS]
+                    rows = np.loadtxt(block, _EVALUATION_ROW, delimiter=",", comments=None,
+                                      quotechar='"', usecols=usecols, ndmin=1)
+                    # one row a line: no record was blank, whitespace only or on two lines
+                    if len(rows) != len(block) or not fuzzy.is_tfn(*rows["tfn"].T).all():
                         return None
-                    lookup = np.empty(len(first), np.int64)
-                    lookup[order] = [seen.setdefault(i.decode().strip(), len(seen)) for i in raw]
-                    out.frombytes(lookup[inverse].tobytes())
-                tfns.frombytes(rows["tfn"].tobytes())
+                    words = rows["ids"].view(np.uint64).reshape(len(rows), 3, len(_ID_HASH))
+                    hashes = words @ _ID_HASH   # array arithmetic wraps silently
+                    for column, seen, out in zip(range(3), codes, coded):
+                        _, first, inverse = np.unique(hashes[:, column], return_index=True,
+                                                      return_inverse=True)
+                        order = np.argsort(first)
+                        raw = rows["ids"][first[order], column].tolist()
+                        # two raw ids with one hash, or an id that may have been cut
+                        if ((words[first, column].take(inverse, axis=0) != words[:, column]).any()
+                                or max(map(len, raw)) >= _ID_BYTES):
+                            return None
+                        code = np.empty(len(first), np.int64)
+                        code[order] = [seen.setdefault(i.decode().strip(), len(seen)) for i in raw]
+                        out.frombytes(code[inverse].tobytes())
+                    tfns.frombytes(rows["tfn"].tobytes())
     except (OSError, ValueError, csv.Error):
         return None
     if not tfns or len(codes[1]) > len(known) or any("" in seen for seen in codes):
@@ -375,18 +383,18 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
     each over the whole file and reporting its first offending line.
 
     The file is first read by numpy's C reader (``np.loadtxt``), whose
-    result is this one: the header as CSV from line 1, then the lines below
-    it ``_NUMBER_BLOCK_ROWS`` at a time, each block parsed with the ids as
-    raw bytes and coded by a 64-bit hash of those bytes; only its distinct
-    raw ids are stripped and decoded, in order of first appearance, and a
-    hash collision sends the file to the row reader.  It is taken
-    only when every guard holds: each block is ASCII, holds no NUL and none
-    of ``\x1c``-``\x1f`` (``str.strip`` removes those, ``bytes.strip`` does
-    not), and is not blank; each line is one record, so the lines are
-    ``2..n+1``; no id fills its 32 bytes, nor strips to nothing; every factor
-    is known, no key repeats and every row is a TFN.  Otherwise the row
-    reader below reads the file from the start: it alone raises every
-    error, and it reads every file the C reader turns away.
+    result is this one: the header as CSV from line 1, then the bytes below
+    it in chunks of whole lines, split at ``\n``, ``\r\n`` and ``\r`` and
+    parsed ``_NUMBER_BLOCK_ROWS`` lines at most at a time, the ids as raw
+    bytes coded by a 64-bit hash (a collision sends the file to the row
+    reader); only a block's distinct ids are stripped and decoded.  It is
+    taken only when every guard holds: line 1 is one record; a chunk is
+    ASCII without NUL, ``\x1c``-``\x1f`` (``str.strip`` removes those,
+    ``bytes.strip`` does not), ``\v`` or ``\f`` (the split cuts a line there),
+    and no block begins with a blank line; each line is one record, so the
+    lines are ``2..n+1``; no id fills its 32 bytes, nor strips to nothing;
+    every factor is known, no key repeats and every row is a TFN.  Otherwise
+    the row reader below, which alone raises errors, reads the file.
 
     The row reader reads the number cells ``_NUMBER_BLOCK_ROWS`` rows at a
     time: each block's text is parsed into a float array before the next is
@@ -494,23 +502,11 @@ class IngestResult(Record):
         self._set(catalogue, scores, names, locations, weight_source, weight_report, judgements)
 
 
-def _two_sum(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(a + b, e)`` with ``a + b + e`` exactly the real sum (Knuth's TwoSum,
-    TAOCP vol. 2, 4.2.2), elementwise, barring overflow."""
-    s = a + b
-    b_part = s - a
-    # (a - (s - b_part)) + (b - b_part) with two arrays made, not four
-    error = s - b_part
-    np.subtract(a, error, out=error)
-    error += np.subtract(b, b_part, out=b_part)
-    return s, error
-
-
-def _exact_sums(rows: np.ndarray, counts: np.ndarray,
+def _exact_sums(rows: np.ndarray, order: np.ndarray, counts: np.ndarray,
                 locate: Callable[[tuple[int, int]], str]) -> np.ndarray:
-    """``math.fsum`` of each column over each run of ``rows``: run ``i`` is
-    the next ``counts[i]`` rows (at least one), and gives row ``i`` of the
-    result, bit for bit as ``math.fsum`` would.
+    """``math.fsum`` of each column over each run of ``rows[order]``: run
+    ``i`` is the next ``counts[i]`` rows (at least one), and gives row ``i``
+    of the result, bit for bit as ``math.fsum`` would.
 
     A TwoSum chain adds the runs' rows one step at a time, all runs at once
     (longest runs first, so the runs still open at a step are a prefix and
@@ -523,21 +519,28 @@ def _exact_sums(rows: np.ndarray, counts: np.ndarray,
     there raises ``NumericError`` prefixed by ``locate((run, column))``."""
     longest = np.argsort(-counts, kind="stable")
     first = (np.cumsum(counts) - counts)[longest]
-    total = np.zeros((len(counts),) + rows.shape[1:])
+    total = rows[order[first]]   # the first step, from 0.0, is exact
     errors = np.zeros_like(total)
-    exact = np.ones(total.shape, dtype=bool)
+    scratch = np.empty((3,) + total.shape)   # reused by every step
     # open_runs[j]: how many runs have more than j rows
     open_runs = len(counts) - np.cumsum(np.bincount(counts))
     with np.errstate(over="ignore", invalid="ignore"):   # non-finite entries are redone
-        for j, m in enumerate(open_runs[:-1].tolist()):
-            total[:m], error = _two_sum(total[:m], rows[first[:m] + j])
-            errors[:m], residual = _two_sum(errors[:m], error)
-            exact[:m] &= residual == 0.0
+        for j, m in enumerate(open_runs[1:-1].tolist(), 1):
+            b, s, t = scratch[:, :m]
+            np.take(rows, order[first[:m] + j], axis=0, out=b)
+            # TwoSum (Knuth, TAOCP vol. 2, 4.2.2) in place, into each chain: ``a``
+            # becomes a + b rounded and ``b`` its error, so that a + b is unchanged
+            for a in total[:m], errors[:m]:
+                np.add(a, b, out=s)
+                b -= np.subtract(s, a, out=t)   # b - b_part
+                b += np.subtract(a, np.subtract(s, t, out=t), out=t)   # + (a - a_part)
+                a[...] = s
+            errors[:m][b != 0.0] = math.nan   # a residual left: math.fsum redoes the entry
         total += errors
-    for run, column in zip(*np.nonzero(~(exact & np.isfinite(total)))):
-        start = first[run]
+    for run, column in zip(*np.nonzero(~np.isfinite(total))):
+        run_rows = order[first[run]:first[run] + counts[longest[run]]]
         try:
-            total[run, column] = math.fsum(rows[start:start + counts[longest[run]], column])
+            total[run, column] = math.fsum(rows[run_rows, column])
         except OverflowError:
             raise NumericError(f"{locate((longest[run], column))}overflows a float") from None
     sums = np.empty_like(total)
@@ -559,7 +562,7 @@ def _expert_means(config: RunConfig, catalogue: FactorCatalogue, names: dict[str
         raise InputError(f"{config.evaluations}: judgements for attractions absent "
                          f"from {config.attractions}: {', '.join(unknown)}")
     position = {attraction_id: i for i, attraction_id in enumerate(names)}
-    cells = np.array([position[i] for i in ids], dtype=np.intp)[codes] * k + factors
+    cells = (np.array([position[i] for i in ids], dtype=np.intp) * k)[codes] + factors
     counts = np.bincount(cells, minlength=n * k)
     if not counts.all():
         for attraction_id, row in zip(names, counts.reshape(n, k).tolist()):
@@ -577,11 +580,11 @@ def _expert_means(config: RunConfig, catalogue: FactorCatalogue, names: dict[str
 
     # every cell has at least one judgement, so the sorted runs are the cells in order
     sums = _exact_sums(
-        admitted[np.argsort(cells, kind="stable")], counts,
+        admitted, np.argsort(cells, kind="stable"), counts,
         lambda at: f"{config.evaluations}: attraction {list(names)[at[0] // k]!r}, "
                    f"factor {factor_ids[at[0] % k]!r}: the sum of the {COMPONENTS[at[1]]} "
                    "judgements ")
-    return (sums / counts[:, None]).reshape(n, k, 3)
+    return np.divide(sums, counts[:, None], out=sums).reshape(n, k, 3)
 
 
 def ingest(config: RunConfig) -> IngestResult:

@@ -13,8 +13,8 @@ dicts passed to ``_compact``.  Every per-item record (an attraction or
 density feature, a ``results`` row) is filled column by column instead
 (``_filled``): its ``_template`` pieces, split once at import (a density
 feature's once per grid row), with one list of texts per field, each
-printed a column at a time by its type (6-digit numbers by
-``rounding.print_column``), joined in blocks of ``_BLOCK_RECORDS`` records
+printed a column at a time by its type (``rounding.print_column`` and
+``print_decimals``), joined in blocks of ``_BLOCK_RECORDS`` records
 with no dict built for ``json`` and no Python frame per record.
 """
 
@@ -33,7 +33,7 @@ import numpy as np
 
 from .ahp import WeightReport
 from .record import Record
-from .rounding import print_column, round6
+from .rounding import print_column, print_decimals, round6
 from .spatial import DensityGrid, GeoPoint, HotSpot, Tour
 from .valuation import FactorCatalogue, Valuation
 
@@ -105,11 +105,6 @@ def _filled(groups: Iterable[tuple[list[str], dict[str, list[str]]]]) -> Iterato
     for first in records:
         rest = chain.from_iterable(islice(records, _BLOCK_RECORDS - 1))
         yield "".join(chain(first[1:], rest))
-
-
-def _coordinates(values: list[float]) -> list[str]:
-    """Each coordinate rounded to 6 decimal places, as JSON prints it."""
-    return [float.__repr__(round(v, 6)) for v in values]
 
 
 def _document(outer: dict[str, Any], key: str, items: Iterable[str]) -> Iterator[str]:
@@ -234,8 +229,8 @@ def _attraction_features(columns: dict[str, list[str]], points: list[GeoPoint]
                          ) -> Iterator[str]:
     """One Point Feature per result, in order, as ``_compact`` text: its
     ``result_columns`` and its location in ``points``."""
-    return _filled([(_ATTRACTION, {**columns, "lon": _coordinates([p.lon for p in points]),
-                                   "lat": _coordinates([p.lat for p in points])})])
+    return _filled([(_ATTRACTION, {**columns, "lon": print_decimals([p.lon for p in points]),
+                                   "lat": print_decimals([p.lat for p in points])})])
 
 
 # One density feature, as ``_compact`` prints it: its ring's corners from the
@@ -256,7 +251,7 @@ def _density_features(grid: DensityGrid) -> Iterator[str]:
     it; a grid row's south and north edges are filled into the template
     once.  Each density is printed as JSON prints its ``round6``
     (``print_column``)."""
-    lons, lats = map(_coordinates, grid.edges())
+    lons, lats = map(print_decimals, grid.edges())
     _, densities = print_column(grid.values.take(grid.positive))
     cols = (grid.positive % grid.ncols).tolist()
     west, east = list(map(lons.__getitem__, cols)), list(map(lons[1:].__getitem__, cols))

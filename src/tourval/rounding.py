@@ -1,11 +1,12 @@
 """6-significant-digit rendering of every metric number the artifacts and
-the CLI print; negative zero renders as ``0``."""
+the CLI print (negative zero renders as ``0``), and 6-decimal coordinates."""
 
+import re
 import sys
 
 import numpy as np
 
-__all__ = ["format_number", "round6", "print_column"]
+__all__ = ["format_number", "round6", "round6_column", "print_column", "print_decimals"]
 
 
 def format_number(x: float) -> str:
@@ -16,6 +17,11 @@ def format_number(x: float) -> str:
 def round6(x: float) -> float:
     """``x`` rounded to 6 significant digits, for JSON output."""
     return float(format_number(x))
+
+
+def round6_column(values: np.ndarray) -> list[float]:
+    """``round6`` of each of ``values``, from one ``%`` format of the column."""
+    return list(map(float, ("%.6g " * len(values) % tuple(np.add(values, 0.0).tolist())).split()))
 
 
 def print_column(values: np.ndarray) -> tuple[list[str], list[str]]:
@@ -38,3 +44,12 @@ def print_column(values: np.ndarray) -> tuple[list[str], list[str]]:
         if "." not in texts[i] or "e" in texts[i]:
             json_texts[i] = float.__repr__(float(texts[i]))
     return texts, json_texts
+
+
+def print_decimals(values: list[float]) -> list[str]:
+    """``float.__repr__(round(v, 6))`` of each of ``values``: where 1e-4 <= |v| < 1e9, one
+    ``"%.6f"`` column's text, 15 digits at most, its trailing zeros cut to one; others alone."""
+    texts = re.sub("0{1,5}\n", "\n", "%.6f\n" * len(values) % tuple(values)).splitlines()
+    for i in np.flatnonzero((np.abs(values) < 1e-4) | ~(np.abs(values) < 1e9)).tolist():
+        texts[i] = float.__repr__(round(float(values[i]), 6))
+    return texts

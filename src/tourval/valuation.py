@@ -20,7 +20,7 @@ from .errors import ConfigError, InputError
 from .fuzzy import TFN
 from .record import Record
 from .rescale import SourceRange, TargetRange, rescale_endpoints
-from .rounding import round6
+from .rounding import round6, round6_column
 
 __all__ = [
     "FactorDefinition",
@@ -114,7 +114,7 @@ class Valuation(Record):
     def __init__(self, ids: tuple[str, ...], ftv: np.ndarray, crisp: np.ndarray,
                  tiers: tuple[str | None, ...]):
         # ftv is (n, 3), crisp (n,)
-        self._set(ids, ftv, crisp, tiers, list(map(round6, crisp.tolist())))
+        self._set(ids, ftv, crisp, tiers, round6_column(crisp))
 
     def __iter__(self) -> Iterator[ValuationResult]:
         return map(ValuationResult, self.ids, (TFN(*row) for row in self.ftv.tolist()),
@@ -158,15 +158,17 @@ def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
     ftv = np.where(np.abs(ftv - snapped) <= slack, snapped, ftv)
     crisp = fuzzy.defuzzify(ftv, method=method)
     values, modes = crisp.tolist(), ftv[:, 1].tolist()
-    tiers = []
-    for at, value in enumerate(values):
-        try:
-            tiers.append(classify(value, thresholds, (tgt.m, tgt.M)) if thresholds else None)
-        except ValueError as e:
-            raise off_range(at, str(e)) from None
     order = sorted(range(len(ids)), key=lambda i: (-values[i], -modes[i], ids[i]))
-    return Valuation(tuple(ids[i] for i in order), ftv[order], crisp[order],
-                     tuple(tiers[i] for i in order))
+    tiers = (None,) * len(ids)
+    if thresholds:   # ``classify``'s bands; it refuses the first value off the scale
+        for at in np.flatnonzero(~((tgt.m <= crisp) & (crisp <= tgt.M)))[:1].tolist():
+            try:
+                classify(values[at], thresholds, (tgt.m, tgt.M))
+            except ValueError as e:
+                raise off_range(at, str(e)) from None
+        low_max, medium_max = thresholds
+        tiers = tuple(TIERS[(p > low_max) + (p > medium_max)] for p in round6_column(crisp[order]))
+    return Valuation(tuple(ids[i] for i in order), ftv[order], crisp[order], tiers)
 
 
 def classify(crisp: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,

@@ -33,7 +33,7 @@ from tourval.pipeline import (
     run_tour,
     run_valuation,
 )
-from tourval.rounding import format_number, print_column, round6
+from tourval.rounding import format_number, print_column, print_decimals, round6
 from tourval.spatial import DensityGrid, GeoPoint, HotSpot, Tour
 from tourval.valuation import TIERS, Valuation, ValuationResult
 
@@ -105,6 +105,35 @@ class TestFormatNumber:
         6-digit text is already its JSON text, a subnormal's may not be."""
         _, json_texts = print_column(np.array(values, dtype=float))
         assert json_texts == [float.__repr__(float(format_number(x))) for x in values]
+
+
+class TestPrintDecimals:
+    """``print_decimals`` prints each coordinate as JSON prints it rounded to
+    6 decimal places: one ``"%.6f"`` column where 1e-4 <= |v| < 1e9, each
+    other value alone."""
+
+    # zeros of both signs; values that round to 0 or 1e-6, or to 1e-4 from
+    # below, and 1e-4 itself; integral degrees and the ends of longitude;
+    # the ends of the column's range with the floats next to them; halves of
+    # the sixth decimal place; the smallest and largest floats
+    EDGES = [-0.0, 0.0, 5e-7, -5e-7, 5e-5, -5e-5, 9.99999e-5, -9.99999e-5, 1e-4, -1e-4, 1.0,
+             -75.0, 20.0, 90.0, 180.0, -180.0, 1e9, -1e9, 12.0000005, -70.6500005, 0.5,
+             5e-324, sys.float_info.max, -sys.float_info.max,
+             *(float(y) for x in (1e-4, 1e9, 999999999.9999995)
+               for y in (np.nextafter(x, 0.0), np.nextafter(x, np.inf), -x))]
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(-180.0, 180.0), st.floats(-1e-3, 1e-3),
+                              st.floats(-2e9, 2e9), st.integers(-180, 180).map(float),
+                              # a decimal place or half of one off a whole degree
+                              st.builds(lambda n, d: n + d, st.integers(-10**9, 10**9),
+                                        st.sampled_from([0.0, 1e-6, 5e-7, -5e-7, 0.5]))),
+                    max_size=8))
+    @example(EDGES)
+    @example([])
+    def test_equals_repr_of_round(self, values):
+        assert print_decimals(values) == [float.__repr__(round(v, 6)) for v in values]
 
 
 def _dotted(extra, key):
@@ -629,10 +658,15 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.uint64).ravel().tolist()
 
 
-def _cell_sums(cells):
-    """``_exact_sums`` of ``cells``, each a list of (lo, mode, hi) rows."""
-    rows = np.array([row for cell in cells for row in cell], dtype=float).reshape(-1, 3)
-    return _exact_sums(rows, np.array([len(cell) for cell in cells]),
+def _cell_sums(cells, rows=None, owner=None):
+    """``_exact_sums`` of ``cells``, each a list of (lo, mode, hi) rows: by
+    default its rows in cell order, or ``rows`` in any order, row ``i`` a
+    row of cell ``owner[i]``, gathered through their stable sort."""
+    if rows is None:
+        rows = np.array([row for cell in cells for row in cell], dtype=float).reshape(-1, 3)
+        owner = [i for i, cell in enumerate(cells) for _ in cell]
+    return _exact_sums(rows, np.argsort(owner, kind="stable"),
+                       np.array([len(cell) for cell in cells]),
                        lambda at: f"cell {at[0]}, column {at[1]}: ")
 
 
@@ -673,6 +707,8 @@ class TestExactSums:
             taken[i] += 1
         counts = np.array([len(cell) for cell in cells])
         assert _bits(oracles.expert_sums(rows, np.array(owner), counts)) == _bits(expected)
+        # and so do the sums gathered through the order of the rows as the file holds them
+        assert _bits(_cell_sums(cells, rows, owner)) == _bits(expected)
 
     def test_fsum_only_where_the_error_sum_is_inexact(self, monkeypatch):
         summed, exact_sum = [], math.fsum
@@ -690,8 +726,12 @@ class TestExactSums:
         assert _bits(got) == _bits([[3.0, 6.0, 9.0], [1.0, 0.0, 0.0], [1e-12, 0.0, 5.0]])
 
     def test_non_finite_cell_falls_back(self):
-        got = _cell_sums([[(1.0, 1.0, 1.0)], [(math.inf, 1.0, -math.inf), (1.0, 2.0, 3.0)]])
-        assert _bits(got) == _bits([[1.0, 1.0, 1.0], [math.inf, 3.0, -math.inf]])
+        cells = [[(1.0, 1.0, 1.0)], [(math.inf, 1.0, -math.inf), (1.0, 2.0, 3.0)]]
+        expected = _bits([[1.0, 1.0, 1.0], [math.inf, 3.0, -math.inf]])
+        assert _bits(_cell_sums(cells)) == expected
+        # the rows of cell 1 on either side of cell 0's: math.fsum gathers them through the order
+        rows = np.array([cells[1][0], cells[0][0], cells[1][1]])
+        assert _bits(_cell_sums(cells, rows, [1, 0, 1])) == expected
 
     @pytest.mark.parametrize("column", [
         pytest.param([1e308, 1e308], id="running-sum"),
@@ -931,6 +971,71 @@ def test_run_loads_no_numpy_string_module(sample_dir, tmp_path):
                           check=True, env={**os.environ, "PYTHONPATH": str(SOURCE_ROOT)})
     assert done.stdout.splitlines()[-1] == "loaded:"
     assert (tmp_path / "map.geojson").exists()
+
+
+class TestByteReader:
+    """numpy's C reader reads evaluations.csv as bytes, ``_READ_BYTES`` and
+    then on to the end of a line at a time, each chunk split as a text file
+    splits it.  With chunks ending anywhere, the result is the reference
+    loader's; the C reader takes a file it can read as the text file reads
+    it and turns away, with no warning, one where ``str.splitlines`` would
+    split a line that the text file does not."""
+
+    BODY = "p1,f1,e1,1,2,3\np1,f2,e 2,4,5,6\np2,f1,e1,0.5,1.5,2.5\np2,f2,e 2,1e1,2e1,3e1\n"
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 4096])
+    def test_crlf_across_every_read_boundary(self, tmp_path, monkeypatch, block_rows):
+        """Every read size from 1 byte to the whole body, so that a read ends
+        between each "\r" and its "\n", and inside every line."""
+        monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
+        path = tmp_path / "evaluations.csv"
+        path.write_bytes((EVALUATION_HEADER + self.BODY).replace("\n", "\r\n").encode())
+        for read_bytes in range(1, len(self.BODY) + 6):
+            monkeypatch.setattr(pipeline, "_READ_BYTES", read_bytes)
+            assert pipeline._evaluations_in_c(path, KNOWN) is not None
+            new, reference = _load_both(path)
+            assert not isinstance(reference, str) and new == reference
+            assert new[2] == [2, 3, 4, 5]
+
+    @pytest.mark.parametrize("read_bytes, block_rows", [(1, 1), (20, 2), (1 << 18, 4096)])
+    @pytest.mark.parametrize("text, taken", [
+        pytest.param(EVALUATION_HEADER.replace("\n", "\r\n") + BODY.replace("\n", "\r"), True,
+                     id="crlf-header-lone-cr-records"),
+        pytest.param((EVALUATION_HEADER + BODY).replace("\n", "\r"), False, id="lone-cr-everywhere"),
+        pytest.param(EVALUATION_HEADER.replace("\n", "\r\r\n") + BODY, False,
+                     id="header-then-a-blank-cr-line"),
+        pytest.param('"a\rb",' + EVALUATION_HEADER + "".join(
+            "x," + line + "\n" for line in BODY.splitlines()), False, id="cr-quoted-in-the-header"),
+        pytest.param(EVALUATION_HEADER.rstrip("\n") + ',"note\np9",f1,e9,9,9,9\n' + BODY, False,
+                     id="quote-left-open-in-line-1"),
+        pytest.param(EVALUATION_HEADER + BODY.replace("p1,f2", "p1\v,f2"), False,
+                     id="vertical-tab-padding"),
+        pytest.param(EVALUATION_HEADER + BODY.replace("e 2", "e\f2"), False, id="form-feed-in-an-id"),
+        pytest.param(EVALUATION_HEADER + BODY.replace("\n", "\v", 1), False,
+                     id="vertical-tab-between-two-records"),
+        pytest.param(EVALUATION_HEADER + BODY.replace("\n", "\f", 1), False,
+                     id="form-feed-between-two-records"),
+        pytest.param("\ufeff" + EVALUATION_HEADER + BODY, True, id="byte-order-mark"),
+        pytest.param(EVALUATION_HEADER + BODY.rstrip("\n"), True, id="no-final-newline"),
+        pytest.param("\ufeff" + (EVALUATION_HEADER + BODY).replace("\n", "\r\n").rstrip(), True,
+                     id="byte-order-mark-crlf-no-final-newline"),
+    ])
+    def test_equals_reference(self, tmp_path, monkeypatch, text, taken, read_bytes, block_rows):
+        """The result, or the error text; the reference loader reads the
+        file without its byte-order mark, which every input rule drops."""
+        monkeypatch.setattr(pipeline, "_READ_BYTES", read_bytes)
+        monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
+        path, unmarked = tmp_path / "evaluations.csv", tmp_path / "unmarked" / "evaluations.csv"
+        path.write_bytes(text.encode())
+        unmarked.parent.mkdir()
+        unmarked.write_bytes(text.removeprefix("\ufeff").encode())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert (pipeline._evaluations_in_c(path, KNOWN) is not None) == taken
+            new = _load_both(path)[0]
+        reference = _load_both(unmarked)[1]
+        assert new == (reference.replace(str(unmarked), str(path))
+                       if isinstance(reference, str) else reference)
 
 
 class TestFallbackFromC:

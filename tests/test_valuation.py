@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tourval import (
     FactorCatalogue,
@@ -451,3 +451,58 @@ class TestValuationRecord:
         tiers = list(enumerate(valuation.tiers))
         assert valuation.above(high) == [i for i, tier in tiers if tier == "High"]
         assert valuation.above(low) == [i for i, tier in tiers if tier != "Low"]
+
+
+# crisp values printed exactly as a threshold, values halfway between two
+# 6-digit texts (33.00005, 65.99995, 99.99995, 127.9995), and the floats
+# next to each, on the target [0, 128]
+TIER_EDGES = [float(y) for x in (0.0, 33.0, 33.00005, 33.0001, 65.99995, 66.0, 66.0001, 99.99995,
+                                 127.9995, 128.0)
+              for y in (np.nextafter(x, -1.0), x, np.nextafter(x, 129.0)) if 0.0 <= y <= 128.0]
+
+
+class TestTierColumn:
+    """``Valuation.printed`` and ``evaluate_attractions``' tiers, each taken
+    from one ``%.6g`` column, are ``round6`` and ``classify`` of each value."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(TIER_EDGES), st.floats(0.0, 128.0)),
+                    min_size=1, max_size=12),
+           st.lists(st.sampled_from([33.0, 33.0001, 66.0, 66.0001, 99.9999, 100.0, 128.0]),
+                    min_size=2, max_size=2, unique=True).map(sorted).map(tuple),
+           st.sampled_from(fuzzy.DEFUZZIFY_METHODS))
+    def test_equals_round6_and_classify(self, values, thresholds, method):
+        catalogue = make_catalogue(("f1", 0.0, 128.0, 1.0), target=(0.0, 128.0))
+        scores = np.array([[(value,) * 3] for value in values])
+        valuation = evaluate_attractions([f"a{i}" for i in range(len(values))], scores,
+                                         catalogue, method=method, thresholds=thresholds)
+        crisp = valuation.crisp.tolist()
+        assert valuation.printed == [round6(value) for value in crisp]
+        assert valuation.tiers == tuple(classify(value, thresholds, (0.0, 128.0))
+                                        for value in crisp)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_nan=False), max_size=8))
+    @example([-0.0, 0.0, 5e-324, -5e-324, sys.float_info.max, 0.9999995, 33.00005, 1e16,
+              -1e-5, math.inf, -math.inf])
+    def test_printed_is_round6(self, values):
+        """The sign of zero included: -0.0 prints as 0."""
+        crisp = np.array(values, dtype=float)
+        valuation = Valuation(tuple(f"a{i}" for i in range(len(values))),
+                              np.zeros((len(values), 3)), crisp, (None,) * len(values))
+        assert list(map(repr, valuation.printed)) == [repr(round6(value)) for value in values]
+
+    def test_first_value_off_the_scale_in_input_order(self):
+        """Weights summing to 1.009 put 4.99, 5 and 4.995 past the scale's
+        end, 100: the error names 'b', the first of them in input order, not
+        'c', the first in rank order, with ``classify``'s words for its value."""
+        catalogue = make_catalogue(("f1", 0, 5, 0.5), ("f2", 0, 5, 0.509))
+        ids, scores = ["a", "b", "c", "d"], np.array([[(v,) * 3] * 2 for v in (4, 4.99, 5, 4.995)])
+        unclassified = evaluate_attractions(ids, scores, catalogue, thresholds=None)
+        value = unclassified.crisp.tolist()[unclassified.ids.index("b")]
+        assert value > 100.0
+        with pytest.raises(ValueError) as refused:
+            classify(value)
+        with pytest.raises(InputError) as raised:
+            evaluate_attractions(ids, scores, catalogue)
+        assert str(raised.value) == f"attraction 'b': {refused.value}; factor weights sum to 1.009"
