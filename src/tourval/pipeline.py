@@ -4,7 +4,8 @@ the write of the artifacts, whose text ``render`` prints.
 Input layout (CSV with a header row, every file read by ``_rows``: UTF-8 with
 an optional byte-order mark, a line of blank cells skipped anywhere;
 evaluations.csv is first offered to numpy's C reader, which reads its bytes
-and takes it only where it reads as ``_rows`` would, never with \v or \f):
+and takes it, faults included, only where it reads as ``_rows`` would, never
+with \v or \f; its rules are checked once, after either reader):
   factors.csv       id,name,x,y[,weight]
   evaluations.csv   attraction_id,factor_id,expert_id,lo,mode,hi  (long format,
                     one row per expert judgement)
@@ -314,13 +315,20 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], W
         raise InputError(f"{path}: {e}") from e
 
 
-def _evaluations_in_c(path: Path, known: dict[str, int]
-                      ) -> tuple[list[str], np.ndarray, np.ndarray, array, np.ndarray] | None:
-    """``load_evaluations``' result as numpy's C reader parses the file, or
-    None when a guard fails, two raw ids of a block with one hash included.
-    Raises nothing: every error is the fallback's."""
+# what each evaluations.csv reader returns, before any rule is checked: the
+# id -> code dicts of the attraction, factor (seeded from the catalogue, so an
+# unknown factor or "" gets a code of its own) and expert columns; each row's
+# three codes; the file lines; and the (n, 3) numbers, or from the row reader
+# the first cell, ``(3 * row + column, text)``, that is not a number
+_RawEvaluations = tuple[tuple[dict[str, int], ...], tuple[np.ndarray, ...], array, Any]
+
+
+def _evaluations_in_c(path: Path, known: dict[str, int]) -> _RawEvaluations | None:
+    """evaluations.csv as numpy's C reader parses it, or None when a guard
+    fails: where it might not read the file as ``_records`` does, or where
+    two raw ids of a block share one hash.  Checks no rule, raises nothing."""
     columns = ("attraction_id", "factor_id", "expert_id") + COMPONENTS
-    codes: tuple[dict[str, int], ...] = ({}, dict(known), {})   # a new factor is unknown
+    codes: tuple[dict[str, int], ...] = ({}, dict(known), {})
     coded = (array("q"), array("q"), array("q"))
     tfns = array("d")
     try:
@@ -343,7 +351,7 @@ def _evaluations_in_c(path: Path, known: dict[str, int]
                     rows = np.loadtxt(block, _EVALUATION_ROW, delimiter=",", comments=None,
                                       quotechar='"', usecols=usecols, ndmin=1)
                     # one row a line: no record was blank, whitespace only or on two lines
-                    if len(rows) != len(block) or not fuzzy.is_tfn(*rows["tfn"].T).all():
+                    if len(rows) != len(block):
                         return None
                     words = rows["ids"].view(np.uint64).reshape(len(rows), 3, len(_ID_HASH))
                     hashes = words @ _ID_HASH   # array arithmetic wraps silently
@@ -362,50 +370,20 @@ def _evaluations_in_c(path: Path, known: dict[str, int]
                     tfns.frombytes(rows["tfn"].tobytes())
     except (OSError, ValueError, csv.Error):
         return None
-    if not tfns or len(codes[1]) > len(known) or any("" in seen for seen in codes):
+    if not tfns:
         return None
-    attractions, factors, experts = (np.frombuffer(c, np.int64) for c in coded)
-    keys = (attractions * len(known) + factors) * len(codes[2]) + experts
-    keys.sort()
-    if (keys[1:] == keys[:-1]).any():
-        return None
-    lines = array("l", np.arange(2, len(keys) + 2, dtype="l").tobytes())
-    return list(codes[0]), attractions, factors, lines, np.frombuffer(tfns).reshape(-1, 3)
+    lines = array("l", np.arange(2, len(tfns) // 3 + 2, dtype="l").tobytes())
+    return (codes, tuple(np.frombuffer(c, np.int64) for c in coded), lines,
+            np.frombuffer(tfns).reshape(-1, 3))
 
 
-def load_evaluations(path: Path, catalogue_ids: Iterable[str]
-                     ) -> tuple[list[str], np.ndarray, np.ndarray, array, np.ndarray]:
-    """Long-format expert judgements in file order: the distinct attraction
-    ids in order of first appearance, each row's index into them, factor
-    catalogue indices, file lines (an ``array('l')``) and an (n, 3) array of
-    (lo, mode, hi).  Errors name their line.  The id rules are checked row by
-    row; then the duplicates, the numbers and the TFN rule, in that order,
-    each over the whole file and reporting its first offending line.
-
-    The file is first read by numpy's C reader (``np.loadtxt``), whose
-    result is this one: the header as CSV from line 1, then the bytes below
-    it in chunks of whole lines, split at ``\n``, ``\r\n`` and ``\r`` and
-    parsed ``_NUMBER_BLOCK_ROWS`` lines at most at a time, the ids as raw
-    bytes coded by a 64-bit hash (a collision sends the file to the row
-    reader); only a block's distinct ids are stripped and decoded.  It is
-    taken only when every guard holds: line 1 is one record; a chunk is
-    ASCII without NUL, ``\x1c``-``\x1f`` (``str.strip`` removes those,
-    ``bytes.strip`` does not), ``\v`` or ``\f`` (the split cuts a line there),
-    and no block begins with a blank line; each line is one record, so the
-    lines are ``2..n+1``; no id fills its 32 bytes, nor strips to nothing;
-    every factor is known, no key repeats and every row is a TFN.  Otherwise
-    the row reader below, which alone raises errors, reads the file.
-
-    The row reader reads the number cells ``_NUMBER_BLOCK_ROWS`` rows at a
-    time: each block's text is parsed into a float array before the next is
-    read, and a block that does not parse only remembers its first bad
-    cell, which is reported once the duplicates are checked."""
-    known = {factor_id: k for k, factor_id in enumerate(catalogue_ids)}
-    fast = _evaluations_in_c(path, known)
-    if fast is not None:
-        return fast
-    attraction_codes: dict[str, int] = {}
-    expert_codes: dict[str, int] = {}
+def _evaluations_by_row(path: Path, known: dict[str, int]) -> _RawEvaluations:
+    """evaluations.csv as ``_records`` reads it, which raises its read
+    errors.  The number cells are parsed ``_NUMBER_BLOCK_ROWS`` rows at a
+    time: each block's text into a float array before the next is read; a
+    block that does not parse only remembers its first bad cell."""
+    codes: tuple[dict[str, int], ...] = ({}, dict(known), {})
+    attraction_codes, factor_codes, expert_codes = codes
     attractions, factors, experts = [], [], []
     lines = array("l")
     blocks: list[np.ndarray] = []
@@ -414,16 +392,10 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
     while True:
         block_lines, numbers = [], []
         for line, (attraction, factor, expert, lo, mode, hi) in islice(rows, _NUMBER_BLOCK_ROWS):
-            attraction, factor, expert = attraction.strip(), factor.strip(), expert.strip()
-            k = known.get(factor)
-            if not attraction or not factor or not expert:
-                raise InputError(f"{path}:{line}: attraction_id, factor_id and expert_id "
-                                 "must all be non-empty")
-            if k is None:
-                raise InputError(f"{path}:{line}: unknown factor id {factor!r}")
-            attractions.append(attraction_codes.setdefault(attraction, len(attraction_codes)))
-            factors.append(k)
-            experts.append(expert_codes.setdefault(expert, len(expert_codes)))
+            attractions.append(attraction_codes.setdefault(attraction.strip(),
+                                                           len(attraction_codes)))
+            factors.append(factor_codes.setdefault(factor.strip(), len(factor_codes)))
+            experts.append(expert_codes.setdefault(expert.strip(), len(expert_codes)))
             block_lines.append(line)
             numbers.append(lo)
             numbers.append(mode)
@@ -442,30 +414,67 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
         lines.fromlist(block_lines)
         if len(block_lines) < _NUMBER_BLOCK_ROWS:
             break
-    n = len(lines)
-    codes = np.array(attractions, dtype=np.intp)
-    factor_index = np.array(factors, dtype=np.intp)
+    coded = tuple(np.array(c, dtype=np.intp) for c in (attractions, factors, experts))
+    return codes, coded, lines, bad_cell or np.concatenate(blocks).reshape(-1, 3)
+
+
+def load_evaluations(path: Path, catalogue_ids: Iterable[str]
+                     ) -> tuple[list[str], np.ndarray, np.ndarray, array, np.ndarray]:
+    """Long-format expert judgements in file order: the distinct attraction
+    ids in order of first appearance, each row's index into them, factor
+    catalogue indices, file lines (an ``array('l')``) and an (n, 3) array of
+    (lo, mode, hi).  Errors name their line.
+
+    The whole file is read first, so a read error comes before any rule.
+    Then each rule is checked here, over the whole file, reporting its first
+    offending line: the id rules (three non-empty ids, a known factor), the
+    duplicates, the numbers and the TFN rule, in that order.
+
+    The file is first read by numpy's C reader (``np.loadtxt``): the header
+    as CSV from line 1, then the bytes below it in chunks of whole lines,
+    split at ``\n``, ``\r\n`` and ``\r`` and parsed ``_NUMBER_BLOCK_ROWS``
+    lines at most at a time, the ids as raw bytes coded by a 64-bit hash (a
+    collision sends the file to the row reader); only a block's distinct ids
+    are stripped and decoded.  It is taken, faults included, only where it
+    reads the file as the row reader would: line 1 is one record; a chunk is
+    ASCII without NUL, ``\x1c``-``\x1f`` (``str.strip`` removes those,
+    ``bytes.strip`` does not), ``\v`` or ``\f`` (the split cuts a line
+    there), and no block begins with a blank line; each line is one record
+    whose numbers ``np.loadtxt`` parses, so the lines are ``2..n+1``; and no
+    id fills its 32 bytes.  Otherwise the row reader reads the file."""
+    known = {factor_id: k for k, factor_id in enumerate(catalogue_ids)}
+    codes, coded, lines, tfns = _evaluations_in_c(path, known) or _evaluations_by_row(path, known)
+    attractions, factors, experts = coded
+
+    empty = [c.get("", -1) for c in codes]   # the code of "" in each column, if any
+    if len(codes[1]) > len(known) or max(empty) >= 0:
+        blank = [column == code for column, code in zip(coded, empty)]
+        at = np.flatnonzero(np.logical_or.reduce(blank) | (factors >= len(known)))[0]
+        if any(column[at] for column in blank):
+            raise InputError(f"{path}:{lines[at]}: attraction_id, factor_id and expert_id "
+                             "must all be non-empty")
+        raise InputError(f"{path}:{lines[at]}: unknown factor id {list(codes[1])[factors[at]]!r}")
 
     # one integer per (attraction, factor, expert); a key seen before is a duplicate
-    _, first, inverse = np.unique((codes * len(known) + factor_index) * len(expert_codes)
-                                  + experts, return_index=True, return_inverse=True)
-    repeats = np.flatnonzero(first[inverse] != np.arange(n))
-    if repeats.size:
-        at = repeats[0]
+    keys = (attractions * len(known) + factors) * len(codes[2]) + experts
+    keys.sort()
+    if (keys[1:] == keys[:-1]).any():
+        _, first, inverse = np.unique((attractions * len(known) + factors) * len(codes[2])
+                                      + experts, return_index=True, return_inverse=True)
+        at = np.flatnonzero(first[inverse] != np.arange(len(lines)))[0]
         raise InputError(f"{path}:{lines[at]}: duplicate judgement for attraction "
-                         f"{list(attraction_codes)[attractions[at]]!r}, "
+                         f"{list(codes[0])[attractions[at]]!r}, "
                          f"factor {list(known)[factors[at]]!r}, "
-                         f"expert {list(expert_codes)[experts[at]]!r}")
+                         f"expert {list(codes[2])[experts[at]]!r}")
 
-    if bad_cell is not None:
-        at, text = bad_cell
+    if isinstance(tfns, tuple):
+        at, text = tfns
         _number(text, COMPONENTS[at % 3], f"{path}:{lines[at // 3]}")   # raises
-    tfns = np.concatenate(blocks).reshape(n, 3)
     bad = np.flatnonzero(~fuzzy.is_tfn(*tfns.T))
     if bad.size:
         raise InputError(f"{path}:{lines[bad[0]]}: not a TFN (finite, lo <= mode <= hi): "
                          f"{tuple(tfns[bad[0]].tolist())}")
-    return list(attraction_codes), codes, factor_index, lines, tfns
+    return list(codes[0]), attractions, factors, lines, tfns
 
 
 def load_attractions(path: Path) -> tuple[dict[str, str], dict[str, GeoPoint]]:

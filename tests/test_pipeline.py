@@ -812,6 +812,8 @@ class TestLoadEvaluations:
         "p1,f1,e1,1,,3\np1,f2,e1,,2,3\n",
         "p1,f1,e1,1,2,3\np1,f1,e1,1,2,3\np1,f2,e1,1,2,3\np1,f2,e1,1,2,3\n",
         "p1,f1,e1,1,2,3\np1,f2,e1,1,3,2\np1,f3,e1,2,1,3\n",
+        "p1,f1,e1,1,2,3\np1,ghost,e1,1,2,3\np1,f2,,1,2,3\np1,spook,e1,1,2,3\n",
+        "p1,f1,e1,1,2,3\np1,ghost, ,1,2,3\np1,spook,e1,1,2,3\n",
     ])
     def test_faults_of_one_kind_report_the_earliest(self, tmp_path, body):
         path = tmp_path / "evaluations.csv"
@@ -900,6 +902,9 @@ IN_C_ATTRACTIONS = ("a1", "a2", "a,3", "a 4", '"a5"', "attract_", "attract_1", "
                     "attraction_0001_", "attraction_0001_a", "attraction_0001_b",
                     "attraction_of_santiago__", "attraction_of_santiago__1ab",
                     "attraction_of_santiago__1ac")
+# padding and filler cells that the C reader reads as the row reader does
+IN_C_PADDING = st.sampled_from(["", " ", "\t", "  ", " \t"])
+IN_C_FILLER = st.sampled_from(["", "x", " ", "1,5", '"quoted"'])
 SOURCE_ROOT = Path(pipeline.__file__).resolve().parents[1]
 
 
@@ -929,9 +934,8 @@ class TestLoadEvaluationsInC:
     def test_equals_reference(self, tmp_path, blocks, data):
         size, sizes = blocks
         rows = data.draw(judgement_rows(min_size=1, attractions=IN_C_ATTRACTIONS,
-                                        padding=st.sampled_from(["", " ", "\t", "  ", " \t"])))
-        text = data.draw(evaluation_text(
-            rows, filler=st.sampled_from(["", "x", " ", "1,5", '"quoted"']), blank_lines=0))
+                                        padding=IN_C_PADDING))
+        text = data.draw(evaluation_text(rows, filler=IN_C_FILLER, blank_lines=0))
         path = tmp_path / "evaluations.csv"
         path.write_text(text, encoding="utf-8", newline="")
         sizes.clear()
@@ -1053,8 +1057,6 @@ class TestFallbackFromC:
                      id="ids-sharing-32-characters"),
         pytest.param("p1,f1,e1,1,2,3\n \t \np1,f2,e1,1,2,3\n", id="whitespace-only-line"),
         pytest.param('"p\n1",f1,e1,1,2,3\np2,f1,e1,1,2,3\n', id="quoted-two-line-cell"),
-        pytest.param("p1,f1,e1,nan,2,3\n", id="nan"),
-        pytest.param("p1,f1,e1,1,2,inf\n", id="inf"),
         pytest.param("p1,f1,e1,1,2,3\np1,f2,e1,1,2,3\n\n\n", id="trailing-blank-block"),
         pytest.param("p1,f1,e1,1,2,3\np1,f2,e1,1,2,3\n \n\t\n", id="trailing-whitespace-block"),
         pytest.param("p1,f1,e1,1,2,3\np1\0,f2,e1,1,2,3\n", id="nul-ending-an-id",
@@ -1074,10 +1076,6 @@ class TestFallbackFromC:
     @pytest.mark.parametrize("text", [
         pytest.param(EVALUATION_HEADER, id="no-rows"),
         pytest.param('"a\nb",' + EVALUATION_HEADER + "x,p1,f1,e1,1,2,3\n", id="two-line-header"),
-        pytest.param(EVALUATION_HEADER + "p1,ghost,e1,1,2,3\n", id="unknown-factor"),
-        pytest.param(EVALUATION_HEADER + "p1,f1, ,1,2,3\n", id="empty-id"),
-        pytest.param(EVALUATION_HEADER + "p1,f1,e1,1,2,3\np1,f1,e1 ,4,5,6\n", id="duplicate"),
-        pytest.param(EVALUATION_HEADER + "p1,f1,e1,3,2,1\n", id="not-a-tfn"),
         pytest.param(EVALUATION_HEADER + "p1,f1,e1,1,2\n", id="short-row"),
         pytest.param("attraction_id,factor_id,lo,mode,hi\np1,f1,1,2,3\n", id="missing-column"),
     ])
@@ -1125,6 +1123,70 @@ class TestFallbackFromC:
         assert pipeline._evaluations_in_c(path, KNOWN) is None
         with pytest.raises(InputError, match=r": not UTF-8 text \("):
             load_evaluations(path, CATALOGUE)
+
+    def test_read_error_before_the_rules(self, tmp_path):
+        """The whole file is read before any rule is checked: an empty id on
+        line 2 and a byte that is not UTF-8 on line 3 report the read error,
+        as the reference loader does, which reads the file through before
+        its first row."""
+        path = tmp_path / "evaluations.csv"
+        path.write_bytes(EVALUATION_HEADER.encode() + b"p1,f1,,1,2,3\np\xe92,f1,e1,1,2,3\n")
+        with pytest.raises(InputError, match=r"^[^:]+: not UTF-8 text \("):
+            load_evaluations(path, CATALOGUE)
+        with pytest.raises(UnicodeDecodeError):
+            oracles.load_evaluations(path, CATALOGUE)
+
+
+class TestRuleFaultsInC:
+    """A file that numpy's C reader reads as the row reader would is read by
+    it alone, even when a row breaks a judgement rule: the rules are checked
+    after either reader, ``_records`` never runs, nothing warns, and the
+    error is the reference loader's."""
+
+    @pytest.fixture(autouse=True)
+    def no_row_reader(self, monkeypatch):
+        def records(*args):
+            raise AssertionError("the row reader ran")
+
+        monkeypatch.setattr(pipeline, "_records", records)
+
+    @pytest.mark.parametrize("block_rows", [2, 4096])
+    @pytest.mark.parametrize("body", [
+        pytest.param("p1,f1,e1,nan,2,3\n", id="nan"),
+        pytest.param("p1,f1,e1,1,2,inf\n", id="inf"),
+        pytest.param("p1,ghost,e1,1,2,3\n", id="unknown-factor"),
+        pytest.param("p1,f1, ,1,2,3\n", id="empty-id"),
+        pytest.param("p1,f1,e1,1,2,3\np1,f1,e1 ,4,5,6\n", id="duplicate"),
+        pytest.param("p1,f1,e1,3,2,1\n", id="not-a-tfn"),
+    ])
+    def test_error_is_the_reference_loaders(self, tmp_path, monkeypatch, body, block_rows):
+        monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
+        path = tmp_path / "evaluations.csv"
+        path.write_text(EVALUATION_HEADER + body, encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert pipeline._evaluations_in_c(path, KNOWN) is not None
+            new, reference = _load_both(path)
+        assert isinstance(reference, str)
+        assert new == reference
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), block_rows=st.integers(1, 3),
+           rule=st.sampled_from(("empty id", "unknown factor", "duplicate", "not a TFN")))
+    def test_one_bad_row_same_error(self, tmp_path, monkeypatch, data, block_rows, rule):
+        monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
+        rows = data.draw(judgement_rows(min_size=2, attractions=IN_C_ATTRACTIONS,
+                                        padding=IN_C_PADDING))
+        at = data.draw(st.integers(1 if rule == "duplicate" else 0, len(rows) - 1))
+        _corrupt(rows, at, rule, lambda options: data.draw(st.sampled_from(options)))
+        path = tmp_path / "evaluations.csv"
+        path.write_text(data.draw(evaluation_text(rows, filler=IN_C_FILLER, blank_lines=0)),
+                        encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new, reference = _load_both(path)
+        assert new == reference
 
 
 def test_load_evaluations_memory_per_row(tmp_path):
