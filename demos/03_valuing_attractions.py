@@ -67,10 +67,12 @@ scores = apply_range_policy(
     lambda at: f"attraction {ids[at[0]]!r}, factor {catalogue.ids[at[1]]!r}: ")
 valuation = evaluate_attractions(ids, scores, catalogue)
 
+# the Valuation holds columns in rank order: row i has rank i + 1
 print("--- evaluation, in rank order (crisp score, ties by mode) ---")
-for position, result in enumerate(valuation, start=1):
-    print(f"  {position}. {result.attraction_id:20s} FTV={result.ftv}  "
-          f"crisp={result.crisp:6.2f}  tier={result.tier}")
+for i, attraction_id in enumerate(valuation.ids):
+    lo, mode, hi = valuation.ftv[i].tolist()
+    print(f"  {i + 1}. {attraction_id:20s} FTV=({lo:.2f}, {mode:.2f}, {hi:.2f})  "
+          f"crisp={valuation.crisp[i]:6.2f}  tier={valuation.tiers[i]}")
 
 # --- 3. Filter ---
 

@@ -31,10 +31,11 @@ config = load_config(sample / "config.json").replace(out_dir=out_dir)
 output = run_pipeline(config)
 
 print(f"\n--- 1. Valuation (weights from {output.weight_source}) ---")
-for rank, result in enumerate(output.results, start=1):
-    marker = "*" if result.attraction_id in output.retained else " "
-    print(f" {marker} #{rank:<2d} "
-          f"{result.attraction_id}  crisp={result.crisp:7.3f}  tier={result.tier}")
+results = output.results   # columns in rank order: row i has rank i + 1
+for i, attraction_id in enumerate(results.ids):
+    marker = "*" if attraction_id in output.retained else " "
+    print(f" {marker} #{i + 1:<2d} "
+          f"{attraction_id}  crisp={results.crisp[i]:7.3f}  tier={results.tiers[i]}")
 print("   (* = above the filter threshold, eligible for the tour)")
 
 # --- 2. Spatial results ---

@@ -39,7 +39,7 @@ from .spatial import (
     merge_hotspots,
     plan_tour,
 )
-from .valuation import FactorCatalogue, FactorDefinition, ValuationResult, classify
+from .valuation import FactorCatalogue, FactorDefinition, classify
 
 __version__ = "0.1.0"
 
@@ -50,7 +50,6 @@ __all__ = [
     "TargetRange",
     "FactorDefinition",
     "FactorCatalogue",
-    "ValuationResult",
     "classify",
     "WeightReport",
     "WeightCheck",

@@ -753,7 +753,7 @@ def run_tour(config: RunConfig) -> PipelineOutput:
                          "valuation stage) first")
     names, locations = load_attractions(config.attractions)
 
-    rows: dict[str, tuple[list[float], float, str]] = {}
+    rows: dict[str, tuple[list[float], float]] = {}
     # the printed value of a crisp value on the target lies between the printed ends
     scale = (round6(config.target[0]), round6(config.target[1]))
     for line, (attraction_id, lo, mode, hi, crisp, tier, rank_text) in _records(
@@ -785,9 +785,10 @@ def run_tour(config: RunConfig) -> PipelineOutput:
                              f"{format_number(crisp)} is {expected!r} under tier_thresholds "
                              f"[{thresholds}]; after changing tier_thresholds, re-run ftv "
                              "or run")
-        rows[attraction_id] = (ftv, crisp, tier)
+        rows[attraction_id] = (ftv, crisp)
     if not rows:
         raise InputError(f"{results_path}: no result rows")
-    ftv, crisp, tiers = zip(*rows.values())
-    return _finish(config, Valuation(tuple(rows), np.array(ftv), np.array(crisp), tiers),
-                   names, locations, ingested=None, with_spatial=True)
+    ftv, crisp = zip(*rows.values())
+    # each row's tier is checked above to be the one this valuation gives it
+    valuation = Valuation(tuple(rows), np.array(ftv), np.array(crisp), config.tier_thresholds)
+    return _finish(config, valuation, names, locations, ingested=None, with_spatial=True)

@@ -131,14 +131,15 @@ def result_columns(valuation: Valuation, names: dict[str, str]
                    ) -> tuple[dict[str, list[str]], tuple[list[str], ...]]:
     """The rows' fields in rank order, as JSON prints them, by ``_template``
     field, for the ``results.json`` rows and the attraction features; and
-    their FTVs' and crisp values' texts, for ``results_csv``."""
-    texts, json_texts = zip(*map(print_column, (*valuation.ftv.T, valuation.crisp)))
+    their FTVs' and crisp values' texts, for ``results_csv``.  The crisp
+    column is the one ``valuation`` printed."""
+    texts, json_texts = zip(*map(print_column, valuation.ftv.T))
     columns = {"id": list(map(encode_basestring, valuation.ids)),
                "name": [encode_basestring(names[i]) for i in valuation.ids],
                "rank": list(map(str, range(1, len(valuation.ids) + 1))),
                "tier": list(map(encode_basestring, valuation.tiers)),
-               **dict(zip(("lo", "mode", "hi", "crisp"), json_texts))}
-    return columns, texts
+               **dict(zip(("lo", "mode", "hi"), json_texts)), "crisp": valuation.crisp_json}
+    return columns, (*texts, valuation.crisp_texts)
 
 
 # --- results.csv and results.json -------------------------------------------

@@ -6,7 +6,7 @@ import sys
 
 import numpy as np
 
-__all__ = ["format_number", "round6", "round6_column", "print_column", "print_decimals"]
+__all__ = ["format_number", "round6", "print_column", "print_decimals"]
 
 
 def format_number(x: float) -> str:
@@ -19,13 +19,8 @@ def round6(x: float) -> float:
     return float(format_number(x))
 
 
-def round6_column(values: np.ndarray) -> list[float]:
-    """``round6`` of each of ``values``, from one ``%`` format of the column."""
-    return list(map(float, ("%.6g " * len(values) % tuple(np.add(values, 0.0).tolist())).split()))
-
-
 def print_column(values: np.ndarray) -> tuple[list[str], list[str]]:
-    """Each of the finite ``values`` as ``format_number`` prints it, and its
+    """Each of ``values`` as ``format_number`` prints it, and a finite one's
     ``round6`` as JSON prints it: one ``%`` format for the whole column."""
     values = np.add(values, 0.0)   # a float array; -0.0 + 0.0 is 0.0
     texts = ("%.6g\n" * len(values) % tuple(values.tolist())).splitlines()
@@ -39,7 +34,8 @@ def print_column(values: np.ndarray) -> tuple[list[str], list[str]]:
     # allowing 2e-5: from 25,000 up that is every value, so every text with a
     # positive exponent is checked.
     size = np.abs(values)
-    near = (size < sys.float_info.min) | (np.abs(values - np.rint(values)) <= 2e-5 * size)
+    with np.errstate(invalid="ignore"):   # an infinity's distance to an integer is nan
+        near = (size < sys.float_info.min) | (np.abs(values - np.rint(values)) <= 2e-5 * size)
     for i in np.flatnonzero(near).tolist():
         if "." not in texts[i] or "e" in texts[i]:
             json_texts[i] = float.__repr__(float(texts[i]))

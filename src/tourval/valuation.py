@@ -10,22 +10,20 @@ values a whole (attractions, factors, 3) array of scores at once, as one
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from . import fuzzy
 from .ahp import validate_weights
 from .errors import ConfigError, InputError
-from .fuzzy import TFN
 from .record import Record
 from .rescale import SourceRange, TargetRange, rescale_endpoints
-from .rounding import round6, round6_column
+from .rounding import print_column, round6
 
 __all__ = [
     "FactorDefinition",
     "FactorCatalogue",
-    "ValuationResult",
     "Valuation",
     "evaluate_attractions",
     "classify",
@@ -96,29 +94,30 @@ class FactorCatalogue(Record):
                 np.array([[f.src.y] for f in self.factors], dtype=float))
 
 
-class ValuationResult(Record):
-    """Valuation of one attraction: fuzzy index, crisp value, tier."""
-
-    __slots__ = ("attraction_id", "ftv", "crisp", "tier")
-
-    def __init__(self, attraction_id: str, ftv: TFN, crisp: float, tier: str | None = None):
-        self._set(attraction_id, ftv, crisp, tier)
+def _band(printed: float, thresholds: tuple[float, float]) -> str:
+    """The tier of a value as results.csv prints it: Low up to the first
+    threshold, Medium up to the second, High above it."""
+    low_max, medium_max = thresholds
+    return TIERS[(printed > low_max) + (printed > medium_max)]
 
 
 class Valuation(Record):
     """Attractions valued, as columns in rank order (row ``i`` has rank ``i + 1``): ids,
-    FTVs, crisp and printed (``round6``) values and tiers; iterating yields ``ValuationResult``s."""
+    FTVs, crisp values and the tier thresholds.  The crisp column is printed once
+    (``print_column``), as results.csv prints it (``crisp_texts``) and as JSON does
+    (``crisp_json``); ``printed`` holds the floats of those texts (each the ``round6``
+    of its value) and ``tiers`` their bands."""
 
-    __slots__ = ("ids", "ftv", "crisp", "tiers", "printed")
+    __slots__ = ("ids", "ftv", "crisp", "thresholds", "printed", "tiers", "crisp_texts",
+                 "crisp_json")
 
     def __init__(self, ids: tuple[str, ...], ftv: np.ndarray, crisp: np.ndarray,
-                 tiers: tuple[str | None, ...]):
+                 thresholds: tuple[float, float]):
         # ftv is (n, 3), crisp (n,)
-        self._set(ids, ftv, crisp, tiers, round6_column(crisp))
-
-    def __iter__(self) -> Iterator[ValuationResult]:
-        return map(ValuationResult, self.ids, (TFN(*row) for row in self.ftv.tolist()),
-                   self.crisp.tolist(), self.tiers)
+        texts, json_texts = print_column(crisp)
+        printed = list(map(float, texts))
+        self._set(ids, ftv, crisp, thresholds, printed,
+                  tuple(_band(value, thresholds) for value in printed), texts, json_texts)
 
     def above(self, threshold: float) -> list[int]:
         """The rows whose printed value exceeds ``threshold``, in order."""
@@ -127,8 +126,7 @@ class Valuation(Record):
 
 def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
                          catalogue: FactorCatalogue, method: str = "centroid",
-                         thresholds: tuple[float, float] | None = DEFAULT_THRESHOLDS
-                         ) -> Valuation:
+                         thresholds: tuple[float, float] = DEFAULT_THRESHOLDS) -> Valuation:
     """FTV, defuzzified value and tier of each id from an (ids, factors, 3)
     array of range-admitted scores, factors in catalogue order; tiers are on the
     catalogue's target range.  The rows are in rank order: by descending
@@ -159,16 +157,13 @@ def evaluate_attractions(ids: Sequence[str], scores: np.ndarray,
     crisp = fuzzy.defuzzify(ftv, method=method)
     values, modes = crisp.tolist(), ftv[:, 1].tolist()
     order = sorted(range(len(ids)), key=lambda i: (-values[i], -modes[i], ids[i]))
-    tiers = (None,) * len(ids)
-    if thresholds:   # ``classify``'s bands; it refuses the first value off the scale
-        for at in np.flatnonzero(~((tgt.m <= crisp) & (crisp <= tgt.M)))[:1].tolist():
-            try:
-                classify(values[at], thresholds, (tgt.m, tgt.M))
-            except ValueError as e:
-                raise off_range(at, str(e)) from None
-        low_max, medium_max = thresholds
-        tiers = tuple(TIERS[(p > low_max) + (p > medium_max)] for p in round6_column(crisp[order]))
-    return Valuation(tuple(ids[i] for i in order), ftv[order], crisp[order], tiers)
+    # ``classify`` refuses the first value off the scale
+    for at in np.flatnonzero(~((tgt.m <= crisp) & (crisp <= tgt.M)))[:1].tolist():
+        try:
+            classify(values[at], thresholds, (tgt.m, tgt.M))
+        except ValueError as e:
+            raise off_range(at, str(e)) from None
+    return Valuation(tuple(ids[i] for i in order), ftv[order], crisp[order], thresholds)
 
 
 def classify(crisp: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
@@ -177,9 +172,7 @@ def classify(crisp: float, thresholds: tuple[float, float] = DEFAULT_THRESHOLDS,
     to the second, High above it.  Values outside the scale are rejected;
     the band is picked on the value as printed (``round6``), so a value
     printed as a threshold is in the band below it."""
-    low_max, medium_max = thresholds
     lo, hi = scale
     if not lo <= crisp <= hi:
         raise ValueError(f"value {crisp} outside the classification scale [{lo}, {hi}]")
-    printed = round6(crisp)
-    return TIERS[(printed > low_max) + (printed > medium_max)]
+    return _band(round6(crisp), thresholds)

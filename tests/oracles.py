@@ -31,6 +31,7 @@ import csv
 import io
 import json
 import math
+from collections import namedtuple
 from importlib.resources import files
 from itertools import combinations, permutations
 from pathlib import Path
@@ -45,7 +46,10 @@ from tourval.fuzzy import TriangularFuzzyNumber
 from tourval.rescale import SourceRange, TargetRange
 from tourval.rounding import round6
 from tourval.spatial import GeoPoint, HotSpot, Tour, haversine_km
-from tourval.valuation import FactorCatalogue, FactorDefinition, ValuationResult, classify
+from tourval.valuation import FactorCatalogue, FactorDefinition, classify
+
+# one valued attraction, as the package's earlier per-attraction loop made it
+Result = namedtuple("Result", ["attraction_id", "ftv", "crisp", "tier"])
 
 
 def lre(a: float, x: float, y: float, m: float, big_m: float) -> float:
@@ -127,14 +131,13 @@ def defuzzify(t: TriangularFuzzyNumber, method: str = "centroid") -> float:
 def valuation_loop(rows, method, thresholds, scale, filter_threshold):
     """The package's earlier valuation of ``(id, (lo, mode, hi))`` FTV rows:
     one TFN, crisp value and tier (``classify``) per row, each row a
-    ValuationResult, sorted by the earlier rank key and kept by the earlier
+    ``Result``, sorted by the earlier rank key and kept by the earlier
     filter rule.  Returns (ranked, retained)."""
     results = []
     for attraction_id, row in rows:
         t = TriangularFuzzyNumber(*row)
         crisp = defuzzify(t, method)
-        results.append(ValuationResult(attraction_id, t, crisp,
-                                       classify(crisp, thresholds, scale)))
+        results.append(Result(attraction_id, t, crisp, classify(crisp, thresholds, scale)))
     ranked = sorted(results, key=lambda r: (-r.crisp, -r.ftv.mode, r.attraction_id))
     return ranked, [r for r in ranked if round6(r.crisp) > filter_threshold]
 

@@ -94,7 +94,7 @@ def test_02_degenerate_fuzzy_index_equals_crisp_index():
                     for k in range(n)),
                 target=TargetRange(0.0, 5.0))
             scores = np.repeat(ratings[None, :, None], 3, axis=2)   # (1, n, 3) point TFNs
-            crisp = evaluate_attractions(["a"], scores, catalogue, thresholds=None).crisp[0]
+            crisp = evaluate_attractions(["a"], scores, catalogue).crisp[0]
             want = oracles.crisp_minmax_index(ratings, weights, minima, maxima)
             assert close(crisp, want), (n, crisp, want)
 
@@ -118,10 +118,11 @@ def test_04_published_top_five_classify_high_in_listing_order():
         v = evaluate_attractions([name for name, _ in listed],
                                  np.array([[ftv.as_tuple()] for _, ftv in listed]), catalogue)
         hand_centroids = [85.73667, 85.05, 84.08667, 83.83, 83.70]
-        valued = {r.attraction_id: r for r in v}
+        valued = {name: (v.tiers[i], v.crisp[i].item()) for i, name in enumerate(v.ids)}
         for (name, _), want in zip(listed, hand_centroids):
-            assert valued[name].tier == "High", (name, valued[name].crisp)
-            assert valued[name].crisp == pytest.approx(want, abs=5e-4)
+            tier, crisp = valued[name]
+            assert tier == "High", (name, crisp)
+            assert crisp == pytest.approx(want, abs=5e-4)
 
         assert len(v.above(66)) == 5
         assert v.ids == tuple(name for name, _ in listed)
@@ -163,7 +164,7 @@ def test_06_ranking_invariant_across_target_ranges():
                                          weight=weights[k])
                         for k in range(n)),
                     target=TargetRange(m, big_m))
-                orders.append(evaluate_attractions(ids, scores, catalogue, thresholds=None).ids)
+                orders.append(evaluate_attractions(ids, scores, catalogue).ids)
             assert orders[0] == orders[1], orders
 
 
@@ -234,10 +235,12 @@ def test_09_end_to_end_sample_run_is_reproducible_and_oracle_accurate(tmp_path):
         output = run_pipeline(load_config(sample / "config.json").replace(
             out_dir=tmp_path / "mem"))
         want = oracles.pipeline_oracle(sample)
-        for result in output.results:
-            ftv, crisp = want[result.attraction_id]
-            assert close(result.crisp, crisp)
-            for g, w in zip(result.ftv.as_tuple(), ftv):
+        results = output.results
+        for attraction_id, got_ftv, got_crisp in zip(results.ids, results.ftv.tolist(),
+                                                     results.crisp.tolist()):
+            ftv, crisp = want[attraction_id]
+            assert close(got_crisp, crisp)
+            for g, w in zip(got_ftv, ftv):
                 assert close(g, w)
 
         with open(out_dir / "results.csv", newline="", encoding="utf-8") as fh:

@@ -15,12 +15,23 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tourval import cli, pipeline, render
+from tourval import cli, pipeline, render, rounding, valuation
 from tourval.errors import NumericError
 
 
 def invoke(*argv):
     return cli.main(list(argv))
+
+
+def edit_row(results, row, **cells):
+    """Set ``cells`` of data row ``row`` (0 is the first) of a results.csv."""
+    with open(results, newline="", encoding="utf-8") as handle:
+        rows = list(csv.DictReader(handle))
+    rows[row].update(cells)
+    with open(results, "w", newline="", encoding="utf-8") as handle:
+        writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
 
 
 class TestParser:
@@ -375,6 +386,27 @@ class TestWritingCommands:
                           "--out", str(tmp_path / "out")) == 0
         assert calls == ["run_valuation", "run_pipeline", "run_tour"]
 
+    def test_crisp_column_printed_once(self, sample_dir, tmp_path, monkeypatch):
+        """ftv, run and tour each print the crisp column once, with
+        ``print_column``: the valuation prints it, and the artifacts take its
+        texts from there."""
+        printed = []
+
+        def spy(values, _print=rounding.print_column):
+            texts = _print(values)
+            printed.append(texts[0])
+            return texts
+        for module in (rounding, valuation, render):
+            monkeypatch.setattr(module, "print_column", spy)
+        out_dir = tmp_path / "out"
+        for command in ("ftv", "run", "tour"):
+            printed.clear()
+            assert invoke(command, "--config", str(sample_dir / "config.json"),
+                          "--out", str(out_dir)) == 0
+            with open(out_dir / "results.csv", newline="", encoding="utf-8") as handle:
+                crisp = [row["crisp"] for row in csv.DictReader(handle)]
+            assert printed.count(crisp) == 1, command
+
 
 class TestTour:
     def test_roundtrip_after_run(self, sample_dir, tmp_path, capsys):
@@ -412,13 +444,7 @@ class TestTour:
         assert invoke("run", "--config", config, "--out", str(out_dir)) == 0
         previous_map = (out_dir / "map.geojson").read_bytes()
         results = out_dir / "results.csv"
-        with open(results, newline="", encoding="utf-8") as handle:
-            rows = list(csv.DictReader(handle))
-        rows[2][column] = text
-        with open(results, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.DictWriter(handle, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
+        edit_row(results, 2, **{column: text})
         capsys.readouterr()
         assert invoke("tour", "--config", config, "--out", str(out_dir)) == 2
         err = capsys.readouterr().err
@@ -429,6 +455,28 @@ class TestTour:
             assert err.startswith(f"error: {results}:4: column 'tier' is ")
             assert "tier_thresholds [33, 66]" in err and "re-run ftv or run" in err
         assert (out_dir / "map.geojson").read_bytes() == previous_map
+
+    @pytest.mark.parametrize("tier", ["High", "Medium"])
+    def test_crisp_on_the_threshold_is_medium_and_dropped(self, sample_dir, tmp_path, capsys,
+                                                          tier):
+        """A crisp value of 66, the upper tier threshold and the filter's, is
+        Medium: tour refuses the row marked High, and takes it marked Medium
+        and keeps it out of the tour."""
+        out_dir = tmp_path / "result"
+        config = str(sample_dir / "config.json")
+        assert invoke("run", "--config", config, "--out", str(out_dir)) == 0
+        results = out_dir / "results.csv"
+        edit_row(results, 2, crisp="66", tier=tier)
+        capsys.readouterr()
+        code = invoke("tour", "--config", config, "--out", str(out_dir))
+        captured = capsys.readouterr()
+        if tier == "High":
+            assert code == 2
+            assert captured.err.startswith(f"error: {results}:4: column 'tier' is 'High', but "
+                                           "crisp 66 is 'Medium'")
+        else:
+            assert (code, captured.err) == (0, "")
+            assert captured.out.startswith("valued 10 attractions; 2 above 66: a01, a02\n")
 
     def test_value_printed_past_the_target_end_is_read(self, sample_dir, tmp_path):
         """On a target whose end has more than 6 digits, a value just below

@@ -35,7 +35,7 @@ from tourval.pipeline import (
 )
 from tourval.rounding import format_number, print_column, print_decimals, round6
 from tourval.spatial import DensityGrid, GeoPoint, HotSpot, Tour
-from tourval.valuation import TIERS, Valuation, ValuationResult
+from tourval.valuation import TIERS, Valuation, classify
 
 import oracles
 
@@ -55,7 +55,7 @@ class TestFormatNumber:
         assert format_number(-0.0) == "0"
 
     def test_negative_zero_same_in_every_artifact(self):
-        result = ValuationResult("a", TFN(-0.0, 0.0, 1.0), -0.0, "Low")
+        result = oracles.Result("a", TFN(-0.0, 0.0, 1.0), -0.0, "Low")
         text = "".join(render_map({"a": "A"}, {"a": GeoPoint(-75.8, 20.0)}, [result],
                                   {"a": 1}, None, (), None))
         assert json.dumps(round6(-0.0)) == "0.0"
@@ -1332,10 +1332,12 @@ class TestRunPipeline:
     def test_crisp_matches_independent_oracle(self, sample_dir, sample_run):
         _, output = sample_run
         want = oracles.pipeline_oracle(sample_dir)
-        for result in output.results:
-            ftv, crisp = want[result.attraction_id]
-            assert result.crisp == pytest.approx(crisp, abs=1e-9)
-            assert result.ftv.as_tuple() == pytest.approx(ftv, abs=1e-9)
+        results = output.results
+        for attraction_id, got_ftv, got_crisp in zip(results.ids, results.ftv.tolist(),
+                                                     results.crisp.tolist()):
+            ftv, crisp = want[attraction_id]
+            assert got_crisp == pytest.approx(crisp, abs=1e-9)
+            assert got_ftv == pytest.approx(ftv, abs=1e-9)
 
     def test_rerun_byte_identical(self, sample_run):
         config, _ = sample_run
@@ -1461,13 +1463,14 @@ SPECIAL_NAME = 'Café "Trova" \\ Santiago de Cuba 寺 \x00\x07\t\n \U0001f3b8
 
 def _map_inputs(names, grid, hotspot_scores=(), with_tour=False, center=(-75.8, 20.0),
                 tiers=None):
-    """Attractions named ``names`` around ``center``, in ``tiers`` (each of
-    ``TIERS`` in turn if not given), hotspots with the given scores and, if
-    asked and there are hotspots, a tour over them."""
+    """Attractions named ``names`` around ``center``, with rising crisp values
+    in ``tiers``, which must not fall (if not given, Low, Medium, then High),
+    hotspots with the given scores and, if asked and there are hotspots, a
+    tour over them."""
     lon, lat = center
     ids = [f"a{i}" for i in range(len(names))]
-    tiers = tiers or [TIERS[i % len(TIERS)] for i in range(len(names))]
-    ranked = [ValuationResult(aid, TFN(i - 1.5, i * 1.0, i + 0.25), i * 1.0 / 3.0, tier)
+    tiers = tiers or [TIERS[min(i, len(TIERS) - 1)] for i in range(len(names))]
+    ranked = [oracles.Result(aid, TFN(i - 1.5, i * 1.0, i + 0.25), i * 1.0 / 3.0, tier)
               for i, (aid, tier) in enumerate(zip(ids, tiers))]
     locations = {aid: GeoPoint(lon + i * 1e-3, -(lat + i * 1e-3)) for i, aid in enumerate(ids)}
     hotspots = tuple(HotSpot(GeoPoint(-lon - i * 1e-3, lat), score, f"H{i + 1}")
@@ -1481,11 +1484,18 @@ def _map_inputs(names, grid, hotspot_scores=(), with_tour=False, center=(-75.8, 
 
 def _valuation(ranked, ranks):
     """The ``Valuation`` whose rows are ``ranked``, in order; ``ranks`` must
-    be their positions, as a ``Valuation``'s ranks are."""
+    be their positions, as a ``Valuation``'s ranks are.  Its thresholds are
+    the largest printed Low and Medium values, which put each row in its
+    tier when no tier holds a printed value above one of a higher tier."""
     assert ranks == {r.attraction_id: i + 1 for i, r in enumerate(ranked)}
-    return Valuation(tuple(r.attraction_id for r in ranked),
-                     np.array([r.ftv.as_tuple() for r in ranked]).reshape(-1, 3),
-                     np.array([r.crisp for r in ranked]), tuple(r.tier for r in ranked))
+    printed = {tier: [round6(r.crisp) for r in ranked if r.tier == tier] for tier in TIERS}
+    low_max = max(printed["Low"], default=-math.inf)
+    valuation = Valuation(tuple(r.attraction_id for r in ranked),
+                          np.array([r.ftv.as_tuple() for r in ranked]).reshape(-1, 3),
+                          np.array([r.crisp for r in ranked]),
+                          (low_max, max(printed["Medium"], default=low_max)))
+    assert valuation.tiers == tuple(r.tier for r in ranked)
+    return valuation
 
 
 def render_map(names, locations, ranked, ranks, grid, hotspots, tour):
@@ -1520,7 +1530,8 @@ def map_inputs(draw):
         grid = _grid(np.reshape(values, (nrows, ncols)), center, draw(offset), draw(offset),
                      draw(st.floats(0.5, 1000.0)))
     names = draw(st.lists(st.text(NAME_CHARS, max_size=12), max_size=4))
-    tiers = draw(st.lists(st.sampled_from(TIERS), min_size=len(names), max_size=len(names)))
+    tiers = sorted(draw(st.lists(st.sampled_from(TIERS), min_size=len(names),
+                                 max_size=len(names))), key=TIERS.index)
     scores = draw(st.lists(st.floats(1e-6, 1e6), max_size=3))
     return _map_inputs(names, grid, scores, draw(st.booleans()), center, tiers)
 
@@ -1576,15 +1587,17 @@ POSITIVE = st.one_of(st.sampled_from([1e-05, 1.5e-07, 1e16]), st.floats(1e-9, 1e
 
 @st.composite
 def results_inputs(draw, config, ingested):
-    """Arguments of ``render.results_json``: awkward ids and names, any
-    tier, either weight source, with or without hotspots and a tour."""
+    """Arguments of ``render.results_json``: awkward ids and names, each
+    value's tier under any thresholds, either weight source, with or without
+    hotspots and a tour."""
     ids = draw(st.lists(st.text(NAME_CHARS, max_size=8), unique=True, max_size=5))
     names = {aid: draw(st.one_of(st.just(SPECIAL_NAME), st.text(NAME_CHARS, max_size=12)))
              for aid in ids}
-    ranked = [ValuationResult(aid, TFN(*sorted(draw(st.tuples(*[RESULT_NUMBER] * 3)))),
-                              draw(RESULT_NUMBER),
-                              draw(st.sampled_from(TIERS)))
-              for aid in ids]
+    thresholds = tuple(sorted(draw(st.tuples(RESULT_NUMBER, RESULT_NUMBER))))
+    crisp = [draw(RESULT_NUMBER) for _ in ids]
+    ranked = [oracles.Result(aid, TFN(*sorted(draw(st.tuples(*[RESULT_NUMBER] * 3)))), value,
+                             classify(value, thresholds, (-math.inf, math.inf)))
+              for aid, value in zip(ids, crisp)]
     ranks = {aid: i + 1 for i, aid in enumerate(ids)}
     retained = [r for r in ranked if draw(st.booleans())]
     report = draw(st.sampled_from([None, derive_weights([[1.0, 3.0], [1 / 3, 1.0]]),

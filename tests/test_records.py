@@ -25,7 +25,7 @@ from tourval.pipeline import (IngestResult, KdeSettings, PipelineOutput, RunConf
 from tourval.record import FrozenInstanceError, Record
 from tourval.rescale import SourceRange, TargetRange
 from tourval.spatial import DensityGrid, GeoPoint, HotSpot, ScoredPoint, Tour
-from tourval.valuation import FactorCatalogue, FactorDefinition, Valuation, ValuationResult
+from tourval.valuation import FactorCatalogue, FactorDefinition, Valuation
 
 SOURCE_ROOT = Path(tourval.__file__).resolve().parents[1]
 
@@ -46,14 +46,15 @@ TARGET = TargetRange(0.0, 100.0)
 FACTOR = FactorDefinition("f1", "Condition", SOURCE, 1.0)
 CATALOGUE = FactorCatalogue((FACTOR,), TARGET)
 ONE = TFN(1.0, 2.0, 3.0)
-VALUATION = Valuation(("a1",), np.array([[1.0, 2.0, 3.0]]), np.array([2.0]), ("Low",))
+VALUATION = Valuation(("a1",), np.array([[1.0, 2.0, 3.0]]), np.array([2.0]), (33.0, 66.0))
 POINT_TEXT = "GeoPoint(lon=-75.8, lat=20.0)"
 SPOT_TEXT = f"HotSpot(center={POINT_TEXT}, score=2.5, label='H1')"
 FACTOR_TEXT = ("FactorDefinition(id='f1', name='Condition', src=SourceRange(x=0.0, y=5.0), "
                "weight=1.0)")
 ONE_TEXT = "TriangularFuzzyNumber(lo=1.0, mode=2.0, hi=3.0)"
 VALUATION_TEXT = ("Valuation(ids=('a1',), ftv=array([[1., 2., 3.]]), crisp=array([2.]), "
-                  "tiers=('Low',), printed=[2.0])")
+                  "thresholds=(33.0, 66.0), printed=[2.0], tiers=('Low',), crisp_texts=['2'], "
+                  "crisp_json=['2.0'])")
 SPAN = "must increase by a finite span of at least 2.2250738585072014e-308 (negate a " \
        "descending scale)"
 
@@ -94,11 +95,8 @@ CASES = [
     Case(FactorCatalogue, dict(factors=(FACTOR,), target=TARGET), {},
          f"FactorCatalogue(factors=({FACTOR_TEXT},), target=TargetRange(m=0.0, M=100.0))",
          ({"factors": (FACTOR, FACTOR)}, ValueError, "duplicate factor ids in catalogue: f1")),
-    Case(ValuationResult, dict(attraction_id="a1", ftv=ONE, crisp=2.0, tier="Low"),
-         {"tier": None},
-         f"ValuationResult(attraction_id='a1', ftv={ONE_TEXT}, crisp=2.0, tier='Low')", None),
     Case(Valuation, dict(ids=("a1",), ftv=VALUATION.ftv, crisp=VALUATION.crisp,
-                         tiers=("Low",)), {}, VALUATION_TEXT, None, hashable=False),
+                         thresholds=(33.0, 66.0)), {}, VALUATION_TEXT, None, hashable=False),
     Case(IngestResult, dict(catalogue=CATALOGUE, scores=np.array([[[1.0, 2.0, 3.0]]]),
                             names={"a1": "First"}, locations={"a1": POINT},
                             weight_source="column", weight_report=None, judgements=1), {},
@@ -154,8 +152,8 @@ def same(a, b) -> bool:
     return type(a) is type(b) and repr(a) == repr(b)
 
 
-def test_sixteen_records():
-    assert len({case.cls for case in CASES}) == 16
+def test_fifteen_records():
+    assert len({case.cls for case in CASES}) == 15
     assert all(issubclass(case.cls, Record) for case in CASES)
 
 
@@ -206,14 +204,14 @@ def test_equality_and_hash_by_value(case):
 
 
 ARRAY_RECORDS = [
-    pytest.param(lambda v: Valuation(("a1", "a2"), v.reshape(2, 3), v[:2].copy(), ("Low", "Low")),
+    pytest.param(lambda v: Valuation(("a1", "a2"), v.reshape(2, 3), v[:2].copy(), (33.0, 66.0)),
                  id="Valuation"),
     pytest.param(lambda v: DensityGrid(POINT, 0.0, 0.0, 5.0, v.reshape(2, 3)), id="DensityGrid"),
     pytest.param(lambda v: IngestResult(CATALOGUE, v.reshape(2, 1, 3), {"a1": "A", "a2": "B"},
                                         {"a1": POINT, "a2": POINT}, "column", None, 2),
                  id="IngestResult"),
     pytest.param(lambda v: PipelineOutput(Valuation(("a1", "a2"), v.reshape(2, 3), v[:2].copy(),
-                                                    ("Low", "Low")),
+                                                    (33.0, 66.0)),
                                           ("a1",), None, None, (), None, ()),
                  id="PipelineOutput"),
 ]
@@ -240,7 +238,7 @@ def test_array_fields_of_other_shapes_differ():
 def test_equal_fields_of_another_class_differ():
     assert SourceRange(0.0, 5.0) != TargetRange(0.0, 5.0)
     assert SourceRange(1.0, 2.0) != GeoPoint(1.0, 2.0)
-    assert ValuationResult("a1", ONE, 2.0) != ValuationResult("a1", ONE, 2.5)
+    assert ONE != TFN(1.0, 2.0, 3.5)
 
 
 @pytest.mark.parametrize("case", RECORDS, ids=IDS)
@@ -289,8 +287,9 @@ def test_replace_keeps_the_other_fields_and_coerces_again():
 
 
 def test_derived_and_coerced_fields():
-    assert Valuation(("a", "b"), np.zeros((2, 3)), np.array([66.0000004, 1.5]),
-                     (None, None)).printed == [66.0, 1.5]
+    valuation = Valuation(("a", "b"), np.zeros((2, 3)), np.array([66.0000004, 1.5]),
+                          (33.0, 66.0))
+    assert (valuation.printed, valuation.tiers) == ([66.0, 1.5], ("Medium", "Low"))
     values = np.array([[0.5, 1.0]])
     grid = DensityGrid(POINT, 0.0, 0.0, 5.0, values)
     assert grid.values is not values and not grid.values.flags.writeable

@@ -31,3 +31,20 @@ def test_ab_finds_no_bytecode_in_a_clean_src(tmp_path):
     (tmp_path / "src" / "tourval" / "cli.py").write_text("", encoding="utf-8")
     (tmp_path / "__pycache__").mkdir()   # outside src/: not the package's bytecode
     assert ab._bytecode_cache(tmp_path) is None
+
+
+PEAK_RSS = {"name": "peak_rss_mb", "unit": "MiB", "better": "lower", "bound": 0.1}
+
+
+def test_ab_reports_a_small_peak_rss_change_as_heap_layout_noise():
+    """A peak-RSS median 0.6 MiB higher is noise, neither a loss nor a gain;
+    one 1 MiB lower is a change, and a gain when it beats the base's spread."""
+    base = [67.6, 67.7, 67.8]
+    noise = ab._metric_line(PEAK_RSS, base, [68.2, 68.3, 68.4])
+    assert noise.split()[7:] == ["noise", "0/3", "no:", "heap-layout", "noise", "(under",
+                                 "0.7", "MiB)"]
+    gain = ab._metric_line(PEAK_RSS, base, [66.6, 66.7, 66.8])
+    assert gain.split()[7:] == ["-1.5%", "3/3", "yes"]
+    run_s = {"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}
+    assert ab._metric_line(run_s, [1.0, 1.0, 1.0], [1.5, 1.5, 1.5]).split()[7:] == [
+        "+50.0%", "0/3", "no"]

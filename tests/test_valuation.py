@@ -65,13 +65,16 @@ class TestCatalogue:
 
 def value_one(scores, catalogue, attraction_id="a", **kwargs):
     """The ``evaluate_attractions`` row of one attraction scored by one
-    (lo, mode, hi) triple per factor, in catalogue order."""
-    return next(iter(evaluate_attractions([attraction_id], np.array([scores], dtype=float),
-                                          catalogue, **kwargs)))
+    (lo, mode, hi) triple per factor, in catalogue order, as an
+    ``oracles.Result``."""
+    valuation = evaluate_attractions([attraction_id], np.array([scores], dtype=float),
+                                     catalogue, **kwargs)
+    return oracles.Result(attraction_id, fuzzy.TFN(*valuation.ftv[0].tolist()),
+                          valuation.crisp[0].item(), valuation.tiers[0])
 
 
 def ftv_of(scores, catalogue, **kwargs):
-    return value_one(scores, catalogue, thresholds=None, **kwargs).ftv
+    return value_one(scores, catalogue, **kwargs).ftv
 
 
 class TestComputeFtv:
@@ -113,8 +116,8 @@ class TestComputeFtv:
         x, y = catalogue.source_ranges
         admitted = apply_range_policy([[means[f].as_tuple() for f in catalogue.ids]], x, y,
                                       "clamp", lambda _: "")
-        valuation = evaluate_attractions(["a"], admitted, catalogue, thresholds=None)
-        got = next(iter(valuation)).ftv
+        valuation = evaluate_attractions(["a"], admitted, catalogue)
+        got = fuzzy.TFN(*valuation.ftv[0].tolist())
 
         clamped = {
             f.id: tuple(min(max(c, f.src.x), f.src.y) for c in means[f.id].as_tuple())
@@ -155,7 +158,7 @@ class TestComputeFtv:
                                          for j, w in enumerate(weights)), target=target)
             slack = k * np.finfo(float).eps * max(abs(m), abs(big_m))
             for score, end in ((5.0, big_m), (0.0, m)):
-                got = value_one([(score,) * 3] * k, catalogue, thresholds=None)
+                got = value_one([(score,) * 3] * k, catalogue)
                 for value in (*got.ftv.as_tuple(), got.crisp):
                     assert m <= value <= big_m
                     assert abs(value - end) <= slack
@@ -213,7 +216,7 @@ class TestCrispIndex:
         catalogue = make_catalogue(
             *((f"f{k}", minima[k], maxima[k], weights[k]) for k in range(len(weights))),
             target=(0.0, 5.0))
-        return value_one([(r,) * 3 for r in ratings], catalogue, thresholds=None).crisp
+        return value_one([(r,) * 3 for r in ratings], catalogue).crisp
 
     def test_single_rating(self):
         # one individual, one factor: 5 * 1.0 * (3-0)/(5-0)
@@ -229,7 +232,7 @@ class TestCrispIndex:
             config_extra={"target": [0.0, 5.0], "tier_thresholds": [1.65, 3.3],
                           "filter_threshold": 3.3})
         output = run_valuation(load_config(config_path))
-        crisp = {r.attraction_id: r.crisp for r in output.results}
+        crisp = dict(zip(output.results.ids, output.results.crisp.tolist()))
         assert crisp["p1"] == pytest.approx(2.5)
 
     def test_matches_reference_formula(self):
@@ -284,7 +287,7 @@ def valued_as_given(*rows):
     (crisp - 1, crisp, crisp + 1)."""
     crisp = np.array([value for _, value in rows])
     return Valuation(tuple(attraction_id for attraction_id, _ in rows),
-                     crisp[:, None] + [-1.0, 0.0, 1.0], crisp, (None,) * len(rows))
+                     crisp[:, None] + [-1.0, 0.0, 1.0], crisp, DEFAULT_THRESHOLDS)
 
 
 def ranked_ids(*rows, top=128.0):
@@ -293,7 +296,7 @@ def ranked_ids(*rows, top=128.0):
     target [0, top]: on [0, 128] rescaling keeps integers exact."""
     catalogue = make_catalogue(("f1", 0.0, top, 1.0), target=(0.0, top))
     scores = np.array([[ftv] for _, ftv in rows], dtype=float)
-    return evaluate_attractions([i for i, _ in rows], scores, catalogue, thresholds=None).ids
+    return evaluate_attractions([i for i, _ in rows], scores, catalogue).ids
 
 
 class TestFilterAndRank:
@@ -317,14 +320,13 @@ class TestFilterAndRank:
         assert got == ("pp", "m1", "m2", "aa")
 
 
-def reference_valuation(thresholds=DEFAULT_THRESHOLDS):
+def reference_valuation():
     """The published top five valued on one factor of weight 1 whose source
     range is the target [0, 100], so that each FTV is its own score."""
     listed = datasets.santiago_reference_ftv()
     catalogue = make_catalogue(("f1", 0.0, 100.0, 1.0))
     scores = np.array([[ftv.as_tuple()] for _, ftv in listed])
-    return listed, evaluate_attractions([name for name, _ in listed], scores, catalogue,
-                                        thresholds=thresholds)
+    return listed, evaluate_attractions([name for name, _ in listed], scores, catalogue)
 
 
 class TestPublishedHighlights:
@@ -334,7 +336,7 @@ class TestPublishedHighlights:
         assert len(valuation.above(66.0)) == len(listed)
 
     def test_listing_order_is_rank_order(self):
-        listed, valuation = reference_valuation(thresholds=None)
+        listed, valuation = reference_valuation()
         assert valuation.ids == tuple(name for name, _ in listed)
         assert valuation.ids[0] == "House of the Trova"
 
@@ -346,11 +348,6 @@ class TestPublishedHighlights:
 
 
 class TestEvaluateAttraction:
-    def test_tier_skipped_when_thresholds_none(self):
-        catalogue = make_catalogue(("f1", 0, 5, 1.0), target=(0.0, 5.0))
-        result = value_one([(1, 2, 3)], catalogue, thresholds=None)
-        assert result.tier is None
-
     def test_mode_defuzzifier(self):
         catalogue = make_catalogue(("f1", 0, 5, 1.0))
         result = value_one([(0, 2.5, 5)], catalogue, method="mode")
@@ -377,8 +374,7 @@ class TestEvaluateAttraction:
                 np.sort(np.random.default_rng(seed * 7 + a).uniform(minima, maxima, size=(3, n)),
                         axis=0).T
                 for a in range(5)])
-            valuation = evaluate_attractions([f"a{a}" for a in range(5)], scores, catalogue,
-                                             thresholds=None)
+            valuation = evaluate_attractions([f"a{a}" for a in range(5)], scores, catalogue)
             orders.append(valuation.ids)
         assert orders[0] == orders[1]
 
@@ -433,7 +429,8 @@ class TestValuationRecord:
         assert valuation.printed == [round6(r.crisp) for r in ranked]
         assert ([valuation.ids[i] for i in valuation.above(threshold)]
                 == [r.attraction_id for r in retained])
-        assert list(valuation) == ranked
+        assert valuation.ftv.tolist() == [list(r.ftv.as_tuple()) for r in ranked]
+        assert valuation.crisp.tolist() == [r.crisp for r in ranked]
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from([0.0, 32.9999996, 33.0, 33.0000004, 33.00005,
@@ -489,17 +486,19 @@ class TestTierColumn:
         """The sign of zero included: -0.0 prints as 0."""
         crisp = np.array(values, dtype=float)
         valuation = Valuation(tuple(f"a{i}" for i in range(len(values))),
-                              np.zeros((len(values), 3)), crisp, (None,) * len(values))
+                              np.zeros((len(values), 3)), crisp, DEFAULT_THRESHOLDS)
         assert list(map(repr, valuation.printed)) == [repr(round6(value)) for value in values]
 
     def test_first_value_off_the_scale_in_input_order(self):
         """Weights summing to 1.009 put 4.99, 5 and 4.995 past the scale's
         end, 100: the error names 'b', the first of them in input order, not
-        'c', the first in rank order, with ``classify``'s words for its value."""
-        catalogue = make_catalogue(("f1", 0, 5, 0.5), ("f2", 0, 5, 0.509))
+        'c', the first in rank order, with ``classify``'s words for its value,
+        which the reference formulas give."""
+        factors = [("f1", 0, 5, 0.5), ("f2", 0, 5, 0.509)]
+        catalogue = make_catalogue(*factors)
         ids, scores = ["a", "b", "c", "d"], np.array([[(v,) * 3] * 2 for v in (4, 4.99, 5, 4.995)])
-        unclassified = evaluate_attractions(ids, scores, catalogue, thresholds=None)
-        value = unclassified.crisp.tolist()[unclassified.ids.index("b")]
+        value = oracles.centroid(oracles.weighted_ftv({"f1": (4.99,) * 3, "f2": (4.99,) * 3},
+                                                      factors, 0.0, 100.0))
         assert value > 100.0
         with pytest.raises(ValueError) as refused:
             classify(value)

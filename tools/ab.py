@@ -23,8 +23,10 @@ For each end-to-end metric of BENCHMARK.json the tool prints each side's
 median and quartiles, the change of the medians, the pairs this checkout
 won (better in the metric's direction; ties count for neither side) and
 whether the medians differ by more than the base's interquartile range, the
-spread a gain must beat.  The failed operation counts of each side are
-printed too.
+spread a gain must beat.  A `peak_rss_mb` median change under 0.7 MiB is
+printed as heap-layout noise, neither a gain nor a loss: the peak moves that
+much with nothing but the directory a checkout lives in.  The failed
+operation counts of each side are printed too.
 
 Exit status: 0 when every run completed with no failed operation; 1 when a
 run failed; 2 on bad arguments, when this checkout holds a bytecode cache,
@@ -44,6 +46,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = ("bench", "BENCHMARK.json")
+# the median changes that are noise: heap layout alone moves a peak-RSS
+# reading by up to 0.7 MiB with the checkout's path
+NOISE = {"peak_rss_mb": 0.7}
 
 
 def _git(*args: str) -> subprocess.CompletedProcess:
@@ -84,6 +89,22 @@ def _quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, median, q3
+
+
+def _metric_line(metric: dict, base: list[float], head: list[float]) -> str:
+    """One metric's line of the report from each side's readings, in pairs."""
+    name, lower = metric["name"], metric["better"] == "lower"
+    (b1, bm, b3), (h1, hm, h3) = _quartiles(base), _quartiles(head)
+    wins = sum((h < b) if lower else (h > b) for b, h in zip(base, head))
+    gain = (bm - hm) if lower else (hm - bm)
+    if abs(hm - bm) < NOISE.get(name, 0.0):
+        change, verdict = "noise", f"no: heap-layout noise (under {NOISE[name]:g} {metric['unit']})"
+    else:
+        change = f"{(hm - bm) / bm:+.1%}" if bm else "n/a"
+        verdict = "yes" if gain > b3 - b1 else "no"
+    return (f"{name:20} {f'{bm:.6g} [{b1:.6g}, {b3:.6g}]':>32} "
+            f"{f'{hm:.6g} [{h1:.6g}, {h3:.6g}]':>32} {change:>8} "
+            f"{f'{wins}/{len(base)}':>6}  {verdict}")
 
 
 def main(argv: list[str]) -> int:
@@ -130,19 +151,13 @@ def main(argv: list[str]) -> int:
     print(f"{'metric':20} {'base median [q1, q3]':>32} {'head median [q1, q3]':>32} "
           f"{'change':>8} {'wins':>6}  gain > base IQR")
     for metric in declared:
-        name, lower = metric["name"], metric["better"] == "lower"
+        name = metric["name"]
         values = {side: [r["metrics"].get(name, {}).get("value") for r in runs[side]]
                   for side in runs}
         if any(v is None for side in values.values() for v in side):
             print(f"{name:20} missing from a run")
             continue
-        (b1, bm, b3), (h1, hm, h3) = (_quartiles(values[side]) for side in ("base", "head"))
-        wins = sum((h < b) if lower else (h > b) for b, h in zip(values["base"], values["head"]))
-        gain = (bm - hm) if lower else (hm - bm)
-        change = f"{(hm - bm) / bm:+.1%}" if bm else "n/a"
-        print(f"{name:20} {f'{bm:.6g} [{b1:.6g}, {b3:.6g}]':>32} "
-              f"{f'{hm:.6g} [{h1:.6g}, {h3:.6g}]':>32} {change:>8} "
-              f"{f'{wins}/{args.pairs}':>6}  {'yes' if gain > b3 - b1 else 'no'}")
+        print(_metric_line(metric, values["base"], values["head"]))
     failed = {side: sum(r["failed"] for r in runs[side]) for side in runs}
     attempted = {side: sum(r["attempted"] for r in runs[side]) for side in runs}
     print(f"failed operations: base {failed['base']}/{attempted['base']}, "
