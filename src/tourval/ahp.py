@@ -31,6 +31,8 @@ WEIGHT_SUM_TOLERANCE = 0.01
 
 MAX_FACTORS = 15
 _RECIPROCAL_RTOL = 1e-9
+# power iteration stops once no weight moves by more than this, relative to itself
+_CONVERGENCE_RTOL = 1e-10
 
 
 class WeightReport(Record):
@@ -80,25 +82,23 @@ def validate_pairwise(matrix) -> np.ndarray:
     return a
 
 
-def derive_weights(matrix, rtol: float = 1e-10, max_iter: int = 10_000) -> WeightReport:
+def derive_weights(matrix, max_iter: int = 10_000) -> WeightReport:
     """Weights as the normalized principal eigenvector of a pairwise matrix.
 
-    Power iteration runs until the weight vector is stable to ``rtol``
-    (relative, component-wise) or ``max_iter`` is exceeded, which raises a
-    numeric error.  For a positive reciprocal matrix lambda_max >= n; the
-    consistency index is (lambda_max - n) / (n - 1) and the consistency
-    ratio divides that by the random index of the same order.
+    Power iteration runs until no weight moves by more than
+    ``_CONVERGENCE_RTOL`` of itself, or ``max_iter`` is exceeded, which raises
+    a numeric error.  For a positive reciprocal matrix lambda_max >= n; the
+    consistency index is (lambda_max - n) / (n - 1) and the consistency ratio
+    divides that by the random index of the same order.
     """
     a = validate_pairwise(matrix)
     n = a.shape[0]
     w = np.full(n, 1.0 / n)
     for _ in range(max_iter):
-        nxt = a @ w
-        nxt /= nxt.sum()
-        if np.all(np.abs(nxt - w) <= rtol * np.abs(nxt)):
-            w = nxt
+        w, previous = a @ w, w
+        w /= w.sum()
+        if np.all(np.abs(w - previous) <= _CONVERGENCE_RTOL * np.abs(w)):
             break
-        w = nxt
     else:
         raise NumericError(
             f"power iteration did not converge within {max_iter} iterations"

@@ -1,11 +1,11 @@
 """Batch front door: CSV/JSON ingestion, valuation, spatial analysis, and
 the write of the artifacts, whose text ``render`` prints.
 
-Input layout (CSV with a header row, every file read by ``_rows``: UTF-8 with
-an optional byte-order mark, a line of blank cells skipped anywhere;
-evaluations.csv is first offered to numpy's C reader, which reads its bytes
-and takes it, faults included, only where it reads as ``_rows`` would, never
-with \v or \f; its rules are checked once, after either reader):
+Input layout (CSV with a header row, every file opened by ``_lines`` and read
+once: UTF-8 with an optional byte-order mark, a line of blank cells skipped
+anywhere; numpy's C reader parses each plain block of evaluations.csv lines,
+and ``_rows`` reads on from the first block it cannot; its rules are checked
+once, after the read):
   factors.csv       id,name,x,y[,weight]
   evaluations.csv   attraction_id,factor_id,expert_id,lo,mode,hi  (long format,
                     one row per expert judgement)
@@ -30,7 +30,7 @@ import math
 import operator
 import os
 from array import array
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator
 
@@ -89,12 +89,11 @@ class TourSettings(Record):
         self._set(walk_speed_kmh, require_dwell(dwell_minutes, "tour.dwell_minutes"))
 
 
-# evaluations.csv rows that ``load_evaluations`` parses at a time: the lines
-# numpy's C reader takes at once, or the number cells the fallback holds as
-# text before it parses them into one float array (about 0.7 MB of text)
+# the lines ``_lines`` reads at a time, so the evaluations.csv rows that
+# ``load_evaluations`` parses at a time: numpy's C reader a plain block at
+# once, or the row reader a block's number cells, held as text (about
+# 0.7 MB) before it parses them into floats
 _NUMBER_BLOCK_ROWS = 4096
-# evaluations.csv bytes that numpy's C reader reads at once, then on to a line's end
-_READ_BYTES = 1 << 18
 
 # a row of evaluations.csv as numpy's C reader holds it: the three ids as
 # bytes, unstripped, then (lo, mode, hi); an id that fills its width may be cut
@@ -104,9 +103,11 @@ _EVALUATION_ROW = np.dtype([("ids", f"S{_ID_BYTES}", (3,)), ("tfn", "f8", (3,))]
 # summed with wrapping; a row's words are checked against its hash's first row
 _ID_HASH = np.array([0x9E3779B97F4A7C15, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
                      0xD6E8FEB86659FD93], np.uint64)
-# what ``str.strip`` removes, or the ``S`` dtype drops at the end, but
-# ``bytes.strip`` keeps; and what ``str.splitlines`` splits at, but not a text file
-_SPLIT_OR_STRIP_DISAGREES = (b"\0", b"\x1c", b"\x1d", b"\x1e", b"\x1f", b"\v", b"\f")
+# what keeps a block from numpy's C reader: NUL, which the ``S`` dtype drops at
+# the end of an id and ``str.strip`` keeps, and the ASCII separators, which
+# ``str.strip`` removes (a differential check found numpy and ``_rows`` to read
+# them alike; no test pins that, so they stay out)
+_STRIP_DISAGREES = ("\0", "\x1c", "\x1d", "\x1e", "\x1f")
 
 # the input files, whose relative paths ``load_config`` takes from the config's
 # directory; the first three have no default
@@ -220,50 +221,76 @@ def _number(text: str, column: str, where: str) -> float:
         raise InputError(f"{where}: column {column!r} is not a number: {text!r}") from None
 
 
-def _rows(path: Path) -> Iterator[tuple[int, list[str]]]:
-    """``(line, cells)`` per record of a CSV file, the header included: the
-    line the record ends on and its unstripped cells.  The only code that
-    opens an input CSV, so its rules are every input file's: UTF-8, a
-    leading byte-order mark dropped (other text raises ``InputError``), and
-    a record is read only if some cell holds more than whitespace."""
+def _lines(path: Path) -> Iterator[list[str]]:
+    """A CSV file's lines, ends kept, ``_NUMBER_BLOCK_ROWS`` at a time: the
+    only code that opens an input CSV, so every input file is UTF-8 (a
+    leading byte-order mark dropped), its lines ending at LF, CR LF or a
+    lone CR.  Other text raises ``InputError`` after the lines before it."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        block: list[str] = []
+        try:
+            # ``extend`` returns None, and keeps the lines it took before a fault
+            while block.extend(islice(handle, _NUMBER_BLOCK_ROWS)) or block:
+                yield block
+                block = []
+        except UnicodeDecodeError as e:
+            yield block   # perhaps empty
+            raise InputError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
+def _rows(path: Path, lines: Iterable[str] | None = None, line_offset: int = 0
+          ) -> Iterator[tuple[int, list[str]]]:
+    """``(line, cells)`` per record of ``lines`` (by default the file's), the
+    header included, if some cell holds more than whitespace: the line the
+    record ends on, counted on from ``line_offset``, and its unstripped cells."""
+    reader = csv.reader(chain.from_iterable(_lines(path)) if lines is None else lines)
     try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            reader = csv.reader(handle)
-            for row in reader:
-                # the first cell settles almost every record without scanning the rest
-                if row and (row[0].strip() or any(map(str.strip, row))):
-                    yield reader.line_num, row
-    except UnicodeDecodeError as e:
-        raise InputError(f"{path}: not UTF-8 text ({e.reason})") from None
+        for row in reader:
+            # the first cell settles almost every record without scanning the rest
+            if row and (row[0].strip() or any(map(str.strip, row))):
+                yield line_offset + reader.line_num, row
     except csv.Error as e:
-        raise InputError(f"{path}:{reader.line_num}: not read as CSV: {e}") from None
+        raise InputError(f"{path}:{line_offset + reader.line_num}: not read as CSV: {e}") from None
 
 
-def _records(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, tuple[str, ...]]]:
-    """``(line, cells)`` per record below the header: its unstripped cells
-    of the two or more ``columns``, in that order.  Missing cells read
-    ``""``; a repeated name means its last column."""
-    rows = _rows(path)
-    header = next(rows, (0, []))[1]
+def _columns(path: Path, header: list[str], columns: tuple[str, ...]) -> list[int]:
+    """Each of ``columns``' position in ``header``, the last if repeated."""
     missing = [c for c in columns if c not in header]
     if missing:
         raise InputError(f"{path}: missing required columns: {', '.join(missing)}")
     position = {name: i for i, name in enumerate(header)}
-    pick = operator.itemgetter(*(position[c] for c in columns))
-    padding = [""] * len(header)
+    return [position[c] for c in columns]
+
+
+def _cells(rows: Iterable[tuple[int, list[str]]], positions: list[int], width: int
+           ) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """``(line, cells)`` per record: its unstripped cells at the two or more
+    ``positions``, those beyond a record's end (``width`` at most) ``""``."""
+    pick = operator.itemgetter(*positions)
+    padding = [""] * width
     for line, row in rows:
         yield line, pick(row + padding)
+
+
+def _records(path: Path, columns: tuple[str, ...]) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """``_cells`` of ``columns`` per record below the header."""
+    rows = _rows(path)
+    header = next(rows, (0, []))[1]
+    return _cells(rows, _columns(path, header, columns), len(header))
 
 
 def load_factor_table(path: Path) -> tuple[tuple[FactorDefinition, ...], bool]:
     """Factor rows in file order.  Returns (factors, has_weight_column);
     without a weight column every definition carries weight 0 and the
     caller must supply weights from a pairwise matrix."""
-    has_weights = "weight" in next(_rows(path), (0, []))[1]
+    rows = _rows(path)
+    header = next(rows, (0, []))[1]
+    has_weights = "weight" in header
     factors: list[FactorDefinition] = []
     seen: set[str] = set()
     columns = ("id", "name", "x", "y", "weight") if has_weights else ("id", "name", "x", "y")
-    for line, (factor_id, name, x, y, *weight) in _records(path, columns):
+    positions = _columns(path, header, columns)
+    for line, (factor_id, name, x, y, *weight) in _cells(rows, positions, len(header)):
         where = f"{path}:{line}"
         factor_id = factor_id.strip()
         if factor_id in seen:
@@ -315,107 +342,81 @@ def load_pairwise(path: Path, expected_ids: Iterable[str]) -> tuple[list[str], W
         raise InputError(f"{path}: {e}") from e
 
 
-# what each evaluations.csv reader returns, before any rule is checked: the
-# id -> code dicts of the attraction, factor (seeded from the catalogue, so an
-# unknown factor or "" gets a code of its own) and expert columns; each row's
-# three codes; the file lines; and the (n, 3) numbers, or from the row reader
-# the first cell, ``(3 * row + column, text)``, that is not a number
-_RawEvaluations = tuple[tuple[dict[str, int], ...], tuple[np.ndarray, ...], array, Any]
+def _header(path: Path, blocks: Iterator[list[str]]) -> tuple[int, list[str], Iterator]:
+    """The first record ``_rows`` reads from ``blocks``: the line it ends on,
+    its cells, and the blocks below it, first what is left of its last one."""
+    read: list[list[str]] = []
+    line, header = next(_rows(path, chain.from_iterable(read.append(b) or b for b in blocks)),
+                        (0, []))
+    unread = sum(map(len, read)) - line   # the lines of the last block read below the header
+    return line, header, chain([read[-1][len(read[-1]) - unread:]] if read else [], blocks)
 
 
-def _evaluations_in_c(path: Path, known: dict[str, int]) -> _RawEvaluations | None:
-    """evaluations.csv as numpy's C reader parses it, or None when a guard
-    fails: where it might not read the file as ``_records`` does, or where
-    two raw ids of a block share one hash.  Checks no rule, raises nothing."""
-    columns = ("attraction_id", "factor_id", "expert_id") + COMPONENTS
-    codes: tuple[dict[str, int], ...] = ({}, dict(known), {})
-    coded = (array("q"), array("q"), array("q"))
-    tfns = array("d")
+def _parse_in_c(block: list[str], usecols: list[int], codes: tuple[dict[str, int], ...],
+                columns: tuple[array, ...]) -> bool:
+    """Append to ``columns`` the three codes and the numbers of a block of
+    evaluations.csv lines, parsed by numpy's C reader, if it reads the block
+    as ``_rows`` would; otherwise return False, having appended nothing and
+    coded no id."""
+    text = "".join(block)
+    # ASCII, so a character is a byte; a blank first line would make
+    # ``np.loadtxt`` warn if the block held no data
+    if not text.isascii() or block[0].isspace() or any(map(text.__contains__, _STRIP_DISAGREES)):
+        return False
     try:
-        with open(path, "rb") as handle:
-            # line 1 is a record as the text file reads it: no "\r" before its end, no open quote
-            header = handle.readline().decode("utf-8-sig")
-            position = {name: i for i, name in enumerate(next(csv.reader([header], strict=True)))}
-            if len(header.splitlines()) != 1 or not position.keys() >= set(columns):
-                return None
-            usecols = [position[c] for c in columns]
-            # whole lines, so that no "\r\n" is split; a non-ASCII chunk raises ValueError
-            while chunk := handle.read(_READ_BYTES) + handle.readline():
-                lines = chunk.decode("ascii").splitlines(True)
-                # a block whose first line is blank: if it held no data, ``loadtxt`` would warn
-                if (any(map(chunk.__contains__, _SPLIT_OR_STRIP_DISAGREES))
-                        or any(map(str.isspace, lines[::_NUMBER_BLOCK_ROWS]))):
-                    return None
-                for at in range(0, len(lines), _NUMBER_BLOCK_ROWS):
-                    block = lines[at:at + _NUMBER_BLOCK_ROWS]
-                    rows = np.loadtxt(block, _EVALUATION_ROW, delimiter=",", comments=None,
-                                      quotechar='"', usecols=usecols, ndmin=1)
-                    # one row a line: no record was blank, whitespace only or on two lines
-                    if len(rows) != len(block):
-                        return None
-                    words = rows["ids"].view(np.uint64).reshape(len(rows), 3, len(_ID_HASH))
-                    hashes = words @ _ID_HASH   # array arithmetic wraps silently
-                    for column, seen, out in zip(range(3), codes, coded):
-                        _, first, inverse = np.unique(hashes[:, column], return_index=True,
-                                                      return_inverse=True)
-                        order = np.argsort(first)
-                        raw = rows["ids"][first[order], column].tolist()
-                        # two raw ids with one hash, or an id that may have been cut
-                        if ((words[first, column].take(inverse, axis=0) != words[:, column]).any()
-                                or max(map(len, raw)) >= _ID_BYTES):
-                            return None
-                        code = np.empty(len(first), np.int64)
-                        code[order] = [seen.setdefault(i.decode().strip(), len(seen)) for i in raw]
-                        out.frombytes(code[inverse].tobytes())
-                    tfns.frombytes(rows["tfn"].tobytes())
-    except (OSError, ValueError, csv.Error):
-        return None
-    if not tfns:
-        return None
-    lines = array("l", np.arange(2, len(tfns) // 3 + 2, dtype="l").tobytes())
-    return (codes, tuple(np.frombuffer(c, np.int64) for c in coded), lines,
-            np.frombuffer(tfns).reshape(-1, 3))
+        # no quote is left open at the block's end, which ``np.loadtxt`` would close
+        next(csv.reader(block[-1:], strict=True))
+        rows = np.loadtxt(block, _EVALUATION_ROW, delimiter=",", comments=None, quotechar='"',
+                          usecols=usecols, ndmin=1)
+    except (ValueError, csv.Error):
+        return False
+    # one row a line: no record was blank, whitespace only or on two lines
+    if len(rows) != len(block):
+        return False
+    words = rows["ids"].view(np.uint64).reshape(len(rows), 3, len(_ID_HASH))
+    hashes = words @ _ID_HASH   # array arithmetic wraps silently
+    distinct = []   # per column: the order of first appearance, each row's index, the raw ids
+    for column in range(3):
+        _, first, inverse = np.unique(hashes[:, column], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        raw = rows["ids"][first[order], column].tolist()
+        # two raw ids with one hash, or an id that may have been cut
+        if ((words[first, column].take(inverse, axis=0) != words[:, column]).any()
+                or max(map(len, raw)) >= _ID_BYTES):
+            return False
+        distinct.append((order, inverse, raw))
+    for (order, inverse, raw), seen, out in zip(distinct, codes, columns):
+        code = np.empty(len(raw), np.int64)
+        code[order] = [seen.setdefault(i.decode().strip(), len(seen)) for i in raw]
+        out.frombytes(code[inverse].tobytes())
+    columns[3].frombytes(rows["tfn"].tobytes())   # a contiguous copy of the numbers
+    return True
 
 
-def _evaluations_by_row(path: Path, known: dict[str, int]) -> _RawEvaluations:
-    """evaluations.csv as ``_records`` reads it, which raises its read
-    errors.  The number cells are parsed ``_NUMBER_BLOCK_ROWS`` rows at a
-    time: each block's text into a float array before the next is read; a
-    block that does not parse only remembers its first bad cell."""
-    codes: tuple[dict[str, int], ...] = ({}, dict(known), {})
-    attraction_codes, factor_codes, expert_codes = codes
-    attractions, factors, experts = [], [], []
-    lines = array("l")
-    blocks: list[np.ndarray] = []
-    bad_cell: tuple[int, str] | None = None   # the first cell, in file order, not a number
-    rows = _records(path, ("attraction_id", "factor_id", "expert_id") + COMPONENTS)
+def _parse_by_row(rows: Iterator[tuple[int, tuple[str, ...]]], codes: tuple[dict[str, int], ...],
+                  columns: tuple[array, ...]) -> tuple[list[int], list[str]] | None:
+    """Append to ``columns`` the codes, lines and numbers of ``_cells``'
+    evaluations.csv records, a block at a time; return the lines and number
+    cells of the first block whose numbers do not parse (its numbers and
+    all later ones are left out)."""
+    by_attraction, by_factor, by_expert = codes
+    attractions, factors, experts, tfns, all_lines = columns
+    bad_block = None
     while True:
-        block_lines, numbers = [], []
+        lines, numbers = [], []
         for line, (attraction, factor, expert, lo, mode, hi) in islice(rows, _NUMBER_BLOCK_ROWS):
-            attractions.append(attraction_codes.setdefault(attraction.strip(),
-                                                           len(attraction_codes)))
-            factors.append(factor_codes.setdefault(factor.strip(), len(factor_codes)))
-            experts.append(expert_codes.setdefault(expert.strip(), len(expert_codes)))
-            block_lines.append(line)
-            numbers.append(lo)
-            numbers.append(mode)
-            numbers.append(hi)
-        if bad_cell is None:
-            try:
-                blocks.append(np.fromiter(map(float, map(str.strip, numbers)), float,
-                                          len(numbers)))
-            except ValueError:
-                for at, text in enumerate(numbers):
-                    try:
-                        float(text.strip())
-                    except ValueError:
-                        bad_cell = 3 * len(lines) + at, text
-                        break
-        lines.fromlist(block_lines)
-        if len(block_lines) < _NUMBER_BLOCK_ROWS:
-            break
-    coded = tuple(np.array(c, dtype=np.intp) for c in (attractions, factors, experts))
-    return codes, coded, lines, bad_cell or np.concatenate(blocks).reshape(-1, 3)
+            attractions.append(by_attraction.setdefault(attraction.strip(), len(by_attraction)))
+            factors.append(by_factor.setdefault(factor.strip(), len(by_factor)))
+            experts.append(by_expert.setdefault(expert.strip(), len(by_expert)))
+            lines.append(line)
+            numbers += lo, mode, hi
+        try:
+            tfns.fromlist([] if bad_block else list(map(float, map(str.strip, numbers))))
+        except ValueError:
+            bad_block = lines, numbers
+        all_lines.fromlist(lines)
+        if len(lines) < _NUMBER_BLOCK_ROWS:
+            return bad_block
 
 
 def load_evaluations(path: Path, catalogue_ids: Iterable[str]
@@ -425,30 +426,36 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
     catalogue indices, file lines (an ``array('l')``) and an (n, 3) array of
     (lo, mode, hi).  Errors name their line.
 
-    The whole file is read first, so a read error comes before any rule.
-    Then each rule is checked here, over the whole file, reporting its first
-    offending line: the id rules (three non-empty ids, a known factor), the
-    duplicates, the numbers and the TFN rule, in that order.
-
-    The file is first read by numpy's C reader (``np.loadtxt``): the header
-    as CSV from line 1, then the bytes below it in chunks of whole lines,
-    split at ``\n``, ``\r\n`` and ``\r`` and parsed ``_NUMBER_BLOCK_ROWS``
-    lines at most at a time, the ids as raw bytes coded by a 64-bit hash (a
-    collision sends the file to the row reader); only a block's distinct ids
-    are stripped and decoded.  It is taken, faults included, only where it
-    reads the file as the row reader would: line 1 is one record; a chunk is
-    ASCII without NUL, ``\x1c``-``\x1f`` (``str.strip`` removes those,
-    ``bytes.strip`` does not), ``\v`` or ``\f`` (the split cuts a line
-    there), and no block begins with a blank line; each line is one record
-    whose numbers ``np.loadtxt`` parses, so the lines are ``2..n+1``; and no
-    id fills its 32 bytes.  Otherwise the row reader reads the file."""
+    The file is read once, to its end, before any rule is checked, so a
+    read error comes first: below the header, numpy's C reader parses each
+    block of lines that it reads as ``_rows`` would, and the row reader
+    reads on from the first that it does not.  Then each rule is checked
+    here, over the whole file, reporting its first offending line: the id
+    rules (three non-empty ids, a known factor), the duplicates, the numbers
+    and the TFN rule, in that order."""
     known = {factor_id: k for k, factor_id in enumerate(catalogue_ids)}
-    codes, coded, lines, tfns = _evaluations_in_c(path, known) or _evaluations_by_row(path, known)
-    attractions, factors, experts = coded
+    # the id -> code dicts of the attraction, factor (seeded from the catalogue,
+    # so an unknown factor or "" gets a code of its own) and expert columns
+    codes: tuple[dict[str, int], ...] = ({}, dict(known), {})
+    # the three codes, the numbers and the lines of the rows read
+    columns = (array("q"), array("q"), array("q"), array("d"), array("l"))
+    line, header, blocks = _header(path, _lines(path))
+    usecols = _columns(path, header, ("attraction_id", "factor_id", "expert_id") + COMPONENTS)
+    for block in filter(None, blocks):
+        if not _parse_in_c(block, usecols, codes, columns):
+            blocks = chain([block], blocks)
+            break
+        columns[4].frombytes(np.arange(line + 1, line + len(block) + 1, dtype="l").tobytes())
+        line += len(block)
+    # the row reader reads on from the first block that numpy's C reader cannot, if any
+    rows = _rows(path, chain.from_iterable(blocks), line)
+    bad_block = _parse_by_row(_cells(rows, usecols, len(header)), codes, columns)
+    attractions, factors, experts = (np.frombuffer(c, np.int64) for c in columns[:3])
+    tfns, lines = np.frombuffer(columns[3]).reshape(-1, 3), columns[4]
 
     empty = [c.get("", -1) for c in codes]   # the code of "" in each column, if any
     if len(codes[1]) > len(known) or max(empty) >= 0:
-        blank = [column == code for column, code in zip(coded, empty)]
+        blank = [column == code for column, code in zip((attractions, factors, experts), empty)]
         at = np.flatnonzero(np.logical_or.reduce(blank) | (factors >= len(known)))[0]
         if any(column[at] for column in blank):
             raise InputError(f"{path}:{lines[at]}: attraction_id, factor_id and expert_id "
@@ -467,9 +474,8 @@ def load_evaluations(path: Path, catalogue_ids: Iterable[str]
                          f"factor {list(known)[factors[at]]!r}, "
                          f"expert {list(codes[2])[experts[at]]!r}")
 
-    if isinstance(tfns, tuple):
-        at, text = tfns
-        _number(text, COMPONENTS[at % 3], f"{path}:{lines[at // 3]}")   # raises
+    for at, text in enumerate(bad_block[1] if bad_block else []):   # the first bad cell raises
+        _number(text, COMPONENTS[at % 3], f"{path}:{bad_block[0][at // 3]}")
     bad = np.flatnonzero(~fuzzy.is_tfn(*tfns.T))
     if bad.size:
         raise InputError(f"{path}:{lines[bad[0]]}: not a TFN (finite, lo <= mode <= hi): "

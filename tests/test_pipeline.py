@@ -894,7 +894,6 @@ class TestNumberBlockFaults:
         assert values.tolist() == [[i + 0.5, i + 1.25, i + 2.0] for i in range(rows)]
 
 
-KNOWN = {factor_id: k for k, factor_id in enumerate(CATALOGUE)}
 # attraction ids for the C reader: short ones, and ones of 8-27 bytes that
 # share their first 8, 16 or 24 bytes (up to 31 bytes with their padding),
 # so that every word of a raw id's hash is used
@@ -902,47 +901,97 @@ IN_C_ATTRACTIONS = ("a1", "a2", "a,3", "a 4", '"a5"', "attract_", "attract_1", "
                     "attraction_0001_", "attraction_0001_a", "attraction_0001_b",
                     "attraction_of_santiago__", "attraction_of_santiago__1ab",
                     "attraction_of_santiago__1ac")
-# padding and filler cells that the C reader reads as the row reader does
-IN_C_PADDING = st.sampled_from(["", " ", "\t", "  ", " \t"])
-IN_C_FILLER = st.sampled_from(["", "x", " ", "1,5", '"quoted"'])
+# padding and filler cells that the C reader reads as the row reader does;
+# a text file keeps a line whole at \v and \f, so the C reader takes them
+IN_C_PADDING = st.sampled_from(["", " ", "\t", "  ", " \t", "\v", "\f", "\f\v"])
+IN_C_FILLER = st.sampled_from(["", "x", " ", "1,5", '"quoted"', "\v"])
 SOURCE_ROOT = Path(pipeline.__file__).resolve().parents[1]
+
+
+class Readers:
+    """Spies on what reads evaluations.csv: each file opened, the number of
+    lines each ``np.loadtxt`` call is given, and, per call of ``_rows``, the
+    line of each record it yields.  ``load_evaluations`` calls ``_rows``
+    first for the header, then for the row reader, which reads on from the
+    first block that numpy's C reader cannot read, if any.  With
+    ``read_bytes``, the text file decodes that many bytes at a time."""
+
+    def __init__(self, monkeypatch, read_bytes=None):
+        self.opened, self.parsed, self.calls = [], [], []
+        loadtxt, rows = np.loadtxt, pipeline._rows
+
+        def spy_open(path, *args, **kwargs):
+            self.opened.append(path)
+            handle = open(path, *args, **kwargs)
+            if read_bytes:
+                handle._CHUNK_SIZE = read_bytes
+            return handle
+
+        def spy_loadtxt(lines, *args, **kwargs):
+            self.parsed.append(len(lines))
+            return loadtxt(lines, *args, **kwargs)
+
+        def spy_rows(*args):
+            self.calls.append([])
+            for line, row in rows(*args):
+                self.calls[-1].append(line)
+                yield line, row
+
+        monkeypatch.setattr(pipeline, "open", spy_open, raising=False)
+        monkeypatch.setattr(np, "loadtxt", spy_loadtxt)
+        monkeypatch.setattr(pipeline, "_rows", spy_rows)
+
+    def clear(self):
+        for seen in (self.opened, self.parsed, self.calls):
+            seen.clear()
+
+    @property
+    def by_row(self) -> list[int]:
+        """The lines of the records that the row reader read below the
+        header: none when numpy's C reader read every one."""
+        return [line for call in self.calls[1:] for line in call]
+
+
+@pytest.fixture
+def readers(monkeypatch):
+    return Readers(monkeypatch)
+
+
+def _file_blocks(line_count, size, header_line=1):
+    """How many lines of each block of the file's lines, as ``_lines``
+    reads them ``size`` at a time, lie below the header."""
+    sizes = [min(at + size, line_count) - max(at, header_line)
+             for at in range(0, line_count, size)]
+    return [n for n in sizes if n > 0]
 
 
 class TestLoadEvaluationsInC:
     """Files that numpy's C reader takes (ASCII, one record a line, no blank
-    line) are read by it alone, in blocks of 1, 2 or 3 rows, and the result
-    is the reference loader's."""
+    line) are read by it alone, in the opener's blocks of 1, 2 or 3 lines,
+    and the result is the reference loader's."""
 
     @pytest.fixture(autouse=True, params=[1, 2, 3])
     def blocks(self, request, monkeypatch):
-        """The block size, and the sizes of the blocks ``np.loadtxt`` is given;
-        the row reader fails the test if it runs."""
+        """The block size, and the spies on both readers."""
         monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", request.param)
-        sizes, loadtxt = [], np.loadtxt
-        monkeypatch.setattr(np, "loadtxt", lambda lines, *args, **kwargs: (
-            sizes.append(len(lines)) or loadtxt(lines, *args, **kwargs)))
-
-        def records(*args):
-            raise AssertionError("the row reader ran")
-
-        monkeypatch.setattr(pipeline, "_records", records)
-        return request.param, sizes
+        return request.param, Readers(monkeypatch)
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_equals_reference(self, tmp_path, blocks, data):
-        size, sizes = blocks
+        size, readers = blocks
         rows = data.draw(judgement_rows(min_size=1, attractions=IN_C_ATTRACTIONS,
                                         padding=IN_C_PADDING))
         text = data.draw(evaluation_text(rows, filler=IN_C_FILLER, blank_lines=0))
         path = tmp_path / "evaluations.csv"
         path.write_text(text, encoding="utf-8", newline="")
-        sizes.clear()
+        readers.clear()
         new, reference = _load_both(path)
         assert not isinstance(reference, str)
         assert new == reference
-        assert sizes == [min(size, len(rows) - at) for at in range(0, len(rows), size)]
+        assert readers.calls[0] == [1] and readers.by_row == []
+        assert readers.parsed == _file_blocks(len(rows) + 1, size)
 
     @pytest.mark.parametrize("forms", [
         pytest.param(("p1", " p1", "p1\t"), id="short"),
@@ -957,6 +1006,7 @@ class TestLoadEvaluationsInC:
         ids, codes, *_ = load_evaluations(path, CATALOGUE)
         assert ids == [forms[0]]
         assert codes.tolist() == [0, 0, 0]
+        assert blocks[1].by_row == []
 
 
 def test_run_loads_no_numpy_string_module(sample_dir, tmp_path):
@@ -978,122 +1028,139 @@ def test_run_loads_no_numpy_string_module(sample_dir, tmp_path):
 
 
 class TestByteReader:
-    """numpy's C reader reads evaluations.csv as bytes, ``_READ_BYTES`` and
-    then on to the end of a line at a time, each chunk split as a text file
-    splits it.  With chunks ending anywhere, the result is the reference
-    loader's; the C reader takes a file it can read as the text file reads
-    it and turns away, with no warning, one where ``str.splitlines`` would
-    split a line that the text file does not."""
+    """evaluations.csv is read as a text file, which splits its lines at
+    ``\\n``, ``\\r\\n`` and a lone ``\\r``.  With the file's bytes decoded
+    ``read_bytes`` at a time, so that a read ends anywhere, the result is
+    the reference loader's, and numpy's C reader reads every record below
+    the header of a file whose blocks are all plain; a vertical tab or a
+    form feed is a character of its line, as it is to the row reader."""
 
     BODY = "p1,f1,e1,1,2,3\np1,f2,e 2,4,5,6\np2,f1,e1,0.5,1.5,2.5\np2,f2,e 2,1e1,2e1,3e1\n"
 
     @pytest.mark.parametrize("block_rows", [1, 2, 4096])
     def test_crlf_across_every_read_boundary(self, tmp_path, monkeypatch, block_rows):
         """Every read size from 1 byte to the whole body, so that a read ends
-        between each "\r" and its "\n", and inside every line."""
+        between each "\r" and its "\n", and inside every line; with CR LF
+        line ends, and with lone CRs."""
         monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
         path = tmp_path / "evaluations.csv"
-        path.write_bytes((EVALUATION_HEADER + self.BODY).replace("\n", "\r\n").encode())
-        for read_bytes in range(1, len(self.BODY) + 6):
-            monkeypatch.setattr(pipeline, "_READ_BYTES", read_bytes)
-            assert pipeline._evaluations_in_c(path, KNOWN) is not None
-            new, reference = _load_both(path)
-            assert not isinstance(reference, str) and new == reference
-            assert new[2] == [2, 3, 4, 5]
+        for ending in ("\r\n", "\r"):
+            path.write_bytes((EVALUATION_HEADER + self.BODY).replace("\n", ending).encode())
+            for read_bytes in range(1, len(self.BODY) + 6):
+                with monkeypatch.context() as patch:
+                    readers = Readers(patch, read_bytes)
+                    new, reference = _load_both(path)
+                assert not isinstance(reference, str) and new == reference
+                assert new[2] == [2, 3, 4, 5]
+                assert readers.calls[0] == [1] and readers.by_row == []
+                assert readers.parsed == _file_blocks(5, block_rows)
 
     @pytest.mark.parametrize("read_bytes, block_rows", [(1, 1), (20, 2), (1 << 18, 4096)])
     @pytest.mark.parametrize("text, taken", [
         pytest.param(EVALUATION_HEADER.replace("\n", "\r\n") + BODY.replace("\n", "\r"), True,
                      id="crlf-header-lone-cr-records"),
-        pytest.param((EVALUATION_HEADER + BODY).replace("\n", "\r"), False, id="lone-cr-everywhere"),
+        pytest.param((EVALUATION_HEADER + BODY).replace("\n", "\r"), True, id="lone-cr-everywhere"),
         pytest.param(EVALUATION_HEADER.replace("\n", "\r\r\n") + BODY, False,
                      id="header-then-a-blank-cr-line"),
         pytest.param('"a\rb",' + EVALUATION_HEADER + "".join(
-            "x," + line + "\n" for line in BODY.splitlines()), False, id="cr-quoted-in-the-header"),
-        pytest.param(EVALUATION_HEADER.rstrip("\n") + ',"note\np9",f1,e9,9,9,9\n' + BODY, False,
+            "x," + line + "\n" for line in BODY.splitlines()), True, id="cr-quoted-in-the-header"),
+        pytest.param(EVALUATION_HEADER.rstrip("\n") + ',"note\np9",f1,e9,9,9,9\n' + BODY, True,
                      id="quote-left-open-in-line-1"),
-        pytest.param(EVALUATION_HEADER + BODY.replace("p1,f2", "p1\v,f2"), False,
+        pytest.param(EVALUATION_HEADER + BODY.replace("p1,f2", "p1\v,f2"), True,
                      id="vertical-tab-padding"),
-        pytest.param(EVALUATION_HEADER + BODY.replace("e 2", "e\f2"), False, id="form-feed-in-an-id"),
+        pytest.param(EVALUATION_HEADER + BODY.replace("e 2", "e\f2"), True, id="form-feed-in-an-id"),
         pytest.param(EVALUATION_HEADER + BODY.replace("\n", "\v", 1), False,
                      id="vertical-tab-between-two-records"),
         pytest.param(EVALUATION_HEADER + BODY.replace("\n", "\f", 1), False,
                      id="form-feed-between-two-records"),
-        pytest.param("\ufeff" + EVALUATION_HEADER + BODY, True, id="byte-order-mark"),
+        pytest.param("﻿" + EVALUATION_HEADER + BODY, True, id="byte-order-mark"),
         pytest.param(EVALUATION_HEADER + BODY.rstrip("\n"), True, id="no-final-newline"),
-        pytest.param("\ufeff" + (EVALUATION_HEADER + BODY).replace("\n", "\r\n").rstrip(), True,
+        pytest.param("﻿" + (EVALUATION_HEADER + BODY).replace("\n", "\r\n").rstrip(), True,
                      id="byte-order-mark-crlf-no-final-newline"),
     ])
     def test_equals_reference(self, tmp_path, monkeypatch, text, taken, read_bytes, block_rows):
         """The result, or the error text; the reference loader reads the
-        file without its byte-order mark, which every input rule drops."""
-        monkeypatch.setattr(pipeline, "_READ_BYTES", read_bytes)
+        file without its byte-order mark, which every input rule drops.
+        ``taken``: numpy's C reader reads every record below the header."""
         monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
         path, unmarked = tmp_path / "evaluations.csv", tmp_path / "unmarked" / "evaluations.csv"
         path.write_bytes(text.encode())
         unmarked.parent.mkdir()
-        unmarked.write_bytes(text.removeprefix("\ufeff").encode())
-        with warnings.catch_warnings():
+        unmarked.write_bytes(text.removeprefix("﻿").encode())
+        with monkeypatch.context() as patch, warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert (pipeline._evaluations_in_c(path, KNOWN) is not None) == taken
+            readers = Readers(patch, read_bytes)
             new = _load_both(path)[0]
         reference = _load_both(unmarked)[1]
         assert new == (reference.replace(str(unmarked), str(path))
                        if isinstance(reference, str) else reference)
+        assert (readers.by_row == []) == taken
+        assert readers.opened == [path]
 
 
 class TestFallbackFromC:
-    """Files that fail a guard of the C reader are read by the row reader
-    alone, from the start: the result or the error is the reference
+    """From the first block that numpy's C reader cannot read as ``_rows``
+    would, the row reader reads that block and the rest of the file; the
+    blocks above it stay numpy's.  The result or the error is the reference
     loader's, and nothing warns."""
 
     @pytest.mark.parametrize("block_rows", [2, 4096])
-    @pytest.mark.parametrize("body", [
-        pytest.param("p1,f1,e1,1_0,20,30\n", id="underscore-digits"),
-        pytest.param("p1,f1,e1,1,٢,3\n", id="non-ascii-digit"),
-        pytest.param("p1,f1,e1,1,2,3\np1\x1c,f2,e1,1,2,3\n", id="x1c-padding"),
-        pytest.param("p1,f1,e1,1,2,3\np1\xa0,f2,e1,1,2,3\n", id="no-break-space-padding"),
-        pytest.param(f"{'p' * 32}1,f1,e1,1,2,3\n{'p' * 32}2,f2,e1,1,2,3\n",
+    @pytest.mark.parametrize("body, odd", [
+        pytest.param("p1,f1,e1,1_0,20,30\n", 2, id="underscore-digits"),
+        pytest.param("p1,f1,e1,1,٢,3\n", 2, id="non-ascii-digit"),
+        pytest.param("p1,f1,e1,1,2,3\np1\x1c,f2,e1,1,2,3\n", 3, id="x1c-padding"),
+        pytest.param("p1,f1,e1,1,2,3\np1\xa0,f2,e1,1,2,3\n", 3, id="no-break-space-padding"),
+        pytest.param(f"{'p' * 32}1,f1,e1,1,2,3\n{'p' * 32}2,f2,e1,1,2,3\n", 2,
                      id="ids-sharing-32-characters"),
-        pytest.param("p1,f1,e1,1,2,3\n \t \np1,f2,e1,1,2,3\n", id="whitespace-only-line"),
-        pytest.param('"p\n1",f1,e1,1,2,3\np2,f1,e1,1,2,3\n', id="quoted-two-line-cell"),
-        pytest.param("p1,f1,e1,1,2,3\np1,f2,e1,1,2,3\n\n\n", id="trailing-blank-block"),
-        pytest.param("p1,f1,e1,1,2,3\np1,f2,e1,1,2,3\n \n\t\n", id="trailing-whitespace-block"),
-        pytest.param("p1,f1,e1,1,2,3\np1\0,f2,e1,1,2,3\n", id="nul-ending-an-id",
+        pytest.param("p1,f1,e1,1,2,3\n \t \np1,f2,e1,1,2,3\n", 3, id="whitespace-only-line"),
+        pytest.param('"p\n1",f1,e1,1,2,3\np2,f1,e1,1,2,3\n', 2, id="quoted-two-line-cell"),
+        pytest.param("p1,f1,e1,1,2,3\np1,f2,e1,1,2,3\n\n\n", 4, id="trailing-blank-block"),
+        pytest.param("p1,f1,e1,1,2,3\np1,f2,e1,1,2,3\n \n\t\n", 4, id="trailing-whitespace-block"),
+        pytest.param("p1,f1,e1,1,2,3\np1\0,f2,e1,1,2,3\n", 3, id="nul-ending-an-id",
                      marks=pytest.mark.skipif(sys.version_info < (3, 11),
                                               reason="csv reads NUL from Python 3.11")),
     ])
-    def test_row_reader_result(self, tmp_path, monkeypatch, body, block_rows):
+    def test_row_reader_result(self, tmp_path, readers, monkeypatch, body, odd, block_rows):
+        """``odd``: the first line that numpy's C reader cannot read as
+        ``_rows`` would; the row reader reads on from the start of its block."""
         monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
         path = tmp_path / "evaluations.csv"
         path.write_text(EVALUATION_HEADER + body, encoding="utf-8", newline="")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert pipeline._evaluations_in_c(path, KNOWN) is None
             new, reference = _load_both(path)
         assert new == reference
+        handover = max(2, (odd - 1) // block_rows * block_rows + 1)
+        assert readers.by_row == [line for line in reference[2] if line >= handover]
+        assert sum(readers.parsed) >= handover - 2   # numpy's C reader read the lines above
 
-    @pytest.mark.parametrize("text", [
-        pytest.param(EVALUATION_HEADER, id="no-rows"),
-        pytest.param('"a\nb",' + EVALUATION_HEADER + "x,p1,f1,e1,1,2,3\n", id="two-line-header"),
-        pytest.param(EVALUATION_HEADER + "p1,f1,e1,1,2\n", id="short-row"),
-        pytest.param("attraction_id,factor_id,lo,mode,hi\np1,f1,1,2,3\n", id="missing-column"),
+    @pytest.mark.parametrize("text, parsed, by_row", [
+        pytest.param(EVALUATION_HEADER, [], [], id="no-rows"),
+        pytest.param('"a\nb",' + EVALUATION_HEADER + "x,p1,f1,e1,1,2,3\n", [1], [],
+                     id="two-line-header"),
+        pytest.param(EVALUATION_HEADER + "p1,f1,e1,1,2\n", [1], [2], id="short-row"),
+        pytest.param("attraction_id,factor_id,lo,mode,hi\np1,f1,1,2,3\n", [], [],
+                     id="missing-column"),
     ])
-    def test_each_other_guard(self, tmp_path, text):
+    def test_each_other_guard(self, tmp_path, readers, text, parsed, by_row):
+        """A file with no rows, or with a missing column, is read no further
+        than its header; a header on two lines is read by the row reader,
+        and the record below it by numpy's C reader; a short row goes to
+        the row reader."""
         path = tmp_path / "evaluations.csv"
         path.write_text(text, encoding="utf-8", newline="")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert pipeline._evaluations_in_c(path, KNOWN) is None
             new, reference = _load_both(path)
         assert new == reference
+        assert readers.parsed == parsed and readers.by_row == by_row
 
     @pytest.mark.parametrize("multipliers", [
         pytest.param((0, 0, 0, 0), id="every-id-alike"),
         pytest.param((0, 1, 1, 1), id="ids-alike-in-their-first-8-bytes"),
     ])
-    def test_hash_collision(self, tmp_path, monkeypatch, multipliers):
-        """Raw ids that share a hash send the file to the row reader.  With
+    def test_hash_collision(self, tmp_path, readers, monkeypatch, multipliers):
+        """Raw ids that share a hash send their block to the row reader.  With
         every id alike, the rows of a block would also share one key; with
         the first word left out, ``p1`` and ``p2`` collide while the experts,
         which differ in their second word, keep the keys apart, so only the
@@ -1104,25 +1171,26 @@ class TestFallbackFromC:
                         encoding="utf-8")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert pipeline._evaluations_in_c(path, KNOWN) is None
             new, reference = _load_both(path)
         assert new == reference
         assert new[0] == ["p1", "p2"]
+        assert readers.by_row == [2, 3]
 
-    def test_header_below_a_blank_line(self, tmp_path):
-        """The reference loader takes no blank line above the header; the row
-        reader skips it, and reads the record below the header as line 3."""
+    def test_header_below_a_blank_line(self, tmp_path, readers):
+        """The reference loader takes no blank line above the header; ``_rows``
+        skips it, and numpy's C reader reads the record below the header as
+        line 3."""
         path = tmp_path / "evaluations.csv"
         path.write_text("\n" + EVALUATION_HEADER + "p1,f1,e1,1,2,3\n", encoding="utf-8")
-        assert pipeline._evaluations_in_c(path, KNOWN) is None
         assert _per_row_ids(path, CATALOGUE)[2] == [3]
+        assert readers.calls[0] == [2] and readers.by_row == [] and readers.parsed == [1]
 
-    def test_not_utf8(self, tmp_path):
+    def test_not_utf8(self, tmp_path, readers):
         path = tmp_path / "evaluations.csv"
         path.write_bytes(EVALUATION_HEADER.encode() + b"p\xe91,f1,e1,1,2,3\n")
-        assert pipeline._evaluations_in_c(path, KNOWN) is None
         with pytest.raises(InputError, match=r": not UTF-8 text \("):
             load_evaluations(path, CATALOGUE)
+        assert readers.opened == [path] and readers.parsed == []
 
     def test_read_error_before_the_rules(self, tmp_path):
         """The whole file is read before any rule is checked: an empty id on
@@ -1137,18 +1205,113 @@ class TestFallbackFromC:
             oracles.load_evaluations(path, CATALOGUE)
 
 
+class TestOneRead:
+    """``load_evaluations`` opens the file once and reads it through once:
+    numpy's C reader parses each plain block, and the row reader reads on
+    from the first block that is not."""
+
+    def test_last_block_to_the_row_reader(self, tmp_path, readers, monkeypatch):
+        monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", 4)
+        rows = [f"p{i // 3},f{i % 3 + 1},e1,1,2,3\n" for i in range(12)]
+        rows[10] = rows[10].replace("p3,", "Café 3,")   # line 12, in the block of lines 9-12
+        path = tmp_path / "evaluations.csv"
+        path.write_text(EVALUATION_HEADER + "".join(rows), encoding="utf-8")
+        new, reference = _load_both(path)
+        assert new == reference and new[0][10] == "Café 3"
+        assert readers.opened == [path]
+        # lines 2-4 and 5-8; the block of lines 9-12 is not ASCII, so numpy is not given it
+        assert readers.parsed == [3, 4]
+        assert readers.by_row == [9, 10, 11, 12, 13]
+
+    def test_one_open_at_the_real_block_size(self, tmp_path, readers):
+        """4,100 rows, a non-ASCII id on the last: the first block goes
+        through numpy's C reader, the second through the row reader."""
+        rows = [f"p{i // 3},f{i % 3 + 1},e1,1,2,3\n" for i in range(4100)]
+        rows[-1] = "Café," + rows[-1].partition(",")[2]
+        path = tmp_path / "evaluations.csv"
+        path.write_text(EVALUATION_HEADER + "".join(rows), encoding="utf-8")
+        new, reference = _load_both(path)
+        assert new == reference
+        assert readers.opened == [path]
+        assert readers.parsed == [4095]
+        assert readers.by_row == list(range(4097, 4102))
+
+    @pytest.mark.parametrize("block_rows", [1, 2])
+    @pytest.mark.parametrize("blank", ["\n", "\r\n", " \t\n", ",,\n", '"",\n'])
+    def test_header_below_blank_lines(self, tmp_path, readers, monkeypatch, block_rows, blank):
+        """Blank lines above the header, across block boundaries: the
+        records below it are the same, each three lines further down, and
+        numpy's C reader reads every one."""
+        monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
+        body = "p1,f1,e1,1,2,3\np1,f2,e1,4,5,6\np2,f1,e1,7,8,9\n"
+        plain, below = tmp_path / "plain.csv", tmp_path / "below.csv"
+        plain.write_text(EVALUATION_HEADER + body, encoding="utf-8", newline="")
+        below.write_text(blank * 3 + EVALUATION_HEADER + body, encoding="utf-8", newline="")
+        ids, factors, lines, values = _per_row_ids(plain, CATALOGUE)
+        readers.clear()
+        moved = _per_row_ids(below, CATALOGUE)
+        assert moved[0] == ids and moved[2] == [n + 3 for n in lines]
+        assert moved[1].tolist() == factors.tolist() and moved[3].tobytes() == values.tobytes()
+        assert readers.calls[0] == [4] and readers.by_row == []
+        assert readers.parsed == _file_blocks(7, block_rows, header_line=4)
+
+
+QUOTED_HEADER = "factor_id,expert_id,lo,mode,hi,attraction_id\n"
+
+
+class TestQuoteAcrossBlocks:
+    """A quoted field that opens on the last line of a block and closes on
+    the next is read as one record, as the row reader and the reference
+    loader read it (``np.loadtxt`` would close the quote at the block's end
+    and read the next line as a record of its own)."""
+
+    @pytest.mark.parametrize("opening", [4096, 4097])
+    def test_at_the_real_block_size(self, tmp_path, opening):
+        """A row ending in ``"b``, then the line ``x",e3,1,2,3,zz``: on line
+        4,096, the last of the first block that ``_lines`` reads, or on line
+        4,097, the last of the first block of lines below the header."""
+        rows = [f"f{i % 3 + 1},e1,1,2,3,a{i // 3}\n" for i in range(opening - 2)]
+        path = tmp_path / "evaluations.csv"
+        path.write_text(QUOTED_HEADER + "".join(rows) + 'f1,e2,1,2,3,"b\nx",e3,1,2,3,zz\n',
+                        encoding="utf-8", newline="")
+        new, reference = _load_both(path)
+        assert not isinstance(reference, str)
+        assert new == reference
+        assert new[0][-1] == "b\nx" and new[2][-1] == opening + 1
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), block_rows=st.integers(1, 3))
+    def test_one_two_line_id_anywhere(self, tmp_path, monkeypatch, data, block_rows):
+        """One row's id, in the last column, holds a line end; the line that
+        closes it goes on with ``tail``, and with six cells it reads as a
+        record of its own to a reader that closes the quote at a block's end."""
+        monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
+        count = data.draw(st.integers(1, 10))
+        at = data.draw(st.integers(0, count - 1))
+        tail = data.draw(st.sampled_from(["", ",x", ",e3,1,2,3,zz"]))
+        rows = [f"f{i % 3 + 1},e1,1,2,3," + (f'"q{i}\nr{i}"{tail}' if i == at else f"a{i // 3}")
+                for i in range(count)]
+        path = tmp_path / "evaluations.csv"
+        path.write_text(QUOTED_HEADER + "\n".join(rows) + "\n", encoding="utf-8", newline="")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new, reference = _load_both(path)
+        assert not isinstance(reference, str)
+        assert new == reference
+
+
 class TestRuleFaultsInC:
     """A file that numpy's C reader reads as the row reader would is read by
     it alone, even when a row breaks a judgement rule: the rules are checked
-    after either reader, ``_records`` never runs, nothing warns, and the
+    after the read, ``_rows`` reads the header alone, nothing warns, and the
     error is the reference loader's."""
 
     @pytest.fixture(autouse=True)
     def no_row_reader(self, monkeypatch):
-        def records(*args):
-            raise AssertionError("the row reader ran")
-
-        monkeypatch.setattr(pipeline, "_records", records)
+        readers = Readers(monkeypatch)
+        yield readers
+        assert readers.by_row == [], "the row reader ran"
 
     @pytest.mark.parametrize("block_rows", [2, 4096])
     @pytest.mark.parametrize("body", [
@@ -1159,22 +1322,24 @@ class TestRuleFaultsInC:
         pytest.param("p1,f1,e1,1,2,3\np1,f1,e1 ,4,5,6\n", id="duplicate"),
         pytest.param("p1,f1,e1,3,2,1\n", id="not-a-tfn"),
     ])
-    def test_error_is_the_reference_loaders(self, tmp_path, monkeypatch, body, block_rows):
+    def test_error_is_the_reference_loaders(self, tmp_path, monkeypatch, no_row_reader, body,
+                                            block_rows):
         monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
         path = tmp_path / "evaluations.csv"
         path.write_text(EVALUATION_HEADER + body, encoding="utf-8", newline="")
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert pipeline._evaluations_in_c(path, KNOWN) is not None
             new, reference = _load_both(path)
         assert isinstance(reference, str)
         assert new == reference
+        assert sum(no_row_reader.parsed) == body.count("\n")
 
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), block_rows=st.integers(1, 3),
            rule=st.sampled_from(("empty id", "unknown factor", "duplicate", "not a TFN")))
-    def test_one_bad_row_same_error(self, tmp_path, monkeypatch, data, block_rows, rule):
+    def test_one_bad_row_same_error(self, tmp_path, monkeypatch, no_row_reader, data, block_rows,
+                                    rule):
         monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
         rows = data.draw(judgement_rows(min_size=2, attractions=IN_C_ATTRACTIONS,
                                         padding=IN_C_PADDING))
@@ -1183,23 +1348,24 @@ class TestRuleFaultsInC:
         path = tmp_path / "evaluations.csv"
         path.write_text(data.draw(evaluation_text(rows, filler=IN_C_FILLER, blank_lines=0)),
                         encoding="utf-8", newline="")
+        no_row_reader.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             new, reference = _load_both(path)
         assert new == reference
+        assert no_row_reader.by_row == [], "the row reader ran"
 
 
-def test_load_evaluations_memory_per_row(tmp_path):
-    """The traced peak of reading 30,000 judgements stays under 240 bytes a
-    row: the number cells are not all held as text until the file ends
-    (that took about 335 bytes a row; parsing them in blocks, about 155;
-    numpy's C reader, in blocks, about 125)."""
+def _memory_per_row(tmp_path, first_id):
+    """The traced peak of reading 30,000 judgements, in bytes a row, the
+    first judgement's attraction id ``first_id``."""
     rows, experts = 30_000, 5
     path = tmp_path / "evaluations.csv"
     with path.open("w", encoding="utf-8", newline="") as handle:
         handle.write(EVALUATION_HEADER)
         for i in range(rows):
-            handle.write(f"a{i // (3 * experts):05d},f{i // experts % 3 + 1},e{i % experts + 1},"
+            attraction = f"a{i // (3 * experts):05d}" if i else first_id
+            handle.write(f"{attraction},f{i // experts % 3 + 1},e{i % experts + 1},"
                          f"0.{i % 7}5,1.{i % 9}1,2.{i % 5}0\n")
     tracemalloc.start()
     try:
@@ -1208,14 +1374,26 @@ def test_load_evaluations_memory_per_row(tmp_path):
     finally:
         tracemalloc.stop()
     assert len(result[3]) == rows
-    assert peak / rows < 240, f"{peak / rows:.0f} bytes a row"
+    return path, peak / rows
+
+
+def test_load_evaluations_memory_per_row(tmp_path):
+    """The traced peak of reading 30,000 judgements stays under 240 bytes a
+    row: the number cells are not all held as text until the file ends
+    (that took about 335 bytes a row; parsing them in blocks, about 155;
+    numpy's C reader, in blocks, about 120)."""
+    _, per_row = _memory_per_row(tmp_path, "a00000")
+    assert per_row < 240, f"{per_row:.0f} bytes a row"
 
 
 def test_row_reader_memory_per_row(tmp_path, monkeypatch):
-    """The same bound holds for the row reader, which reads every file the
-    C reader turns away."""
-    monkeypatch.setattr(pipeline, "_evaluations_in_c", lambda *args: None)
-    test_load_evaluations_memory_per_row(tmp_path)
+    """The same bound holds for the row reader, which reads the whole file
+    when the id on line 2 is not ASCII."""
+    path, per_row = _memory_per_row(tmp_path, "añ0000")
+    assert per_row < 240, f"{per_row:.0f} bytes a row"
+    readers = Readers(monkeypatch)
+    load_evaluations(path, CATALOGUE)
+    assert readers.by_row[0] == 2 and readers.parsed == []
 
 
 class TestPairwiseWeights:

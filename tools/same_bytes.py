@@ -9,8 +9,14 @@ first judgement's hi pushed to 5.5, past its factor's range [0, 5], so that
 each command prints the clamp line; three copies of it whose
 evaluations.csv holds a fault (the first judgement repeated, a judgement's
 factor id renamed to "ghost", a judgement's lo and hi swapped), on which
-every command must exit 2 and write no artifact; and seeds 1 and 2 of each
-benchmark workload, generated by bench/workloads.py.  On each input set
+every command must exit 2 and write no artifact; seeds 1 and 2 of each
+benchmark workload, generated by bench/workloads.py; and two copies of
+survey_2k seed 1 with one attraction renamed to a non-ASCII id in
+attractions.csv and evaluations.csv: a1999 to a1999ñ, whose 60 judgements
+are the last rows, so that numpy's C reader reads evaluations.csv up to its
+last block and the CSV reader reads that block, and a0000 to a0000ñ, whose
+judgements are the first rows, so that the CSV reader reads the whole file.
+On each input set
 `tourval run` runs first from the base's source, then from this
 checkout's, both with the same --out, so the config echo in results.json
 matches; for district_tour, the workload the benchmark times as `tour`,
@@ -71,6 +77,17 @@ def _edited_sample(directory: Path, name: str, at: int, edit) -> Path:
     return copy / "config.json"
 
 
+def _renamed(config: Path, directory: Path, old: str, new: str) -> Path:
+    """Config path of a copy of ``config``'s inputs with the attraction id
+    ``old`` renamed to ``new`` in attractions.csv and evaluations.csv, where
+    it is the first cell of its rows."""
+    copy = Path(shutil.copytree(config.parent, directory))
+    for name in ("attractions.csv", "evaluations.csv"):
+        path = copy / name
+        path.write_bytes(path.read_bytes().replace(f"\n{old},".encode(), f"\n{new},".encode()))
+    return copy / "config.json"
+
+
 def _inputs(directory: Path) -> dict[str, Path]:
     """Config path of each input set, by name."""
     configs = {"sample": Path(shutil.copytree(SAMPLE, directory / "sample")) / "config.json"}
@@ -85,6 +102,9 @@ def _inputs(directory: Path) -> dict[str, Path]:
         for seed in SEEDS:
             configs[f"{name} seed {seed}"] = workloads.generate(
                 ROOT, name, seed, directory / f"{name}-{seed}")
+    for old in ("a1999", "a0000"):
+        configs[f"survey_2k seed 1 with {old} renamed {old}ñ"] = _renamed(
+            configs["survey_2k seed 1"], directory / f"survey_2k-1-{old}", old, old + "ñ")
     return configs
 
 
