@@ -363,6 +363,14 @@ def _parse_in_c(block: list[str], usecols: list[int], codes: tuple[dict[str, int
     # ``np.loadtxt`` warn if the block held no data
     if not text.isascii() or block[0].isspace() or any(map(text.__contains__, _STRIP_DISAGREES)):
         return False
+    # no line is longer than csv's field limit, which ``np.loadtxt`` does not keep:
+    # a line end in every window of ``half`` characters keeps each line within it
+    limit = csv.field_size_limit()
+    half = limit // 2 + 1
+    if len(text) > limit and any(text.find("\n", i, i + half) < 0
+                                 and text.find("\r", i, i + half) < 0
+                                 for i in range(0, len(text), half)):
+        return False
     try:
         # no quote is left open at the block's end, which ``np.loadtxt`` would close
         next(csv.reader(block[-1:], strict=True))

@@ -101,6 +101,9 @@ class DensityGrid(Record):
     ``positive`` holds the flat (row-major) indices of the cells with
     positive density, found once when the grid is built: the hotspot test
     and the map's density features read them instead of scanning the grid.
+    A grid built from a caller's array holds a read-only copy of it,
+    checked and searched for ``positive`` in one pass; ``kde_heatmap``'s
+    holds its accumulator, and finds ``positive`` from its kernel windows.
     """
 
     __slots__ = ("center", "x0", "y0", "cell_m", "values", "positive")
@@ -110,13 +113,30 @@ class DensityGrid(Record):
         v = np.array(values, dtype=float)
         if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
             raise ValueError(f"grid values must be a 2-d array, got shape {v.shape}")
-        if not (v.min() >= 0.0 and v.max() < math.inf):   # NaN fails both
+        # negative, NaN and infinite cells are all nonzero, and -0.0 is not
+        positive = np.flatnonzero(v)
+        nonzero = v.take(positive)
+        if not ((nonzero > 0.0) & (nonzero < math.inf)).all():
             raise ValueError("grid values must be finite and non-negative")
         if not cell_m > 0:
             raise ValueError(f"cell size must be positive, got {cell_m}")
-        positive = np.flatnonzero(v)   # after the range check, only positive cells are nonzero
         v.flags.writeable = positive.flags.writeable = False
         self._set(center, x0, y0, cell_m, v, positive)
+
+    @classmethod
+    def _adopt(cls, center: GeoPoint, x0: float, y0: float, cell_m: float,
+               values: np.ndarray, positive: np.ndarray) -> DensityGrid:
+        """A grid that holds ``values`` itself, not a copy, with ``positive``
+        as its positive cells, both made read-only and neither checked.  The
+        caller must hold the only reference to ``values``, a 2-d float array
+        of finite, non-negative cells, with ``cell_m`` positive, and
+        ``positive`` must be exactly the flat indices of its nonzero cells,
+        ascending.  ``replace`` and pickling build the grid again through
+        ``__init__``, which gives an equal grid."""
+        grid = object.__new__(cls)
+        values.flags.writeable = positive.flags.writeable = False
+        grid._set(center, x0, y0, cell_m, values, positive)
+        return grid
 
     @property
     def nrows(self) -> int:
@@ -238,6 +258,14 @@ def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,
     +0.0, so the result is bit-identical to evaluating every point over the
     whole grid.  Deterministic: points are taken in input order, so each
     cell still accumulates its terms in input order.
+
+    The float grid is written once, by the windows, and read only at the
+    cells they touched: each batch also marks its cells in a one-byte
+    mask, and the grid's ``positive`` cells are the marked cells whose sum
+    is above 0.  A marked cell may hold +0.0 (a zero weight, or terms that
+    underflow), but no term is negative, so these are exactly the nonzero
+    cells.  The grid takes the accumulator itself, not a copy: at
+    ``MAX_GRID_CELLS`` that is 80 MB of floats and a 10 MB mask.
     """
     require_positive(bandwidth_m, "bandwidth_m")
     require_positive(cell_m, "cell_m")
@@ -259,6 +287,8 @@ def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,
 
     x0, y0, nrows, ncols = _grid_frame(xs, ys, bandwidth_m, cell_m, center)
     values = np.zeros((nrows, ncols))
+    flat = values.reshape(-1)
+    touched = np.zeros(flat.size, dtype=bool)
     # every cell centre within bandwidth + 1.5 cells of a point lies in its
     # window, so no rounding of the cell index can leave a support cell out
     reach = math.ceil(bandwidth_m / cell_m) + 1
@@ -281,8 +311,11 @@ def kde_heatmap(points: Iterable[ScoredPoint], bandwidth_m: float = 100.0,
         inside = np.flatnonzero(u2 < 1.0)
         cells = (rows[part, :, None] * ncols + cols[part, None, :]).reshape(-1)[inside]
         terms = weights[start + inside // window] * ((15.0 / 16.0) * (1.0 - u2[inside]) ** 2)
-        np.add.at(values.reshape(-1), cells, terms)
-    return DensityGrid(center, x0, y0, cell_m, values)
+        np.add.at(flat, cells, terms)
+        touched[cells] = True
+    positive = np.flatnonzero(touched)
+    # the weights' finite sum bounds every cell, and no term is negative
+    return DensityGrid._adopt(center, x0, y0, cell_m, values, positive[flat[positive] > 0.0])
 
 
 def _percentile(values: np.ndarray, percentile: float) -> float:

@@ -1301,6 +1301,75 @@ class TestQuoteAcrossBlocks:
         assert new == reference
 
 
+NOTE_HEADER = "attraction_id,factor_id,expert_id,lo,mode,hi,note\n"
+
+
+class TestFieldLimit:
+    """A cell longer than csv's field limit, in a column that is not read,
+    is a read error on its own line wherever it falls: numpy's C reader,
+    which has no such limit, is not given a block that could hold one."""
+
+    @staticmethod
+    def load(path):
+        try:
+            return _per_row_ids(path, CATALOGUE)
+        except InputError as e:
+            return str(e)
+
+    @pytest.mark.parametrize("line", [6, 11])
+    def test_same_read_error_wherever_the_cell_falls(self, tmp_path, line):
+        """Ten rows, a 200,000-character note on line 6 or on line 11, the
+        block's last line."""
+        rows = [f"p{i // 3},f{i % 3 + 1},e1,1,2,3," for i in range(10)]
+        rows[line - 2] += "n" * 200_000
+        path = tmp_path / "evaluations.csv"
+        path.write_text(NOTE_HEADER + "\n".join(rows) + "\n", encoding="utf-8")
+        limit = csv.field_size_limit()
+        assert self.load(path) == (f"{path}:{line}: not read as CSV: field larger than field "
+                                   f"limit ({limit})")
+
+    def test_short_lines_go_to_numpy(self, tmp_path, readers):
+        """A block of ten short lines, almost four times the limit in length,
+        is still numpy's."""
+        path = tmp_path / "evaluations.csv"
+        path.write_text(EVALUATION_HEADER + "".join(f"p{i},f1,e1,1,2,3\n" for i in range(10)),
+                        encoding="utf-8")
+        old = csv.field_size_limit(40)
+        try:
+            assert len(self.load(path)[0]) == 10
+        finally:
+            csv.field_size_limit(old)
+        assert readers.parsed == [10] and readers.by_row == []
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), limit=st.integers(13, 60), block_rows=st.integers(1, 4))
+    def test_any_limit_and_block_size(self, tmp_path, monkeypatch, data, limit, block_rows):
+        """Under a field limit of ``limit`` characters, the file loads as it
+        does under the default limit when no note is longer, and otherwise
+        fails on the first line whose note is.  A note is short, or about as
+        long as the limit."""
+        monkeypatch.setattr(pipeline, "_NUMBER_BLOCK_ROWS", block_rows)
+        near = st.integers(max(0, limit - 16), limit + 16)
+        notes = data.draw(st.lists(st.integers(0, 5) | near, min_size=1, max_size=8))
+        path = tmp_path / "evaluations.csv"
+        path.write_text(NOTE_HEADER + "".join(f"p{i},f1,e1,1,2,3,{'n' * n}\n"
+                                              for i, n in enumerate(notes)), encoding="utf-8")
+        reference = self.load(path)
+        old = csv.field_size_limit(limit)
+        try:
+            new = self.load(path)
+        finally:
+            csv.field_size_limit(old)
+        long = [line for line, n in enumerate(notes, 2) if n > limit]
+        if long:
+            assert new == (f"{path}:{long[0]}: not read as CSV: field larger than field limit "
+                           f"({limit})")
+        else:
+            assert new[0] == reference[0] and new[2] == reference[2]
+            assert new[3].tobytes() == reference[3].tobytes()
+
+
 class TestRuleFaultsInC:
     """A file that numpy's C reader reads as the row reader would is read by
     it alone, even when a row breaks a judgement rule: the rules are checked

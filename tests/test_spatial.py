@@ -1,6 +1,8 @@
 import json
 import math
+import pickle
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -167,13 +169,15 @@ class TestDensityGrid:
         assert grid.values[0, 0] == 1.0
 
 
+WEIGHTS = st.one_of(st.just(0.0), st.floats(0.0, 100.0))
+
+
 @st.composite
-def kde_cases(draw, max_points=6):
+def kde_cases(draw, max_points=6, weights=WEIGHTS):
     """(points, bandwidth, cell): up to ``max_points`` points within 400 m,
-    some repeated, some weightless; cells from 2 m to wider than the
-    bandwidth."""
-    offsets = draw(st.lists(st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 0.4),
-                                      st.one_of(st.just(0.0), st.floats(0.0, 100.0))),
+    some repeated, their weights drawn from ``weights``, some of them 0;
+    cells from 2 m to wider than the bandwidth."""
+    offsets = draw(st.lists(st.tuples(st.floats(0.0, 0.4), st.floats(0.0, 0.4), weights),
                             min_size=1, max_size=max_points))
     repeats = draw(st.lists(st.sampled_from(offsets), max_size=2))
     points = [ScoredPoint(offset_point(CENTER, e, n), w) for e, n, w in offsets + repeats]
@@ -242,6 +246,48 @@ class TestKdeMatchesPerPointLoop:
         points = _points((0.0, 0.0, 2.0), (0.3, 0.2, 5.0), (0.3, 0.2, 1.0), (0.0, 0.2, 0.0),
                          (0.15, 0.0, 3.5), (0.1, 0.1, 8.0), (0.3, 0.0, 2.5))
         self.assert_same(points, 120.0, 2.0)
+
+
+class TestKdeGridAdopted:
+    """``kde_heatmap``'s grid holds its accumulator, and finds its positive
+    cells from the cells its windows touched; the public constructor copies
+    the same values and finds them by a pass over the grid."""
+
+    # a weight of 5e-324 leaves every term 0 or 5e-324; one of 1e-320 underflows at the rim
+    @given(kde_cases(max_points=12, weights=st.one_of(WEIGHTS, st.sampled_from([5e-324,
+                                                                                 1e-320]))))
+    @settings(max_examples=150, deadline=None)
+    @example((_points((0.0, 0.0, 5e-324)), 100.0, 10.0))                    # all terms underflow
+    @example((_points((0.0, 0.0, 2.0), (0.0, 0.3, 1e-320), (0.3, 0.0, 0.0),
+                      (0.3, 0.3, 4.0), (0.3, 0.3, 4.0)), 100.0, 10.0))        # bbox corners
+    def test_equals_the_grid_built_from_its_values(self, case):
+        points, bandwidth, cell = case
+        grid = kde_heatmap(points, bandwidth_m=bandwidth, cell_m=cell)
+        built = DensityGrid(grid.center, grid.x0, grid.y0, grid.cell_m, grid.values)
+        assert grid.values.tobytes() == built.values.tobytes()
+        assert grid.positive.dtype == built.positive.dtype
+        assert grid.positive.tolist() == built.positive.tolist()
+        assert not (grid.values.flags.writeable or grid.positive.flags.writeable)
+        assert grid == built
+        for record in grid, built:
+            with pytest.raises(TypeError):
+                hash(record)
+        for twin in grid.replace(), pickle.loads(pickle.dumps(grid)):
+            assert twin == grid and twin.positive.tolist() == grid.positive.tolist()
+
+    def test_no_second_grid(self):
+        """Two points 4 km apart at 10 m cells: a grid of 355 x 439 cells,
+        held once, with a one-byte mask, at the traced peak."""
+        points = [ScoredPoint(GeoPoint(-75.83, 20.02), 1.0),
+                  ScoredPoint(GeoPoint(-75.79, 20.05), 1.0)]
+        tracemalloc.start()
+        try:
+            grid = kde_heatmap(points, bandwidth_m=100.0, cell_m=10.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.values.shape == (355, 439)
+        assert peak < 1.5 * grid.values.nbytes, f"{peak / grid.values.nbytes:.2f} grids"
 
 
 class TestDensityFeatures:
